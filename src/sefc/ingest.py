@@ -1,10 +1,14 @@
 """Raw table parsing, resampling, gap filling, and canonical episode files.
 
-The canonical on-disk form of an episode is a UTF-8 CSV (first column
-``t_s``, one column per canonical channel, floats at 17 significant
-digits) plus a YAML sidecar ``<episode_id>.meta.yaml`` holding metadata,
-run-length-encoded phase labels, and channel descriptors.  The pipeline
-order for raw sources is parse -> apply_adapter -> fill_gaps -> resample.
+The canonical on-disk form of an episode is a UTF-8 CSV (header line
+``t_s,<channel>,...``, then one line per step with every cell formatted as
+``%.17g``, comma separated, ``\n`` terminated) plus a YAML sidecar
+``<episode_id>.meta.yaml`` holding metadata, run-length-encoded phase
+labels, and channel descriptors.  Both are written and read through
+``sefc.codec``: rows are formatted and parsed as whole arrays, and the
+sidecar goes through libyaml when PyYAML has it, with the same bytes on
+disk either way.  The pipeline order for raw sources is
+parse -> apply_adapter -> fill_gaps -> resample.
 """
 
 from __future__ import annotations
@@ -15,8 +19,8 @@ from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
-import yaml
 
+from .codec import dump_yaml, load_yaml, read_float_rows, write_float_rows
 from .errors import (
     DegenerateEpisode,
     DuplicateKey,
@@ -26,8 +30,6 @@ from .errors import (
     SchemaViolation,
 )
 from .schema import MODELING_ROLES, ChannelDescriptor, Episode, SignalRole
-
-FLOAT_FMT = "{:.17g}"
 
 DEFAULT_NA_TOKENS = ("", "NA", "N/A", "NaN", "nan", "null", "NULL")
 
@@ -214,13 +216,9 @@ def write_canonical(ep: Episode, out_dir: Union[str, Path]) -> tuple[Path, Path]
     csv_path = out_dir / f"{ep.episode_id}.csv"
     sidecar = sidecar_path_for(csv_path)
 
-    names = ["t_s"] + list(ep.channel_names)
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(names) + "\n")
-        for i in range(ep.n_steps):
-            row = [FLOAT_FMT.format(ep.t[i])]
-            row.extend(FLOAT_FMT.format(v) for v in ep.channels[i])
-            fh.write(",".join(row) + "\n")
+        fh.write(",".join(["t_s", *ep.channel_names]) + "\n")
+        write_float_rows(fh, ep.t, ep.channels)
 
     meta = {
         "episode_id": ep.episode_id,
@@ -241,8 +239,7 @@ def write_canonical(ep: Episode, out_dir: Union[str, Path]) -> tuple[Path, Path]
             for d in ep.descriptors
         ],
     }
-    with open(sidecar, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(meta, fh, sort_keys=False, default_flow_style=False)
+    sidecar.write_text(dump_yaml(meta), encoding="utf-8")
     return csv_path, sidecar
 
 
@@ -256,8 +253,7 @@ def read_canonical(
     """
     csv_path = Path(csv_path)
     sidecar = Path(sidecar) if sidecar is not None else sidecar_path_for(csv_path)
-    with open(sidecar, "r", encoding="utf-8") as fh:
-        meta = yaml.safe_load(fh)
+    meta = load_yaml(sidecar.read_text(encoding="utf-8"), sidecar)
     if not isinstance(meta, dict):
         raise SchemaViolation(f"{sidecar}: sidecar is not a mapping")
 
@@ -283,31 +279,21 @@ def read_canonical(
     except (KeyError, ValueError, TypeError) as exc:
         raise SchemaViolation(f"{sidecar}: {exc!r}") from exc
 
-    with open(csv_path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
-    if not rows:
+    with open(csv_path, "r", encoding="utf-8") as fh:
+        header_line = fh.readline()
+        body = fh.read()
+    if not header_line:
         raise SchemaViolation(f"{csv_path}: empty data file")
-    header = rows[0]
-    if not header or header[0] != "t_s":
+    header = header_line.rstrip("\n").split(",")
+    if header[0] != "t_s":
         raise SchemaViolation(f"{csv_path}: first column must be t_s")
     if tuple(header[1:]) != tuple(d.canonical_name for d in descs):
         raise SchemaViolation(
             f"{csv_path}: data columns do not match sidecar channel list"
         )
-    n_cols = len(header)
-    data = rows[1:]
-    t = np.empty(len(data), dtype=np.float64)
-    channels = np.empty((len(data), n_cols - 1), dtype=np.float64)
-    for i, row in enumerate(data):
-        if len(row) != n_cols:
-            raise SchemaViolation(f"{csv_path}: row {i + 2} has {len(row)} fields")
-        try:
-            t[i] = float(row[0])
-            for j in range(1, n_cols):
-                channels[i, j - 1] = float(row[j])
-        except ValueError as exc:
-            raise SchemaViolation(f"{csv_path}: row {i + 2}: {exc}") from exc
+    data = read_float_rows(body, len(header), csv_path)
+    t = np.ascontiguousarray(data[:, 0])
+    channels = np.ascontiguousarray(data[:, 1:])
 
     phase = decode_phase_rle(rle, len(data))
     return Episode(

@@ -168,6 +168,18 @@ class TestGapCommand:
         assert lines[0].split(",") == ["metric", "mean", "median", "p10", "p90", "n"]
         assert len(lines) == 6
 
+    def test_malformed_sidecar_exits_2(self, small_corpus, tmp_path, capsys):
+        real = tmp_path / "real"
+        real.mkdir()
+        for p in small_corpus.glob("ep_00000.*"):
+            (real / p.name).write_text(p.read_text())
+        sidecar = real / "ep_00000.meta.yaml"
+        sidecar.write_text("episode_id: [unclosed\n")
+        rc = main(["gap", "--real-dir", str(real), "--sim-dir", str(real),
+                   "--out", str(tmp_path / "gapout")])
+        assert rc == 2
+        assert str(sidecar) in capsys.readouterr().err
+
 
 class TestReport:
     def test_merges_available_sections(self, tmp_path):

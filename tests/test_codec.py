@@ -1,0 +1,251 @@
+"""Byte identity of the canonical-episode and checkpoint codecs.
+
+The reference writers below are the per-cell ``"{:.17g}"`` formatters and
+the pure-Python YAML dumper the array codec replaced.  Every file written
+now must match them byte for byte, and every value read back must carry the
+same bits as ``float()`` on the written cell.
+"""
+
+import hashlib
+import io
+import string
+import struct
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from conftest import make_episode
+from sefc import codec
+from sefc.cli import main
+from sefc.ingest import encode_phase_rle, read_canonical, write_canonical
+from sefc.nnkit import DenseNet, load_model, save_model
+from sefc.schema import SignalRole
+
+NAN = float("nan")
+INF = float("inf")
+SPECIALS = [
+    NAN, -NAN, INF, -INF, 0.0, -0.0,
+    5e-324, -5e-324,                                # smallest subnormals
+    2.2250738585072009e-308,                        # largest subnormal
+    2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308,
+    1e-300, 1e300, 0.1, 1 / 3,
+]
+
+
+def _from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+FLOATS = st.one_of(
+    st.sampled_from(SPECIALS),
+    st.floats(width=64),
+    st.integers(0, 2**64 - 1).map(_from_bits),      # any bit pattern, NaN payloads included
+)
+
+
+def _bits(a) -> np.ndarray:
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+def _random_bits(rng, shape) -> np.ndarray:
+    a = rng.integers(0, 2**64, size=shape, dtype=np.uint64).view(np.float64)
+    a.ravel()[: len(SPECIALS)] = SPECIALS
+    return a
+
+
+# --- reference (per-cell) writers and reader ----------------------------------
+
+def reference_rows(a: np.ndarray) -> str:
+    return "".join(",".join("{:.17g}".format(v) for v in row) + "\n" for row in a)
+
+
+def reference_parse(text: str) -> np.ndarray:
+    return np.array([[float(c) for c in line.split(",")] for line in text.splitlines()])
+
+
+def reference_csv(ep) -> str:
+    return ",".join(["t_s", *ep.channel_names]) + "\n" + reference_rows(
+        np.column_stack((ep.t, ep.channels)))
+
+
+def reference_sidecar(ep) -> str:
+    meta = {
+        "episode_id": ep.episode_id,
+        "source_id": ep.source_id,
+        "embodiment": ep.embodiment,
+        "task": ep.task,
+        "rate_hz": float(ep.rate_hz),
+        "fault": ep.fault,
+        "healthy": bool(ep.healthy),
+        "phase_rle": encode_phase_rle(ep.phase),
+        "channels": [{"name": d.canonical_name, "role": d.role.value,
+                      "unit": d.unit, "axis": d.axis} for d in ep.descriptors],
+    }
+    return yaml.dump(meta, Dumper=yaml.SafeDumper, sort_keys=False, default_flow_style=False)
+
+
+def reference_checkpoint(model) -> str:
+    header = {"model": model.spec(), "n_params": model.n_params}
+    return (yaml.dump(header, Dumper=yaml.SafeDumper, sort_keys=False, default_flow_style=False)
+            + "---\n" + "".join("{:.17g}\n".format(v) for v in model.get_params()))
+
+
+DESC = {"a": (SignalRole.SETPOINT, "rad", 0), "b": (SignalRole.FEEDBACK, "rad/s", 1),
+        "c": (SignalRole.CONTEXT, "-", None)}
+
+
+def _episode(channels: np.ndarray):
+    return make_episode({n: channels[:, j] for j, n in enumerate(DESC)}, DESC,
+                        phase=["p0"] * (len(channels) - 1) + ["p1"], fault="x")
+
+
+# --- float rows ---------------------------------------------------------------
+
+class TestFloatRows:
+    @given(arrays(np.float64, st.tuples(st.integers(1, 30), st.integers(1, 6)),
+                  elements=FLOATS))
+    @settings(max_examples=150, deadline=None)
+    def test_rows_match_reference_and_read_back(self, a):
+        buf = io.StringIO()
+        codec.write_float_rows(buf, a)
+        text = buf.getvalue()
+        assert text == reference_rows(a)
+        back = codec.read_float_rows(text, a.shape[1], "x")
+        assert np.array_equal(_bits(back), _bits(reference_parse(text)))
+
+    def test_many_blocks_and_split_columns(self):
+        a = _random_bits(np.random.default_rng(0), (1000, 7))
+        buf = io.StringIO()
+        codec.write_float_rows(buf, a[:, 0], a[:, 1:])
+        text = buf.getvalue()
+        assert text == reference_rows(a)
+        back = codec.read_float_rows(text, 7, "x")
+        assert np.array_equal(_bits(back), _bits(reference_parse(text)))
+
+
+# --- canonical episodes ---------------------------------------------------------
+
+class TestCanonicalBytes:
+    @given(arrays(np.float64, st.tuples(st.integers(2, 40), st.just(3)), elements=FLOATS))
+    @settings(max_examples=100, deadline=None)
+    def test_episode_files_match_reference(self, channels):
+        ep = _episode(channels)
+        with tempfile.TemporaryDirectory() as tmp:
+            csv_path, sidecar = write_canonical(ep, tmp)
+            text = csv_path.read_bytes().decode("utf-8")
+            assert text == reference_csv(ep)
+            assert sidecar.read_bytes().decode("utf-8") == reference_sidecar(ep)
+            back = read_canonical(csv_path)
+        expected = reference_parse(text.split("\n", 1)[1])
+        assert np.array_equal(_bits(back.t), _bits(expected[:, 0]))
+        assert np.array_equal(_bits(back.channels), _bits(expected[:, 1:]))
+        assert back.t.flags.c_contiguous and back.channels.flags.c_contiguous
+
+    def test_pure_python_yaml_writes_the_same_bytes(self, tmp_path, noisy_episode, monkeypatch):
+        fast = write_canonical(noisy_episode, tmp_path / "fast")
+        monkeypatch.setattr(codec, "_DUMPER", yaml.SafeDumper)
+        monkeypatch.setattr(codec, "_LOADER", yaml.SafeLoader)
+        slow = write_canonical(noisy_episode, tmp_path / "slow")
+        for a, b in zip(fast, slow):
+            assert a.read_bytes() == b.read_bytes()
+        back = read_canonical(slow[0])
+        assert np.array_equal(_bits(back.channels), _bits(noisy_episode.channels))
+
+
+# --- checkpoints -----------------------------------------------------------------
+
+class TestCheckpointBytes:
+    @given(arrays(np.float64, 13, elements=FLOATS))
+    @settings(max_examples=100, deadline=None)
+    def test_save_matches_reference_and_loads_same_bits(self, params):
+        model = DenseNet([2, 3, 1], seed=0)
+        model.set_params(params)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = save_model(Path(tmp) / "m.ckpt", model)
+            assert path.read_bytes().decode("utf-8") == reference_checkpoint(model)
+            loaded, _ = load_model(path)
+        expected = [float("{:.17g}".format(v)) for v in params]
+        assert np.array_equal(_bits(loaded.get_params()), _bits(expected))
+
+    def test_many_blocks(self, tmp_path):
+        model = DenseNet([18, 64, 6], seed=0)
+        model.set_params(_random_bits(np.random.default_rng(1), model.n_params))
+        path = save_model(tmp_path / "m.ckpt", model)
+        assert path.read_text() == reference_checkpoint(model)
+        loaded, _ = load_model(path)
+        expected = [float("{:.17g}".format(v)) for v in model.get_params()]
+        assert np.array_equal(_bits(loaded.get_params()), _bits(expected))
+
+
+# --- YAML sidecars ---------------------------------------------------------------
+
+NAMES = st.text(string.ascii_letters + string.digits + "_", min_size=1, max_size=40)
+ASCII = st.text(string.printable, max_size=120)
+SIDECARS = st.fixed_dictionaries({
+    "episode_id": NAMES | ASCII,
+    "source_id": NAMES,
+    "embodiment": NAMES,
+    "task": NAMES,
+    "rate_hz": st.floats(allow_nan=True, allow_infinity=True),
+    "fault": st.none() | NAMES,
+    "healthy": st.booleans(),
+    "phase_rle": st.lists(st.tuples(NAMES | ASCII, st.integers(1, 10**6)).map(list),
+                          max_size=12),
+    "channels": st.lists(st.fixed_dictionaries({
+        "name": NAMES,
+        "role": st.sampled_from([r.value for r in SignalRole]),
+        "unit": st.sampled_from(["rad", "rad/s", "Nm", "%", "-", "m/rad", "kg*m/s",
+                                 "m/s^2", "degC", "bool"]) | ASCII,
+        "axis": st.none() | st.integers(0, 11),
+    }), max_size=12),
+})
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+@given(SIDECARS)
+@settings(max_examples=200, deadline=None)
+def test_c_and_python_dumpers_agree_on_sidecars(meta):
+    style = {"sort_keys": False, "default_flow_style": False}
+    assert (yaml.dump(meta, Dumper=yaml.CSafeDumper, **style)
+            == yaml.dump(meta, Dumper=yaml.SafeDumper, **style))
+
+
+@given(st.text(max_size=200), st.lists(st.text(max_size=40), max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_dump_yaml_matches_pure_python_on_any_text(value, items):
+    doc = {"episode_id": value, "phase_rle": [[s, 1] for s in items]}
+    assert codec.dump_yaml(doc) == yaml.dump(
+        doc, Dumper=yaml.SafeDumper, sort_keys=False, default_flow_style=False)
+    assert codec.load_yaml(codec.dump_yaml(doc), "x") == doc
+
+
+# --- golden digests ----------------------------------------------------------------
+
+# sha256 of `sefc generate --seed 7 --n-healthy 1 --fault-mix
+# additional_axis_payload=1`, recorded with the per-cell writer and the
+# pure-Python YAML dumper before the array codec replaced them (numpy 2.4,
+# x86-64).
+GOLDEN = {
+    "ep_00000.csv": "4272265aea03da940cc60be90f063b4b4c7ea4e86c0cdfcb1509b98faaf89af4",
+    "ep_00000.meta.yaml": "1d97dc81cc43f66f1c87891569786f3616ccc19ff6cb6923907fb85e3984bf7d",
+    "ep_00001.csv": "36ff7ff2881c56a7fe687f662622cdd10314514f3aaecec14ea350b6aaf98ed1",
+    "ep_00001.meta.yaml": "2c3e016a4832436d6e3cbbe736d7c093462ef7cd9cd4fdd97325880c00dc48f0",
+    "ep_00001_twin.csv": "eb3298bc4d6aec7b227d35a01d2e105bf6e4e976a6cb4fd0ccaf02fadb000755",
+    "ep_00001_twin.meta.yaml": "0d23b0a0261c55f9641d2659f307181a4c8e8bbbb4f49c419575a0adecb898ea",
+}
+
+
+def test_generate_output_digests(tmp_path):
+    rc = main(["generate", "--out", str(tmp_path), "--seed", "7", "--n-healthy", "1",
+               "--fault-mix", "additional_axis_payload=1"])
+    assert rc == 0
+    episodes = tmp_path / "episodes"
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in sorted(episodes.iterdir())}
+    assert got == GOLDEN

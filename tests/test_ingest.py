@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from sefc.ingest import (
     parse_raw_csv,
     read_canonical,
     resample,
+    sidecar_path_for,
     write_canonical,
 )
 from sefc.schema import SignalRole
@@ -208,6 +211,84 @@ class TestCanonicalFiles:
     def test_phase_rle_round_trip(self, labels):
         rle = encode_phase_rle(labels)
         assert list(decode_phase_rle(rle, len(labels))) == labels
+
+
+class TestCanonicalReadErrors:
+    """Malformed canonical files: each case raises SchemaViolation or reads
+    exactly as the per-cell csv.reader + float() reader did."""
+
+    @pytest.fixture
+    def written(self, tmp_path):
+        ep = make_episode({"a": np.arange(4.0), "b": np.ones(4), "c": np.ones(4)}, D)
+        csv_path, _ = write_canonical(ep, tmp_path)
+        return ep, csv_path
+
+    @staticmethod
+    def _edit_lines(csv_path, edit):
+        lines = csv_path.read_text().splitlines(keepends=True)
+        csv_path.write_text("".join(edit(lines)))
+
+    def test_malformed_sidecar_yaml(self, written):
+        _, csv_path = written
+        sidecar = sidecar_path_for(csv_path)
+        sidecar.write_text("episode_id: [unclosed\nchannels: {\n")
+        with pytest.raises(SchemaViolation, match=re.escape(str(sidecar))):
+            read_canonical(csv_path)
+
+    def test_first_column_not_t_s(self, written):
+        _, csv_path = written
+        self._edit_lines(csv_path, lambda ls: ["time" + ls[0][3:]] + ls[1:])
+        with pytest.raises(SchemaViolation, match="t_s"):
+            read_canonical(csv_path)
+
+    def test_ragged_row(self, written):
+        _, csv_path = written
+        self._edit_lines(csv_path, lambda ls: ls[:2] + ["0.01,1,1\n"] + ls[3:])
+        with pytest.raises(SchemaViolation):
+            read_canonical(csv_path)
+
+    def test_extra_cell_on_every_row(self, written):
+        _, csv_path = written
+        self._edit_lines(csv_path, lambda ls: ls[:1] + [l[:-1] + ",0\n" for l in ls[1:]])
+        with pytest.raises(SchemaViolation):
+            read_canonical(csv_path)
+
+    def test_non_numeric_cell(self, written):
+        _, csv_path = written
+        self._edit_lines(csv_path, lambda ls: ls[:2] + ["0.01,abc,1,1\n"] + ls[3:])
+        with pytest.raises(SchemaViolation):
+            read_canonical(csv_path)
+
+    def test_empty_file(self, written):
+        _, csv_path = written
+        csv_path.write_text("")
+        with pytest.raises(SchemaViolation, match="empty"):
+            read_canonical(csv_path)
+
+    def test_header_only(self, written):
+        _, csv_path = written
+        self._edit_lines(csv_path, lambda ls: ls[:1])
+        with pytest.raises(SchemaViolation):
+            read_canonical(csv_path)
+
+    def test_no_trailing_newline_reads_the_same(self, written):
+        ep, csv_path = written
+        csv_path.write_text(csv_path.read_text().rstrip("\n"))
+        back = read_canonical(csv_path)
+        assert np.array_equal(back.t, ep.t)
+        assert np.array_equal(back.channels, ep.channels)
+
+    def test_blank_line_inside_body(self, written):
+        _, csv_path = written
+        self._edit_lines(csv_path, lambda ls: ls[:2] + ["\n"] + ls[2:])
+        with pytest.raises(SchemaViolation):
+            read_canonical(csv_path)
+
+    def test_blank_line_after_body(self, written):
+        _, csv_path = written
+        csv_path.write_text(csv_path.read_text() + "\n")
+        with pytest.raises(SchemaViolation):
+            read_canonical(csv_path)
 
 
 class TestPairing:

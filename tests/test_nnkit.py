@@ -1,9 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from sefc.errors import EmptyDataset, ShapeMismatch
+from sefc.errors import EmptyDataset, SchemaViolation, ShapeMismatch
 from sefc.nnkit import (
     DenseNet,
     SeqNet,
@@ -248,3 +249,18 @@ class TestCheckpoint:
         assert extra == {"note": "x"}
         assert loaded.spec() == model.spec()
         assert np.array_equal(loaded.get_params(), model.get_params())
+
+    def test_malformed_header_yaml(self, tmp_path):
+        path = save_model(tmp_path / "m.ckpt", DenseNet([2, 3, 1], seed=0))
+        params = path.read_text().split("\n---\n", 1)[1]
+        path.write_text("model: {kind: dense, sizes: [2, 3\n---\n" + params)
+        with pytest.raises(SchemaViolation, match=re.escape(str(path))):
+            load_model(path)
+
+    def test_non_numeric_parameter(self, tmp_path):
+        path = save_model(tmp_path / "m.ckpt", DenseNet([2, 3, 1], seed=0))
+        lines = path.read_text().splitlines(keepends=True)
+        lines[-2] = "not-a-number\n"
+        path.write_text("".join(lines))
+        with pytest.raises(SchemaViolation, match=re.escape(str(path))):
+            load_model(path)
