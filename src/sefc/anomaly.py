@@ -9,7 +9,6 @@ travels with the model checkpoint (stored data stays in raw units).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -17,6 +16,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 from scipy.stats import rankdata
 
+from .codec import dump_yaml, write_csv
 from .errors import DegenerateLabels, EmptyDataset, MissingChannel, SchemaViolation
 from .nnkit import DenseNet, TrainConfig, TrainHistory, train
 from .nnkit.checkpoint import load_model, save_model
@@ -279,30 +279,19 @@ def per_category_report(
 
 
 def write_report_csv(report: AnomalyReport, path: Union[str, Path]) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["category", "n", "auroc"])
-        for row in report.rows:
-            writer.writerow([row.category, row.n,
-                             "" if row.auroc is None else f"{row.auroc:.6f}"])
-        writer.writerow(["mean", sum(r.n for r in report.rows),
-                         f"{report.mean_auroc:.6f}"])
-        writer.writerow(["pooled", sum(r.n for r in report.rows),
-                         f"{report.pooled_auroc:.6f}"])
-        writer.writerow([
-            f"ci{int(report.ci_level * 100)}",
-            report.n_healthy,
-            f"[{report.ci[0]:.6f}, {report.ci[1]:.6f}]",
-        ])
-    return path
+    n_anomalous = sum(r.n for r in report.rows)
+    return write_csv(path, ["category", "n", "auroc"], [
+        *([r.category, r.n, "" if r.auroc is None else f"{r.auroc:.6f}"]
+          for r in report.rows),
+        ["mean", n_anomalous, f"{report.mean_auroc:.6f}"],
+        ["pooled", n_anomalous, f"{report.pooled_auroc:.6f}"],
+        [f"ci{int(report.ci_level * 100)}", report.n_healthy,
+         f"[{report.ci[0]:.6f}, {report.ci[1]:.6f}]"],
+    ])
 
 
 def write_report_summary(report: AnomalyReport, path: Union[str, Path]) -> Path:
     """Structured-text companion to the per-category CSV."""
-    import yaml
-
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     payload = {
@@ -318,17 +307,10 @@ def write_report_summary(report: AnomalyReport, path: Union[str, Path]) -> Path:
             for r in report.rows
         },
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(payload, fh, sort_keys=False)
+    path.write_text(dump_yaml(payload), encoding="utf-8")
     return path
 
 
 def write_scores_csv(scored: Sequence[ScoredEpisode], path: Union[str, Path]) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["episode_id", "label", "score"])
-        for s in scored:
-            writer.writerow([s.episode_id, s.label, "{:.17g}".format(s.score)])
-    return path
+    return write_csv(path, ["episode_id", "label", "score"],
+                     ([s.episode_id, s.label, "{:.17g}".format(s.score)] for s in scored))

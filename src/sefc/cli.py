@@ -9,17 +9,18 @@ for configuration/usage errors, 1 for operational failures.  The env var
 from __future__ import annotations
 
 import argparse
-import csv
+import functools
 import logging
 import os
 import sys
 import time
 from pathlib import Path
+from typing import NamedTuple, Optional
 
 import numpy as np
-import yaml
 
 from . import __version__, anomaly, forecast, gap, ingest, synthgen
+from .codec import dump_yaml, write_csv
 from .errors import SchemaViolation, SefcError, UnsupportedFault
 from .nnkit import TrainConfig
 from .schema import BUILTIN_ADAPTER_IDS, EpisodeMeta, apply_adapter, builtin_adapter, load_adapter
@@ -27,20 +28,53 @@ from .schema import BUILTIN_ADAPTER_IDS, EpisodeMeta, apply_adapter, builtin_ada
 log = logging.getLogger("sefc")
 
 
-def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace,
-                    inputs: list[str], outputs: list[str], wall_time_s: float) -> None:
-    manifest = {
-        "command": command,
-        "config": getattr(args, "config", None),
-        "seed": getattr(args, "seed", None),
-        "inputs": inputs,
-        "outputs": outputs,
-        "tool_version": __version__,
-        "wall_time_s": round(wall_time_s, 3),
-    }
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "manifest.yaml", "w", encoding="utf-8") as fh:
-        yaml.safe_dump(manifest, fh, sort_keys=False)
+class _Done(NamedTuple):
+    """What a command body hands back to ``_command``."""
+
+    inputs: list[str]
+    outputs: list[str]
+    message: str                          # printed to stdout after the manifest
+    diagnostics: Optional[dict] = None    # extra manifest keys
+
+
+def _command(body):
+    """Turn ``body(args, out) -> _Done`` into ``cmd_<name>(args) -> exit code``.
+
+    ``out`` is the ``--out`` directory.  The wrapper times the body, writes
+    ``out/manifest.yaml`` (command, config, seed, inputs, outputs, the body's
+    diagnostics, tool_version, wall_time_s) and prints the message.  It
+    returns 1 when the diagnostics hold a non-empty ``failures`` list, which
+    it also prints to stderr, and 0 otherwise.  Errors raised by the body
+    reach ``main``, which maps them to exit codes 2 and 1.
+    """
+    name = body.__name__.removeprefix("cmd_").replace("_", "-")
+
+    @functools.wraps(body)
+    def command(args: argparse.Namespace) -> int:
+        t0 = time.perf_counter()
+        out = Path(args.out)
+        done = body(args, out)
+        diagnostics = done.diagnostics or {}
+        manifest = {
+            "command": name,
+            "config": getattr(args, "config", None),
+            "seed": getattr(args, "seed", None),
+            "inputs": done.inputs,
+            "outputs": done.outputs,
+            **diagnostics,
+            "tool_version": __version__,
+            "wall_time_s": round(time.perf_counter() - t0, 3),
+        }
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "manifest.yaml").write_text(dump_yaml(manifest), encoding="utf-8")
+        print(done.message)
+        failures = diagnostics.get("failures")
+        if failures:
+            print("failures:", *failures, sep="\n  ", file=sys.stderr)
+            return 1
+        return 0
+
+    return command
 
 
 def _train_config(args: argparse.Namespace, **overrides) -> TrainConfig:
@@ -59,8 +93,8 @@ def _train_config(args: argparse.Namespace, **overrides) -> TrainConfig:
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_generate(args: argparse.Namespace) -> int:
-    t0 = time.time()
+@_command
+def cmd_generate(args: argparse.Namespace, out: Path) -> _Done:
     if args.config:
         loaded = synthgen.load_generation_config(args.config)
         config = loaded["config"]
@@ -89,20 +123,13 @@ def cmd_generate(args: argparse.Namespace) -> int:
     episodes = synthgen.generate_corpus(
         n_healthy, fault_mix, seed, config, noise=not args.no_noise
     )
-    out = Path(args.out)
     ep_dir = out / "episodes"
-    written = []
-    for ep in episodes:
-        csv_path, _ = ingest.write_canonical(ep, ep_dir)
-        written.append(csv_path.name)
-    _write_manifest(out, "generate", args, inputs=[],
-                    outputs=sorted(written), wall_time_s=time.time() - t0)
-    print(f"generated {len(episodes)} episodes -> {ep_dir}")
-    return 0
+    written = [ingest.write_canonical(ep, ep_dir)[0].name for ep in episodes]
+    return _Done([], sorted(written), f"generated {len(episodes)} episodes -> {ep_dir}")
 
 
-def cmd_ingest(args: argparse.Namespace) -> int:
-    t0 = time.time()
+@_command
+def cmd_ingest(args: argparse.Namespace, out: Path) -> _Done:
     adapter_arg = args.adapter
     if adapter_arg in BUILTIN_ADAPTER_IDS:
         adapter = builtin_adapter(adapter_arg)
@@ -118,9 +145,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         decimal=args.dialect_decimal,
         na_tokens=tuple(args.dialect_na.split("|")) if args.dialect_na else ingest.DEFAULT_NA_TOKENS,
     )
-    raw_dir = Path(args.raw_dir)
-    files = sorted(raw_dir.glob("*.csv"))
-    out = Path(args.out)
+    files = sorted(Path(args.raw_dir).glob("*.csv"))
     ep_dir = out / "episodes"
     written, failures = [], []
     for path in files:
@@ -142,43 +167,30 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         except (SefcError, OSError) as exc:
             log.error("%s: %s", path.name, exc)
             failures.append(f"{path.name}: {exc}")
-    _write_manifest(out, "ingest", args,
-                    inputs=[str(p.name) for p in files],
-                    outputs=sorted(written), wall_time_s=time.time() - t0)
-    print(f"ingested {len(written)}/{len(files)} files -> {ep_dir}")
-    if failures:
-        print("failures:", *failures, sep="\n  ", file=sys.stderr)
-        return 1
-    return 0
+    return _Done([p.name for p in files], sorted(written),
+                 f"ingested {len(written)}/{len(files)} files -> {ep_dir}",
+                 {"failures": failures})
 
 
-def cmd_train_anomaly(args: argparse.Namespace) -> int:
-    t0 = time.time()
+@_command
+def cmd_train_anomaly(args: argparse.Namespace, out: Path) -> _Done:
     episodes = ingest.read_episode_dir(args.data)
-    config = _train_config(args)
-    model, history = anomaly.train_anomaly_model(episodes, config=config)
-    out = Path(args.out)
+    model, history = anomaly.train_anomaly_model(episodes, config=_train_config(args))
     ckpt = model.save(out / "anomaly_model.ckpt")
-    hist_path = out / "train_history.csv"
-    with open(hist_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_loss", "val_loss", "lr"])
-        for e, (tr, va, lr) in enumerate(
-            zip(history.train_loss, history.val_loss, history.lr)
-        ):
-            writer.writerow([e, f"{tr:.12g}", f"{va:.12g}", f"{lr:.12g}"])
-    _write_manifest(out, "train-anomaly", args, inputs=[str(args.data)],
-                    outputs=[ckpt.name, hist_path.name], wall_time_s=time.time() - t0)
-    print(f"trained {history.n_epochs} epochs, best epoch {history.best_epoch} -> {ckpt}")
-    return 0
+    hist_path = write_csv(
+        out / "train_history.csv", ["epoch", "train_loss", "val_loss", "lr"],
+        ([e, f"{tr:.12g}", f"{va:.12g}", f"{lr:.12g}"]
+         for e, (tr, va, lr) in enumerate(zip(history.train_loss, history.val_loss, history.lr))),
+    )
+    return _Done([str(args.data)], [ckpt.name, hist_path.name],
+                 f"trained {history.n_epochs} epochs, best epoch {history.best_epoch} -> {ckpt}")
 
 
-def cmd_score(args: argparse.Namespace) -> int:
-    t0 = time.time()
+@_command
+def cmd_score(args: argparse.Namespace, out: Path) -> _Done:
     model = anomaly.AnomalyModel.load(args.model)
     episodes = ingest.read_episode_dir(args.data)
     scored = anomaly.score_episodes(model, episodes)
-    out = Path(args.out)
     scores_path = anomaly.write_scores_csv(scored, out / "scores.csv")
     outputs = [scores_path.name]
     if any(s.is_anomalous for s in scored) and any(not s.is_anomalous for s in scored):
@@ -187,14 +199,11 @@ def cmd_score(args: argparse.Namespace) -> int:
         outputs.append(
             anomaly.write_report_summary(report, out / "anomaly_summary.yaml").name
         )
-    _write_manifest(out, "score", args, inputs=[str(args.data)],
-                    outputs=outputs, wall_time_s=time.time() - t0)
-    print(f"scored {len(scored)} episodes -> {scores_path}")
-    return 0
+    return _Done([str(args.data)], outputs, f"scored {len(scored)} episodes -> {scores_path}")
 
 
-def cmd_eval_forecast(args: argparse.Namespace) -> int:
-    t0 = time.time()
+@_command
+def cmd_eval_forecast(args: argparse.Namespace, out: Path) -> _Done:
     episodes = [ep for ep in ingest.read_episode_dir(args.data) if ep.healthy]
     if len(episodes) < 3:
         raise SchemaViolation("eval-forecast needs at least 3 healthy episodes")
@@ -230,25 +239,19 @@ def cmd_eval_forecast(args: argparse.Namespace) -> int:
         survival_by_model[kind] = float(np.mean([r.survival_steps for r in results]))
         curves[kind] = forecast.survival_curve(results, h_max)
 
-    out = Path(args.out)
     report_path = forecast.write_forecast_csv(rows_by_model, survival_by_model,
                                               out / "forecast_report.csv")
-    curve_path = out / "survival_curve.csv"
-    with open(curve_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "step", "fraction_surviving"])
-        for kind in sorted(curves):
-            for step, frac in enumerate(curves[kind], start=1):
-                writer.writerow([kind, step, f"{frac:.6f}"])
-    _write_manifest(out, "eval-forecast", args, inputs=[str(args.data)],
-                    outputs=[report_path.name, curve_path.name],
-                    wall_time_s=time.time() - t0)
-    print(f"evaluated {kinds} at H={horizons} -> {report_path}")
-    return 0
+    curve_path = write_csv(
+        out / "survival_curve.csv", ["model", "step", "fraction_surviving"],
+        ([kind, step, f"{frac:.6f}"]
+         for kind in sorted(curves) for step, frac in enumerate(curves[kind], start=1)),
+    )
+    return _Done([str(args.data)], [report_path.name, curve_path.name],
+                 f"evaluated {kinds} at H={horizons} -> {report_path}")
 
 
-def cmd_eval_transfer(args: argparse.Namespace) -> int:
-    t0 = time.time()
+@_command
+def cmd_eval_transfer(args: argparse.Namespace, out: Path) -> _Done:
     source = [ep for ep in ingest.read_episode_dir(args.train_data) if ep.healthy]
     target = ingest.read_episode_dir(args.eval_data)
     kinds = [k.strip() for k in args.models.split(",")]
@@ -259,32 +262,35 @@ def cmd_eval_transfer(args: argparse.Namespace) -> int:
             config=_train_config(args, optimizer="adamw"),
         )
         reports.append(forecast.transfer_eval(model, target, args.channel_set))
-    out = Path(args.out)
     path = forecast.write_transfer_csv(reports, out / "transfer_report.csv")
-    _write_manifest(out, "eval-transfer", args,
-                    inputs=[str(args.train_data), str(args.eval_data)],
-                    outputs=[path.name], wall_time_s=time.time() - t0)
-    print(f"transfer report -> {path}")
-    return 0
+    return _Done([str(args.train_data), str(args.eval_data)], [path.name],
+                 f"transfer report -> {path}")
 
 
-def cmd_gap(args: argparse.Namespace) -> int:
-    t0 = time.time()
+@_command
+def cmd_gap(args: argparse.Namespace, out: Path) -> _Done:
     real = ingest.read_episode_dir(args.real_dir)
     sim = ingest.read_episode_dir(args.sim_dir)
     pairs, unpaired = ingest.pair_episodes(real, sim)
-    per_pair = [gap.pair_metrics(gap.phase_align(p)) for p in pairs]
+    per_pair, phases_skipped = [], {}
+    for pair in pairs:
+        aligned = gap.phase_align(pair)
+        phases_skipped[pair.pair_key] = list(aligned.phases_skipped)
+        per_pair.append(gap.pair_metrics(aligned))
     summary = gap.batch_summary(per_pair)
-    out = Path(args.out)
     pair_path = gap.write_pair_metrics_csv(per_pair, out / "gap_pairs.csv")
     summary_path = gap.write_summary_csv(summary, out / "gap_summary.csv")
-    _write_manifest(out, "gap", args, inputs=[str(args.real_dir), str(args.sim_dir)],
-                    outputs=[pair_path.name, summary_path.name],
-                    wall_time_s=time.time() - t0)
+    message = f"gap summary over {summary.n_pairs} pairs -> {summary_path}"
     if unpaired.real_only or unpaired.sim_only:
-        print(f"unpaired: real={list(unpaired.real_only)} sim={list(unpaired.sim_only)}")
-    print(f"gap summary over {summary.n_pairs} pairs -> {summary_path}")
-    return 0
+        message = (f"unpaired: real={list(unpaired.real_only)} "
+                   f"sim={list(unpaired.sim_only)}\n{message}")
+    return _Done(
+        [str(args.real_dir), str(args.sim_dir)], [pair_path.name, summary_path.name],
+        message,
+        {"unpaired": {"real_only": list(unpaired.real_only),
+                      "sim_only": list(unpaired.sim_only)},
+         "phases_skipped": phases_skipped},
+    )
 
 
 _REPORT_SECTIONS = (
@@ -295,27 +301,18 @@ _REPORT_SECTIONS = (
 )
 
 
-def cmd_report(args: argparse.Namespace) -> int:
-    t0 = time.time()
+@_command
+def cmd_report(args: argparse.Namespace, out: Path) -> _Done:
     in_dir = Path(args.in_dir)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    merged = out / "summary.csv"
-    n_sections = 0
-    with open(merged, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["section", "row"])
-        for section, filename in _REPORT_SECTIONS:
-            path = in_dir / filename
-            if not path.exists():
-                continue
-            n_sections += 1
-            for line in path.read_text(encoding="utf-8").splitlines():
-                writer.writerow([section, line])
-    _write_manifest(out, "report", args, inputs=[str(in_dir)],
-                    outputs=[merged.name], wall_time_s=time.time() - t0)
-    print(f"merged {n_sections} report sections -> {merged}")
-    return 0
+    present = [(section, in_dir / name) for section, name in _REPORT_SECTIONS
+               if (in_dir / name).exists()]
+    merged = write_csv(
+        out / "summary.csv", ["section", "row"],
+        ([section, line] for section, path in present
+         for line in path.read_text(encoding="utf-8").splitlines()),
+    )
+    return _Done([str(in_dir)], [merged.name],
+                 f"merged {len(present)} report sections -> {merged}")
 
 
 # ---------------------------------------------------------------------------

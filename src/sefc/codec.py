@@ -1,20 +1,27 @@
-"""Text codecs shared by canonical episode files and model checkpoints.
+"""Text codecs: canonical episode files, model checkpoints, report CSVs and all YAML.
 
 Floats are written as ``%.17g`` cells: 17 significant digits, which round-trip
 every finite float64 exactly; non-finite values and negative zero are written
 as ``nan``, ``inf``, ``-inf`` and ``-0``.  They are read back by numpy's C
 parser, which gives the same bits as ``float()`` on every cell written here.
 
-YAML goes through libyaml (``CSafeLoader``/``CSafeDumper``) when PyYAML was
-built with it, and through the pure-Python ``SafeLoader``/``SafeDumper``
-otherwise.  The text written is the same either way.
+Report CSVs are written with csv's default dialect: minimal quoting and
+``\r\n`` row ends.
+
+This is the only module that imports ``yaml``: adapters, generation configs,
+sidecars, checkpoint headers, manifests and report summaries all go through
+``load_yaml``/``dump_yaml``.  YAML goes through libyaml
+(``CSafeLoader``/``CSafeDumper``) when PyYAML was built with it, and through
+the pure-Python ``SafeLoader``/``SafeDumper`` otherwise.  The text written is
+the same either way.
 """
 
 from __future__ import annotations
 
+import csv
 import io
 from pathlib import Path
-from typing import TextIO, Union
+from typing import Iterable, Sequence, TextIO, Union
 
 import numpy as np
 import yaml
@@ -63,6 +70,17 @@ def read_float_rows(text: str, n_cols: int, where: Union[str, Path]) -> np.ndarr
     if rows.shape[1] != n_cols:
         raise SchemaViolation(f"{where}: rows have {rows.shape[1]} fields, expected {n_cols}")
     return rows
+
+
+def write_csv(path: Union[str, Path], header: Sequence, rows: Iterable[Sequence]) -> Path:
+    """Write a report CSV (header, then rows), creating the parent directory."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
 
 
 def load_yaml(text: str, where: Union[str, Path]):

@@ -10,13 +10,13 @@ integration of the predicted accelerations.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from .codec import write_csv
 from .errors import (
     EmptyDataset,
     HorizonOverrun,
@@ -474,33 +474,18 @@ def write_forecast_csv(
     survival_by_model: dict[str, float],
     path: Union[str, Path],
 ) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "horizon", "mse_scaled", "mse_std",
-                         "mae_scaled", "mae_std", "survival_steps"])
-        for model_kind in sorted(rows_by_model):
-            for row in rows_by_model[model_kind]:
-                writer.writerow([
-                    model_kind, row.horizon,
-                    f"{row.mse_scaled:.6f}", f"{row.mse_std:.6f}",
-                    f"{row.mae_scaled:.6f}", f"{row.mae_std:.6f}",
-                    f"{survival_by_model[model_kind]:.3f}",
-                ])
-    return path
+    return write_csv(
+        path,
+        ["model", "horizon", "mse_scaled", "mse_std", "mae_scaled", "mae_std", "survival_steps"],
+        ([kind, row.horizon, f"{row.mse_scaled:.6f}", f"{row.mse_std:.6f}",
+          f"{row.mae_scaled:.6f}", f"{row.mae_std:.6f}", f"{survival_by_model[kind]:.3f}"]
+         for kind in sorted(rows_by_model) for row in rows_by_model[kind]),
+    )
 
 
 def write_transfer_csv(reports: Sequence[TransferReport], path: Union[str, Path]) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "target", "mc_mae", "ci_halfwidth",
-                         "raw_mae", "n_episodes"])
-        for r in reports:
-            writer.writerow([
-                r.model_kind, r.target, f"{r.mc_mae_mean:.6f}",
-                f"{r.ci_halfwidth:.6f}", f"{r.raw_mae_mean:.6f}", r.n_episodes,
-            ])
-    return path
+    return write_csv(
+        path, ["model", "target", "mc_mae", "ci_halfwidth", "raw_mae", "n_episodes"],
+        ([r.model_kind, r.target, f"{r.mc_mae_mean:.6f}", f"{r.ci_halfwidth:.6f}",
+          f"{r.raw_mae_mean:.6f}", r.n_episodes] for r in reports),
+    )

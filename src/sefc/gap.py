@@ -10,13 +10,13 @@ Wasserstein-1 distance between pooled effort samples.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from .codec import write_csv
 from .errors import EmptyInput, NoCommonPhases
 from .ingest import EpisodePair
 from .schema import ChannelDescriptor, SignalRole
@@ -274,31 +274,18 @@ def batch_summary(per_pair: Sequence[GapMetrics]) -> GapSummary:
 
 
 def write_pair_metrics_csv(per_pair: Sequence[GapMetrics], path: Union[str, Path]) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["pair_key", "metric", "value", "rotvec_wrapped"])
-        for m in per_pair:
-            for metric in METRIC_NAMES:
-                v = getattr(m, metric)
-                writer.writerow([
-                    m.pair_key, metric,
-                    "" if v is None else f"{v:.9g}",
-                    int(m.rotvec_wrapped),
-                ])
-    return path
+    rows = []
+    for m in per_pair:
+        for metric in METRIC_NAMES:
+            v = getattr(m, metric)
+            rows.append([m.pair_key, metric, "" if v is None else f"{v:.9g}",
+                         int(m.rotvec_wrapped)])
+    return write_csv(path, ["pair_key", "metric", "value", "rotvec_wrapped"], rows)
 
 
 def write_summary_csv(summary: GapSummary, path: Union[str, Path]) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "mean", "median", "p10", "p90", "n"])
-        for r in summary.rows:
-            writer.writerow([
-                r.metric, f"{r.mean:.9g}", f"{r.median:.9g}",
-                f"{r.p10:.9g}", f"{r.p90:.9g}", r.n,
-            ])
-    return path
+    return write_csv(
+        path, ["metric", "mean", "median", "p10", "p90", "n"],
+        ([r.metric, f"{r.mean:.9g}", f"{r.median:.9g}", f"{r.p10:.9g}", f"{r.p90:.9g}", r.n]
+         for r in summary.rows),
+    )

@@ -19,8 +19,8 @@ from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
-import yaml
 
+from .codec import load_yaml
 from .errors import MissingRawColumn, NonNumericColumn, SchemaViolation
 
 TASKS = ("pick_and_place", "screwdriving", "peg_in_hole", "machining")
@@ -74,12 +74,6 @@ class AdapterSpec:
     def signal_for_raw(self, raw_name: str) -> Optional[SignalSpec]:
         for sig in self.signals:
             if sig.raw_name == raw_name:
-                return sig
-        return None
-
-    def signal_for_canonical(self, canonical: str) -> Optional[SignalSpec]:
-        for sig in self.signals:
-            if sig.canonical_name == canonical:
                 return sig
         return None
 
@@ -524,8 +518,7 @@ def adapter_from_dict(doc: Mapping) -> AdapterSpec:
 
 def load_adapter(path: Union[str, Path]) -> AdapterSpec:
     """Load an adapter spec from a YAML config file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh)
+    doc = load_yaml(Path(path).read_text(encoding="utf-8"), path)
     if not isinstance(doc, dict):
         raise SchemaViolation(f"{path}: not a mapping")
     return adapter_from_dict(doc)
@@ -548,5 +541,5 @@ def builtin_adapter(source_id: str) -> AdapterSpec:
             f"unknown adapter {source_id!r}; built-ins: {', '.join(BUILTIN_ADAPTER_IDS)}"
         )
     ref = resources.files("sefc.adapters").joinpath(f"{source_id}.yaml")
-    doc = yaml.safe_load(ref.read_text(encoding="utf-8"))
+    doc = load_yaml(ref.read_text(encoding="utf-8"), ref)
     return adapter_from_dict(doc)

@@ -30,8 +30,8 @@ from pathlib import Path
 from typing import Mapping, Optional, Union
 
 import numpy as np
-import yaml
 
+from .codec import load_yaml
 from .errors import (
     InfeasibleProfile,
     NumericalInstability,
@@ -879,8 +879,7 @@ def generate_corpus(
 
 def load_generation_config(path: Union[str, Path]) -> dict:
     """Load a generation config (ranges, counts, fault mix, seed) from YAML."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh) or {}
+    doc = load_yaml(Path(path).read_text(encoding="utf-8"), path) or {}
     if not isinstance(doc, dict):
         raise SchemaViolation(f"{path}: not a mapping")
     known = {f for f in RandomizationConfig.__dataclass_fields__}

@@ -1,4 +1,7 @@
+import contextlib
+import dataclasses
 import filecmp
+import io
 from pathlib import Path
 
 import pytest
@@ -47,6 +50,15 @@ class TestGenerate:
         assert rc == 2
         assert "mass_kg_range" in capsys.readouterr().err
 
+    def test_malformed_config_yaml_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "bad.yaml"
+        config.write_text("randomization: {mass_kg_range: [0.1, 0.5\n")
+        rc = main(["generate", "--out", str(tmp_path / "o"), "--config", str(config)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config}: malformed YAML")
+        assert "Traceback" not in err
+
     def test_unknown_fault_exits_2(self, tmp_path):
         rc = main(["generate", "--out", str(tmp_path / "o"), "--seed", "0",
                    "--n-healthy", "1", "--fault-mix", "damaged_screw_thread=1"])
@@ -92,6 +104,31 @@ class TestIngest:
         rc = main(["ingest", "--raw-dir", str(tmp_path), "--adapter", "nonsense",
                    "--out", str(tmp_path / "o")])
         assert rc == 2
+
+    def test_malformed_adapter_yaml_exits_2(self, tmp_path, capsys):
+        adapter = tmp_path / "bad.yaml"
+        adapter.write_text("source_id: lab\nsignals: [{raw_name: q0\n")
+        rc = main(["ingest", "--raw-dir", str(tmp_path), "--adapter", str(adapter),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {adapter}: malformed YAML")
+        assert "Traceback" not in err
+
+    def test_manifest_records_failures(self, tmp_path, capsys):
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        (raw / "good.csv").write_text((FIXTURES / "voraus_sample.csv").read_text())
+        (raw / "bad.csv").write_text("a,b\n1,2\n")
+        out = tmp_path / "out"
+        rc = main(["ingest", "--raw-dir", str(raw), "--adapter", "voraus_ad",
+                   "--out", str(out)])
+        assert rc == 1
+        manifest = yaml.safe_load((out / "manifest.yaml").read_text())
+        assert manifest["outputs"] == ["good.csv"]
+        assert len(manifest["failures"]) == 1
+        assert manifest["failures"][0].startswith("bad.csv: ")
+        assert manifest["failures"][0] in capsys.readouterr().err
 
 
 class TestTrainAndScore:
@@ -179,6 +216,52 @@ class TestGapCommand:
                    "--out", str(tmp_path / "gapout")])
         assert rc == 2
         assert str(sidecar) in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def gap_run(tmp_path_factory):
+    """Gap over ep_00000 (sim lacks its 'return' phase), a real-only ep_00001
+    and a sim-only ep_00009."""
+    from sefc import ingest
+
+    root = tmp_path_factory.mktemp("gapdiag")
+    assert main(["generate", "--out", str(root / "g"), "--seed", "5", "--n-healthy", "0",
+                 "--fault-mix", "unstable_platform=2", "--no-noise"]) == 0
+    eps = {ep.episode_id: ep for ep in ingest.read_episode_dir(root / "g" / "episodes")}
+    real, sim = root / "real", root / "sim"
+    for name in ("ep_00000", "ep_00001"):
+        ingest.write_canonical(eps[name], real)
+    twin = eps["ep_00000_twin"]
+    phase = twin.phase.copy()
+    phase[phase == "return"] = "release"
+    ingest.write_canonical(dataclasses.replace(twin, phase=phase), sim)
+    ingest.write_canonical(dataclasses.replace(eps["ep_00001_twin"], episode_id="ep_00009_sim"), sim)
+    out = root / "gapout"
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(["gap", "--real-dir", str(real), "--sim-dir", str(sim),
+                     "--out", str(out)]) == 0
+    manifest = yaml.safe_load((out / "manifest.yaml").read_text())
+    return manifest, stdout.getvalue(), out
+
+
+class TestGapManifest:
+    def test_prints_unpaired_then_summary(self, gap_run):
+        _, stdout, out = gap_run
+        assert stdout == ("unpaired: real=['ep_00001'] sim=['ep_00009']\n"
+                          f"gap summary over 1 pairs -> {out / 'gap_summary.csv'}\n")
+
+    def test_records_unpaired_keys(self, gap_run):
+        assert gap_run[0]["unpaired"] == {"real_only": ["ep_00001"], "sim_only": ["ep_00009"]}
+
+    def test_records_phases_skipped(self, gap_run):
+        assert gap_run[0]["phases_skipped"] == {"ep_00000": ["return"]}
+
+    def test_keeps_core_keys(self, gap_run):
+        manifest = gap_run[0]
+        assert list(manifest)[:5] == ["command", "config", "seed", "inputs", "outputs"]
+        assert list(manifest)[-2:] == ["tool_version", "wall_time_s"]
+        assert manifest["outputs"] == ["gap_pairs.csv", "gap_summary.csv"]
 
 
 class TestReport:
