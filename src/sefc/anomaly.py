@@ -188,8 +188,12 @@ def auroc(scored: Sequence[tuple[float, bool]]) -> float:
     if n_pos == 0 or n_neg == 0:
         raise DegenerateLabels("need at least one anomalous and one healthy score")
     ranks = rankdata(scores, method="average")
-    rank_sum = ranks[labels].sum()
-    return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    return float(_auroc_from_rank_sum(ranks[labels].sum(), n_pos, n_neg))
+
+
+def _auroc_from_rank_sum(rank_sum, n_pos: int, n_neg: int):
+    """Midrank (Mann-Whitney) AUROC from the anomalous scores' rank sum."""
+    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
 def _auroc_of(scored: Sequence[ScoredEpisode]) -> float:
@@ -212,12 +216,13 @@ def bootstrap_ci(
     if healthy.size == 0 or anom.size == 0:
         raise DegenerateLabels("need both classes for a bootstrap CI")
     rng = np.random.default_rng(seed)
-    stats = np.empty(n_resamples)
+    n_h, n_a = healthy.size, anom.size
+    draws = np.empty((n_resamples, n_h + n_a))
     for b in range(n_resamples):
-        h = rng.choice(healthy, size=healthy.size, replace=True)
-        a = rng.choice(anom, size=anom.size, replace=True)
-        pairs = [(float(s), False) for s in h] + [(float(s), True) for s in a]
-        stats[b] = auroc(pairs)
+        draws[b, :n_h] = rng.choice(healthy, size=n_h, replace=True)
+        draws[b, n_h:] = rng.choice(anom, size=n_a, replace=True)
+    rank_sums = rankdata(draws, method="average", axis=1)[:, n_h:].sum(axis=1)
+    stats = _auroc_from_rank_sum(rank_sums, n_a, n_h)
     alpha = (1.0 - level) / 2.0
     lo, hi = np.percentile(stats, [100.0 * alpha, 100.0 * (1.0 - alpha)])
     return float(lo), float(hi)

@@ -110,6 +110,11 @@ def cmd_generate(args: argparse.Namespace, out: Path) -> _Done:
         fault_mix = {}
         for part in args.fault_mix.split(","):
             name, _, count = part.partition("=")
+            if not count.strip().isdecimal():
+                raise SchemaViolation(
+                    f"--fault-mix entry {part!r}: expected <fault>=<count> "
+                    "with a non-negative integer count"
+                )
             fault_mix[name.strip()] = int(count)
     args.seed = seed
 
@@ -133,11 +138,12 @@ def cmd_ingest(args: argparse.Namespace, out: Path) -> _Done:
     adapter_arg = args.adapter
     if adapter_arg in BUILTIN_ADAPTER_IDS:
         adapter = builtin_adapter(adapter_arg)
-    elif Path(adapter_arg).exists():
+    elif Path(adapter_arg).is_file():
         adapter = load_adapter(adapter_arg)
     else:
         raise SchemaViolation(
-            f"unknown adapter {adapter_arg!r}; built-ins: {', '.join(BUILTIN_ADAPTER_IDS)}"
+            f"unknown adapter {adapter_arg!r}: expected a built-in adapter id or an "
+            f"adapter YAML file; built-ins: {', '.join(BUILTIN_ADAPTER_IDS)}"
         )
 
     dialect = ingest.CsvDialect(
@@ -183,7 +189,8 @@ def cmd_train_anomaly(args: argparse.Namespace, out: Path) -> _Done:
          for e, (tr, va, lr) in enumerate(zip(history.train_loss, history.val_loss, history.lr))),
     )
     return _Done([str(args.data)], [ckpt.name, hist_path.name],
-                 f"trained {history.n_epochs} epochs, best epoch {history.best_epoch} -> {ckpt}")
+                 f"trained {history.n_epochs} epochs, best epoch {history.best_epoch} -> {ckpt}",
+                 {"best_epoch": history.best_epoch, "stopped_early": history.stopped_early})
 
 
 @_command

@@ -3,10 +3,18 @@
 All computation is float64.  Parameters live in an ordered name->array
 registry; the flat vector used by optimizers and checkpoints packs them in
 registration order.  Loss is MSE averaged over batch and output entries.
+
+The sequence models' loss reads only the last step, so ``TCNNet`` and
+``SeqNet`` ``predict``/``loss_and_grad`` compute only what that step needs:
+the last trunk layer (final encoder block, or the conv stack's last layer
+when there is no block) and the head run on the last row, while keys and
+values still cover every step.  ``forward_seq`` (and ``relu_margin``, which
+uses it) stays full-sequence.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Optional, Sequence
 
@@ -155,6 +163,23 @@ class DenseNet(Model):
 # sequence models
 # ---------------------------------------------------------------------------
 
+def _weight_grad(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum over every leading axis of the outer products a[..., i] b[..., o].
+
+    One BLAS GEMM: ``(N, i).T @ (N, o)`` with N the product of the leading
+    axes (batch and time).
+    """
+    return a.reshape(-1, a.shape[-1]).T @ b.reshape(-1, b.shape[-1])
+
+
+@functools.lru_cache(maxsize=16)
+def _causal_mask(T: int) -> np.ndarray:
+    """(T, T) additive mask that hides later keys; shared, so read-only."""
+    mask = np.triu(np.full((T, T), -np.inf), k=1)
+    mask.flags.writeable = False
+    return mask
+
+
 class _CausalConvStack:
     """Dilated causal conv1d layers with ReLU, parameters owned by a Model."""
 
@@ -173,7 +198,13 @@ class _CausalConvStack:
             model._register(f"{prefix}.b{l}", np.zeros(hidden))
             c_in = hidden
 
-    def forward(self, x: np.ndarray, cache: dict) -> np.ndarray:
+    def forward(self, x: np.ndarray, cache: dict, n_out: int) -> np.ndarray:
+        """Stack output for the last ``n_out`` steps of ``x`` (B, T, C).
+
+        Earlier layers cover every step; the last layer computes only the
+        ``n_out`` rows the caller reads.
+        """
+        B, T, _ = x.shape
         h = x
         cache["inputs"] = []
         cache["zs"] = []
@@ -181,35 +212,38 @@ class _CausalConvStack:
             w = self.model._params[f"{self.prefix}.W{l}"]
             b = self.model._params[f"{self.prefix}.b{l}"]
             pad = (self.kernel - 1) * d
-            hp = np.pad(h, ((0, 0), (pad, 0), (0, 0)))
-            T = h.shape[1]
-            z = np.full((h.shape[0], T, w.shape[2]), b, dtype=np.float64)
+            hp = np.zeros((B, pad + T, h.shape[2]))
+            hp[:, pad:] = h
+            n = n_out if l == len(self.dilations) - 1 else T
+            z = np.full((B, n, w.shape[2]), b, dtype=np.float64)
             for k in range(self.kernel):
-                z += hp[:, k * d:k * d + T] @ w[k]
+                z += hp[:, k * d + T - n:k * d + T] @ w[k]
             cache["inputs"].append(hp)
             cache["zs"].append(z)
             h = np.maximum(z, 0.0)
-        return h
+        return h[:, h.shape[1] - n_out:]
 
-    def backward(self, dh: np.ndarray, cache: dict, grads: dict) -> np.ndarray:
+    def backward(self, dh: np.ndarray, cache: dict, grads: dict) -> None:
+        """Parameter gradients from ``dh``, the gradient of the output rows
+        ``forward`` returned.  The input gradient is not needed and not formed."""
         for l in range(len(self.dilations) - 1, -1, -1):
             d = self.dilations[l]
             w = self.model._params[f"{self.prefix}.W{l}"]
             hp = cache["inputs"][l]
             z = cache["zs"][l]
             dz = dh * (z > 0)
-            T = z.shape[1]
+            pad = (self.kernel - 1) * d
+            T, n = hp.shape[1] - pad, z.shape[1]
             dw = np.empty_like(w)
-            dhp = np.zeros_like(hp)
             for k in range(self.kernel):
-                seg = hp[:, k * d:k * d + T]
-                dw[k] = np.einsum("bti,bto->io", seg, dz)
-                dhp[:, k * d:k * d + T] += dz @ w[k].T
+                dw[k] = _weight_grad(hp[:, k * d + T - n:k * d + T], dz)
             grads[f"{self.prefix}.W{l}"] = dw
             grads[f"{self.prefix}.b{l}"] = dz.sum(axis=(0, 1))
-            pad = (self.kernel - 1) * d
-            dh = dhp[:, pad:]
-        return dh
+            if l:
+                dhp = np.zeros_like(hp)
+                for k in range(self.kernel):
+                    dhp[:, k * d + T - n:k * d + T] += dz @ w[k].T
+                dh = dhp[:, pad:]
 
     def margins(self, cache: dict) -> list[float]:
         return [float(np.abs(z).min()) for z in cache["zs"]]
@@ -266,32 +300,37 @@ class _EncoderBlock:
     def _p(self, name):
         return self.model._params[f"{self.prefix}.{name}"]
 
-    def forward(self, x: np.ndarray, cache: dict) -> np.ndarray:
-        B, T, D = x.shape
+    def _split(self, m: np.ndarray) -> np.ndarray:  # (B,t,D) -> (B,H,t,dh)
+        return m.reshape(m.shape[0], m.shape[1], self.heads, self.dh).transpose(0, 2, 1, 3)
+
+    def _merge(self, m: np.ndarray) -> np.ndarray:  # (B,H,t,dh) -> (B,t,D)
+        return m.transpose(0, 2, 1, 3).reshape(m.shape[0], m.shape[2], self.dim)
+
+    def forward(self, x: np.ndarray, cache: dict, n: int) -> np.ndarray:
+        """Block output for the last ``n`` steps of ``x`` (B, T, D).
+
+        Keys and values cover every step; queries, the residual, LN2 and the
+        feedforward cover only the last ``n``.
+        """
+        T = x.shape[1]
         cache["x"] = x
         xn = _layer_norm_forward(x, self._p("ln1_g"), self._p("ln1_b"), "ln1", cache)
         cache["xn"] = xn
-        q = xn @ self._p("Wq") + self._p("bq")
+        q = xn[:, T - n:] @ self._p("Wq") + self._p("bq")
         k = xn @ self._p("Wk") + self._p("bk")
         v = xn @ self._p("Wv") + self._p("bv")
 
-        def split(m):  # (B,T,D) -> (B,H,T,dh)
-            return m.reshape(B, T, self.heads, self.dh).transpose(0, 2, 1, 3)
-
-        qh, kh, vh = split(q), split(k), split(v)
+        qh, kh, vh = self._split(q), self._split(k), self._split(v)
         scores = qh @ kh.transpose(0, 1, 3, 2) / math.sqrt(self.dh)
-        mask = np.triu(np.full((T, T), -np.inf), k=1)
-        scores = scores + mask
+        scores += _causal_mask(T)[T - n:]
         scores -= scores.max(axis=-1, keepdims=True)
         exps = np.exp(scores)
         attn = exps / exps.sum(axis=-1, keepdims=True)
-        ctx = attn @ vh                                      # (B,H,T,dh)
-        ctx_flat = ctx.transpose(0, 2, 1, 3).reshape(B, T, D)
+        ctx_flat = self._merge(attn @ vh)                    # (B,n,D)
         attn_out = ctx_flat @ self._p("Wo") + self._p("bo")
         cache.update(qh=qh, kh=kh, vh=vh, attn=attn, ctx_flat=ctx_flat)
 
-        y = x + attn_out
-        cache["y"] = y
+        y = x[:, T - n:] + attn_out
         yn = _layer_norm_forward(y, self._p("ln2_g"), self._p("ln2_b"), "ln2", cache)
         cache["yn"] = yn
         z1 = yn @ self._p("F1") + self._p("f1")
@@ -302,16 +341,17 @@ class _EncoderBlock:
         return y + ff_out
 
     def backward(self, dout: np.ndarray, cache: dict, grads: dict) -> np.ndarray:
-        B, T, D = cache["x"].shape
+        """Gradient of the whole input (B, T, D) from ``dout`` (B, n, D)."""
+        T = cache["x"].shape[1]
+        last = slice(T - dout.shape[1], T)
         pre = self.prefix
 
         # feedforward branch
-        dff = dout
-        grads[f"{pre}.F2"] = np.einsum("btf,btd->fd", cache["h1"], dff)
-        grads[f"{pre}.f2"] = dff.sum(axis=(0, 1))
-        dh1 = dff @ self._p("F2").T
+        grads[f"{pre}.F2"] = _weight_grad(cache["h1"], dout)
+        grads[f"{pre}.f2"] = dout.sum(axis=(0, 1))
+        dh1 = dout @ self._p("F2").T
         dz1 = dh1 * (cache["z1"] > 0)
-        grads[f"{pre}.F1"] = np.einsum("btd,btf->df", cache["yn"], dz1)
+        grads[f"{pre}.F1"] = _weight_grad(cache["yn"], dz1)
         grads[f"{pre}.f1"] = dz1.sum(axis=(0, 1))
         dyn = dz1 @ self._p("F1").T
         dy_ln, dg2, db2 = _layer_norm_backward(dyn, self._p("ln2_g"), "ln2", cache)
@@ -320,11 +360,9 @@ class _EncoderBlock:
         dy = dout + dy_ln
 
         # attention branch
-        dattn_out = dy
-        grads[f"{pre}.Wo"] = np.einsum("btd,bte->de", cache["ctx_flat"], dattn_out)
-        grads[f"{pre}.bo"] = dattn_out.sum(axis=(0, 1))
-        dctx_flat = dattn_out @ self._p("Wo").T
-        dctx = dctx_flat.reshape(B, T, self.heads, self.dh).transpose(0, 2, 1, 3)
+        grads[f"{pre}.Wo"] = _weight_grad(cache["ctx_flat"], dy)
+        grads[f"{pre}.bo"] = dy.sum(axis=(0, 1))
+        dctx = self._split(dy @ self._p("Wo").T)
 
         attn, qh, kh, vh = cache["attn"], cache["qh"], cache["kh"], cache["vh"]
         dattn = dctx @ vh.transpose(0, 1, 3, 2)
@@ -334,20 +372,19 @@ class _EncoderBlock:
         dqh = dscores @ kh
         dkh = dscores.transpose(0, 1, 3, 2) @ qh
 
-        def merge(m):  # (B,H,T,dh) -> (B,T,D)
-            return m.transpose(0, 2, 1, 3).reshape(B, T, D)
-
-        dq, dk, dv = merge(dqh), merge(dkh), merge(dvh)
         xn = cache["xn"]
         dxn = np.zeros_like(xn)
-        for name, dm in (("Wq", dq), ("Wk", dk), ("Wv", dv)):
-            grads[f"{pre}.{name}"] = np.einsum("btd,bte->de", xn, dm)
-            grads[f"{pre}.{name.replace('W', 'b')}"] = dm.sum(axis=(0, 1))
-            dxn += dm @ self._p(name).T
-        dx_ln, dg1, db1 = _layer_norm_backward(dxn, self._p("ln1_g"), "ln1", cache)
+        for name, rows, dm in (("q", last, self._merge(dqh)),
+                               ("k", slice(None), self._merge(dkh)),
+                               ("v", slice(None), self._merge(dvh))):
+            grads[f"{pre}.W{name}"] = _weight_grad(xn[:, rows], dm)
+            grads[f"{pre}.b{name}"] = dm.sum(axis=(0, 1))
+            dxn[:, rows] += dm @ self._p(f"W{name}").T
+        dx, dg1, db1 = _layer_norm_backward(dxn, self._p("ln1_g"), "ln1", cache)
         grads[f"{pre}.ln1_g"] = dg1
         grads[f"{pre}.ln1_b"] = db1
-        return dy + dx_ln
+        dx[:, last] += dy
+        return dx
 
     def margins(self, cache: dict) -> list[float]:
         return [float(np.abs(cache["z1"]).min())]
@@ -393,15 +430,18 @@ class TCNNet(Model):
             )
         return x
 
-    def forward_seq(self, x: np.ndarray, cache: Optional[dict] = None) -> np.ndarray:
-        x = self._check_input(x)
-        cache = cache if cache is not None else {}
-        h = self.stack.forward(x, cache)
+    def _forward(self, x: np.ndarray, cache: dict, n_out: int) -> np.ndarray:
+        """Outputs (B, n_out, out_dim) for the last ``n_out`` steps."""
+        h = self.stack.forward(x, cache, n_out)
         cache["h_final"] = h
         return h @ self._params["head.W"] + self._params["head.b"]
 
+    def forward_seq(self, x: np.ndarray, cache: Optional[dict] = None) -> np.ndarray:
+        x = self._check_input(x)
+        return self._forward(x, cache if cache is not None else {}, x.shape[1])
+
     def predict(self, x: np.ndarray) -> np.ndarray:
-        return self.forward_seq(x)[:, -1, :]
+        return self._forward(self._check_input(x), {}, 1)[:, 0]
 
     def relu_margin(self, x: np.ndarray) -> float:
         cache: dict = {}
@@ -412,20 +452,17 @@ class TCNNet(Model):
         x = self._check_input(x)
         y = np.asarray(y, dtype=np.float64)
         cache: dict = {}
-        out = self.forward_seq(x, cache)
-        pred = out[:, -1, :]
+        out = self._forward(x, cache, 1)
+        pred = out[:, 0]
         if pred.shape != y.shape:
             raise ShapeMismatch(f"prediction {pred.shape} vs target {y.shape}")
         resid = pred - y
         loss = float(np.mean(resid ** 2))
-        dout = np.zeros_like(out)
-        dout[:, -1, :] = 2.0 * resid / resid.size
+        dout = (2.0 * resid / resid.size)[:, None]
         grads: dict[str, np.ndarray] = {}
-        h = cache["h_final"]
-        grads["head.W"] = np.einsum("bth,bto->ho", h, dout)
+        grads["head.W"] = _weight_grad(cache["h_final"], dout)
         grads["head.b"] = dout.sum(axis=(0, 1))
-        dh = dout @ self._params["head.W"].T
-        self.stack.backward(dh, cache, grads)
+        self.stack.backward(dout @ self._params["head.W"].T, cache, grads)
         return loss, self._grads_to_flat(grads)
 
 
@@ -487,22 +524,30 @@ class SeqNet(Model):
             )
         return x
 
-    def forward_seq(self, x: np.ndarray, cache: Optional[dict] = None) -> np.ndarray:
-        x = self._check_input(x)
-        cache = cache if cache is not None else {}
-        h = self.stack.forward(x, cache)
+    def _forward(self, x: np.ndarray, cache: dict, n_out: int) -> np.ndarray:
+        """Outputs (B, n_out, out_dim) for the last ``n_out`` steps.
+
+        Only the last layer of the trunk (the last encoder block, or the
+        conv stack when there is none) narrows to ``n_out`` rows.
+        """
+        T = x.shape[1]
+        h = self.stack.forward(x, cache, T if self.blocks else n_out)
         cache["blocks"] = []
-        for block in self.blocks:
+        for i, block in enumerate(self.blocks, 1):
             bc: dict = {}
-            h = block.forward(h, bc)
+            h = block.forward(h, bc, n_out if i == len(self.blocks) else T)
             cache["blocks"].append(bc)
         hn = _layer_norm_forward(h, self._params["ln_f_g"], self._params["ln_f_b"],
                                  "ln_f", cache)
         cache["hn_final"] = hn
         return hn @ self._params["head.W"] + self._params["head.b"]
 
+    def forward_seq(self, x: np.ndarray, cache: Optional[dict] = None) -> np.ndarray:
+        x = self._check_input(x)
+        return self._forward(x, cache if cache is not None else {}, x.shape[1])
+
     def predict(self, x: np.ndarray) -> np.ndarray:
-        return self.forward_seq(x)[:, -1, :]
+        return self._forward(self._check_input(x), {}, 1)[:, 0]
 
     def relu_margin(self, x: np.ndarray) -> float:
         cache: dict = {}
@@ -516,18 +561,16 @@ class SeqNet(Model):
         x = self._check_input(x)
         y = np.asarray(y, dtype=np.float64)
         cache: dict = {}
-        out = self.forward_seq(x, cache)
-        pred = out[:, -1, :]
+        out = self._forward(x, cache, 1)
+        pred = out[:, 0]
         if pred.shape != y.shape:
             raise ShapeMismatch(f"prediction {pred.shape} vs target {y.shape}")
         resid = pred - y
         loss = float(np.mean(resid ** 2))
-        dout = np.zeros_like(out)
-        dout[:, -1, :] = 2.0 * resid / resid.size
+        dout = (2.0 * resid / resid.size)[:, None]
 
         grads: dict[str, np.ndarray] = {}
-        hn = cache["hn_final"]
-        grads["head.W"] = np.einsum("bth,bto->ho", hn, dout)
+        grads["head.W"] = _weight_grad(cache["hn_final"], dout)
         grads["head.b"] = dout.sum(axis=(0, 1))
         dhn = dout @ self._params["head.W"].T
         dh, dgf, dbf = _layer_norm_backward(dhn, self._params["ln_f_g"], "ln_f", cache)

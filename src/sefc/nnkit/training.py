@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import logging
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -9,6 +11,8 @@ import numpy as np
 from ..errors import EmptyDataset
 from .models import Model
 from .optim import adam_step, cosine_lr, init_adam
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -57,6 +61,8 @@ def train(
     Shuffling is driven by the config seed, so identical seeds give
     bit-identical histories.  Stops after ``patience`` consecutive epochs
     without validation improvement (patience=0 stops after one epoch).
+    Each epoch logs one INFO line: epoch, train and validation loss, lr and
+    the epoch's wall seconds.
     """
     x_train, y_train = train_set
     x_val, y_val = val_set
@@ -73,6 +79,7 @@ def train(
 
     n = len(x_train)
     for epoch in range(config.max_epochs):
+        t0 = time.perf_counter()
         lr = (
             cosine_lr(config.lr0, epoch, config.max_epochs)
             if config.schedule == "cosine"
@@ -94,6 +101,8 @@ def train(
         history.train_loss.append(total / n)
         history.val_loss.append(val)
         history.lr.append(lr)
+        log.info("epoch %d train_loss %.6g val_loss %.6g lr %.6g epoch_s %.3f",
+                 epoch, history.train_loss[-1], val, lr, time.perf_counter() - t0)
 
         if val < best_val:
             best_val = val

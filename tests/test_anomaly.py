@@ -207,6 +207,38 @@ class TestBootstrap:
         with pytest.raises(DegenerateLabels):
             bootstrap_ci([ScoredEpisode("a", "healthy", 1.0)])
 
+    @staticmethod
+    def _ref_bootstrap_ci(scored, n_resamples, level, seed):
+        """The per-resample loop: one rng.choice pair and one auroc call each."""
+        healthy = np.asarray([s.score for s in scored if not s.is_anomalous])
+        anom = np.asarray([s.score for s in scored if s.is_anomalous])
+        rng = np.random.default_rng(seed)
+        stats = np.empty(n_resamples)
+        for b in range(n_resamples):
+            h = rng.choice(healthy, size=healthy.size, replace=True)
+            a = rng.choice(anom, size=anom.size, replace=True)
+            stats[b] = auroc([(float(s), False) for s in h] + [(float(s), True) for s in a])
+        alpha = (1.0 - level) / 2.0
+        lo, hi = np.percentile(stats, [100.0 * alpha, 100.0 * (1.0 - alpha)])
+        return float(lo), float(hi)
+
+    @pytest.mark.parametrize("case", range(40))
+    def test_matches_per_resample_loop_bitwise(self, case):
+        rng = np.random.default_rng(1000 + case)
+        n_h, n_a = (int(v) for v in rng.integers(1, 25, size=2))
+        if case % 2:   # few distinct values: heavy ties within and across classes
+            values = rng.integers(0, 4, size=n_h + n_a).astype(float)
+        else:
+            values = rng.normal(size=n_h + n_a)
+        scored = [ScoredEpisode(f"e{i}", "f" if i >= n_h else "healthy", float(v))
+                  for i, v in enumerate(values)]
+        rng.shuffle(scored)
+        n_resamples = int(rng.integers(1, 300))
+        level = float(rng.choice([0.5, 0.9, 0.95, 0.99]))
+        got = bootstrap_ci(scored, n_resamples=n_resamples, level=level, seed=case)
+        want = self._ref_bootstrap_ci(scored, n_resamples, level, case)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
 
 class TestReport:
     def _scored_multi(self, categories, n_per=8, seed=0):

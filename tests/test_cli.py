@@ -64,6 +64,18 @@ class TestGenerate:
                    "--n-healthy", "1", "--fault-mix", "damaged_screw_thread=1"])
         assert rc == 2
 
+    @pytest.mark.parametrize("entry", [
+        "additional_axis_payload", "additional_axis_payload=", "additional_axis_payload=two",
+        "additional_axis_payload=1.5", "additional_axis_payload=-1",
+    ])
+    def test_malformed_fault_mix_exits_2_naming_entry(self, tmp_path, capsys, entry):
+        rc = main(["generate", "--out", str(tmp_path / "o"), "--seed", "0", "--n-healthy", "1",
+                   "--fault-mix", f"unstable_platform=1,{entry}"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--fault-mix" in err and repr(entry) in err
+        assert "invalid literal" not in err
+
     def test_manifest_written(self, small_corpus):
         manifest = yaml.safe_load((small_corpus.parent / "manifest.yaml").read_text())
         assert manifest["command"] == "generate"
@@ -105,6 +117,14 @@ class TestIngest:
                    "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    def test_adapter_directory_exits_2(self, tmp_path, capsys):
+        rc = main(["ingest", "--raw-dir", str(tmp_path), "--adapter", str(tmp_path),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "built-in adapter id or an adapter YAML file" in err
+        assert "Errno" not in err
+
     def test_malformed_adapter_yaml_exits_2(self, tmp_path, capsys):
         adapter = tmp_path / "bad.yaml"
         adapter.write_text("source_id: lab\nsignals: [{raw_name: q0\n")
@@ -137,6 +157,27 @@ class TestTrainAndScore:
                    "--out", str(tmp_path / "t"), "--epochs", "1"])
         assert rc == 2
         assert "healthy-only" in capsys.readouterr().err
+
+    def test_manifest_records_best_epoch_and_early_stop(self, tmp_path, monkeypatch):
+        from sefc import anomaly, ingest
+        from sefc.nnkit import TrainHistory
+
+        history = TrainHistory(train_loss=[1.0, 0.5, 0.7], val_loss=[1.0, 0.4, 0.6],
+                               lr=[1e-3] * 3, best_epoch=1, stopped_early=True)
+
+        class Model:
+            def save(self, path):
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.write_text("ckpt")
+                return path
+
+        monkeypatch.setattr(ingest, "read_episode_dir", lambda d: [])
+        monkeypatch.setattr(anomaly, "train_anomaly_model", lambda eps, config: (Model(), history))
+        out = tmp_path / "t"
+        assert main(["train-anomaly", "--data", str(tmp_path), "--out", str(out)]) == 0
+        manifest = yaml.safe_load((out / "manifest.yaml").read_text())
+        assert manifest["best_epoch"] == 1
+        assert manifest["stopped_early"] is True
 
     def test_train_then_score(self, small_corpus, tmp_path):
         healthy_dir = tmp_path / "healthy"

@@ -1,3 +1,4 @@
+import logging
 import math
 import re
 
@@ -221,6 +222,28 @@ class TestTrain:
                                     batch_size=64, seed=1))
         best = min(history.val_loss)
         assert net.loss(*val_set) == pytest.approx(best, rel=1e-12)
+
+    def test_logs_one_info_line_per_epoch(self, caplog):
+        train_set, val_set = _linear_problem(200, 80)
+        config = TrainConfig(lr0=1e-3, patience=4, max_epochs=4, batch_size=64, seed=0)
+        with caplog.at_level(logging.INFO, logger="sefc.nnkit.training"):
+            history = train(DenseNet([12, 4], seed=0), train_set, val_set, config)
+        lines = [r.getMessage() for r in caplog.records if r.name == "sefc.nnkit.training"]
+        assert len(lines) == history.n_epochs == 4
+        for epoch, line in enumerate(lines):
+            fields = dict(zip(line.split()[::2], line.split()[1::2]))
+            assert set(fields) == {"epoch", "train_loss", "val_loss", "lr", "epoch_s"}
+            assert int(fields["epoch"]) == epoch
+            assert float(fields["val_loss"]) == pytest.approx(history.val_loss[epoch], rel=1e-5)
+            assert float(fields["lr"]) == pytest.approx(history.lr[epoch], rel=1e-5)
+            assert float(fields["epoch_s"]) >= 0.0
+
+    def test_epoch_log_silent_at_warning(self, caplog):
+        train_set, val_set = _linear_problem(100, 50)
+        with caplog.at_level(logging.WARNING, logger="sefc"):
+            train(DenseNet([12, 4], seed=0), train_set, val_set,
+                  TrainConfig(lr0=1e-3, patience=2, max_epochs=3, batch_size=64, seed=0))
+        assert not [r for r in caplog.records if r.name.startswith("sefc")]
 
     def test_empty_dataset(self):
         net = DenseNet([12, 4], seed=0)
