@@ -14,6 +14,7 @@ parse -> apply_adapter -> fill_gaps -> resample.
 from __future__ import annotations
 
 import csv
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence, Union
@@ -41,6 +42,12 @@ class CsvDialect:
     na_tokens: tuple[str, ...] = DEFAULT_NA_TOKENS
 
 
+# Bytes a plain file may hold besides its delimiter: printable ASCII other
+# than space and the quote character, and the \n line end.
+_PLAIN_BYTES = bytes(range(0x21, 0x7F)).replace(b'"', b"") + b"\n"
+_NAN = np.frombuffer(b"nan", dtype=np.uint8)
+
+
 def parse_raw_csv(
     path: Union[str, Path], dialect: CsvDialect = CsvDialect()
 ) -> dict[str, np.ndarray]:
@@ -48,38 +55,155 @@ def parse_raw_csv(
 
     Numeric columns come back as float64 arrays with NaN at NA tokens;
     columns with any non-numeric cell come back as object arrays of
-    ``str | None``.
+    ``str | None``.  Cells are stripped of surrounding whitespace before
+    the NA check; the decimal mark is rewritten to ``.`` before ``float()``.
+    Blank lines are skipped.
+
+    A plain file (ASCII only, no quote character, no ``\\r`` and no
+    whitespace other than the delimiter) is parsed as whole arrays: one
+    ``np.loadtxt`` call over every numeric column, with NA cells rewritten
+    to ``nan`` first, and one over the string columns, which are the
+    columns whose first data cell is neither NA nor a number.  Any other
+    file, and a plain file ``np.loadtxt`` rejects (a text cell further down
+    a numeric-looking column, or a number only ``float()`` reads, such as
+    ``1_000``), goes through ``csv.reader`` cell by cell.  Both paths give
+    the same keys, dtypes, float64 bits and string cells.
 
     Raises:
-        EmptyFile: no header or no data rows.
+        EmptyFile: no header or fewer than 2 data rows.
         RaggedRow: a row whose field count differs from the header
-            (carries the 1-based line number).
+            (carries the physical 1-based line number, blank lines counted).
+        SchemaViolation: two header columns share a name.
     """
     path = Path(path)
+    table = _parse_plain(path, dialect)
+    return _parse_with_csv_reader(path, dialect) if table is None else table
+
+
+def _is_plain(raw: bytes, dialect: CsvDialect) -> bool:
+    d, dec = dialect.delimiter, dialect.decimal
+    if len(d) != 1 or not d.isascii() or d in '"\r\n':
+        return False
+    # The decimal mark is rewritten across the whole body once NA cells read
+    # "nan", so it must not be the delimiter, a line end or a letter of "nan".
+    if len(dec) != 1 or dec in d + "\nnan":
+        return False
+    return not raw.translate(None, _PLAIN_BYTES + d.encode())
+
+
+def _parse_plain(path: Path, dialect: CsvDialect) -> Optional[dict[str, np.ndarray]]:
+    """The table of a plain file as whole arrays; None for any other file."""
+    raw = path.read_bytes()
+    if not _is_plain(raw, dialect):
+        return None
+    d = dialect.delimiter
+    lines = raw.decode("ascii").split("\n")
+    del raw
+    rows = [(n, line) for n, line in enumerate(lines, start=1) if line]
+    del lines
+    header = _checked_header(
+        path, rows[0][1].split(d) if rows else None,
+        [(n, line.count(d) + 1) for n, line in rows[1:]],
+    )
+    body = [line for _, line in rows[1:]]
+    del rows
+    na = set(dialect.na_tokens)
+    text_cols = [
+        j for j, cell in enumerate(body[0].split(d))
+        if cell not in na and not _is_number(cell.replace(dialect.decimal, "."))
+    ]
+    num_cols = [j for j in range(len(header)) if j not in text_cols]
+    table: dict[str, np.ndarray] = {}
+    if num_cols:
+        try:
+            values = np.loadtxt(_numeric_lines(body, dialect), dtype=np.float64, delimiter=d,
+                                comments=None, usecols=num_cols, ndmin=2)
+        except ValueError:
+            return None
+        values = np.ascontiguousarray(values.T)
+        table.update(zip((header[j] for j in num_cols), values))
+    if text_cols:
+        cells = np.loadtxt(body, dtype=object, delimiter=d, comments=None,
+                           usecols=text_cols, ndmin=2)
+        for k, j in enumerate(text_cols):
+            table[header[j]] = _parse_column(
+                [None if c in na else c for c in cells[:, k]], dialect.decimal)
+    return {name: table[name] for name in header}
+
+
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def _numeric_lines(body: list[str], dialect: CsvDialect) -> list[str]:
+    """*body* with every NA cell rewritten to ``nan`` and the decimal mark to ``.``."""
+    d = dialect.delimiter
+    text = "\n".join(body)
+    other = f"[^{re.escape(d)}\\n]"
+    for token in dialect.na_tokens:
+        # A plain cell holds neither the delimiter nor a line end, so a token
+        # holding one never equals a cell, but could match across cells.
+        if token and token != "nan" and d not in token and "\n" not in token:
+            t = re.escape(token)
+            text = re.sub(f"{t}(?<!{other}{t})(?!{other})", "nan", text)
+    if dialect.decimal != ".":
+        text = text.replace(dialect.decimal, ".")
+    if "" in dialect.na_tokens:
+        # An empty cell is a position with a cell edge (the delimiter, a line
+        # end or the end of the text) on both sides.
+        buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+        del text
+        edge = buf == ord(d)
+        edge |= buf == ord("\n")
+        at = np.flatnonzero(np.concatenate(([True], edge)) & np.concatenate((edge, [True])))
+        del edge
+        if at.size:
+            buf = np.insert(buf, np.repeat(at, 3), np.tile(_NAN, at.size))
+        text = buf.tobytes().decode("ascii")
+    return text.split("\n")
+
+
+def _parse_with_csv_reader(path: Path, dialect: CsvDialect) -> dict[str, np.ndarray]:
+    """The table of any file, cell by cell through ``csv.reader``."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh, delimiter=dialect.delimiter)
-        rows = list(reader)
-    rows = [r for r in rows if r]  # drop blank lines
-    if not rows:
-        raise EmptyFile(str(path))
-    header = [h.strip() for h in rows[0]]
-    data = rows[1:]
-    if len(data) < 2:
-        raise EmptyFile(f"{path}: needs at least 2 data rows, got {len(data)}")
-    n_cols = len(header)
-    for line_no, row in enumerate(data, start=2):
-        if len(row) != n_cols:
-            raise RaggedRow(line_no, n_cols, len(row))
-
+        rows = [(reader.line_num, row) for row in reader if row]  # drop blank lines
+    header = _checked_header(path, rows[0][1] if rows else None,
+                             [(n, len(row)) for n, row in rows[1:]])
+    data = [row for _, row in rows[1:]]
     na = set(dialect.na_tokens)
     table: dict[str, np.ndarray] = {}
     for j, name in enumerate(header):
-        cells: list[Optional[str]] = []
-        for row in data:
-            v = row[j].strip()
-            cells.append(None if v in na else v)
-        table[name] = _parse_column(cells, dialect.decimal)
+        cells = [row[j].strip() for row in data]
+        table[name] = _parse_column([None if v in na else v for v in cells], dialect.decimal)
     return table
+
+
+def _checked_header(path: Path, header: Optional[Sequence[str]],
+                    widths: Sequence[tuple[int, int]]) -> list[str]:
+    """The stripped header names, after the checks every raw table must pass.
+
+    *header* is None for a file without a non-blank line; *widths* holds the
+    physical line number and field count of each data row.
+    """
+    if header is None:
+        raise EmptyFile(str(path))
+    if len(widths) < 2:
+        raise EmptyFile(f"{path}: needs at least 2 data rows, got {len(widths)}")
+    for line_no, width in widths:
+        if width != len(header):
+            raise RaggedRow(line_no, len(header), width)
+    names = [h.strip() for h in header]
+    seen: set[str] = set()
+    for name in names:
+        if name in seen:
+            raise SchemaViolation(f"{path}: duplicate column name {name!r} in header")
+        seen.add(name)
+    return names
 
 
 def _parse_column(cells: Sequence[Optional[str]], decimal: str) -> np.ndarray:

@@ -893,9 +893,20 @@ def load_generation_config(path: Union[str, Path]) -> dict:
     errors = config.validate()
     if errors:
         raise SchemaViolation("; ".join(errors))
+    fault_mix = doc.get("fault_mix") or {}
+    if not isinstance(fault_mix, dict):
+        raise SchemaViolation(f"{path}: fault_mix must be a mapping of fault type to count")
     return {
         "config": config,
-        "n_healthy": int(doc.get("n_healthy", 0)),
-        "fault_mix": {str(k): int(v) for k, v in (doc.get("fault_mix") or {}).items()},
-        "seed": int(doc.get("seed", 0)),
+        "n_healthy": _non_negative_int(doc.get("n_healthy", 0), path, "n_healthy"),
+        "fault_mix": {
+            str(k): _non_negative_int(v, path, f"fault_mix.{k}") for k, v in fault_mix.items()
+        },
+        "seed": _non_negative_int(doc.get("seed", 0), path, "seed"),
     }
+
+
+def _non_negative_int(value, path: Union[str, Path], key: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise SchemaViolation(f"{path}: {key} must be a non-negative integer, got {value!r}")
+    return value

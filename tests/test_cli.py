@@ -59,6 +59,24 @@ class TestGenerate:
         assert err.startswith(f"error: {config}: malformed YAML")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("doc,key", [
+        ({"fault_mix": {"additional_axis_payload": "two"}}, "fault_mix.additional_axis_payload"),
+        ({"fault_mix": {"additional_axis_payload": 1.5}}, "fault_mix.additional_axis_payload"),
+        ({"fault_mix": {"unstable_platform": -1}}, "fault_mix.unstable_platform"),
+        ({"fault_mix": ["unstable_platform"]}, "fault_mix"),
+        ({"n_healthy": "three"}, "n_healthy"),
+        ({"n_healthy": True}, "n_healthy"),
+        ({"seed": -3}, "seed"),
+    ])
+    def test_config_count_not_a_non_negative_integer_exits_2(self, tmp_path, capsys, doc, key):
+        config = tmp_path / "gen.yaml"
+        config.write_text(yaml.safe_dump(doc))
+        rc = main(["generate", "--out", str(tmp_path / "o"), "--config", str(config)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config}: {key}")
+        assert "invalid literal" not in err
+
     def test_unknown_fault_exits_2(self, tmp_path):
         rc = main(["generate", "--out", str(tmp_path / "o"), "--seed", "0",
                    "--n-healthy", "1", "--fault-mix", "damaged_screw_thread=1"])
@@ -149,6 +167,21 @@ class TestIngest:
         assert len(manifest["failures"]) == 1
         assert manifest["failures"][0].startswith("bad.csv: ")
         assert manifest["failures"][0] in capsys.readouterr().err
+
+    def test_duplicate_raw_header_is_a_failure(self, tmp_path, capsys):
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        (raw / "good.csv").write_text((FIXTURES / "voraus_sample.csv").read_text())
+        (raw / "dup.csv").write_text("time,time\n0,0\n1,1\n")
+        out = tmp_path / "out"
+        rc = main(["ingest", "--raw-dir", str(raw), "--adapter", "voraus_ad",
+                   "--out", str(out)])
+        assert rc == 1
+        manifest = yaml.safe_load((out / "manifest.yaml").read_text())
+        assert manifest["outputs"] == ["good.csv"]
+        assert len(manifest["failures"]) == 1
+        assert manifest["failures"][0].startswith("dup.csv: ")
+        assert "duplicate column name 'time'" in manifest["failures"][0]
 
 
 class TestTrainAndScore:

@@ -1,4 +1,9 @@
+import csv
+import dataclasses
+import importlib
 import re
+from pathlib import Path
+from typing import Optional, Sequence
 
 import numpy as np
 import pytest
@@ -15,6 +20,7 @@ from sefc.errors import (
     SchemaViolation,
 )
 from sefc.ingest import (
+    DEFAULT_NA_TOKENS,
     CsvDialect,
     decode_phase_rle,
     encode_phase_rle,
@@ -31,6 +37,154 @@ from sefc.schema import SignalRole
 D = {"a": (SignalRole.SETPOINT, "rad", None),
      "b": (SignalRole.FEEDBACK, "rad", None),
      "c": (SignalRole.CONTEXT, "-", None)}
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def reference_parse_raw_csv(path, dialect=CsvDialect()):
+    """The per-cell ``csv.reader`` parser as it was before the whole-array path.
+
+    Kept verbatim as the reference: it numbers rows after dropping blank
+    lines and lets a repeated header name overwrite the earlier column.
+    """
+    path = Path(path)
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh, delimiter=dialect.delimiter)
+        rows = list(reader)
+    rows = [r for r in rows if r]  # drop blank lines
+    if not rows:
+        raise EmptyFile(str(path))
+    header = [h.strip() for h in rows[0]]
+    data = rows[1:]
+    if len(data) < 2:
+        raise EmptyFile(f"{path}: needs at least 2 data rows, got {len(data)}")
+    n_cols = len(header)
+    for line_no, row in enumerate(data, start=2):
+        if len(row) != n_cols:
+            raise RaggedRow(line_no, n_cols, len(row))
+
+    na = set(dialect.na_tokens)
+    table: dict[str, np.ndarray] = {}
+    for j, name in enumerate(header):
+        cells: list[Optional[str]] = []
+        for row in data:
+            v = row[j].strip()
+            cells.append(None if v in na else v)
+        table[name] = _reference_parse_column(cells, dialect.decimal)
+    return table
+
+
+def _reference_parse_column(cells: Sequence[Optional[str]], decimal: str) -> np.ndarray:
+    values = np.empty(len(cells), dtype=np.float64)
+    for i, cell in enumerate(cells):
+        if cell is None:
+            values[i] = np.nan
+            continue
+        s = cell if decimal == "." else cell.replace(decimal, ".")
+        try:
+            values[i] = float(s)
+        except ValueError:
+            return np.asarray(cells, dtype=object)
+    return values
+
+
+def assert_same_table(got: dict, want: dict) -> None:
+    """Same keys in the same order, same dtypes, bit-equal floats, equal cells."""
+    assert list(got) == list(want)
+    for name, col in want.items():
+        assert got[name].dtype == col.dtype, name
+        assert got[name].shape == col.shape, name
+        if col.dtype == object:
+            assert got[name].tolist() == col.tolist(), name
+        else:
+            assert got[name].view(np.uint64).tolist() == col.view(np.uint64).tolist(), name
+
+
+def _numbers(decimal: str) -> st.SearchStrategy[str]:
+    return st.one_of(
+        st.integers(-10**6, 10**6).map(str),
+        st.floats(allow_nan=True, allow_infinity=True).map(repr),
+        st.floats(-1e3, 1e3).map(lambda x: f"{x:.6g}"),
+        st.sampled_from(["-0.0", "inf", "-inf", "+3", ".5", "1e5", "-nan", "1e400"]),
+    ).map(lambda s: s.replace(".", decimal))
+
+
+_ODD_CELLS = ["#", "1_000", "1.234,5", "alpha", "True", "N A", "-999", "nan", "NaN"]
+
+
+@st.composite
+def raw_csv_texts(draw, dialect: CsvDialect):
+    """A raw CSV text in *dialect* and where its ragged row is, if it has one.
+
+    The location is the row's physical 1-based line and the line the
+    reference reader reports, which counts only non-blank lines.
+
+    Columns are numeric, string, numeric-then-string or free-form; cells may
+    be NA tokens or odd values, and blank lines may appear anywhere.  Half
+    the texts are plain; the rest may also pad or quote cells (with the
+    delimiter inside), pad header names and end lines in CRLF.
+    """
+    d = dialect.delimiter
+    plain = draw(st.booleans())
+    n_cols = draw(st.integers(1, 4))
+    n_rows = draw(st.integers(0, 6))
+    na = st.sampled_from(dialect.na_tokens)
+    number = _numbers(dialect.decimal)
+    word = st.sampled_from(["alpha", "beta", "True", "none", "a#b"])
+    odd = st.sampled_from([c for c in _ODD_CELLS if not plain or (d not in c and " " not in c)])
+    kinds = draw(st.lists(st.sampled_from(["num"] * 3 + ["str", "num_then_str", "any"]),
+                          min_size=n_cols, max_size=n_cols))
+
+    def cell(kind: str, i: int) -> str:
+        if kind == "num":
+            c = draw(st.one_of(number, number, na))
+        elif kind == "str":
+            c = draw(st.one_of(word, na))
+        elif kind == "num_then_str":
+            c = draw(number if i == 0 else st.one_of(word, number))
+        else:
+            c = draw(st.one_of(number, na, word, odd))
+        if plain:
+            return c
+        style = draw(st.sampled_from(["plain"] * 6 + ["padded", "quoted", "split"]))
+        if style == "quoted" or d in c:
+            return f'"{c}"'
+        if style == "padded":
+            return f" {c}\t"
+        if style == "split":
+            return f'"{c}{d}{c}"'
+        return c
+
+    header = [f"c{j}" if plain or draw(st.booleans()) else f" c{j} " for j in range(n_cols)]
+    rows = [[cell(k, i) for k in kinds] for i in range(n_rows)]
+    ragged = None
+    if n_rows and draw(st.sampled_from([False] * 4 + [True])):
+        ragged = draw(st.integers(0, n_rows - 1))
+    if ragged is not None:
+        if n_cols >= 3 and draw(st.booleans()):
+            rows[ragged].pop()
+        else:
+            rows[ragged].append("1")
+    lines = [d.join(header)] + [d.join(r) for r in rows]
+    ragged_line = None
+    physical: list[str] = []
+    for k, line in enumerate(lines):
+        physical.extend([""] * draw(st.sampled_from([0] * 4 + [1, 2])))
+        physical.append(line)
+        if ragged is not None and k == ragged + 1:
+            ragged_line = len(physical)
+    newline = "\n" if plain else draw(st.sampled_from(["\n", "\r\n"]))
+    end = draw(st.sampled_from([newline, "", newline + newline]))
+    old_line = None if ragged is None else ragged + 2
+    return newline.join(physical) + end, (ragged_line, old_line)
+
+
+def _no_csv_reader(*args, **kwargs):
+    raise AssertionError("csv.reader called on a plain file")
+
+
+COMMA = CsvDialect()
+SEMICOLON = CsvDialect(delimiter=";", decimal=",")
 
 
 class TestParseRawCsv:
@@ -79,6 +233,84 @@ class TestParseRawCsv:
         table = parse_raw_csv(p)
         assert table["tag"].dtype == object
         assert table["tag"].tolist() == ["alpha", "beta"]
+
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_ragged_row_line_counts_blank_lines(self, tmp_path, newline):
+        p = tmp_path / "f.csv"
+        p.write_bytes(newline.join(["x,y", "", "1,2", "", "3,4", "5", ""]).encode())
+        with pytest.raises(RaggedRow) as exc:
+            parse_raw_csv(p)
+        assert exc.value.line == 6
+
+    @pytest.mark.parametrize("text", ["x,x\n1,2\n3,4\n", "x, x \r\n1,2\r\n3,4\r\n"])
+    def test_duplicate_header_name_rejected(self, tmp_path, text):
+        p = tmp_path / "f.csv"
+        p.write_bytes(text.encode())
+        with pytest.raises(SchemaViolation) as exc:
+            parse_raw_csv(p)
+        assert str(p) in str(exc.value) and "'x'" in str(exc.value)
+
+    @pytest.mark.parametrize("semicolon,dialect", [(False, COMMA), (True, SEMICOLON)])
+    def test_benchmark_files_skip_csv_reader(self, tmp_path, monkeypatch, semicolon, dialect):
+        # The benchmark's raw recordings must stay on the whole-array path:
+        # with csv.reader unusable they still parse, to the reference table.
+        monkeypatch.syspath_prepend(str(BENCH))
+        inputs = importlib.import_module("inputs")
+        p = tmp_path / "rec.csv"
+        inputs.write_raw_voraus(p, seed=3, semicolon=semicolon)
+        want = reference_parse_raw_csv(p, dialect)
+        monkeypatch.setattr(csv, "reader", _no_csv_reader)
+        assert_same_table(parse_raw_csv(p, dialect), want)
+
+    @pytest.mark.parametrize("dialect", [COMMA, SEMICOLON], ids=["comma", "semicolon"])
+    def test_na_tokens_anywhere_skip_csv_reader(self, tmp_path, monkeypatch, dialect):
+        dialect = dataclasses.replace(dialect, na_tokens=DEFAULT_NA_TOKENS + ("-999",))
+        one = f"1{dialect.decimal}5"
+        rows = ([[t, one, t] for t in dialect.na_tokens] + [[one, t, one] for t in dialect.na_tokens]
+                + [["", "", ""], [one, f"-0{dialect.decimal}0", "inf"]])
+        # Column s is a string column holding NA tokens and numbers below "tag".
+        rows = [["a", "b", "c", "s"]] + [[*r, "tag" if i == 0 else r[0]] for i, r in enumerate(rows)]
+        p = tmp_path / "f.csv"
+        p.write_text("\n".join(dialect.delimiter.join(r) for r in rows) + "\n")
+        want = reference_parse_raw_csv(p, dialect)
+        monkeypatch.setattr(csv, "reader", _no_csv_reader)
+        assert_same_table(parse_raw_csv(p, dialect), want)
+
+    @pytest.mark.parametrize("dialect,text", [
+        (COMMA, "a,b\n1,2\n1_000,3\n"),  # float() reads 1_000, np.loadtxt does not
+        (COMMA, "a,b\n1,2\nx,3\n"),  # a text cell below a numeric first cell
+        (COMMA, "a,b\n#,2\n1,#\n"),
+        (SEMICOLON, "a;b\n1,5;2\n1.234,5;3\n"),
+        (COMMA, 'a,b\n"1,5",2\n3,"4"\n'),
+        (COMMA, "a,b\r\n1,2\r\n3,4\r\n"),
+        (COMMA, "a,b\n 1 ,NA \n3,\t\n"),
+    ])
+    def test_cells_only_csv_reader_handles(self, tmp_path, dialect, text):
+        p = tmp_path / "f.csv"
+        p.write_bytes(text.encode())
+        assert_same_table(parse_raw_csv(p, dialect), reference_parse_raw_csv(p, dialect))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_reference_reader(self, tmp_path_factory, data):
+        dialect = data.draw(st.sampled_from([
+            COMMA, SEMICOLON,
+            CsvDialect(na_tokens=DEFAULT_NA_TOKENS + ("-999",)),
+            CsvDialect(";", ",", DEFAULT_NA_TOKENS + ("-999",)),
+        ]))
+        text, (ragged_line, old_line) = data.draw(raw_csv_texts(dialect))
+        p = tmp_path_factory.mktemp("raw") / "f.csv"
+        p.write_bytes(text.encode())
+        try:
+            want = reference_parse_raw_csv(p, dialect)
+        except (EmptyFile, RaggedRow) as exc:
+            with pytest.raises(type(exc)) as got:
+                parse_raw_csv(p, dialect)
+            if isinstance(exc, RaggedRow):
+                assert (exc.line, got.value.line) == (old_line, ragged_line)
+            return
+        assert_same_table(parse_raw_csv(p, dialect), want)
 
 
 class TestResample:
