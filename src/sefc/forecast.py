@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import Optional, Sequence, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .codec import write_csv
 from .errors import (
@@ -106,10 +107,9 @@ def make_windows(
     T = ep.n_steps
     if T <= window:
         raise EmptyDataset(f"{ep.episode_id}: too short for a {window}-step window")
-    n = T - window
-    x = np.empty((n, window, N_FEATURES))
-    for k in range(n):
-        x[k] = feats[k:k + window]
+    # window k is feats[k:k + window]; the last full window has no target row
+    x = np.array(sliding_window_view(feats[:-1], window, axis=0).transpose(0, 2, 1),
+                 dtype=np.float64, order="C")
     y = targets[window:]
     return x, y
 

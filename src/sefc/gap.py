@@ -10,7 +10,7 @@ Wasserstein-1 distance between pooled effort samples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -132,10 +132,6 @@ class GapMetrics:
     tcp_rotvec_rmse_mrad: Optional[float] = None
     w1_effort_mean: Optional[float] = None
     rotvec_wrapped: bool = False     # any rotvec component spans more than pi
-
-    def as_dict(self) -> dict[str, Optional[float]]:
-        return {f.name: getattr(self, f.name) for f in fields(self)
-                if f.name not in ("pair_key", "rotvec_wrapped")}
 
 
 METRIC_NAMES = (

@@ -73,7 +73,9 @@ def parse_raw_csv(
         EmptyFile: no header or fewer than 2 data rows.
         RaggedRow: a row whose field count differs from the header
             (carries the physical 1-based line number, blank lines counted).
-        SchemaViolation: two header columns share a name.
+        SchemaViolation: two header columns share a name, the file is not
+            UTF-8, or ``csv.reader`` rejects a line (such as a cell over
+            ``csv.field_size_limit()``).
     """
     path = Path(path)
     table = _parse_plain(path, dialect)
@@ -171,7 +173,14 @@ def _parse_with_csv_reader(path: Path, dialect: CsvDialect) -> dict[str, np.ndar
     """The table of any file, cell by cell through ``csv.reader``."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh, delimiter=dialect.delimiter)
-        rows = [(reader.line_num, row) for row in reader if row]  # drop blank lines
+        try:
+            rows = [(reader.line_num, row) for row in reader if row]  # drop blank lines
+        except UnicodeDecodeError as exc:
+            raise SchemaViolation(
+                f"{path}: not UTF-8 text ({exc.reason}: 0x{exc.object[exc.start]:02x})"
+            ) from None
+        except csv.Error as exc:
+            raise SchemaViolation(f"{path}: line {reader.line_num}: {exc}") from None
     header = _checked_header(path, rows[0][1] if rows else None,
                              [(n, len(row)) for n, row in rows[1:]])
     data = [row for _, row in rows[1:]]

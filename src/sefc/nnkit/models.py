@@ -4,8 +4,10 @@ All computation is float64.  Parameters live in an ordered name->array
 registry; the flat vector used by optimizers and checkpoints packs them in
 registration order.  Loss is MSE averaged over batch and output entries.
 
-The sequence models' loss reads only the last step, so ``TCNNet`` and
-``SeqNet`` ``predict``/``loss_and_grad`` compute only what that step needs:
+There is one sequence model, ``SeqNet``: a causal conv stack, encoder
+blocks, an optional final layer norm and a linear head.  ``TCNNet`` is
+``SeqNet`` with no blocks and no final norm.  Its loss reads only the last
+step, so ``predict``/``loss_and_grad`` compute only what that step needs:
 the last trunk layer (final encoder block, or the conv stack's last layer
 when there is no block) and the head run on the last row, while keys and
 values still cover every step.  ``forward_seq`` (and ``relu_margin``, which
@@ -30,6 +32,15 @@ def _uniform_init(rng: np.random.Generator, shape, fan_in: int, fan_out: int) ->
     return rng.uniform(-bound, bound, size=shape)
 
 
+def _mse(pred: np.ndarray, y) -> tuple[float, np.ndarray]:
+    """Mean squared error of *pred* against *y*, and its gradient in *pred*."""
+    y = np.asarray(y, dtype=np.float64)
+    if pred.shape != y.shape:
+        raise ShapeMismatch(f"prediction {pred.shape} vs target {y.shape}")
+    resid = pred - y
+    return float(np.mean(resid ** 2)), 2.0 * resid / resid.size
+
+
 class Model:
     """Base: parameter registry, flat packing, MSE loss plumbing."""
 
@@ -40,10 +51,6 @@ class Model:
         arr = np.asarray(value, dtype=np.float64)
         self._params[name] = arr
         return arr
-
-    @property
-    def param_names(self) -> list[str]:
-        return list(self._params)
 
     @property
     def n_params(self) -> int:
@@ -75,10 +82,7 @@ class Model:
         raise NotImplementedError
 
     def loss(self, x: np.ndarray, y: np.ndarray) -> float:
-        pred = self.predict(x)
-        if pred.shape != y.shape:
-            raise ShapeMismatch(f"prediction {pred.shape} vs target {y.shape}")
-        return float(np.mean((pred - y) ** 2))
+        return _mse(self.predict(x), y)[0]
 
     def loss_and_grad(self, x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
         raise NotImplementedError
@@ -141,16 +145,9 @@ class DenseNet(Model):
         return float(min(np.abs(z).min() for z in zs[:-1]))
 
     def loss_and_grad(self, x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        hs, zs = self._forward(x)
-        pred = hs[-1]
-        if pred.shape != y.shape:
-            raise ShapeMismatch(f"prediction {pred.shape} vs target {y.shape}")
-        resid = pred - y
-        loss = float(np.mean(resid ** 2))
+        hs, zs = self._forward(np.asarray(x, dtype=np.float64))
+        loss, delta = _mse(hs[-1], y)
         grads: dict[str, np.ndarray] = {}
-        delta = 2.0 * resid / resid.size
         for l in range(self.n_layers - 1, -1, -1):
             grads[f"W{l}"] = hs[l].T @ delta
             grads[f"b{l}"] = delta.sum(axis=0)
@@ -390,88 +387,15 @@ class _EncoderBlock:
         return [float(np.abs(cache["z1"]).min())]
 
 
-class TCNNet(Model):
-    """Causal TCN with a per-step linear head (the sequence baseline)."""
-
-    def __init__(self, in_features: int, hidden: int = 64, kernel: int = 3,
-                 dilations: Sequence[int] = (1, 2), out_dim: int = 6, seed: int = 0):
-        super().__init__()
-        self.in_features = in_features
-        self.hidden = hidden
-        self.kernel = kernel
-        self.dilations = tuple(dilations)
-        self.out_dim = out_dim
-        rng = np.random.default_rng(seed)
-        self.stack = _CausalConvStack(self, "tcn", rng, in_features, hidden,
-                                      kernel, self.dilations)
-        self._register("head.W", _uniform_init(rng, (hidden, out_dim), hidden, out_dim))
-        self._register("head.b", np.zeros(out_dim))
-
-    def spec(self) -> dict:
-        return {
-            "kind": "tcn",
-            "in_features": self.in_features,
-            "hidden": self.hidden,
-            "kernel": self.kernel,
-            "dilations": list(self.dilations),
-            "out_dim": self.out_dim,
-        }
-
-    @classmethod
-    def from_spec(cls, spec: dict) -> "TCNNet":
-        return cls(spec["in_features"], spec["hidden"], spec["kernel"],
-                   spec["dilations"], spec["out_dim"])
-
-    def _check_input(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 3 or x.shape[2] != self.in_features:
-            raise ShapeMismatch(
-                f"expected input (B, T, {self.in_features}), got {x.shape}"
-            )
-        return x
-
-    def _forward(self, x: np.ndarray, cache: dict, n_out: int) -> np.ndarray:
-        """Outputs (B, n_out, out_dim) for the last ``n_out`` steps."""
-        h = self.stack.forward(x, cache, n_out)
-        cache["h_final"] = h
-        return h @ self._params["head.W"] + self._params["head.b"]
-
-    def forward_seq(self, x: np.ndarray, cache: Optional[dict] = None) -> np.ndarray:
-        x = self._check_input(x)
-        return self._forward(x, cache if cache is not None else {}, x.shape[1])
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        return self._forward(self._check_input(x), {}, 1)[:, 0]
-
-    def relu_margin(self, x: np.ndarray) -> float:
-        cache: dict = {}
-        self.forward_seq(x, cache)
-        return min(self.stack.margins(cache))
-
-    def loss_and_grad(self, x, y):
-        x = self._check_input(x)
-        y = np.asarray(y, dtype=np.float64)
-        cache: dict = {}
-        out = self._forward(x, cache, 1)
-        pred = out[:, 0]
-        if pred.shape != y.shape:
-            raise ShapeMismatch(f"prediction {pred.shape} vs target {y.shape}")
-        resid = pred - y
-        loss = float(np.mean(resid ** 2))
-        dout = (2.0 * resid / resid.size)[:, None]
-        grads: dict[str, np.ndarray] = {}
-        grads["head.W"] = _weight_grad(cache["h_final"], dout)
-        grads["head.b"] = dout.sum(axis=(0, 1))
-        self.stack.backward(dout @ self._params["head.W"].T, cache, grads)
-        return loss, self._grads_to_flat(grads)
-
-
 class SeqNet(Model):
     """Dilated causal TCN front-end plus a causal pre-norm encoder stack.
 
     Positional information comes from the TCN front-end; no positional
     encoding is added.  Output at step t depends only on inputs <= t.
+    A final layer norm sits before the head when ``final_norm`` is set.
     """
+
+    final_norm = True
 
     def __init__(self, in_features: int = 36, hidden: int = 64, kernel: int = 3,
                  tcn_dilations: Sequence[int] = (1, 2, 4), n_blocks: int = 2,
@@ -492,8 +416,9 @@ class SeqNet(Model):
             _EncoderBlock(self, f"enc{i}", rng, hidden, heads, ff_dim)
             for i in range(n_blocks)
         ]
-        self._register("ln_f_g", np.ones(hidden))
-        self._register("ln_f_b", np.zeros(hidden))
+        if self.final_norm:
+            self._register("ln_f_g", np.ones(hidden))
+            self._register("ln_f_b", np.zeros(hidden))
         self._register("head.W", _uniform_init(rng, (hidden, out_dim), hidden, out_dim))
         self._register("head.b", np.zeros(out_dim))
 
@@ -537,10 +462,11 @@ class SeqNet(Model):
             bc: dict = {}
             h = block.forward(h, bc, n_out if i == len(self.blocks) else T)
             cache["blocks"].append(bc)
-        hn = _layer_norm_forward(h, self._params["ln_f_g"], self._params["ln_f_b"],
-                                 "ln_f", cache)
-        cache["hn_final"] = hn
-        return hn @ self._params["head.W"] + self._params["head.b"]
+        if self.final_norm:
+            h = _layer_norm_forward(h, self._params["ln_f_g"], self._params["ln_f_b"],
+                                    "ln_f", cache)
+        cache["h_final"] = h
+        return h @ self._params["head.W"] + self._params["head.b"]
 
     def forward_seq(self, x: np.ndarray, cache: Optional[dict] = None) -> np.ndarray:
         x = self._check_input(x)
@@ -558,25 +484,49 @@ class SeqNet(Model):
         return min(margins)
 
     def loss_and_grad(self, x, y):
-        x = self._check_input(x)
-        y = np.asarray(y, dtype=np.float64)
         cache: dict = {}
-        out = self._forward(x, cache, 1)
-        pred = out[:, 0]
-        if pred.shape != y.shape:
-            raise ShapeMismatch(f"prediction {pred.shape} vs target {y.shape}")
-        resid = pred - y
-        loss = float(np.mean(resid ** 2))
-        dout = (2.0 * resid / resid.size)[:, None]
-
+        loss, dpred = _mse(self._forward(self._check_input(x), cache, 1)[:, 0], y)
+        dout = dpred[:, None]
         grads: dict[str, np.ndarray] = {}
-        grads["head.W"] = _weight_grad(cache["hn_final"], dout)
+        grads["head.W"] = _weight_grad(cache["h_final"], dout)
         grads["head.b"] = dout.sum(axis=(0, 1))
-        dhn = dout @ self._params["head.W"].T
-        dh, dgf, dbf = _layer_norm_backward(dhn, self._params["ln_f_g"], "ln_f", cache)
-        grads["ln_f_g"] = dgf
-        grads["ln_f_b"] = dbf
+        dh = dout @ self._params["head.W"].T
+        if self.final_norm:
+            dh, grads["ln_f_g"], grads["ln_f_b"] = _layer_norm_backward(
+                dh, self._params["ln_f_g"], "ln_f", cache)
         for block, bc in zip(reversed(self.blocks), reversed(cache["blocks"])):
             dh = block.backward(dh, bc, grads)
         self.stack.backward(dh, cache, grads)
         return loss, self._grads_to_flat(grads)
+
+
+class TCNNet(SeqNet):
+    """Causal TCN with a per-step linear head (the sequence baseline): a
+    ``SeqNet`` with no encoder blocks and no final layer norm."""
+
+    final_norm = False
+
+    def __init__(self, in_features: int, hidden: int = 64, kernel: int = 3,
+                 dilations: Sequence[int] = (1, 2), out_dim: int = 6, seed: int = 0):
+        super().__init__(in_features, hidden, kernel, dilations, n_blocks=0,
+                         out_dim=out_dim, seed=seed)
+        self.dilations = self.tcn_dilations
+
+    def spec(self) -> dict:
+        return {
+            "kind": "tcn",
+            "in_features": self.in_features,
+            "hidden": self.hidden,
+            "kernel": self.kernel,
+            "dilations": list(self.dilations),
+            "out_dim": self.out_dim,
+        }
+
+    @classmethod
+    def from_spec(cls, spec: dict) -> "TCNNet":
+        return cls(spec["in_features"], spec["hidden"], spec["kernel"],
+                   spec["dilations"], spec["out_dim"])
+
+    # Own entries in the class __dict__, so bench/tracer.py times TCNNet apart from SeqNet.
+    predict = SeqNet.predict
+    loss_and_grad = SeqNet.loss_and_grad

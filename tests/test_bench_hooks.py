@@ -1,14 +1,20 @@
-"""The traced benchmark's hooks still fit the CLI.
+"""The traced benchmark's hooks still fit the CLI and the models.
 
 ``bench/tracer.py`` wraps every ``sefc.cli.cmd_*`` by module attribute and
 counts a command as failed unless it returns exit code 0, so each command
-must stay a module-level function that returns an int.
+must stay a module-level function that returns an int.  It wraps each model
+method it times from the class's own ``__dict__``, so ``TCNNet`` must keep
+its own ``predict`` and ``loss_and_grad`` entries even though they are
+``SeqNet``'s.
 """
 
 import importlib
 from pathlib import Path
 
+import numpy as np
+
 from sefc.cli import main
+from sefc.nnkit import SeqNet, TCNNet
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -27,3 +33,25 @@ def test_tracer_wraps_cli_commands(tmp_path, monkeypatch):
     spans = [s for s in tracer.take() if s.name == "cli.cmd_report"]
     assert len(spans) == 1
     assert spans[0].info == 0 and not spans[0].raised
+
+
+def test_tracer_times_each_sequence_class_apart(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracer = importlib.import_module("tracer").Tracer()
+    rng = np.random.default_rng(0)
+    x, y = rng.normal(size=(3, 6, 4)), rng.normal(size=(3, 2))
+    nets = {
+        "TCNNet": TCNNet(4, hidden=8, dilations=(1, 2), out_dim=2, seed=0),
+        "SeqNet": SeqNet(4, hidden=8, tcn_dilations=(1,), n_blocks=1, heads=2,
+                         ff_dim=8, out_dim=2, seed=0),
+    }
+    for cls, net in nets.items():
+        tracer.install()
+        try:
+            net.predict(x)
+            net.loss_and_grad(x, y)
+        finally:
+            not_restored = tracer.uninstall()
+        assert not_restored == []
+        names = sorted(s.name for s in tracer.take() if s.name.startswith("nnkit."))
+        assert names == [f"nnkit.{cls}.loss_and_grad", f"nnkit.{cls}.predict"]

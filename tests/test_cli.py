@@ -183,6 +183,28 @@ class TestIngest:
         assert manifest["failures"][0].startswith("dup.csv: ")
         assert "duplicate column name 'time'" in manifest["failures"][0]
 
+    @pytest.mark.parametrize("name, raw_bytes, reason", [
+        ("latin1.csv", b"time,x\n0,\xe9\n1,2\n", "not UTF-8 text"),
+        ("huge.csv", b'time,x\n0,"' + b"9" * 200_000 + b'"\n1,2\n',
+         "line 2: field larger than field limit"),
+    ], ids=["not_utf8", "oversized_field"])
+    def test_unreadable_raw_file_is_a_failure(self, tmp_path, capsys, name, raw_bytes,
+                                              reason):
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        (raw / "good.csv").write_text((FIXTURES / "voraus_sample.csv").read_text())
+        (raw / name).write_bytes(raw_bytes)
+        out = tmp_path / "out"
+        rc = main(["ingest", "--raw-dir", str(raw), "--adapter", "voraus_ad",
+                   "--out", str(out)])
+        assert rc == 1
+        manifest = yaml.safe_load((out / "manifest.yaml").read_text())
+        assert manifest["outputs"] == ["good.csv"]
+        assert len(manifest["failures"]) == 1
+        assert manifest["failures"][0].startswith(f"{name}: ")
+        assert reason in manifest["failures"][0]
+        assert "Traceback" not in capsys.readouterr().err
+
 
 class TestTrainAndScore:
     def test_faulty_episode_in_training_exits_2(self, small_corpus, tmp_path, capsys):

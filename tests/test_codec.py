@@ -23,6 +23,7 @@ from hypothesis.extra.numpy import arrays
 from conftest import make_episode
 from sefc import codec
 from sefc.cli import main
+from sefc.forecast import _build_net
 from sefc.ingest import encode_phase_rle, read_canonical, write_canonical
 from sefc.nnkit import DenseNet, load_model, save_model
 from sefc.schema import SignalRole
@@ -181,6 +182,25 @@ class TestCheckpointBytes:
         loaded, _ = load_model(path)
         expected = [float("{:.17g}".format(v)) for v in model.get_params()]
         assert np.array_equal(_bits(loaded.get_params()), _bits(expected))
+
+
+# sha256 of `save_model` on `_build_net(kind, 6, seed=0)`, recorded while TCNNet
+# and SeqNet were separate classes (numpy 2.4, x86-64).  The spec, the parameter
+# order and the initial values of both sequence kinds must not move.
+GOLDEN_CHECKPOINTS = {
+    "tcn": "e39025e664be192a4b04477bdd9b2addcba57417dbf82701ff32cc8450bee1a3",
+    "tcn_transformer": "016bd57222ac209aeed0110818b7ef0bc5c158bf29cce456982cbe8e84884f64",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_CHECKPOINTS))
+def test_sequence_checkpoint_digests(tmp_path, kind):
+    net = _build_net(kind, 6, seed=0)
+    path = save_model(tmp_path / "m.ckpt", net)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_CHECKPOINTS[kind]
+    loaded, _ = load_model(path)
+    assert type(loaded) is type(net)
+    assert path.read_bytes() == save_model(tmp_path / "again.ckpt", loaded).read_bytes()
 
 
 # --- YAML sidecars ---------------------------------------------------------------

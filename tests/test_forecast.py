@@ -102,9 +102,13 @@ class TestFeatures:
     def test_make_windows_shapes(self):
         ep = recurrence_episode(n_steps=60)
         x, y = make_windows(ep, target="accel")
+        feats = episode_features(ep)
         assert x.shape == (50, 10, 36) and y.shape == (50, 6)
         # window k ends right before its target row
-        assert np.array_equal(x[0, -1, 12:18], episode_features(ep)[9, 12:18])
+        assert np.array_equal(x[0, -1, 12:18], feats[9, 12:18])
+        for k in range(len(x)):
+            assert np.array_equal(x[k].view(np.uint64), feats[k:k + 10].view(np.uint64))
+        assert x.dtype == np.float64 and x.flags.c_contiguous and x.flags.writeable
 
 
 class TestPredict:
