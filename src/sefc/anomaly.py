@@ -17,7 +17,7 @@ import numpy as np
 from scipy.stats import rankdata
 
 from .codec import dump_yaml, write_csv
-from .errors import DegenerateLabels, EmptyDataset, MissingChannel, SchemaViolation
+from .errors import DegenerateLabels, EmptyDataset, SchemaViolation
 from .nnkit import DenseNet, TrainConfig, TrainHistory, train
 from .nnkit.checkpoint import load_model, save_model
 from .schema import Episode
@@ -58,15 +58,6 @@ class ScoredEpisode:
         return self.label != HEALTHY_LABEL
 
 
-def _episode_matrix(ep: Episode, names: Sequence[str]) -> np.ndarray:
-    cols = []
-    for name in names:
-        if not ep.has_channel(name):
-            raise MissingChannel(name)
-        cols.append(ep.channel(name))
-    return np.column_stack(cols)
-
-
 def build_regression_set(
     episodes: Sequence[Episode],
     input_channels: Sequence[str] = ANOMALY_INPUT_CHANNELS,
@@ -75,11 +66,8 @@ def build_regression_set(
     """Pool per-timestep rows across episodes into (X, Y) matrices."""
     if not episodes:
         raise EmptyDataset("no episodes")
-    xs, ys = [], []
-    for ep in episodes:
-        xs.append(_episode_matrix(ep, input_channels))
-        ys.append(_episode_matrix(ep, output_channels))
-    return np.vstack(xs), np.vstack(ys)
+    return (np.vstack([ep.columns(input_channels) for ep in episodes]),
+            np.vstack([ep.columns(output_channels) for ep in episodes]))
 
 
 @dataclass
@@ -160,8 +148,8 @@ def train_anomaly_model(
 
 def score_episode(model: AnomalyModel, ep: Episode) -> ScoredEpisode:
     """Per-episode MAE between predicted and true efforts (standardized)."""
-    x = model.x_std.transform(_episode_matrix(ep, model.input_channels))
-    y = model.y_std.transform(_episode_matrix(ep, model.output_channels))
+    x = model.x_std.transform(ep.columns(model.input_channels))
+    y = model.y_std.transform(ep.columns(model.output_channels))
     pred = model.net.predict(x)
     score = float(np.mean(np.abs(pred - y)))
     return ScoredEpisode(ep.episode_id, ep.fault or HEALTHY_LABEL, score)

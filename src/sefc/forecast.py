@@ -18,13 +18,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .codec import write_csv
-from .errors import (
-    EmptyDataset,
-    HorizonOverrun,
-    MissingChannel,
-    SchemaViolation,
-    ShapeMismatch,
-)
+from .errors import EmptyDataset, HorizonOverrun, SchemaViolation, ShapeMismatch
 from .anomaly import Standardizer
 from .nnkit import DenseNet, Model, SeqNet, TCNNet, TrainConfig, TrainHistory, train
 from .nnkit.checkpoint import load_model, save_model
@@ -69,20 +63,15 @@ def episode_features(ep: Episode, blocks: Sequence[str] = FEATURE_BLOCKS) -> np.
     for block in blocks:
         for i in range(N_JOINTS):
             name = f"{block}_{i}"
-            if ep.has_channel(name):
-                cols.append(ep.channel(name))
-            elif block == "feedback_acc":
-                vel_name = f"feedback_vel_{i}"
-                if not ep.has_channel(vel_name):
-                    raise MissingChannel(vel_name)
-                vel = ep.channel(vel_name)
+            if block == "feedback_acc" and not ep.has_channel(name):
+                vel = ep.columns([f"feedback_vel_{i}"])
                 acc = np.empty_like(vel)
                 acc[1:] = (vel[1:] - vel[:-1]) * ep.rate_hz
                 acc[0] = acc[1]
                 cols.append(acc)
             else:
-                raise MissingChannel(name)
-    return np.column_stack(cols)
+                cols.append(ep.columns([name]))
+    return np.hstack(cols)
 
 
 def episode_targets(ep: Episode, target: str = "accel") -> np.ndarray:
@@ -90,12 +79,7 @@ def episode_targets(ep: Episode, target: str = "accel") -> np.ndarray:
         raise SchemaViolation(f"unknown target {target!r}")
     if target == "accel" and not ep.has_channel("feedback_acc_0"):
         return episode_features(ep)[:, _FB_ACC]
-    cols = []
-    for name in TARGET_CHANNELS[target]:
-        if not ep.has_channel(name):
-            raise MissingChannel(name)
-        cols.append(ep.channel(name))
-    return np.column_stack(cols)
+    return ep.columns(TARGET_CHANNELS[target])
 
 
 def make_windows(
@@ -146,11 +130,7 @@ class Forecaster:
             )
         if self.kind == "kinematic_zero":
             return np.zeros((windows.shape[0], self.out_dim))
-        z = self.x_std.transform(windows)
-        if self.kind in ("linear", "flat_mlp"):
-            pred = self.net.predict(z.reshape(len(z), -1))
-        else:
-            pred = self.net.predict(z)
+        pred = self.net.predict(_net_input(self.net, self.x_std.transform(windows)))
         return self.y_std.inverse(pred)
 
     def save(self, path: Union[str, Path]) -> Path:
@@ -175,9 +155,13 @@ class Forecaster:
             x_std=Standardizer(np.asarray(extra["x_mean"]), np.asarray(extra["x_stdev"])),
             y_std=Standardizer(np.asarray(extra["y_mean"]), np.asarray(extra["y_stdev"])),
             target=str(extra.get("target", "accel")),
-            out_dim=net.spec().get("out_dim", N_JOINTS)
-            if net.spec()["kind"] != "dense" else net.spec()["widths"][-1],
+            out_dim=net.out_dim,
         )
+
+
+def _net_input(net: Model, z: np.ndarray) -> np.ndarray:
+    """Standardized windows laid out for *net*: a DenseNet takes them flattened."""
+    return z.reshape(len(z), -1) if isinstance(net, DenseNet) else z
 
 
 def predict_accel(model: Forecaster, window: np.ndarray) -> np.ndarray:
@@ -231,14 +215,10 @@ def train_forecaster(
     out_dim = y_train.shape[1]
     net = _build_net(kind, out_dim, seed=config.seed)
 
-    def prep_x(x):
-        z = x_std.transform(x)
-        return z.reshape(len(z), -1) if kind in ("linear", "flat_mlp") else z
-
     history = train(
         net,
-        (prep_x(x_train), y_std.transform(y_train)),
-        (prep_x(x_val), y_std.transform(y_val)),
+        (_net_input(net, x_std.transform(x_train)), y_std.transform(y_train)),
+        (_net_input(net, x_std.transform(x_val)), y_std.transform(y_val)),
         config,
     )
     return Forecaster(kind, net, x_std, y_std, target, out_dim), history

@@ -73,9 +73,9 @@ def phase_align(pair: EpisodePair) -> AlignedPair:
     NoCommonPhases when the shared vocabulary is empty.
     """
     real, sim = pair.real, pair.sim
-    common = [n for n in real.channel_names if sim.has_channel(n)]
-    real_cols = np.array([real.channel_index(n) for n in common], dtype=int)
-    sim_cols = np.array([sim.channel_index(n) for n in common], dtype=int)
+    descriptors = tuple(d for d in real.descriptors if sim.has_channel(d.canonical_name))
+    common = [d.canonical_name for d in descriptors]
+    real_x, sim_x = real.columns(common), sim.columns(common)
 
     real_phases = _phase_order(real.phase)
     sim_phases = set(_phase_order(sim.phase))
@@ -97,16 +97,16 @@ def phase_align(pair: EpisodePair) -> AlignedPair:
         u_sim = (
             np.arange(sidx.size) / (sidx.size - 1) if sidx.size > 1 else np.zeros(1)
         )
-        real_blocks.append(real.channels[np.ix_(ridx, real_cols)])
+        real_blocks.append(real_x[ridx])
         sim_block = np.empty((ridx.size, len(common)))
         for c in range(len(common)):
-            sim_block[:, c] = np.interp(u_real, u_sim, sim.channels[sidx, sim_cols[c]])
+            sim_block[:, c] = np.interp(u_real, u_sim, sim_x[sidx, c])
         sim_blocks.append(sim_block)
 
     return AlignedPair(
         pair_key=pair.pair_key,
         channel_names=tuple(common),
-        descriptors=tuple(real.descriptors[i] for i in real_cols),
+        descriptors=descriptors,
         real=np.vstack(real_blocks),
         sim=np.vstack(sim_blocks),
         phases_used=tuple(used),

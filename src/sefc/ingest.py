@@ -59,8 +59,9 @@ def parse_raw_csv(
     the NA check; the decimal mark is rewritten to ``.`` before ``float()``.
     Blank lines are skipped.
 
-    A plain file (ASCII only, no quote character, no ``\\r`` and no
-    whitespace other than the delimiter) is parsed as whole arrays: one
+    A plain file (ASCII only, no quote character, no ``\\r``, no
+    whitespace other than the delimiter and no line longer than
+    ``csv.field_size_limit()``) is parsed as whole arrays: one
     ``np.loadtxt`` call over every numeric column, with NA cells rewritten
     to ``nan`` first, and one over the string columns, which are the
     columns whose first data cell is neither NA nor a number.  Any other
@@ -101,6 +102,10 @@ def _parse_plain(path: Path, dialect: CsvDialect) -> Optional[dict[str, np.ndarr
     d = dialect.delimiter
     lines = raw.decode("ascii").split("\n")
     del raw
+    # csv.reader refuses a cell over the field limit; no cell is longer than
+    # its line, so a longer line goes to csv.reader and fails the same way.
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None
     rows = [(n, line) for n, line in enumerate(lines, start=1) if line]
     del lines
     header = _checked_header(
@@ -258,19 +263,7 @@ def resample(ep: Episode, target_hz: float) -> Episode:
     left_idx = np.clip(np.searchsorted(ep.t, t_new + 1e-12, side="right") - 1, 0, None)
     phase = np.asarray(ep.phase)[left_idx]
 
-    return Episode(
-        episode_id=ep.episode_id,
-        source_id=ep.source_id,
-        embodiment=ep.embodiment,
-        task=ep.task,
-        rate_hz=target_hz,
-        t=t_new,
-        channels=channels,
-        descriptors=ep.descriptors,
-        phase=phase,
-        fault=ep.fault,
-        healthy=ep.healthy,
-    )
+    return ep.replace(rate_hz=target_hz, t=t_new, channels=channels, phase=phase)
 
 
 def fill_gaps(ep: Episode, max_missing_fraction: float = 0.001) -> Episode:
@@ -322,14 +315,17 @@ def encode_phase_rle(phase: Iterable[str]) -> list[list]:
 
 
 def decode_phase_rle(rle: Sequence[Sequence], n_steps: int) -> np.ndarray:
+    """Phase labels from ``[label, count]`` runs; each count is an int >= 1."""
+    if not isinstance(rle, (list, tuple)):
+        raise SchemaViolation(f"phase RLE must be a list of [label, count] runs, got {rle!r}")
     labels: list[str] = []
     for entry in rle:
-        if len(entry) != 2:
+        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise SchemaViolation(f"bad phase RLE entry: {entry!r}")
-        label, count = str(entry[0]), int(entry[1])
-        if count < 1:
-            raise SchemaViolation(f"phase RLE count must be >= 1, got {count}")
-        labels.extend([label] * count)
+        label, count = entry
+        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+            raise SchemaViolation(f"phase RLE count must be an integer >= 1, got {count!r}")
+        labels.extend([str(label)] * count)
     if len(labels) != n_steps:
         raise SchemaViolation(
             f"phase RLE decodes to {len(labels)} labels for T={n_steps}"
@@ -428,7 +424,10 @@ def read_canonical(
     t = np.ascontiguousarray(data[:, 0])
     channels = np.ascontiguousarray(data[:, 1:])
 
-    phase = decode_phase_rle(rle, len(data))
+    try:
+        phase = decode_phase_rle(rle, len(data))
+    except SchemaViolation as exc:
+        raise SchemaViolation(f"{sidecar}: {exc}") from None
     return Episode(
         episode_id=episode_id,
         source_id=source_id,

@@ -112,6 +112,10 @@ class DenseNet(Model):
     def n_layers(self) -> int:
         return len(self.widths) - 1
 
+    @property
+    def out_dim(self) -> int:
+        return self.widths[-1]
+
     def spec(self) -> dict:
         return {"kind": "dense", "widths": list(self.widths)}
 

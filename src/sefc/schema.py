@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .codec import load_yaml
-from .errors import MissingRawColumn, NonNumericColumn, SchemaViolation
+from .errors import MissingChannel, MissingRawColumn, NonNumericColumn, SchemaViolation
 
 TASKS = ("pick_and_place", "screwdriving", "peg_in_hole", "machining")
 
@@ -119,9 +119,10 @@ class Episode:
     """A uniformly sampled multichannel recording of one task execution.
 
     Invariants are checked at construction: at least two samples, matching
-    channel/descriptor counts, uniform time base within 1e-9 s of
-    ``1/rate_hz``, and ``healthy`` consistent with ``fault``.  Arrays are
-    made read-only; episodes are safe to share across threads.
+    channel/descriptor counts, unique channel names, uniform time base
+    within 1e-9 s of ``1/rate_hz``, and ``healthy`` consistent with
+    ``fault``.  Arrays are made read-only; episodes are safe to share
+    across threads.
     """
 
     episode_id: str
@@ -161,6 +162,11 @@ class Episode:
             raise SchemaViolation(
                 f"{len(self.descriptors)} descriptors for {channels.shape[1]} channels"
             )
+        index: dict[str, int] = {}
+        for i, d in enumerate(self.descriptors):
+            if index.setdefault(d.canonical_name, i) != i:
+                raise SchemaViolation(f"channel name {d.canonical_name!r} appears twice")
+        object.__setattr__(self, "_index", index)
         if phase.shape != t.shape:
             raise SchemaViolation("phase vector length must equal T")
         dt = np.diff(t)
@@ -189,16 +195,24 @@ class Episode:
         return tuple(d.canonical_name for d in self.descriptors)
 
     def channel_index(self, canonical_name: str) -> int:
-        for i, d in enumerate(self.descriptors):
-            if d.canonical_name == canonical_name:
-                return i
-        raise KeyError(canonical_name)
+        return self._index[canonical_name]
 
     def has_channel(self, canonical_name: str) -> bool:
-        return any(d.canonical_name == canonical_name for d in self.descriptors)
+        return canonical_name in self._index
 
     def channel(self, canonical_name: str) -> np.ndarray:
         return self.channels[:, self.channel_index(canonical_name)]
+
+    def columns(self, names: Sequence[str]) -> np.ndarray:
+        """The named channels as a new C-ordered ``(T, len(names))`` array.
+
+        Raises MissingChannel naming the first absent name.
+        """
+        try:
+            idx = [self._index[n] for n in names]
+        except KeyError as exc:
+            raise MissingChannel(exc.args[0]) from None
+        return np.take(self.channels, idx, axis=1)
 
     def replace(self, **kwargs) -> "Episode":
         """Copy with some fields replaced (re-validates invariants)."""

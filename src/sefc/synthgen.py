@@ -135,19 +135,6 @@ class RandomizationConfig:
         return errors
 
 
-#: Fault types with a signal-level injection under the declared plant.
-INJECTABLE_FAULTS = (
-    "additional_axis_payload",
-    "unexpected_payload_weight",
-    "gripper_release_mid_motion",
-    "gripper_activation_failure",
-    "invalid_gripping_position",
-    "collision_foam_spike",
-    "unstable_platform",
-    "payload_weight_misconfiguration",
-)
-
-
 @dataclass(frozen=True)
 class FaultCatalogEntry:
     fault_type: str
@@ -205,6 +192,9 @@ FAULT_CATALOG: tuple[FaultCatalogEntry, ...] = (
     _cat("missing_box", "box absent from the pick position", ("pick_and_place",)),
     _cat("missing_peg", "peg absent during insertion", ("peg_in_hole",)),
 )
+
+#: Fault types with a signal-level injection under the declared plant.
+INJECTABLE_FAULTS = frozenset(c.fault_type for c in FAULT_CATALOG if c.injectable)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,12 @@
+import hashlib
+import shutil
+
 import numpy as np
 import pytest
 
 from conftest import make_episode
 from sefc import synthgen
+from sefc.cli import main
 from sefc.anomaly import (
     ANOMALY_INPUT_CHANNELS,
     ANOMALY_OUTPUT_CHANNELS,
@@ -278,3 +282,32 @@ class TestReport:
         report = per_category_report(scored, n_resamples=10)
         a, b = report.rows
         assert a.auroc == b.auroc
+
+
+# sha256 of the anomaly outputs of a small seeded run, recorded before the
+# anomaly protocol read its channels through `Episode.columns` (numpy 2.4,
+# x86-64).  A column-major copy of the inputs changes the standardizer's
+# sums in the last digits, and with them every byte below.
+GOLDEN = {
+    "model/anomaly_model.ckpt": "22080999d8fc94f86a3f71a5c7b83dc2d233ad6d98f0efc24d1785b14416f0d6",
+    "model/train_history.csv": "56cf4fed1052aca76a315af51b3b5eeebd3ed5db6e7b69369217d78ace7f97aa",
+    "score/scores.csv": "8c15e08a975dcde91a7c95f0587a5152209cd9969140fd045dffa391a8ae575a",
+    "score/anomaly_report.csv": "ae5dc9650be66ac9d030ad0134447c11b120453e68a16a7275a095faf87e2baa",
+}
+
+
+def test_train_and_score_output_digests(tmp_path):
+    assert main(["generate", "--out", str(tmp_path / "g"), "--seed", "3", "--n-healthy", "4",
+                 "--fault-mix", "additional_axis_payload=2,collision_foam_spike=2"]) == 0
+    episodes = tmp_path / "g" / "episodes"
+    healthy = tmp_path / "healthy"
+    healthy.mkdir()
+    for k in range(4):
+        for p in episodes.glob(f"ep_{k:05d}.*"):
+            shutil.copy(p, healthy)
+    assert main(["train-anomaly", "--data", str(healthy), "--out", str(tmp_path / "model"),
+                 "--epochs", "2"]) == 0
+    assert main(["score", "--model", str(tmp_path / "model" / "anomaly_model.ckpt"),
+                 "--data", str(episodes), "--out", str(tmp_path / "score")]) == 0
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN}
+    assert got == GOLDEN

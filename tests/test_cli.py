@@ -313,6 +313,22 @@ class TestGapCommand:
         assert rc == 2
         assert str(sidecar) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("count", ["many", 2.5])
+    def test_bad_phase_rle_count_exits_2(self, small_corpus, tmp_path, capsys, count):
+        real = tmp_path / "real"
+        real.mkdir()
+        for p in small_corpus.glob("ep_00000.*"):
+            (real / p.name).write_text(p.read_text())
+        sidecar = real / "ep_00000.meta.yaml"
+        meta = yaml.safe_load(sidecar.read_text())
+        meta["phase_rle"][0][1] = count
+        sidecar.write_text(yaml.safe_dump(meta, sort_keys=False))
+        rc = main(["gap", "--real-dir", str(real), "--sim-dir", str(real),
+                   "--out", str(tmp_path / "gapout")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {sidecar}: phase RLE count must be an integer >= 1")
+
 
 @pytest.fixture(scope="module")
 def gap_run(tmp_path_factory):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import make_episode
 from sefc import synthgen
+from sefc.codec import dump_yaml, load_yaml
 from sefc.errors import (
     DuplicateKey,
     EmptyFile,
@@ -175,7 +176,9 @@ def raw_csv_texts(draw, dialect: CsvDialect):
             ragged_line = len(physical)
     newline = "\n" if plain else draw(st.sampled_from(["\n", "\r\n"]))
     end = draw(st.sampled_from([newline, "", newline + newline]))
-    old_line = None if ragged is None else ragged + 2
+    # The reference numbers only non-blank lines; a one-column row holding the
+    # empty NA token is a blank line too.
+    old_line = None if ragged is None else 1 + sum(1 for line in lines[1:ragged + 2] if line)
     return newline.join(physical) + end, (ragged_line, old_line)
 
 
@@ -250,6 +253,22 @@ class TestParseRawCsv:
         with pytest.raises(SchemaViolation) as exc:
             parse_raw_csv(p)
         assert str(p) in str(exc.value) and "'x'" in str(exc.value)
+
+    @pytest.mark.parametrize("cell", ["9" * 200_000, '"' + "9" * 200_000 + '"'],
+                             ids=["unquoted", "quoted"])
+    def test_cell_over_field_limit_fails_on_both_paths(self, tmp_path, cell):
+        p = tmp_path / "f.csv"
+        p.write_text(f"time,x\n0,{cell}\n1,2\n2,3\n")
+        with pytest.raises(SchemaViolation, match=rf"^{re.escape(str(p))}: line 2: "
+                           r"field larger than field limit \(131072\)"):
+            parse_raw_csv(p)
+
+    def test_line_over_field_limit_with_short_cells_parses(self, tmp_path):
+        n = csv.field_size_limit() // 2 + 1
+        p = tmp_path / "f.csv"
+        p.write_text(",".join(f"c{j}" for j in range(n)) + "\n"
+                     + ("1," * n)[:-1] + "\n" + ("2," * n)[:-1] + "\n")
+        assert_same_table(parse_raw_csv(p), reference_parse_raw_csv(p))
 
     @pytest.mark.parametrize("semicolon,dialect", [(False, COMMA), (True, SEMICOLON)])
     def test_benchmark_files_skip_csv_reader(self, tmp_path, monkeypatch, semicolon, dialect):
@@ -520,6 +539,43 @@ class TestCanonicalReadErrors:
         _, csv_path = written
         csv_path.write_text(csv_path.read_text() + "\n")
         with pytest.raises(SchemaViolation):
+            read_canonical(csv_path)
+
+    @staticmethod
+    def _edit_sidecar(csv_path, edit):
+        sidecar = sidecar_path_for(csv_path)
+        meta = load_yaml(sidecar.read_text(), sidecar)
+        edit(meta)
+        sidecar.write_text(dump_yaml(meta))
+        return sidecar
+
+    @pytest.mark.parametrize("rle", [
+        [["p0", "many"], ["p1", 2]],
+        [["p0", 2.5], ["p1", 2]],
+        [["p0", 2.0], ["p1", 2]],
+        [["p0", "2"], ["p1", 2]],
+        [["p0", True], ["p1", 3]],
+        [["p0", 0], ["p1", 4]],
+        [["p0", -1], ["p1", 5]],
+        [["p0"], ["p1", 4]],
+        [["p0", 2, 2], ["p1", 2]],
+        [7],
+        "p0",
+        None,
+        [["p0", 2], ["p1", 3]],
+    ], ids=["word", "fraction", "integral_float", "digit_string", "bool", "zero", "negative",
+            "one_item", "three_items", "scalar_entry", "string", "null", "length_mismatch"])
+    def test_bad_phase_rle_names_sidecar(self, written, rle):
+        _, csv_path = written
+        sidecar = self._edit_sidecar(csv_path, lambda meta: meta.update(phase_rle=rle))
+        with pytest.raises(SchemaViolation, match=f"^{re.escape(str(sidecar))}: "):
+            read_canonical(csv_path)
+
+    def test_duplicate_channel_name(self, written):
+        _, csv_path = written
+        self._edit_sidecar(csv_path, lambda meta: meta["channels"][2].update(name="b"))
+        self._edit_lines(csv_path, lambda ls: ["t_s,a,b,b\n"] + ls[1:])
+        with pytest.raises(SchemaViolation, match="channel name 'b' appears twice"):
             read_canonical(csv_path)
 
 

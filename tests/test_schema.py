@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import raw_table_for
-from sefc.errors import MissingRawColumn, NonNumericColumn, SchemaViolation
+from sefc.errors import MissingChannel, MissingRawColumn, NonNumericColumn, SchemaViolation
 from sefc.schema import (
     BUILTIN_ADAPTER_IDS,
     AdapterSpec,
@@ -254,6 +254,47 @@ class TestEpisodeInvariants:
     def test_unknown_task(self):
         with pytest.raises(SchemaViolation):
             Episode(**self._args(task="juggling"))
+
+    def test_duplicate_channel_name(self):
+        from sefc.schema import ChannelDescriptor
+        d = ChannelDescriptor("feedback_pos_0", SignalRole.FEEDBACK, "rad", 0)
+        with pytest.raises(SchemaViolation, match="'feedback_pos_0'"):
+            Episode(**self._args(descriptors=(d, d)))
+
+
+class TestEpisodeColumns:
+    @pytest.fixture
+    def ep(self):
+        from sefc.schema import ChannelDescriptor
+        names = ("a_0", "b_1", "c_2", "d_3")
+        T = 7
+        return Episode(
+            episode_id="e", source_id="s", embodiment="m", task="pick_and_place",
+            rate_hz=10.0, t=np.arange(T) / 10.0,
+            channels=np.random.default_rng(0).normal(size=(T, len(names))),
+            descriptors=tuple(ChannelDescriptor(n, SignalRole.SETPOINT, "rad") for n in names),
+            phase=np.full(T, "unknown"),
+        )
+
+    @pytest.mark.parametrize("names", [["c_2", "a_0"], ["d_3"], ["b_1", "b_1", "a_0", "d_3"]])
+    def test_c_ordered_copy_equal_to_column_stack(self, ep, names):
+        got = ep.columns(names)
+        want = np.column_stack([ep.channel(n) for n in names])
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert got.shape == (ep.n_steps, len(names))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert not np.shares_memory(got, ep.channels)
+
+    def test_missing_channel_names_the_first_absent(self, ep):
+        with pytest.raises(MissingChannel) as exc:
+            ep.columns(["a_0", "x_9", "y_8"])
+        assert exc.value.name == "x_9"
+
+    def test_lookup_by_name(self, ep):
+        assert ep.channel_index("c_2") == 2
+        assert ep.has_channel("d_3") and not ep.has_channel("d")
+        with pytest.raises(KeyError):
+            ep.channel_index("d")
 
 
 class TestExpansion:
