@@ -19,7 +19,7 @@ from scipy.stats import rankdata
 from .codec import dump_yaml, write_csv
 from .errors import DegenerateLabels, EmptyDataset, SchemaViolation
 from .nnkit import DenseNet, TrainConfig, TrainHistory, train
-from .nnkit.checkpoint import load_model, save_model
+from .nnkit.checkpoint import load_model, require_extras, save_model
 from .schema import Episode
 
 ANOMALY_INPUT_CHANNELS = tuple(
@@ -28,6 +28,8 @@ ANOMALY_INPUT_CHANNELS = tuple(
 ANOMALY_OUTPUT_CHANNELS = tuple(f"effort_motor_torque_{i}" for i in range(6))
 
 HEALTHY_LABEL = "healthy"
+
+_CHECKPOINT_EXTRAS = ("input_channels", "output_channels", "x_mean", "x_stdev", "y_mean", "y_stdev")
 
 
 @dataclass(frozen=True)
@@ -92,6 +94,7 @@ class AnomalyModel:
     @classmethod
     def load(cls, path: Union[str, Path]) -> "AnomalyModel":
         net, extra = load_model(path)
+        require_extras(extra, _CHECKPOINT_EXTRAS, path, "an anomaly")
         if not isinstance(net, DenseNet):
             raise SchemaViolation(f"{path}: not an anomaly checkpoint")
         return cls(

@@ -1,4 +1,9 @@
-"""Text codecs: canonical episode files, model checkpoints, report CSVs and all YAML.
+"""Text codecs: canonical episode files, version-1 checkpoint parameters, report CSVs and all YAML.
+
+``sefc.nnkit.checkpoint`` writes version-2 checkpoints (this module's YAML
+header, then raw little-endian float64 parameters) and uses
+``read_float_rows`` only to read the ``%.17g`` parameter lines of version-1
+checkpoints; its format and errors are described there.
 
 Floats are written as ``%.17g`` cells: 17 significant digits, which round-trip
 every finite float64 exactly; non-finite values and negative zero are written

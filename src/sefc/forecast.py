@@ -21,7 +21,7 @@ from .codec import write_csv
 from .errors import EmptyDataset, HorizonOverrun, SchemaViolation, ShapeMismatch
 from .anomaly import Standardizer
 from .nnkit import DenseNet, Model, SeqNet, TCNNet, TrainConfig, TrainHistory, train
-from .nnkit.checkpoint import load_model, save_model
+from .nnkit.checkpoint import load_model, require_extras, save_model
 from .schema import Episode
 
 WINDOW_STEPS = 10
@@ -149,6 +149,8 @@ class Forecaster:
     @classmethod
     def load(cls, path: Union[str, Path]) -> "Forecaster":
         net, extra = load_model(path)
+        require_extras(extra, ("forecaster_kind", "x_mean", "x_stdev", "y_mean", "y_stdev"),
+                       path, "a forecaster")
         return cls(
             kind=str(extra["forecaster_kind"]),
             net=net,

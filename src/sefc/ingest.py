@@ -428,19 +428,22 @@ def read_canonical(
         phase = decode_phase_rle(rle, len(data))
     except SchemaViolation as exc:
         raise SchemaViolation(f"{sidecar}: {exc}") from None
-    return Episode(
-        episode_id=episode_id,
-        source_id=source_id,
-        embodiment=embodiment,
-        task=task,
-        rate_hz=rate_hz,
-        t=t,
-        channels=channels,
-        descriptors=descs,
-        phase=phase,
-        fault=fault,
-        healthy=healthy,
-    )
+    try:
+        return Episode(
+            episode_id=episode_id,
+            source_id=source_id,
+            embodiment=embodiment,
+            task=task,
+            rate_hz=rate_hz,
+            t=t,
+            channels=channels,
+            descriptors=descs,
+            phase=phase,
+            fault=fault,
+            healthy=healthy,
+        )
+    except SchemaViolation as exc:
+        raise SchemaViolation(f"{csv_path}: {exc}") from None
 
 
 def read_episode_dir(directory: Union[str, Path]) -> list[Episode]:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import yaml
 
 from sefc import synthgen
 from sefc.schema import AdapterSpec, ChannelDescriptor, Episode, SignalRole
@@ -34,6 +35,16 @@ def make_episode(
         fault=fault,
         healthy=fault is None,
     )
+
+
+def reference_checkpoint(model, extra: dict | None = None) -> str:
+    """A version-1 checkpoint: the pure-Python YAML header, ``---``, then one
+    ``"{:.17g}"`` value per line, as ``save_model`` wrote it before version 2."""
+    header = {"model": model.spec(), "n_params": model.n_params}
+    if extra:
+        header["extra"] = extra
+    return (yaml.dump(header, Dumper=yaml.SafeDumper, sort_keys=False, default_flow_style=False)
+            + "---\n" + "".join("{:.17g}\n".format(v) for v in model.get_params()))
 
 
 def raw_table_for(spec: AdapterSpec, n_rows: int = 12, seed: int = 0) -> dict:

@@ -1,10 +1,11 @@
 import hashlib
+import re
 import shutil
 
 import numpy as np
 import pytest
 
-from conftest import make_episode
+from conftest import make_episode, reference_checkpoint
 from sefc import synthgen
 from sefc.cli import main
 from sefc.anomaly import (
@@ -21,7 +22,8 @@ from sefc.anomaly import (
     train_anomaly_model,
 )
 from sefc.errors import DegenerateLabels, MissingChannel, SchemaViolation
-from sefc.nnkit import DenseNet
+from sefc.forecast import Forecaster, _build_net
+from sefc.nnkit import DenseNet, load_model, save_model
 from sefc.schema import SignalRole
 
 
@@ -133,6 +135,19 @@ class TestScoring:
         eps = [_regression_episode(1), _regression_episode(2, fault="unstable_platform")]
         with pytest.raises(SchemaViolation, match="healthy-only"):
             train_anomaly_model(eps)
+
+    def test_load_rejects_plain_model_checkpoint(self, tmp_path):
+        path = save_model(tmp_path / "plain.ckpt", DenseNet([18, 4, 6], seed=0))
+        with pytest.raises(SchemaViolation, match=f"{re.escape(str(path))}: not an anomaly"):
+            AnomalyModel.load(path)
+
+    def test_load_rejects_forecaster_checkpoint(self, tmp_path):
+        stats = Standardizer(np.zeros(36), np.ones(36))
+        forecaster = Forecaster(kind="flat_mlp", net=_build_net("flat_mlp", 6, seed=0),
+                                x_std=stats, y_std=Standardizer(np.zeros(6), np.ones(6)))
+        path = forecaster.save(tmp_path / "f.ckpt")
+        with pytest.raises(SchemaViolation, match=f"{re.escape(str(path))}: not an anomaly"):
+            AnomalyModel.load(path)
 
     def test_checkpoint_round_trip(self, small_anomaly_model, tmp_path):
         path = small_anomaly_model.save(tmp_path / "anom.ckpt")
@@ -287,9 +302,13 @@ class TestReport:
 # sha256 of the anomaly outputs of a small seeded run, recorded before the
 # anomaly protocol read its channels through `Episode.columns` (numpy 2.4,
 # x86-64).  A column-major copy of the inputs changes the standardizer's
-# sums in the last digits, and with them every byte below.
+# sums in the last digits, and with them every byte below.  The checkpoint
+# was then a version-1 text file: GOLDEN_CHECKPOINT_V1 is now the digest of
+# its `reference_checkpoint` rendering (spec, extras and trained bits), and
+# the version-2 file `save_model` writes has its own digest in GOLDEN.
+GOLDEN_CHECKPOINT_V1 = "22080999d8fc94f86a3f71a5c7b83dc2d233ad6d98f0efc24d1785b14416f0d6"
 GOLDEN = {
-    "model/anomaly_model.ckpt": "22080999d8fc94f86a3f71a5c7b83dc2d233ad6d98f0efc24d1785b14416f0d6",
+    "model/anomaly_model.ckpt": "d7de437bbffccef7a2a3bef867714a2c63a33c631ab75e4b8b39fd4e6243d47b",
     "model/train_history.csv": "56cf4fed1052aca76a315af51b3b5eeebd3ed5db6e7b69369217d78ace7f97aa",
     "score/scores.csv": "8c15e08a975dcde91a7c95f0587a5152209cd9969140fd045dffa391a8ae575a",
     "score/anomaly_report.csv": "ae5dc9650be66ac9d030ad0134447c11b120453e68a16a7275a095faf87e2baa",
@@ -311,3 +330,13 @@ def test_train_and_score_output_digests(tmp_path):
                  "--data", str(episodes), "--out", str(tmp_path / "score")]) == 0
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN}
     assert got == GOLDEN
+    text = tmp_path / "v1" / "anomaly_model.ckpt"
+    text.parent.mkdir()
+    net, extra = load_model(tmp_path / "model" / "anomaly_model.ckpt")
+    text.write_bytes(reference_checkpoint(net, extra).encode("utf-8"))
+    assert hashlib.sha256(text.read_bytes()).hexdigest() == GOLDEN_CHECKPOINT_V1
+    assert main(["score", "--model", str(text), "--data", str(episodes),
+                 "--out", str(tmp_path / "score_v1")]) == 0
+    for name in ("scores.csv", "anomaly_report.csv"):
+        from_text = (tmp_path / "score_v1" / name).read_bytes()
+        assert from_text == (tmp_path / "score" / name).read_bytes()

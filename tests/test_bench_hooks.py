@@ -5,10 +5,12 @@ counts a command as failed unless it returns exit code 0, so each command
 must stay a module-level function that returns an int.  It wraps each model
 method it times from the class's own ``__dict__``, so ``TCNNet`` must keep
 its own ``predict`` and ``loss_and_grad`` entries even though they are
-``SeqNet``'s.
+``SeqNet``'s.  It wraps ``save_model``/``load_model`` where ``anomaly`` and
+``forecast`` look them up, so those modules must keep importing them by name.
 """
 
 import importlib
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -55,3 +57,34 @@ def test_tracer_times_each_sequence_class_apart(monkeypatch):
         assert not_restored == []
         names = sorted(s.name for s in tracer.take() if s.name.startswith("nnkit."))
         assert names == [f"nnkit.{cls}.loss_and_grad", f"nnkit.{cls}.predict"]
+
+
+def test_tracer_times_checkpoint_save_and_load(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracer = importlib.import_module("tracer").Tracer()
+    assert main(["generate", "--out", str(tmp_path / "g"), "--seed", "0",
+                 "--n-healthy", "2", "--no-noise"]) == 0
+    episodes = tmp_path / "g" / "episodes"
+    healthy = tmp_path / "healthy"
+    healthy.mkdir()
+    for p in episodes.glob("ep_0000[01].*"):
+        shutil.copy(p, healthy)
+    model = tmp_path / "model"
+    commands = {
+        "train_anomaly": ["train-anomaly", "--data", str(healthy), "--out", str(model),
+                          "--epochs", "1"],
+        "score": ["score", "--model", str(model / "anomaly_model.ckpt"),
+                  "--data", str(healthy), "--out", str(tmp_path / "score")],
+    }
+    counts = {}
+    for name, argv in commands.items():
+        tracer.install()
+        try:
+            rc = main(argv)
+        finally:
+            not_restored = tracer.uninstall()
+        assert rc == 0
+        assert not_restored == []
+        names = [s.name for s in tracer.take()]
+        counts[name] = (names.count("nnkit.save_model"), names.count("nnkit.load_model"))
+    assert counts == {"train_anomaly": (1, 0), "score": (0, 1)}

@@ -254,6 +254,46 @@ class TestTrainAndScore:
         assert len(lines) == 11  # 10 episodes + header
 
 
+class TestScoreCheckpointErrors:
+    """A damaged checkpoint header makes `sefc score` exit 2 naming the file."""
+
+    @staticmethod
+    def _score(tmp_path, capsys, header_edit=None, head_prefix=b""):
+        from sefc.nnkit import DenseNet, save_model
+
+        path = save_model(tmp_path / "m.ckpt", DenseNet([2, 3, 1], seed=0))
+        head, _, payload = path.read_bytes().partition(b"\n---\n")
+        header = yaml.safe_load(head)
+        if header_edit:
+            header_edit(header)
+        path.write_bytes(head_prefix + yaml.safe_dump(header, sort_keys=False).encode()
+                         + b"---\n" + payload)
+        rc = main(["score", "--model", str(path), "--data", str(tmp_path / "none"),
+                   "--out", str(tmp_path / "score")])
+        return path, rc, capsys.readouterr().err
+
+    def test_spec_missing_key(self, tmp_path, capsys):
+        def rename(header):
+            header["model"]["sizes"] = header["model"].pop("widths")
+        path, rc, err = self._score(tmp_path, capsys, header_edit=rename)
+        assert rc == 2
+        assert err.startswith(f"error: {path}: ")
+        assert "widths" in err
+
+    def test_spec_disagrees_with_parameter_count(self, tmp_path, capsys):
+        def widen(header):
+            header["model"]["widths"] = [2, 4, 1]
+        path, rc, err = self._score(tmp_path, capsys, header_edit=widen)
+        assert rc == 2
+        assert err.startswith(f"error: {path}: ")
+        assert "17" in err and "13" in err
+
+    def test_header_not_utf8(self, tmp_path, capsys):
+        path, rc, err = self._score(tmp_path, capsys, head_prefix=b"# caf\xe9\n")
+        assert rc == 2
+        assert err.startswith(f"error: {path}: ")
+
+
 class TestEvalForecast:
     def test_report_rows_per_horizon_and_model(self, small_corpus, tmp_path):
         out = tmp_path / "fc"

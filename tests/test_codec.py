@@ -1,9 +1,13 @@
 """Byte identity of the canonical-episode and checkpoint codecs.
 
 The reference writers below are the per-cell ``"{:.17g}"`` formatters and
-the pure-Python YAML dumper the array codec replaced.  Every file written
-now must match them byte for byte, and every value read back must carry the
-same bits as ``float()`` on the written cell.
+the pure-Python YAML dumper the array codec replaced.  Every canonical file
+written now must match them byte for byte, and every value read back must
+carry the same bits as ``float()`` on the written cell.  Checkpoints are
+written in version 2 (raw float64 payload) and must match a per-value
+reference writer and read back with the same bits; version-1 text
+checkpoints from ``conftest.reference_checkpoint`` must still read back as
+``float()`` of each line.
 """
 
 import hashlib
@@ -20,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import make_episode
+from conftest import make_episode, reference_checkpoint
 from sefc import codec
 from sefc.cli import main
 from sefc.forecast import _build_net
@@ -91,10 +95,11 @@ def reference_sidecar(ep) -> str:
     return yaml.dump(meta, Dumper=yaml.SafeDumper, sort_keys=False, default_flow_style=False)
 
 
-def reference_checkpoint(model) -> str:
-    header = {"model": model.spec(), "n_params": model.n_params}
-    return (yaml.dump(header, Dumper=yaml.SafeDumper, sort_keys=False, default_flow_style=False)
-            + "---\n" + "".join("{:.17g}\n".format(v) for v in model.get_params()))
+def reference_checkpoint_v2(model) -> bytes:
+    header = {"format": 2, "model": model.spec(), "n_params": model.n_params}
+    return (yaml.dump(header, Dumper=yaml.SafeDumper, sort_keys=False,
+                      default_flow_style=False).encode("utf-8")
+            + b"---\n" + b"".join(int(u).to_bytes(8, "little") for u in _bits(model.get_params())))
 
 
 DESC = {"a": (SignalRole.SETPOINT, "rad", 0), "b": (SignalRole.FEEDBACK, "rad/s", 1),
@@ -161,46 +166,77 @@ class TestCanonicalBytes:
 
 # --- checkpoints -----------------------------------------------------------------
 
+SPECIAL_BITS = [int(b) for b in _bits(SPECIALS)] + [
+    0x7FF0000000000001, 0xFFF0000000000001,         # signalling NaNs
+    0x7FF8DEADBEEF0001, 0xFFFFFFFFFFFFFFFF,         # quiet NaNs with payloads
+]
+
+
+def _load_text(tmp, model) -> np.ndarray:
+    """Parameters read back from the version-1 rendering of *model*."""
+    path = Path(tmp) / "v1.ckpt"
+    path.write_bytes(reference_checkpoint(model).encode("utf-8"))
+    return load_model(path)[0].get_params()
+
+
+def _parsed_cells(model) -> list:
+    return [float("{:.17g}".format(v)) for v in model.get_params()]
+
+
 class TestCheckpointBytes:
-    @given(arrays(np.float64, 13, elements=FLOATS))
+    @given(arrays(np.uint64, 13, elements=st.sampled_from(SPECIAL_BITS)
+                  | st.integers(0, 2**64 - 1)))
     @settings(max_examples=100, deadline=None)
-    def test_save_matches_reference_and_loads_same_bits(self, params):
+    def test_save_matches_reference_and_loads_same_bits(self, bits):
         model = DenseNet([2, 3, 1], seed=0)
-        model.set_params(params)
+        model.set_params(bits.view(np.float64))
+        assert np.array_equal(_bits(model.get_params()), bits)
         with tempfile.TemporaryDirectory() as tmp:
             path = save_model(Path(tmp) / "m.ckpt", model)
-            assert path.read_bytes().decode("utf-8") == reference_checkpoint(model)
+            assert path.read_bytes() == reference_checkpoint_v2(model)
             loaded, _ = load_model(path)
-        expected = [float("{:.17g}".format(v)) for v in params]
-        assert np.array_equal(_bits(loaded.get_params()), _bits(expected))
+            from_text = _load_text(tmp, model)
+        assert np.array_equal(_bits(loaded.get_params()), bits)
+        assert np.array_equal(_bits(from_text), _bits(_parsed_cells(model)))
 
     def test_many_blocks(self, tmp_path):
         model = DenseNet([18, 64, 6], seed=0)
         model.set_params(_random_bits(np.random.default_rng(1), model.n_params))
         path = save_model(tmp_path / "m.ckpt", model)
-        assert path.read_text() == reference_checkpoint(model)
+        assert path.read_bytes() == reference_checkpoint_v2(model)
         loaded, _ = load_model(path)
-        expected = [float("{:.17g}".format(v)) for v in model.get_params()]
-        assert np.array_equal(_bits(loaded.get_params()), _bits(expected))
+        assert np.array_equal(_bits(loaded.get_params()), _bits(model.get_params()))
+        assert np.array_equal(_bits(_load_text(tmp_path, model)), _bits(_parsed_cells(model)))
 
 
-# sha256 of `save_model` on `_build_net(kind, 6, seed=0)`, recorded while TCNNet
-# and SeqNet were separate classes (numpy 2.4, x86-64).  The spec, the parameter
-# order and the initial values of both sequence kinds must not move.
+# sha256 of the version-1 text checkpoint of `_build_net(kind, 6, seed=0)`,
+# recorded from `save_model` while TCNNet and SeqNet were separate classes
+# (numpy 2.4, x86-64) and now rendered by `reference_checkpoint`.  The spec,
+# the parameter order and the initial values of both sequence kinds must not
+# move.  The version-2 digests are those of `save_model` on the same nets.
 GOLDEN_CHECKPOINTS = {
     "tcn": "e39025e664be192a4b04477bdd9b2addcba57417dbf82701ff32cc8450bee1a3",
     "tcn_transformer": "016bd57222ac209aeed0110818b7ef0bc5c158bf29cce456982cbe8e84884f64",
+}
+GOLDEN_CHECKPOINTS_V2 = {
+    "tcn": "6301641041607b7a04f0182ad16ce8a8ef82409686fb6624aaec28516024686c",
+    "tcn_transformer": "ef09814dba4f01e98fba8da470bfd4e2b9d33f05b1b3eb4ddd4cdc3c1f814e0c",
 }
 
 
 @pytest.mark.parametrize("kind", sorted(GOLDEN_CHECKPOINTS))
 def test_sequence_checkpoint_digests(tmp_path, kind):
     net = _build_net(kind, 6, seed=0)
+    text = tmp_path / "v1.ckpt"
+    text.write_bytes(reference_checkpoint(net).encode("utf-8"))
+    assert hashlib.sha256(text.read_bytes()).hexdigest() == GOLDEN_CHECKPOINTS[kind]
     path = save_model(tmp_path / "m.ckpt", net)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_CHECKPOINTS[kind]
-    loaded, _ = load_model(path)
-    assert type(loaded) is type(net)
-    assert path.read_bytes() == save_model(tmp_path / "again.ckpt", loaded).read_bytes()
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_CHECKPOINTS_V2[kind]
+    for written in (text, path):
+        loaded, _ = load_model(written)
+        assert type(loaded) is type(net)
+        assert np.array_equal(_bits(loaded.get_params()), _bits(net.get_params()))
+        assert path.read_bytes() == save_model(tmp_path / "again.ckpt", loaded).read_bytes()
 
 
 # --- YAML sidecars ---------------------------------------------------------------

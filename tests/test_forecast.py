@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import make_episode
 from sefc import synthgen
-from sefc.errors import HorizonOverrun, MissingChannel, ShapeMismatch
+from sefc.errors import HorizonOverrun, MissingChannel, SchemaViolation, ShapeMismatch
 from sefc.forecast import (
     FEATURE_BLOCKS,
     Forecaster,
@@ -19,8 +21,9 @@ from sefc.forecast import (
     survival_curve,
     train_forecaster,
     transfer_eval,
+    _build_net,
 )
-from sefc.nnkit import TrainConfig
+from sefc.nnkit import TrainConfig, save_model
 from sefc.schema import SignalRole
 
 
@@ -340,6 +343,17 @@ class TestTransfer:
         x, _ = make_windows(eps[0], "accel")
         assert np.array_equal(loaded.predict_batch(x), model.predict_batch(x))
         assert loaded.kind == "linear" and loaded.target == "accel"
+
+    @pytest.mark.parametrize("drop", ["forecaster_kind", "x_mean", "y_stdev"])
+    def test_load_rejects_checkpoint_without_forecaster_extras(self, tmp_path, drop):
+        extra = {"forecaster_kind": "linear", "target": "accel",
+                 "x_mean": [0.0] * 36, "x_stdev": [1.0] * 36,
+                 "y_mean": [0.0] * 6, "y_stdev": [1.0] * 6}
+        del extra[drop]
+        path = save_model(tmp_path / "f.ckpt", _build_net("linear", 6, seed=0), extra=extra)
+        with pytest.raises(SchemaViolation,
+                           match=f"{re.escape(str(path))}: not a forecaster checkpoint"):
+            Forecaster.load(path)
 
     def test_ci_halfwidth_formula(self):
         ep1 = recurrence_episode(seed=1, n_steps=60, episode_id="a")

@@ -578,6 +578,21 @@ class TestCanonicalReadErrors:
         with pytest.raises(SchemaViolation, match="channel name 'b' appears twice"):
             read_canonical(csv_path)
 
+    @pytest.mark.parametrize("sidecar_edit, lines_edit, reason", [
+        (lambda meta: meta.update(task="juggling"), None, "unknown task 'juggling'"),
+        (None, lambda ls: ls[:3] + ["0.025" + ls[3][ls[3].index(","):]] + ls[4:],
+         "time base is not uniform"),
+        (lambda meta: meta.update(healthy=False), None, "healthy flag inconsistent"),
+    ], ids=["unknown_task", "non_uniform_time_base", "healthy_without_fault"])
+    def test_episode_invariant_names_file(self, written, sidecar_edit, lines_edit, reason):
+        _, csv_path = written
+        if sidecar_edit:
+            self._edit_sidecar(csv_path, sidecar_edit)
+        if lines_edit:
+            self._edit_lines(csv_path, lines_edit)
+        with pytest.raises(SchemaViolation, match=f"^{re.escape(str(csv_path))}: {reason}"):
+            read_canonical(csv_path)
+
 
 class TestPairing:
     def _eps(self, ids):

@@ -4,7 +4,9 @@ import re
 
 import numpy as np
 import pytest
+import yaml
 
+from conftest import reference_checkpoint
 from sefc.errors import EmptyDataset, SchemaViolation, ShapeMismatch
 from sefc.nnkit import (
     DenseNet,
@@ -267,23 +269,86 @@ class TestCheckpoint:
     ])
     def test_round_trip(self, factory, tmp_path):
         model = factory()
-        path = save_model(tmp_path / "m.ckpt", model, extra={"note": "x"})
-        loaded, extra = load_model(path)
-        assert extra == {"note": "x"}
+        extra = {"note": "x", "text": "a\n---\nb"}
+        path = save_model(tmp_path / "m.ckpt", model, extra=extra)
+        loaded, loaded_extra = load_model(path)
+        assert loaded_extra == extra
         assert loaded.spec() == model.spec()
         assert np.array_equal(loaded.get_params(), model.get_params())
 
+    @staticmethod
+    def _files(tmp_path):
+        """One model as a version-2 file from `save_model` and as version-1 text."""
+        model = DenseNet([2, 3, 1], seed=0)
+        text = tmp_path / "v1.ckpt"
+        text.write_bytes(reference_checkpoint(model).encode("utf-8"))
+        return save_model(tmp_path / "m.ckpt", model), text
+
+    @staticmethod
+    def _rewrite(path, header_edit=None, payload_edit=None):
+        """Re-write a version-2 file with its header and payload edited."""
+        head, _, payload = path.read_bytes().partition(b"\n---\n")
+        header = yaml.safe_load(head)
+        if header_edit:
+            header_edit(header)
+        if payload_edit:
+            payload = payload_edit(payload)
+        path.write_bytes(yaml.safe_dump(header, sort_keys=False).encode() + b"---\n" + payload)
+
     def test_malformed_header_yaml(self, tmp_path):
-        path = save_model(tmp_path / "m.ckpt", DenseNet([2, 3, 1], seed=0))
-        params = path.read_text().split("\n---\n", 1)[1]
-        path.write_text("model: {kind: dense, sizes: [2, 3\n---\n" + params)
-        with pytest.raises(SchemaViolation, match=re.escape(str(path))):
-            load_model(path)
+        for path in self._files(tmp_path):
+            params = path.read_bytes().split(b"\n---\n", 1)[1]
+            path.write_bytes(b"model: {kind: dense, sizes: [2, 3\n---\n" + params)
+            with pytest.raises(SchemaViolation, match=re.escape(str(path))):
+                load_model(path)
 
     def test_non_numeric_parameter(self, tmp_path):
-        path = save_model(tmp_path / "m.ckpt", DenseNet([2, 3, 1], seed=0))
+        _, path = self._files(tmp_path)
         lines = path.read_text().splitlines(keepends=True)
         lines[-2] = "not-a-number\n"
         path.write_text("".join(lines))
         with pytest.raises(SchemaViolation, match=re.escape(str(path))):
+            load_model(path)
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_version1_text_mode_newlines(self, tmp_path, newline):
+        binary, path = self._files(tmp_path)
+        path.write_bytes(path.read_bytes().replace(b"\n", newline.encode()))
+        assert np.array_equal(load_model(path)[0].get_params().view(np.uint64),
+                              load_model(binary)[0].get_params().view(np.uint64))
+
+    @pytest.mark.parametrize("header_edit, payload_edit, reason", [
+        (None, lambda p: p[:-3], "truncated payload: 101 bytes, 13 params need 104"),
+        (None, lambda p: p + b"\n", "1 trailing bytes after 13 params"),
+        (lambda h: h.update(n_params=12), None, "8 trailing bytes after 12 params"),
+        (lambda h: h.update(n_params=14), None, "truncated payload: 104 bytes, 14 params"),
+        (lambda h: h.update(n_params=17), lambda p: p + bytes(32),
+         "the model spec has 13 params, file has 17"),
+        (lambda h: h.pop("n_params"), None,
+         "header needs a non-negative integer n_params, got None"),
+        (lambda h: h.update(n_params="13"), None,
+         "header needs a non-negative integer n_params, got '13'"),
+        (lambda h: h.update(format=3), None, "unknown checkpoint format 3"),
+        (lambda h: h.update(format="2"), None, "unknown checkpoint format '2'"),
+    ], ids=["truncated", "trailing_newline", "n_params_below_payload", "n_params_above_payload",
+            "n_params_and_payload_above_spec", "no_n_params", "n_params_string",
+            "format_3", "format_string"])
+    def test_version2_defect_names_file(self, tmp_path, header_edit, payload_edit, reason):
+        path, _ = self._files(tmp_path)
+        self._rewrite(path, header_edit, payload_edit)
+        with pytest.raises(SchemaViolation, match=f"^{re.escape(str(path))}: {re.escape(reason)}"):
+            load_model(path)
+
+    @pytest.mark.parametrize("spec", [
+        {"kind": "dense", "sizes": [2, 3, 1]},
+        {"kind": "dense", "widths": [2]},
+        {"kind": "dense", "widths": 5},
+        {"kind": "seqnet"},
+        {"kind": ["dense"], "widths": [2, 3, 1]},
+    ], ids=["missing_key", "too_few_widths", "widths_not_a_list", "seqnet_without_keys",
+            "unhashable_kind"])
+    def test_bad_spec_names_file(self, tmp_path, spec):
+        path, _ = self._files(tmp_path)
+        self._rewrite(path, lambda header: header.update(model=spec))
+        with pytest.raises(SchemaViolation, match=f"^{re.escape(str(path))}: "):
             load_model(path)
