@@ -19,7 +19,7 @@ from scipy.stats import rankdata
 from .codec import dump_yaml, write_csv
 from .errors import DegenerateLabels, EmptyDataset, SchemaViolation
 from .nnkit import DenseNet, TrainConfig, TrainHistory, train
-from .nnkit.checkpoint import load_model, require_extras, save_model
+from .nnkit.checkpoint import extra_list, load_model, require_extras, save_model
 from .schema import Episode
 
 ANOMALY_INPUT_CHANNELS = tuple(
@@ -47,6 +47,13 @@ class Standardizer:
 
     def inverse(self, x: np.ndarray) -> np.ndarray:
         return x * self.std + self.mean
+
+    @classmethod
+    def from_extra(cls, extra: dict, prefix: str, length: int, path) -> "Standardizer":
+        """The ``<prefix>_mean``/``<prefix>_stdev`` checkpoint extras, each *length* numbers."""
+        mean, std = (extra_list(extra, f"{prefix}_{k}", length, (int, float), path)
+                     for k in ("mean", "stdev"))
+        return cls(np.asarray(mean, np.float64), np.asarray(std, np.float64))
 
 
 @dataclass(frozen=True)
@@ -97,28 +104,25 @@ class AnomalyModel:
         require_extras(extra, _CHECKPOINT_EXTRAS, path, "an anomaly")
         if not isinstance(net, DenseNet):
             raise SchemaViolation(f"{path}: not an anomaly checkpoint")
+        n_in, n_out = net.widths[0], net.out_dim
         return cls(
             net=net,
-            x_std=Standardizer(np.asarray(extra["x_mean"]), np.asarray(extra["x_stdev"])),
-            y_std=Standardizer(np.asarray(extra["y_mean"]), np.asarray(extra["y_stdev"])),
-            input_channels=tuple(extra["input_channels"]),
-            output_channels=tuple(extra["output_channels"]),
+            x_std=Standardizer.from_extra(extra, "x", n_in, path),
+            y_std=Standardizer.from_extra(extra, "y", n_out, path),
+            input_channels=tuple(extra_list(extra, "input_channels", n_in, (str,), path)),
+            output_channels=tuple(extra_list(extra, "output_channels", n_out, (str,), path)),
         )
 
 
 def train_anomaly_model(
     episodes: Sequence[Episode],
     config: TrainConfig = TrainConfig(),
-    hidden: Sequence[int] = (512, 256, 128),
-    val_fraction: float = 0.15,
-    input_channels: Sequence[str] = ANOMALY_INPUT_CHANNELS,
-    output_channels: Sequence[str] = ANOMALY_OUTPUT_CHANNELS,
 ) -> tuple[AnomalyModel, TrainHistory]:
     """Fit the regressor on healthy episodes only.
 
     Any labeled-faulty episode in the input is a protocol violation and
-    raises SchemaViolation.  The last ``val_fraction`` of episodes form the
-    validation split; the standardizers are fitted on the training split.
+    raises SchemaViolation.  The last 15% of episodes (at least one) form
+    the validation split; the standardizers are fitted on the training split.
     """
     faulty = [ep.episode_id for ep in episodes if not ep.healthy]
     if faulty:
@@ -129,24 +133,22 @@ def train_anomaly_model(
     if len(episodes) < 2:
         raise EmptyDataset("need at least 2 healthy episodes (train + val)")
 
-    n_val = max(1, int(round(val_fraction * len(episodes))))
-    train_eps = list(episodes[:-n_val])
-    val_eps = list(episodes[-n_val:])
-    x_train, y_train = build_regression_set(train_eps, input_channels, output_channels)
-    x_val, y_val = build_regression_set(val_eps, input_channels, output_channels)
+    n_val = max(1, int(round(0.15 * len(episodes))))
+    x_train, y_train = build_regression_set(episodes[:-n_val])
+    x_val, y_val = build_regression_set(episodes[-n_val:])
 
     x_std = Standardizer.fit(x_train)
     y_std = Standardizer.fit(y_train)
 
-    net = DenseNet([len(input_channels), *hidden, len(output_channels)], seed=config.seed)
+    net = DenseNet([len(ANOMALY_INPUT_CHANNELS), 512, 256, 128, len(ANOMALY_OUTPUT_CHANNELS)],
+                   seed=config.seed)
     history = train(
         net,
         (x_std.transform(x_train), y_std.transform(y_train)),
         (x_std.transform(x_val), y_std.transform(y_val)),
         config,
     )
-    model = AnomalyModel(net, x_std, y_std, tuple(input_channels), tuple(output_channels))
-    return model, history
+    return AnomalyModel(net, x_std, y_std), history
 
 
 def score_episode(model: AnomalyModel, ep: Episode) -> ScoredEpisode:

@@ -95,17 +95,11 @@ def _train_config(args: argparse.Namespace, **overrides) -> TrainConfig:
 
 @_command
 def cmd_generate(args: argparse.Namespace, out: Path) -> _Done:
-    if args.config:
-        loaded = synthgen.load_generation_config(args.config)
-        config = loaded["config"]
-        n_healthy = loaded["n_healthy"] if args.n_healthy is None else args.n_healthy
-        fault_mix = loaded["fault_mix"]
-        seed = loaded["seed"] if args.seed is None else args.seed
-    else:
-        config = synthgen.RandomizationConfig()
-        n_healthy = args.n_healthy if args.n_healthy is not None else 10
-        fault_mix = {}
-        seed = args.seed if args.seed is not None else 0
+    loaded = synthgen.load_generation_config(args.config) if args.config else {
+        "config": synthgen.RandomizationConfig(), "n_healthy": 10, "fault_mix": {}, "seed": 0}
+    n_healthy = loaded["n_healthy"] if args.n_healthy is None else args.n_healthy
+    fault_mix = loaded["fault_mix"]
+    args.seed = seed = loaded["seed"] if args.seed is None else args.seed
     if args.fault_mix:
         fault_mix = {}
         for part in args.fault_mix.split(","):
@@ -116,17 +110,13 @@ def cmd_generate(args: argparse.Namespace, out: Path) -> _Done:
                     "with a non-negative integer count"
                 )
             fault_mix[name.strip()] = int(count)
-    args.seed = seed
 
-    errors = config.validate()
-    if errors:
-        raise SchemaViolation("; ".join(errors))
     for name in fault_mix:
         if name not in synthgen.INJECTABLE_FAULTS:
             raise UnsupportedFault(name)
 
     episodes = synthgen.generate_corpus(
-        n_healthy, fault_mix, seed, config, noise=not args.no_noise
+        n_healthy, fault_mix, seed, loaded["config"], noise=not args.no_noise
     )
     ep_dir = out / "episodes"
     written = [ingest.write_canonical(ep, ep_dir)[0].name for ep in episodes]
@@ -201,7 +191,7 @@ def cmd_score(args: argparse.Namespace, out: Path) -> _Done:
     scores_path = anomaly.write_scores_csv(scored, out / "scores.csv")
     outputs = [scores_path.name]
     if any(s.is_anomalous for s in scored) and any(not s.is_anomalous for s in scored):
-        report = anomaly.per_category_report(scored, seed=args.seed or 0)
+        report = anomaly.per_category_report(scored, seed=args.seed)
         outputs.append(anomaly.write_report_csv(report, out / "anomaly_report.csv").name)
         outputs.append(
             anomaly.write_report_summary(report, out / "anomaly_summary.yaml").name
@@ -214,16 +204,24 @@ def cmd_eval_forecast(args: argparse.Namespace, out: Path) -> _Done:
     episodes = [ep for ep in ingest.read_episode_dir(args.data) if ep.healthy]
     if len(episodes) < 3:
         raise SchemaViolation("eval-forecast needs at least 3 healthy episodes")
-    horizons = sorted(int(h) for h in args.horizon.split(","))
+    parts = args.horizon.split(",")
+    if not all(p.strip().isdecimal() and int(p) > 0 for p in parts):
+        raise SchemaViolation(
+            f"--horizon {args.horizon!r}: expected comma-separated positive integers")
+    horizons = sorted(int(p) for p in parts)
     h_max = horizons[-1]
     kinds = [k.strip() for k in args.models.split(",")]
     for kind in kinds:
         if kind not in forecast.MODEL_KINDS:
             raise SchemaViolation(f"unknown model kind {kind!r}")
+    config = _train_config(args, optimizer="adamw")
 
     n_eval = max(1, len(episodes) // 5)
     train_eps, eval_eps = episodes[:-n_eval], episodes[-n_eval:]
     start = args.start
+    if start < forecast.WINDOW_STEPS:
+        raise SchemaViolation(f"--start {start}: a rollout needs {forecast.WINDOW_STEPS} "
+                              "steps of history")
     for ep in eval_eps:
         if start + h_max >= ep.n_steps:
             raise SchemaViolation(
@@ -234,10 +232,7 @@ def cmd_eval_forecast(args: argparse.Namespace, out: Path) -> _Done:
     survival_by_model: dict[str, float] = {}
     curves: dict[str, np.ndarray] = {}
     for kind in kinds:
-        model, _ = forecast.train_forecaster(
-            train_eps, kind, target="accel",
-            config=_train_config(args, optimizer="adamw"),
-        )
+        model, _ = forecast.train_forecaster(train_eps, kind, target="accel", config=config)
         results = [
             forecast.euler_rollout(model, ep, start, h_max, args.threshold)
             for ep in eval_eps
@@ -262,12 +257,10 @@ def cmd_eval_transfer(args: argparse.Namespace, out: Path) -> _Done:
     source = [ep for ep in ingest.read_episode_dir(args.train_data) if ep.healthy]
     target = ingest.read_episode_dir(args.eval_data)
     kinds = [k.strip() for k in args.models.split(",")]
+    config = _train_config(args, optimizer="adamw")
     reports = []
     for kind in kinds:
-        model, _ = forecast.train_forecaster(
-            source, kind, target=args.channel_set,
-            config=_train_config(args, optimizer="adamw"),
-        )
+        model, _ = forecast.train_forecaster(source, kind, args.channel_set, config)
         reports.append(forecast.transfer_eval(model, target, args.channel_set))
     path = forecast.write_transfer_csv(reports, out / "transfer_report.csv")
     return _Done([str(args.train_data), str(args.eval_data)], [path.name],
@@ -405,13 +398,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--real-dir", required=True)
     p.add_argument("--sim-dir", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gap)
 
     p = sub.add_parser("report", help="merge report CSVs into one summary")
     p.add_argument("--in", dest="in_dir", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_report)
 
     return parser

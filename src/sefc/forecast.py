@@ -50,17 +50,15 @@ TARGET_CHANNELS = {
 }
 
 
-def episode_features(ep: Episode, blocks: Sequence[str] = FEATURE_BLOCKS) -> np.ndarray:
-    """Per-step feature matrix; missing feedback acceleration is derived.
+def episode_features(ep: Episode) -> np.ndarray:
+    """Per-step 36-feature matrix in ``FEATURE_BLOCKS`` order.
 
-    The default layout is the 36-feature window (feedback pos/vel/acc then
-    setpoint pos/vel/acc); alternate block orders can be passed in.  When
-    the recording carries no feedback_acc channels, acceleration is the
-    backward difference of feedback velocity (first step copies the
+    When the recording carries no feedback_acc channels, acceleration is
+    the backward difference of feedback velocity (first step copies the
     second).
     """
     cols: list[np.ndarray] = []
-    for block in blocks:
+    for block in FEATURE_BLOCKS:
         for i in range(N_JOINTS):
             name = f"{block}_{i}"
             if block == "feedback_acc" and not ep.has_channel(name):
@@ -82,20 +80,16 @@ def episode_targets(ep: Episode, target: str = "accel") -> np.ndarray:
     return ep.columns(TARGET_CHANNELS[target])
 
 
-def make_windows(
-    ep: Episode, target: str = "accel", window: int = WINDOW_STEPS
-) -> tuple[np.ndarray, np.ndarray]:
-    """All (window, 36) -> next-step-target training pairs of one episode."""
+def make_windows(ep: Episode, target: str = "accel") -> tuple[np.ndarray, np.ndarray]:
+    """All (10, 36) -> next-step-target training pairs of one episode."""
     feats = episode_features(ep)
     targets = episode_targets(ep, target)
-    T = ep.n_steps
-    if T <= window:
-        raise EmptyDataset(f"{ep.episode_id}: too short for a {window}-step window")
-    # window k is feats[k:k + window]; the last full window has no target row
-    x = np.array(sliding_window_view(feats[:-1], window, axis=0).transpose(0, 2, 1),
+    if ep.n_steps <= WINDOW_STEPS:
+        raise EmptyDataset(f"{ep.episode_id}: too short for a {WINDOW_STEPS}-step window")
+    # window k is feats[k:k + 10]; the last full window has no target row
+    x = np.array(sliding_window_view(feats[:-1], WINDOW_STEPS, axis=0).transpose(0, 2, 1),
                  dtype=np.float64, order="C")
-    y = targets[window:]
-    return x, y
+    return x, targets[WINDOW_STEPS:]
 
 
 def validate_window(window: np.ndarray) -> np.ndarray:
@@ -154,8 +148,8 @@ class Forecaster:
         return cls(
             kind=str(extra["forecaster_kind"]),
             net=net,
-            x_std=Standardizer(np.asarray(extra["x_mean"]), np.asarray(extra["x_stdev"])),
-            y_std=Standardizer(np.asarray(extra["y_mean"]), np.asarray(extra["y_stdev"])),
+            x_std=Standardizer.from_extra(extra, "x", N_FEATURES, path),
+            y_std=Standardizer.from_extra(extra, "y", net.out_dim, path),
             target=str(extra.get("target", "accel")),
             out_dim=net.out_dim,
         )
@@ -193,9 +187,8 @@ def train_forecaster(
     target: str = "accel",
     config: TrainConfig = TrainConfig(optimizer="adamw", lr0=1e-4, max_epochs=100,
                                       patience=100, batch_size=1024),
-    val_fraction: float = 0.12,
 ) -> tuple[Forecaster, Optional[TrainHistory]]:
-    """Train one of the named predictors on pooled episode windows."""
+    """Train one of the named predictors; the last 12% of episodes (at least one) validate."""
     if kind not in MODEL_KINDS:
         raise SchemaViolation(f"unknown model kind {kind!r}")
     if kind == "kinematic_zero":
@@ -203,7 +196,7 @@ def train_forecaster(
     if not episodes:
         raise EmptyDataset("no training episodes")
 
-    n_val = max(1, int(round(val_fraction * len(episodes))))
+    n_val = max(1, int(round(0.12 * len(episodes))))
     if len(episodes) <= n_val:
         raise EmptyDataset("not enough episodes for a train/val split")
     windows = [make_windows(ep, target) for ep in episodes]
@@ -268,17 +261,16 @@ def euler_rollout(
     start: int,
     horizon: int,
     threshold_rad: float = 0.01,
-    window: int = WINDOW_STEPS,
 ) -> RolloutResult:
     """Closed-loop rollout of *horizon* steps from the recorded state at *start*.
 
-    At each step t the model sees the window of rows [t-window, t) --
+    At each step t the model sees the window of rows [t-10, t) --
     recorded history before the start, its own predictions after -- and
     returns the acceleration at t; then v_{t+1} = v_t + a_t dt and
     q_{t+1} = q_t + v_t dt.  *model* needs only a ``predict_batch`` method.
     """
-    if start < window:
-        raise HorizonOverrun(f"start={start} leaves no {window}-step history")
+    if start < WINDOW_STEPS:
+        raise HorizonOverrun(f"start={start} leaves no {WINDOW_STEPS}-step history")
     if start + horizon >= ep.n_steps:
         raise HorizonOverrun(
             f"start={start} + H={horizon} overruns episode of {ep.n_steps} steps"
@@ -299,7 +291,7 @@ def euler_rollout(
         t = start + k
         work[t, _FB_POS] = q
         work[t, _FB_VEL] = v
-        a = np.asarray(model.predict_batch(work[t - window:t][None]))[0]
+        a = np.asarray(model.predict_batch(work[t - WINDOW_STEPS:t][None]))[0]
         work[t, _FB_ACC] = a
         v_next = v + a * dt
         q_next = q + v * dt
@@ -418,7 +410,6 @@ def transfer_eval(
     model: Forecaster,
     target_episodes: Sequence[Episode],
     target: Optional[str] = None,
-    window: int = WINDOW_STEPS,
 ) -> TransferReport:
     """Zero-shot one-step-ahead evaluation on an unseen embodiment.
 
@@ -430,7 +421,7 @@ def transfer_eval(
     target = target or model.target
     mcs, raws = [], []
     for ep in target_episodes:
-        x, y = make_windows(ep, target, window)
+        x, y = make_windows(ep, target)
         pred = model.predict_batch(x)
         mcs.append(mc_mae(pred, y))
         raws.append(float(np.mean(np.abs(pred - y))))

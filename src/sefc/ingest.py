@@ -17,7 +17,7 @@ import csv
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -57,7 +57,8 @@ def parse_raw_csv(
     columns with any non-numeric cell come back as object arrays of
     ``str | None``.  Cells are stripped of surrounding whitespace before
     the NA check; the decimal mark is rewritten to ``.`` before ``float()``.
-    Blank lines are skipped.
+    In an object column a cell that reads as a number once its decimal mark
+    is ``.`` holds that rewritten text.  Blank lines are skipped.
 
     A plain file (ASCII only, no quote character, no ``\\r``, no
     whitespace other than the delimiter and no line longer than
@@ -230,8 +231,16 @@ def _parse_column(cells: Sequence[Optional[str]], decimal: str) -> np.ndarray:
         try:
             values[i] = float(s)
         except ValueError:
-            return np.asarray(cells, dtype=object)
+            return np.asarray([_point_decimal(c, decimal) for c in cells], dtype=object)
     return values
+
+
+def _point_decimal(cell: Optional[str], decimal: str) -> Optional[str]:
+    """*cell* with its decimal mark rewritten to ``.`` when that makes it a number."""
+    if cell is None or decimal == "." or decimal not in cell:
+        return cell
+    rewritten = cell.replace(decimal, ".")
+    return rewritten if _is_number(rewritten) else cell
 
 
 # ---------------------------------------------------------------------------
@@ -372,16 +381,14 @@ def write_canonical(ep: Episode, out_dir: Union[str, Path]) -> tuple[Path, Path]
     return csv_path, sidecar
 
 
-def read_canonical(
-    csv_path: Union[str, Path], sidecar: Union[str, Path, None] = None
-) -> Episode:
-    """Read a canonical episode, validating all invariants.
+def read_canonical(csv_path: Union[str, Path]) -> Episode:
+    """Read a canonical episode and its sidecar, validating all invariants.
 
     Raises SchemaViolation when the data file and sidecar disagree or the
     decoded episode breaks an invariant.
     """
     csv_path = Path(csv_path)
-    sidecar = Path(sidecar) if sidecar is not None else sidecar_path_for(csv_path)
+    sidecar = sidecar_path_for(csv_path)
     meta = load_yaml(sidecar.read_text(encoding="utf-8"), sidecar)
     if not isinstance(meta, dict):
         raise SchemaViolation(f"{sidecar}: sidecar is not a mapping")
@@ -488,11 +495,9 @@ def default_pair_key(ep: Episode) -> str:
 
 
 def pair_episodes(
-    real_set: Sequence[Episode],
-    sim_set: Sequence[Episode],
-    key_fn: Callable[[Episode], str] = default_pair_key,
+    real_set: Sequence[Episode], sim_set: Sequence[Episode]
 ) -> tuple[list[EpisodePair], UnpairedReport]:
-    """Match real and simulated episodes on a shared naming key.
+    """Match real and simulated episodes on ``default_pair_key``.
 
     Raises DuplicateKey when a key repeats within one set; keys present on
     only one side land in the unpaired report.
@@ -500,7 +505,7 @@ def pair_episodes(
     def index(eps: Sequence[Episode], set_name: str) -> dict[str, Episode]:
         out: dict[str, Episode] = {}
         for ep in eps:
-            key = key_fn(ep)
+            key = default_pair_key(ep)
             if key in out:
                 raise DuplicateKey(set_name, key)
             out[key] = ep

@@ -91,6 +91,17 @@ def require_extras(extra: dict, keys: Iterable[str], path: Union[str, Path], kin
         raise SchemaViolation(f"{path}: not {kind} checkpoint: no {', '.join(missing)}")
 
 
+def extra_list(extra: dict, key: str, length: int, types: tuple, path: Union[str, Path]) -> list:
+    """``extra[key]`` if it holds *length* values of *types*; else SchemaViolation naming it."""
+    value = extra[key]
+    if isinstance(value, list) and len(value) == length and all(type(v) in types for v in value):
+        return value
+    got = (f"{len(value)} entries" if isinstance(value, list) and len(value) != length
+           else repr(value)[:60])
+    raise SchemaViolation(f"{path}: {key} must be a list of {length} "
+                          f"{'/'.join(t.__name__ for t in types)} values, got {got}")
+
+
 def _build(spec: dict, path: Path) -> Model:
     kind = spec.get("kind")
     build = MODEL_KINDS.get(kind) if isinstance(kind, str) else None

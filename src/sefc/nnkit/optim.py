@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass
 class AdamState:
@@ -24,9 +26,6 @@ def adam_step(
     params: np.ndarray,
     grads: np.ndarray,
     lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
     weight_decay: float = 0.0,
     decoupled: bool = False,
 ) -> np.ndarray:
@@ -38,11 +37,11 @@ def adam_step(
     """
     g = grads if (decoupled or weight_decay == 0.0) else grads + weight_decay * params
     state.t += 1
-    state.m = beta1 * state.m + (1.0 - beta1) * g
-    state.v = beta2 * state.v + (1.0 - beta2) * g * g
-    m_hat = state.m / (1.0 - beta1 ** state.t)
-    v_hat = state.v / (1.0 - beta2 ** state.t)
-    new = params - lr * m_hat / (np.sqrt(v_hat) + eps)
+    state.m = BETA1 * state.m + (1.0 - BETA1) * g
+    state.v = BETA2 * state.v + (1.0 - BETA2) * g * g
+    m_hat = state.m / (1.0 - BETA1 ** state.t)
+    v_hat = state.v / (1.0 - BETA2 ** state.t)
+    new = params - lr * m_hat / (np.sqrt(v_hat) + EPS)
     if decoupled and weight_decay != 0.0:
         new = new - lr * weight_decay * params
     return new
@@ -50,6 +49,4 @@ def adam_step(
 
 def cosine_lr(lr0: float, epoch: int, max_epochs: int) -> float:
     """Half-cosine decay from lr0 at epoch 0 to 0 at max_epochs."""
-    if max_epochs <= 0:
-        return lr0
     return lr0 * (1.0 + math.cos(math.pi * min(epoch, max_epochs) / max_epochs)) / 2.0

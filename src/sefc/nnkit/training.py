@@ -23,18 +23,18 @@ class TrainConfig:
     batch_size: int = 4096
     max_epochs: int = 500
     patience: int = 30
-    schedule: str = "cosine"         # cosine | constant
     seed: int = 0
 
     def __post_init__(self):
         if self.lr0 <= 0:
             raise ValueError("lr0 must be positive")
+        for name in ("batch_size", "max_epochs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.patience > self.max_epochs:
             raise ValueError("patience must not exceed max_epochs")
         if self.optimizer not in ("adam", "adamw"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.schedule not in ("cosine", "constant"):
-            raise ValueError(f"unknown schedule {self.schedule!r}")
 
 
 @dataclass
@@ -80,11 +80,7 @@ def train(
     n = len(x_train)
     for epoch in range(config.max_epochs):
         t0 = time.perf_counter()
-        lr = (
-            cosine_lr(config.lr0, epoch, config.max_epochs)
-            if config.schedule == "cosine"
-            else config.lr0
-        )
+        lr = cosine_lr(config.lr0, epoch, config.max_epochs)
         perm = rng.permutation(n)
         total = 0.0
         for start in range(0, n, config.batch_size):

@@ -228,7 +228,6 @@ class EpisodeMeta:
     task: str
     fault: Optional[str] = None
     phase_column: Optional[str] = None
-    start_time_s: float = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +396,7 @@ def apply_adapter(
         phase = np.full(n_rows, "unknown", dtype=object)
         phase = np.asarray(phase, dtype=str)
 
-    t = meta.start_time_s + np.arange(n_rows, dtype=np.float64) / spec.native_rate_hz
+    t = np.arange(n_rows, dtype=np.float64) / spec.native_rate_hz
     return Episode(
         episode_id=meta.episode_id,
         source_id=spec.source_id,

@@ -24,6 +24,7 @@ enter the declared plant (no contact model is invented for them).
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -94,11 +95,8 @@ class RandomizationConfig:
     """Domain-randomization ranges and the sensor-noise table."""
 
     mass_kg_range: tuple[float, float] = (0.10, 0.30)
-    mass_kg_exploratory_cap: float = 0.80
     friction_range: tuple[float, float] = (0.30, 0.50)
-    gripper_pad_friction: float = 1.2
     kp_grip_range: tuple[float, float] = (5000.0, 12000.0)
-    sigma_base: float = 0.002
     sigma_pos_rad: float = 0.002
     sigma_vel_radps: float = 0.02
     sigma_effort: float = 0.1
@@ -111,22 +109,15 @@ class RandomizationConfig:
     cube_height_m_range: tuple[float, float] = (0.03, 0.07)
 
     def validate(self) -> list[str]:
-        """Return field-naming error messages (empty when valid)."""
+        """Return field-naming error messages (empty when valid).
+
+        Every ``*_range`` needs lo <= hi and every ``sigma_*`` must be >= 0.
+        """
         errors = []
-        for name in (
-            "mass_kg_range",
-            "friction_range",
-            "kp_grip_range",
-            "cube_width_m_range",
-            "cube_depth_m_range",
-            "cube_height_m_range",
-        ):
-            lo, hi = getattr(self, name)
-            if lo > hi:
-                errors.append(f"{name}: lo {lo} > hi {hi}")
-        for name in ("sigma_base", "sigma_pos_rad", "sigma_vel_radps",
-                     "sigma_effort", "sigma_obj_xy_m", "sigma_obj_z_m"):
-            if getattr(self, name) < 0:
+        for name, value in vars(self).items():
+            if name.endswith("_range") and value[0] > value[1]:
+                errors.append(f"{name}: lo {value[0]} > hi {value[1]}")
+            elif name.startswith("sigma_") and value < 0:
                 errors.append(f"{name}: must be >= 0")
         if self.sim_dt_s <= 0:
             errors.append("sim_dt_s: must be positive")
@@ -872,17 +863,25 @@ def load_generation_config(path: Union[str, Path]) -> dict:
     doc = load_yaml(Path(path).read_text(encoding="utf-8"), path) or {}
     if not isinstance(doc, dict):
         raise SchemaViolation(f"{path}: not a mapping")
-    known = {f for f in RandomizationConfig.__dataclass_fields__}
+    randomization = doc.get("randomization") or {}
+    if not isinstance(randomization, dict):
+        raise SchemaViolation(f"{path}: randomization must be a mapping of field to value")
+    defaults = vars(RandomizationConfig())
     overrides = {}
-    for key, value in (doc.get("randomization") or {}).items():
-        if key not in known:
+    for key, value in randomization.items():
+        if key not in defaults:
             raise SchemaViolation(f"{path}: unknown randomization field {key!r}")
-        current = getattr(RandomizationConfig(), key)
-        overrides[key] = tuple(value) if isinstance(current, tuple) else type(current)(value)
+        where, default = f"{path}: randomization.{key}", defaults[key]
+        if not isinstance(default, tuple):
+            overrides[key] = _finite_float(value, where)
+        elif isinstance(value, list) and len(value) == len(default):
+            overrides[key] = tuple(_finite_float(v, where) for v in value)
+        else:
+            raise SchemaViolation(f"{where} must be a list of {len(default)} numbers, got {value!r}")
     config = RandomizationConfig(**overrides)
     errors = config.validate()
     if errors:
-        raise SchemaViolation("; ".join(errors))
+        raise SchemaViolation(f"{path}: " + "; ".join(f"randomization.{e}" for e in errors))
     fault_mix = doc.get("fault_mix") or {}
     if not isinstance(fault_mix, dict):
         raise SchemaViolation(f"{path}: fault_mix must be a mapping of fault type to count")
@@ -900,3 +899,11 @@ def _non_negative_int(value, path: Union[str, Path], key: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < 0:
         raise SchemaViolation(f"{path}: {key} must be a non-negative integer, got {value!r}")
     return value
+
+
+def _finite_float(value, where: str) -> float:
+    """*value* as a finite float; text counts, as YAML reads ``1e-3`` as a string."""
+    with contextlib.suppress(TypeError, ValueError):
+        if type(value) is not bool and math.isfinite(number := float(value)):
+            return number
+    raise SchemaViolation(f"{where} must be a finite number, got {value!r}")

@@ -117,8 +117,7 @@ def test_criterion_04_desk_scale_anomaly_experiment():
 
     train_eps, test_healthy = healthy[:60], healthy[60:]
     config = TrainConfig(optimizer="adam", lr0=5e-4, weight_decay=1e-5,
-                         batch_size=4096, max_epochs=40, patience=30,
-                         schedule="cosine", seed=0)
+                         batch_size=4096, max_epochs=40, patience=30, seed=0)
     model, history = anomaly.train_anomaly_model(train_eps, config=config)
 
     scored = anomaly.score_episodes(model, test_healthy + faulty)

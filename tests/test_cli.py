@@ -22,6 +22,10 @@ def _dir_contents_equal(a: Path, b: Path) -> bool:
     )
 
 
+def _no_training(*args, **kwargs):
+    raise AssertionError("a model was trained")
+
+
 @pytest.fixture(scope="module")
 def small_corpus(tmp_path_factory):
     out = tmp_path_factory.mktemp("corpus")
@@ -76,6 +80,35 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {config}: {key}")
         assert "invalid literal" not in err
+
+    @pytest.mark.parametrize("randomization,key", [
+        ({"mass_kg_range": 5}, "randomization.mass_kg_range"),
+        ({"mass_kg_range": [1, 2, 3]}, "randomization.mass_kg_range"),
+        ({"spawn_box_m": ["a", 0.1]}, "randomization.spawn_box_m"),
+        ({"sigma_effort": "abc"}, "randomization.sigma_effort"),
+        ({"sigma_effort": [0.1]}, "randomization.sigma_effort"),
+        ({"sigma_effort": True}, "randomization.sigma_effort"),
+        ({"sigma_effort": float("nan")}, "randomization.sigma_effort"),
+        ([1, 2], "randomization"),
+    ])
+    def test_mistyped_randomization_value_exits_2_naming_key(self, tmp_path, capsys,
+                                                            randomization, key):
+        config = tmp_path / "gen.yaml"
+        config.write_text(yaml.safe_dump({"n_healthy": 1, "randomization": randomization}))
+        rc = main(["generate", "--out", str(tmp_path / "o"), "--config", str(config)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config}: {key} ")
+        assert "Traceback" not in err and "could not convert" not in err
+
+    @pytest.mark.parametrize("field", ["gripper_pad_friction", "mass_kg_exploratory_cap",
+                                       "sigma_base"])
+    def test_removed_randomization_field_exits_2(self, tmp_path, capsys, field):
+        config = tmp_path / "gen.yaml"
+        config.write_text(yaml.safe_dump({"n_healthy": 1, "randomization": {field: 0.5}}))
+        rc = main(["generate", "--out", str(tmp_path / "o"), "--config", str(config)])
+        assert rc == 2
+        assert f"unknown randomization field {field!r}" in capsys.readouterr().err
 
     def test_unknown_fault_exits_2(self, tmp_path):
         rc = main(["generate", "--out", str(tmp_path / "o"), "--seed", "0",
@@ -234,6 +267,21 @@ class TestTrainAndScore:
         assert manifest["best_epoch"] == 1
         assert manifest["stopped_early"] is True
 
+    @pytest.mark.parametrize("flag,value,field", [
+        ("--epochs", "0", "max_epochs"),
+        ("--batch-size", "0", "batch_size"),
+    ])
+    def test_bad_training_number_exits_2_before_training(self, tmp_path, capsys, monkeypatch,
+                                                         flag, value, field):
+        from sefc import anomaly
+
+        monkeypatch.setattr(anomaly, "train", _no_training)
+        rc = main(["train-anomaly", "--data", str(tmp_path), "--out", str(tmp_path / "t"),
+                   flag, value])
+        assert rc == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "t" / "anomaly_model.ckpt").exists()
+
     def test_train_then_score(self, small_corpus, tmp_path):
         healthy_dir = tmp_path / "healthy"
         healthy_dir.mkdir()
@@ -294,6 +342,52 @@ class TestScoreCheckpointErrors:
         assert err.startswith(f"error: {path}: ")
 
 
+class TestScoreCheckpointExtras:
+    """Checkpoint extras that do not fit the net make `sefc score` exit 2 naming file and key."""
+
+    @staticmethod
+    def _extras(n_in=18, n_out=6):
+        return {"input_channels": [f"in_{i}" for i in range(n_in)],
+                "output_channels": [f"out_{i}" for i in range(n_out)],
+                "x_mean": [0.0] * n_in, "x_stdev": [1.0] * n_in,
+                "y_mean": [0.0] * n_out, "y_stdev": [1.0] * n_out}
+
+    @pytest.mark.parametrize("key,value", [
+        ("x_mean", [0.0] * 17),
+        ("x_stdev", [1.0] * 19),
+        ("y_mean", [0.0] * 5),
+        ("y_stdev", [1.0] * 7),
+        ("input_channels", [f"in_{i}" for i in range(17)]),
+        ("output_channels", [f"out_{i}" for i in range(5)]),
+        ("x_mean", ["a"] * 18),
+        ("y_stdev", 1.0),
+        ("input_channels", list(range(18))),
+        ("output_channels", "out"),
+    ])
+    def test_extra_that_does_not_fit_exits_2(self, tmp_path, capsys, key, value):
+        from sefc.nnkit import DenseNet, save_model
+
+        extra = self._extras()
+        extra[key] = value
+        path = save_model(tmp_path / "m.ckpt", DenseNet([18, 4, 6], seed=0), extra=extra)
+        rc = main(["score", "--model", str(path), "--data", str(tmp_path / "none"),
+                   "--out", str(tmp_path / "score")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {key} ")
+        assert "broadcast" not in err
+
+    def test_net_output_width_must_match_torque_channels(self, tmp_path, capsys):
+        from sefc.nnkit import DenseNet, save_model
+
+        path = save_model(tmp_path / "m.ckpt", DenseNet([18, 4, 5], seed=0),
+                          extra=self._extras())
+        rc = main(["score", "--model", str(path), "--data", str(tmp_path / "none"),
+                   "--out", str(tmp_path / "score")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
 class TestEvalForecast:
     def test_report_rows_per_horizon_and_model(self, small_corpus, tmp_path):
         out = tmp_path / "fc"
@@ -304,6 +398,29 @@ class TestEvalForecast:
         lines = (out / "forecast_report.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 2 * 3  # header + 2 models x 3 horizons
         assert (out / "survival_curve.csv").exists()
+
+
+    @pytest.mark.parametrize("flags,name", [
+        (["--horizon", "0,50"], "--horizon"),
+        (["--horizon", "-50"], "--horizon"),
+        (["--horizon", "abc"], "--horizon"),
+        (["--horizon", "50,"], "--horizon"),
+        (["--start", "5"], "--start"),
+        (["--epochs", "0"], "max_epochs"),
+        (["--batch-size", "0"], "batch_size"),
+    ])
+    def test_bad_number_exits_2_before_training(self, small_corpus, tmp_path, capsys,
+                                                monkeypatch, flags, name):
+        from sefc import forecast
+
+        monkeypatch.setattr(forecast, "train", _no_training)
+        out = tmp_path / "fc"
+        rc = main(["eval-forecast", "--data", str(small_corpus), "--out", str(out),
+                   "--models", "linear", "--epochs", "1", *flags])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert name in err and "invalid literal" not in err
+        assert not (out / "forecast_report.csv").exists()
 
 
 class TestEvalTransfer:
@@ -415,6 +532,9 @@ class TestGapManifest:
         assert list(manifest)[-2:] == ["tool_version", "wall_time_s"]
         assert manifest["outputs"] == ["gap_pairs.csv", "gap_summary.csv"]
 
+    def test_seed_is_null(self, gap_run):
+        assert gap_run[0]["seed"] is None
+
 
 class TestReport:
     def test_merges_available_sections(self, tmp_path):
@@ -425,3 +545,11 @@ class TestReport:
         assert rc == 0
         text = (out / "summary.csv").read_text()
         assert "gap" in text and "transfer" in text
+
+    def test_takes_no_seed_and_records_null(self, tmp_path):
+        out = tmp_path / "merged"
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--in", str(tmp_path), "--out", str(out), "--seed", "0"])
+        assert exc.value.code == 2
+        assert main(["report", "--in", str(tmp_path), "--out", str(out)]) == 0
+        assert yaml.safe_load((out / "manifest.yaml").read_text())["seed"] is None

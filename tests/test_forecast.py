@@ -355,6 +355,23 @@ class TestTransfer:
                            match=f"{re.escape(str(path))}: not a forecaster checkpoint"):
             Forecaster.load(path)
 
+    @pytest.mark.parametrize("key,value", [
+        ("x_mean", [0.0] * 35),
+        ("x_stdev", [1.0] * 360),
+        ("y_mean", [0.0] * 5),
+        ("y_stdev", [1.0] * 7),
+        ("x_mean", ["a"] * 36),
+        ("y_mean", None),
+    ])
+    def test_load_rejects_standardizer_that_does_not_fit(self, tmp_path, key, value):
+        extra = {"forecaster_kind": "linear", "target": "accel",
+                 "x_mean": [0.0] * 36, "x_stdev": [1.0] * 36,
+                 "y_mean": [0.0] * 6, "y_stdev": [1.0] * 6}
+        extra[key] = value
+        path = save_model(tmp_path / "f.ckpt", _build_net("linear", 6, seed=0), extra=extra)
+        with pytest.raises(SchemaViolation, match=f"{re.escape(str(path))}: {key} "):
+            Forecaster.load(path)
+
     def test_ci_halfwidth_formula(self):
         ep1 = recurrence_episode(seed=1, n_steps=60, episode_id="a")
         ep2 = recurrence_episode(seed=2, n_steps=60, episode_id="b")

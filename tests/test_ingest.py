@@ -17,6 +17,7 @@ from sefc.errors import (
     DuplicateKey,
     EmptyFile,
     ExcessiveMissing,
+    NonNumericColumn,
     RaggedRow,
     SchemaViolation,
 )
@@ -33,7 +34,7 @@ from sefc.ingest import (
     sidecar_path_for,
     write_canonical,
 )
-from sefc.schema import SignalRole
+from sefc.schema import AdapterSpec, EpisodeMeta, SignalRole, SignalSpec, apply_adapter
 
 D = {"a": (SignalRole.SETPOINT, "rad", None),
      "b": (SignalRole.FEEDBACK, "rad", None),
@@ -87,6 +88,30 @@ def _reference_parse_column(cells: Sequence[Optional[str]], decimal: str) -> np.
         except ValueError:
             return np.asarray(cells, dtype=object)
     return values
+
+
+def reference_table(path, dialect=CsvDialect()):
+    """The reference reader's table under the decimal-mark rule for text columns.
+
+    In a column that keeps its cells as text, a cell that reads as a number
+    once its decimal mark is rewritten to ``.`` holds the rewritten text.
+    """
+    table = reference_parse_raw_csv(path, dialect)
+    if dialect.decimal == ".":
+        return table
+
+    def point(cell):
+        if cell is None:
+            return None
+        rewritten = cell.replace(dialect.decimal, ".")
+        try:
+            float(rewritten)
+        except ValueError:
+            return cell
+        return rewritten
+
+    return {name: np.asarray([point(c) for c in col], dtype=object) if col.dtype == object
+            else col for name, col in table.items()}
 
 
 def assert_same_table(got: dict, want: dict) -> None:
@@ -230,6 +255,28 @@ class TestParseRawCsv:
         table = parse_raw_csv(p, CsvDialect(delimiter=";", decimal=","))
         assert table["x"].tolist() == [1.5, 2.5]
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["plain", "csv_reader"])
+    def test_decimal_comma_numbers_in_text_column(self, tmp_path, newline):
+        p = tmp_path / "f.csv"
+        p.write_bytes(newline.join(["x;tag", "1;0,25", "2;idle", "3;0,75", "4;1,2,3", ""]).encode())
+        table = parse_raw_csv(p, SEMICOLON)
+        assert table["tag"].tolist() == ["0.25", "idle", "0.75", "1,2,3"]
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["plain", "csv_reader"])
+    def test_decimal_comma_mixed_columns_through_adapter(self, tmp_path, newline):
+        spec = AdapterSpec("x", 10.0, (
+            SignalSpec("eff", "effort_motor_torque_0", SignalRole.EFFORT, "Nm", 0),
+            SignalSpec("ctx", "ctx_load", SignalRole.CONTEXT, "-", None),
+        ))
+        meta = EpisodeMeta("e", "arm", "pick_and_place")
+        p = tmp_path / "f.csv"
+        p.write_bytes(newline.join(["eff;ctx", "0,5;0,25", "1,5;idle", "2,5;0,75", ""]).encode())
+        ctx = apply_adapter(parse_raw_csv(p, SEMICOLON), spec, meta).channel("ctx_load")
+        assert ctx[0] == 0.25 and np.isnan(ctx[1]) and ctx[2] == 0.75
+        p.write_bytes(newline.join(["eff;ctx", "0,25;1", "abc;2", "0,75;3", ""]).encode())
+        with pytest.raises(NonNumericColumn, match=r"'eff'.*row 1: 'abc'"):
+            apply_adapter(parse_raw_csv(p, SEMICOLON), spec, meta)
+
     def test_string_column_kept_as_objects(self, tmp_path):
         p = tmp_path / "f.csv"
         p.write_text("x,tag\n1,alpha\n2,beta\n")
@@ -268,7 +315,7 @@ class TestParseRawCsv:
         p = tmp_path / "f.csv"
         p.write_text(",".join(f"c{j}" for j in range(n)) + "\n"
                      + ("1," * n)[:-1] + "\n" + ("2," * n)[:-1] + "\n")
-        assert_same_table(parse_raw_csv(p), reference_parse_raw_csv(p))
+        assert_same_table(parse_raw_csv(p), reference_table(p))
 
     @pytest.mark.parametrize("semicolon,dialect", [(False, COMMA), (True, SEMICOLON)])
     def test_benchmark_files_skip_csv_reader(self, tmp_path, monkeypatch, semicolon, dialect):
@@ -278,7 +325,7 @@ class TestParseRawCsv:
         inputs = importlib.import_module("inputs")
         p = tmp_path / "rec.csv"
         inputs.write_raw_voraus(p, seed=3, semicolon=semicolon)
-        want = reference_parse_raw_csv(p, dialect)
+        want = reference_table(p, dialect)
         monkeypatch.setattr(csv, "reader", _no_csv_reader)
         assert_same_table(parse_raw_csv(p, dialect), want)
 
@@ -292,7 +339,7 @@ class TestParseRawCsv:
         rows = [["a", "b", "c", "s"]] + [[*r, "tag" if i == 0 else r[0]] for i, r in enumerate(rows)]
         p = tmp_path / "f.csv"
         p.write_text("\n".join(dialect.delimiter.join(r) for r in rows) + "\n")
-        want = reference_parse_raw_csv(p, dialect)
+        want = reference_table(p, dialect)
         monkeypatch.setattr(csv, "reader", _no_csv_reader)
         assert_same_table(parse_raw_csv(p, dialect), want)
 
@@ -308,7 +355,7 @@ class TestParseRawCsv:
     def test_cells_only_csv_reader_handles(self, tmp_path, dialect, text):
         p = tmp_path / "f.csv"
         p.write_bytes(text.encode())
-        assert_same_table(parse_raw_csv(p, dialect), reference_parse_raw_csv(p, dialect))
+        assert_same_table(parse_raw_csv(p, dialect), reference_table(p, dialect))
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -322,7 +369,7 @@ class TestParseRawCsv:
         p = tmp_path_factory.mktemp("raw") / "f.csv"
         p.write_bytes(text.encode())
         try:
-            want = reference_parse_raw_csv(p, dialect)
+            want = reference_table(p, dialect)
         except (EmptyFile, RaggedRow) as exc:
             with pytest.raises(type(exc)) as got:
                 parse_raw_csv(p, dialect)
@@ -604,16 +651,14 @@ class TestPairing:
 
     def test_intersection_and_unpaired(self):
         pairs, unpaired = pair_episodes(self._eps(["a", "b", "c"]),
-                                        self._eps(["b", "c", "d"]),
-                                        key_fn=lambda e: e.episode_id)
+                                        self._eps(["b", "c", "d"]))
         assert [p.pair_key for p in pairs] == ["b", "c"]
         assert unpaired.real_only == ("a",)
         assert unpaired.sim_only == ("d",)
 
     def test_duplicate_key(self):
         with pytest.raises(DuplicateKey):
-            pair_episodes(self._eps(["a"]), self._eps(["b", "b"]),
-                          key_fn=lambda e: e.episode_id)
+            pair_episodes(self._eps(["a"]), self._eps(["b", "b"]))
 
     def test_twin_suffix_default_key(self):
         corpus = synthgen.generate_corpus(0, {"additional_axis_payload": 20},

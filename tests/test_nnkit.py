@@ -259,6 +259,11 @@ class TestTrain:
         with pytest.raises(ValueError):
             TrainConfig(patience=50, max_epochs=10)
 
+    @pytest.mark.parametrize("field", ["max_epochs", "batch_size"])
+    def test_config_needs_at_least_one(self, field):
+        with pytest.raises(ValueError, match=f"^{field} must be >= 1, got 0$"):
+            TrainConfig(**{field: 0, "patience": 0})
+
 
 class TestCheckpoint:
     @pytest.mark.parametrize("factory", [

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -77,6 +78,20 @@ class TestSampleParams:
             sample_params(0, fault=FaultDirective(
                 "collision_foam_spike", {"onset_step": 10_000}
             ))
+
+
+class TestConfigFields:
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(RandomizationConfig)])
+    def test_every_field_changes_a_noisy_episode(self, noisy_episode, name):
+        default = getattr(RandomizationConfig(), name)
+        scaled = (tuple(v * 1.25 for v in default) if isinstance(default, tuple)
+                  else default * 1.25)
+        cfg = dataclasses.replace(RandomizationConfig(), **{name: scaled})
+        ep = generate_episode(1234, cfg, episode_id="noisy")
+        same = (ep.t.shape == noisy_episode.t.shape
+                and np.array_equal(ep.t, noisy_episode.t)
+                and np.array_equal(ep.channels, noisy_episode.channels))
+        assert not same, f"{name} has no effect on generate_episode"
 
 
 class TestTrajectory:
@@ -206,7 +221,7 @@ class TestPlant:
         assert sum(r[1] for r in runs) == noiseless_episode.n_steps
 
     def test_effort_gravity_bound(self, noiseless_episode):
-        cfg = RandomizationConfig()
+        exploratory_mass_cap_kg = 0.80
         sp = np.column_stack([
             noiseless_episode.channel(f"setpoint_pos_{i}") for i in range(6)
         ])
@@ -216,7 +231,7 @@ class TestPlant:
         eff = np.column_stack([
             noiseless_episode.channel(f"effort_motor_torque_{i}") for i in range(6)
         ])
-        bound = cfg.mass_kg_exploratory_cap * GRAVITY * max(GRAVITY_ARM_M)
+        bound = exploratory_mass_cap_kg * GRAVITY * max(GRAVITY_ARM_M)
         assert np.abs(eff - K_TRACK * (sp - fb)).max() <= bound
 
 
@@ -343,7 +358,7 @@ class TestNoise:
 
     def test_zero_sigma_identity(self, noiseless_episode):
         cfg = RandomizationConfig(
-            sigma_base=0.0, sigma_pos_rad=0.0, sigma_vel_radps=0.0,
+            sigma_pos_rad=0.0, sigma_vel_radps=0.0,
             sigma_effort=0.0, sigma_obj_xy_m=0.0, sigma_obj_z_m=0.0,
         )
         params = sample_params(1234, cfg)
