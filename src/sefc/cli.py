@@ -89,6 +89,15 @@ def _train_config(args: argparse.Namespace, **overrides) -> TrainConfig:
     return TrainConfig(**kwargs)
 
 
+def _model_kinds(models: str) -> list[str]:
+    """The ``--models`` list; every kind must be one of ``forecast.MODEL_KINDS``."""
+    kinds = [k.strip() for k in models.split(",")]
+    for kind in kinds:
+        if kind not in forecast.MODEL_KINDS:
+            raise SchemaViolation(f"--models: unknown model kind {kind!r}")
+    return kinds
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -209,11 +218,10 @@ def cmd_eval_forecast(args: argparse.Namespace, out: Path) -> _Done:
         raise SchemaViolation(
             f"--horizon {args.horizon!r}: expected comma-separated positive integers")
     horizons = sorted(int(p) for p in parts)
+    if len(set(horizons)) != len(horizons):
+        raise SchemaViolation(f"--horizon {args.horizon!r}: a horizon is repeated")
     h_max = horizons[-1]
-    kinds = [k.strip() for k in args.models.split(",")]
-    for kind in kinds:
-        if kind not in forecast.MODEL_KINDS:
-            raise SchemaViolation(f"unknown model kind {kind!r}")
+    kinds = _model_kinds(args.models)
     config = _train_config(args, optimizer="adamw")
 
     n_eval = max(1, len(episodes) // 5)
@@ -254,9 +262,9 @@ def cmd_eval_forecast(args: argparse.Namespace, out: Path) -> _Done:
 
 @_command
 def cmd_eval_transfer(args: argparse.Namespace, out: Path) -> _Done:
+    kinds = _model_kinds(args.models)
     source = [ep for ep in ingest.read_episode_dir(args.train_data) if ep.healthy]
     target = ingest.read_episode_dir(args.eval_data)
-    kinds = [k.strip() for k in args.models.split(",")]
     config = _train_config(args, optimizer="adamw")
     reports = []
     for kind in kinds:

@@ -49,27 +49,22 @@ def wasserstein_1d(a: np.ndarray, b: np.ndarray) -> float:
 @dataclass(frozen=True)
 class AlignedPair:
     pair_key: str
-    channel_names: tuple[str, ...]
     descriptors: tuple[ChannelDescriptor, ...]   # real-side descriptors
     real: np.ndarray                             # n_aligned x C
     sim: np.ndarray                              # sim interpolated, same shape
     phases_used: tuple[str, ...]
     phases_skipped: tuple[str, ...]
 
-
-def _phase_order(phase: np.ndarray) -> list[str]:
-    seen: list[str] = []
-    for label in phase:
-        label = str(label)
-        if label not in seen:
-            seen.append(label)
-    return seen
+    @property
+    def channel_names(self) -> tuple[str, ...]:
+        return tuple(d.canonical_name for d in self.descriptors)
 
 
 def phase_align(pair: EpisodePair) -> AlignedPair:
     """Align the pair's common channels phase by phase on normalized time.
 
-    Phases present on only one side are skipped (and reported); raises
+    Phases are taken in order of first appearance.  Phases present on
+    only one side are skipped and reported, the real side's first; raises
     NoCommonPhases when the shared vocabulary is empty.
     """
     real, sim = pair.real, pair.sim
@@ -77,11 +72,11 @@ def phase_align(pair: EpisodePair) -> AlignedPair:
     common = [d.canonical_name for d in descriptors]
     real_x, sim_x = real.columns(common), sim.columns(common)
 
-    real_phases = _phase_order(real.phase)
-    sim_phases = set(_phase_order(sim.phase))
+    real_phases = dict.fromkeys(map(str, real.phase))
+    sim_phases = dict.fromkeys(map(str, sim.phase))
     used = [p for p in real_phases if p in sim_phases]
     skipped = [p for p in real_phases if p not in sim_phases]
-    skipped += [p for p in _phase_order(sim.phase) if p not in set(real_phases)]
+    skipped += [p for p in sim_phases if p not in real_phases]
     if not used:
         raise NoCommonPhases(
             f"pair {pair.pair_key!r}: no shared phases between real and sim"
@@ -105,7 +100,6 @@ def phase_align(pair: EpisodePair) -> AlignedPair:
 
     return AlignedPair(
         pair_key=pair.pair_key,
-        channel_names=tuple(common),
         descriptors=descriptors,
         real=np.vstack(real_blocks),
         sim=np.vstack(sim_blocks),
@@ -159,48 +153,46 @@ def _unit_factor(unit: str, to: str) -> float:
     raise ValueError(to)
 
 
-def _select(aligned: AlignedPair, names: Sequence[str]):
-    idx = []
-    for n in names:
-        if n not in aligned.channel_names:
-            return None
-        idx.append(aligned.channel_names.index(n))
-    return np.asarray(idx, dtype=int)
+def _scaled_diff(aligned: AlignedPair, names: Sequence[str], to: str):
+    """``(idx, factors, (real - sim) * factors)`` over the *names* columns.
+
+    *factors* converts each channel's unit to *to*.  None when any name
+    is absent from the pair.
+    """
+    where = {d.canonical_name: i for i, d in enumerate(aligned.descriptors)}
+    if not all(n in where for n in names):
+        return None
+    idx = np.asarray([where[n] for n in names], dtype=int)
+    factors = np.array([_unit_factor(aligned.descriptors[i].unit, to) for i in idx])
+    return idx, factors, (aligned.real[:, idx] - aligned.sim[:, idx]) * factors
 
 
 def pair_metrics(aligned: AlignedPair) -> GapMetrics:
     """Table-style metric suite for one aligned pair.
 
-    A metric whose channels are absent is reported as None rather than
+    Joint, TCP-position and rotation-vector metrics need their full channel
+    group and convert each channel to the metric's unit first.  Effort W1
+    averages over every Effort channel in real-side descriptor order.  A
+    metric whose channels are absent is reported as None rather than
     failing the pair.
     """
     values: dict[str, Optional[float]] = {}
 
-    idx = _select(aligned, JOINT_CHANNELS)
-    if idx is not None:
-        diff = aligned.real[:, idx] - aligned.sim[:, idx]
-        factors = np.array([
-            _unit_factor(aligned.descriptors[i].unit, "deg") for i in idx
-        ])
-        values["joint_rmse_deg"] = float(np.sqrt(np.mean((diff * factors) ** 2)))
+    joint = _scaled_diff(aligned, JOINT_CHANNELS, "deg")
+    if joint is not None:
+        values["joint_rmse_deg"] = float(np.sqrt(np.mean(joint[2] ** 2)))
 
-    idx = _select(aligned, TCP_POS_CHANNELS)
-    if idx is not None:
-        factors = np.array([
-            _unit_factor(aligned.descriptors[i].unit, "mm") for i in idx
-        ])
-        diff = (aligned.real[:, idx] - aligned.sim[:, idx]) * factors
+    tcp = _scaled_diff(aligned, TCP_POS_CHANNELS, "mm")
+    if tcp is not None:
+        diff = tcp[2]
         values["tcp_pos_rmse_mm"] = float(np.sqrt(np.mean(diff ** 2)))
         # RMS of the 3-D Euclidean distance (pools axes before the mean)
         values["ee_l2_rms_mm"] = float(np.sqrt(np.mean(np.sum(diff ** 2, axis=1))))
 
     wrapped = False
-    idx = _select(aligned, TCP_ROT_CHANNELS)
-    if idx is not None:
-        factors = np.array([
-            _unit_factor(aligned.descriptors[i].unit, "mrad") for i in idx
-        ])
-        diff = (aligned.real[:, idx] - aligned.sim[:, idx]) * factors
+    rot = _scaled_diff(aligned, TCP_ROT_CHANNELS, "mrad")
+    if rot is not None:
+        idx, factors, diff = rot
         values["tcp_rotvec_rmse_mrad"] = float(np.sqrt(np.mean(diff ** 2)))
         # no angular unwrapping is applied; flag suspicious component spans
         for side in (aligned.real, aligned.sim):

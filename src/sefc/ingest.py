@@ -30,7 +30,7 @@ from .errors import (
     RaggedRow,
     SchemaViolation,
 )
-from .schema import MODELING_ROLES, ChannelDescriptor, Episode, SignalRole
+from .schema import MODELING_ROLES, ChannelDescriptor, Episode, SignalRole, phase_runs
 
 DEFAULT_NA_TOKENS = ("", "NA", "N/A", "NaN", "nan", "null", "NULL")
 
@@ -313,14 +313,7 @@ def fill_gaps(ep: Episode, max_missing_fraction: float = 0.001) -> Episode:
 # ---------------------------------------------------------------------------
 
 def encode_phase_rle(phase: Iterable[str]) -> list[list]:
-    runs: list[list] = []
-    for label in phase:
-        label = str(label)
-        if runs and runs[-1][0] == label:
-            runs[-1][1] += 1
-        else:
-            runs.append([label, 1])
-    return runs
+    return [[label, stop - start] for label, start, stop in phase_runs(phase)]
 
 
 def decode_phase_rle(rle: Sequence[Sequence], n_steps: int) -> np.ndarray:

@@ -31,6 +31,8 @@ class TrainConfig:
         for name in ("batch_size", "max_epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.patience < 0:
+            raise ValueError(f"patience must be >= 0, got {self.patience}")
         if self.patience > self.max_epochs:
             raise ValueError("patience must not exceed max_epochs")
         if self.optimizer not in ("adam", "adamw"):

@@ -219,6 +219,19 @@ class Episode:
         return replace(self, **kwargs)
 
 
+def phase_runs(phase: Iterable) -> list[tuple[str, int, int]]:
+    """Maximal runs of equal labels as ``(label, start, stop)``, in order.
+
+    Labels are compared as ``str``; ``stop`` is one past the run's last
+    step.  A label that recurs later starts a new run.
+    """
+    labels = np.array([str(label) for label in phase], dtype=object)
+    if labels.size == 0:
+        return []
+    bounds = [0, *(np.flatnonzero(labels[1:] != labels[:-1]) + 1).tolist(), labels.size]
+    return [(labels[a], a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
 @dataclass(frozen=True)
 class EpisodeMeta:
     """Caller-supplied metadata attached when adapting a raw table."""

@@ -39,7 +39,7 @@ from .errors import (
     SchemaViolation,
     UnsupportedFault,
 )
-from .schema import ChannelDescriptor, Episode, SignalRole
+from .schema import ChannelDescriptor, Episode, SignalRole, phase_runs
 
 N_JOINTS = 6
 GRAVITY = 9.81
@@ -349,14 +349,7 @@ class TrajectoryPlan:
 
     def phase_runs(self) -> dict[str, tuple[int, int]]:
         """First/one-past-last step index per phase label."""
-        runs: dict[str, tuple[int, int]] = {}
-        labels = self.phase
-        start = 0
-        for i in range(1, len(labels) + 1):
-            if i == len(labels) or labels[i] != labels[start]:
-                runs[str(labels[start])] = (start, i)
-                start = i
-        return runs
+        return {label: (start, stop) for label, start, stop in phase_runs(self.phase)}
 
 
 def two_link_ik(x: float, y: float) -> tuple[float, float]:
@@ -559,12 +552,6 @@ def _track_second_order(
     return q, v, a
 
 
-def _carry_mask(traj: TrajectoryPlan, attach_step: int, detach_step: int) -> np.ndarray:
-    mask = np.zeros(traj.n_steps, dtype=bool)
-    mask[attach_step:detach_step] = True
-    return mask
-
-
 def _synthetic_descriptors() -> tuple[ChannelDescriptor, ...]:
     descs: list[ChannelDescriptor] = []
 
@@ -597,17 +584,23 @@ def _synthetic_descriptors() -> tuple[ChannelDescriptor, ...]:
 
 
 SYNTH_DESCRIPTORS = _synthetic_descriptors()
-SYNTH_CHANNEL_NAMES = tuple(d.canonical_name for d in SYNTH_DESCRIPTORS)
 SYNTH_SOURCE_ID = "synth_ur5"
 
 
-def _simulate(
-    params: EpisodeParams,
-    traj: TrajectoryPlan,
-    directive: Optional[FaultDirective],
-) -> Episode:
-    cfg = params.config
-    dt = cfg.sim_dt_s
+def simulate_plant(params: EpisodeParams, traj: Optional[TrajectoryPlan] = None) -> Episode:
+    """Simulate a noiseless episode with the fault directive in *params* applied.
+
+    Most faults change plant or controller terms; the platform sinusoid
+    and the foam pulse are added to the joint feedback and effort after
+    the TCP and object channels are computed, so those stay unperturbed.
+    *traj* defaults to ``plan_trajectory(params)``.
+    """
+    directive = params.fault
+    if directive is not None and directive.fault_type not in INJECTABLE_FAULTS:
+        raise UnsupportedFault(directive.fault_type)
+    if traj is None:
+        traj = plan_trajectory(params)
+    dt = params.config.sim_dt_s
     n = traj.n_steps
     runs = traj.phase_runs()
     fp = dict(directive.params) if directive is not None else {}
@@ -624,7 +617,8 @@ def _simulate(
         attach_step = detach_step  # never attached
     if ftype == "invalid_gripping_position":
         attach_step = min(attach_step + int(fp["delay_steps"]), detach_step)
-    carry = _carry_mask(traj, attach_step, detach_step)
+    carry = np.zeros(n, dtype=bool)
+    carry[attach_step:detach_step] = True
     if ftype == "gripper_release_mid_motion":
         carry[int(fp["onset_step"]):] = False
     carried_mass[carry] = true_mass
@@ -698,6 +692,18 @@ def _simulate(
             obj[last + 1:, 1] = tcp_y[last]
             obj[last + 1:, 2] = params.cube_dims_m[2] / 2.0
 
+    # purely additive faults, applied on top of the simulated signals
+    if ftype == "unstable_platform":
+        q_fb += (fp["amplitude_rad"] * np.sin(2.0 * math.pi * fp["freq_hz"] * traj.t))[:, None]
+    if ftype == "collision_foam_spike":
+        onset = int(fp["onset_step"])
+        n_pulse = max(2, int(round(fp["duration_s"] / dt)))
+        end = min(onset + n_pulse, n)
+        pulse = fp["peak_nm"] * np.sin(
+            math.pi * np.arange(end - onset) / max(n_pulse - 1, 1)
+        )
+        effort[onset:end, :int(fp["n_joints"])] += pulse[:, None]
+
     const = np.ones(n)
     columns = [
         traj.setpoint_pos, traj.setpoint_vel, traj.setpoint_acc,
@@ -716,22 +722,6 @@ def _simulate(
     ]
     channels = np.concatenate(columns, axis=1)
 
-    # purely additive faults are applied on top of the simulated signals
-    names = SYNTH_CHANNEL_NAMES
-    if ftype == "unstable_platform":
-        wobble = fp["amplitude_rad"] * np.sin(2.0 * math.pi * fp["freq_hz"] * traj.t)
-        for i in range(N_JOINTS):
-            channels[:, names.index(f"feedback_pos_{i}")] += wobble
-    if ftype == "collision_foam_spike":
-        onset = int(fp["onset_step"])
-        n_pulse = max(2, int(round(fp["duration_s"] / dt)))
-        end = min(onset + n_pulse, n)
-        pulse = fp["peak_nm"] * np.sin(
-            math.pi * np.arange(end - onset) / max(n_pulse - 1, 1)
-        )
-        for i in range(int(fp["n_joints"])):
-            channels[onset:end, names.index(f"effort_motor_torque_{i}")] += pulse
-
     return Episode(
         episode_id=params.episode_id,
         source_id=SYNTH_SOURCE_ID,
@@ -745,29 +735,6 @@ def _simulate(
         fault=ftype,
         healthy=ftype is None,
     )
-
-
-def simulate_plant(params: EpisodeParams, traj: Optional[TrajectoryPlan] = None) -> Episode:
-    """Simulate a noiseless healthy episode at the configured rate."""
-    if traj is None:
-        traj = plan_trajectory(params)
-    return _simulate(params, traj, None)
-
-
-def inject_fault(ep: Episode, params: EpisodeParams) -> Episode:
-    """Apply the directive in *params* by re-simulating with modified terms.
-
-    Only the platform sinusoid and the foam pulse are additive post-hoc
-    edits; everything else changes plant/controller terms.  With no
-    directive the input episode is returned unchanged.
-    """
-    if params.fault is None:
-        return ep
-    if params.fault.fault_type not in INJECTABLE_FAULTS:
-        raise UnsupportedFault(params.fault.fault_type)
-    traj = plan_trajectory(params)
-    faulty = _simulate(params, traj, params.fault)
-    return faulty.replace(episode_id=ep.episode_id)
 
 
 _NOISE_FAMILIES = (
@@ -811,8 +778,7 @@ def generate_episode(
     noise: bool = True,
 ) -> Episode:
     params = sample_params(seed, config, fault, episode_id=episode_id)
-    traj = plan_trajectory(params)
-    ep = _simulate(params, traj, params.fault)
+    ep = simulate_plant(params)
     if noise:
         ep = add_sensor_noise(ep, params)
     return ep

@@ -270,6 +270,7 @@ class TestTrainAndScore:
     @pytest.mark.parametrize("flag,value,field", [
         ("--epochs", "0", "max_epochs"),
         ("--batch-size", "0", "batch_size"),
+        ("--patience", "-3", "patience"),
     ])
     def test_bad_training_number_exits_2_before_training(self, tmp_path, capsys, monkeypatch,
                                                          flag, value, field):
@@ -408,6 +409,7 @@ class TestEvalForecast:
         (["--start", "5"], "--start"),
         (["--epochs", "0"], "max_epochs"),
         (["--batch-size", "0"], "batch_size"),
+        (["--horizon", "50,50"], "--horizon"),
     ])
     def test_bad_number_exits_2_before_training(self, small_corpus, tmp_path, capsys,
                                                 monkeypatch, flags, name):
@@ -434,6 +436,19 @@ class TestEvalTransfer:
         lines = (out / "transfer_report.csv").read_text().strip().splitlines()
         assert lines[0] == "model,target,mc_mae,ci_halfwidth,raw_mae,n_episodes"
         assert len(lines) == 3
+
+    def test_unknown_model_kind_exits_2_before_training(self, small_corpus, tmp_path,
+                                                        capsys, monkeypatch):
+        from sefc import forecast
+
+        monkeypatch.setattr(forecast, "train_forecaster", _no_training)
+        out = tmp_path / "tr"
+        rc = main(["eval-transfer", "--train-data", str(small_corpus),
+                   "--eval-data", str(small_corpus), "--out", str(out),
+                   "--models", "linear,bogus", "--epochs", "1"])
+        assert rc == 2
+        assert "'bogus'" in capsys.readouterr().err
+        assert not (out / "transfer_report.csv").exists()
 
 
 class TestGapCommand:

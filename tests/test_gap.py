@@ -129,6 +129,14 @@ class TestPhaseAlign:
         assert "grasp" in aligned.phases_skipped
         assert set(aligned.phases_used) == {"a", "b"}
 
+    def test_phase_order_first_appearance_real_only_skipped_first(self):
+        real = _episode(
+            {}, ["lift"] * 3 + ["a"] * 5 + ["grasp"] * 5 + ["a"] * 2 + ["b"] * 5, "r")
+        sim = _episode({}, ["z"] * 4 + ["b"] * 5 + ["a"] * 5 + ["y"] * 3, "s")
+        aligned = phase_align(EpisodePair(real, sim, "k"))
+        assert aligned.phases_used == ("a", "b")
+        assert aligned.phases_skipped == ("lift", "grasp", "z", "y")
+
     def test_no_common_phases(self):
         real = _episode({}, ["a"] * 10, "r")
         sim = _episode({}, ["b"] * 10, "s")

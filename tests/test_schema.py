@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import raw_table_for
 from sefc.errors import MissingChannel, MissingRawColumn, NonNumericColumn, SchemaViolation
@@ -13,9 +17,12 @@ from sefc.schema import (
     apply_adapter,
     builtin_adapter,
     expand_signal_rows,
+    phase_runs,
     select_signals,
     validate_adapter,
 )
+from sefc.ingest import encode_phase_rle
+from sefc.synthgen import plan_trajectory, sample_params
 
 
 def sig(raw, canonical, role=SignalRole.SETPOINT, unit="rad", axis=None):
@@ -319,3 +326,69 @@ class TestExpansion:
                 "raw": "{a}{b}", "canonical": "c",
                 "expand": {"a": "0..2", "b": "0..1"},
             })
+
+
+def _reference_rle(phase):
+    """Per-label ``[label, count]`` loop that ``phase_runs`` must agree with."""
+    runs = []
+    for label in phase:
+        label = str(label)
+        if runs and runs[-1][0] == label:
+            runs[-1][1] += 1
+        else:
+            runs.append([label, 1])
+    return runs
+
+
+def _reference_trajectory_runs(labels):
+    """Per-step scan to a label -> (start, stop) dict, the last run winning."""
+    runs = {}
+    start = 0
+    for i in range(1, len(labels) + 1):
+        if i == len(labels) or labels[i] != labels[start]:
+            runs[str(labels[start])] = (start, i)
+            start = i
+    return runs
+
+
+_TRAJ = plan_trajectory(sample_params(3))
+
+_LABELS = st.lists(
+    st.one_of(st.sampled_from(["a", "b", "grasp"]), st.integers(0, 2), st.text(max_size=2)),
+    max_size=40,
+)
+_CONTAINERS = {
+    "list": list,
+    "object": lambda labels: np.array(labels, dtype=object),
+    "str": lambda labels: np.array([str(x) for x in labels], dtype=str),
+}
+
+
+class TestPhaseRuns:
+    def test_empty(self):
+        assert phase_runs([]) == []
+        assert phase_runs(np.array([], dtype=str)) == []
+        assert encode_phase_rle([]) == []
+
+    def test_recurring_label_starts_a_new_run(self):
+        assert phase_runs(["a", "b", "a"]) == [("a", 0, 1), ("b", 1, 2), ("a", 2, 3)]
+        assert encode_phase_rle(np.array(["a", "a", "b", "a"], dtype=object)) == [
+            ["a", 2], ["b", 1], ["a", 1]]
+
+    def test_labels_compare_as_str(self):
+        assert phase_runs(np.array([1, "1", 2], dtype=object)) == [("1", 0, 2), ("2", 2, 3)]
+
+    @given(_LABELS, st.sampled_from(sorted(_CONTAINERS)))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_loop(self, labels, container):
+        phase = _CONTAINERS[container](labels)
+        rle = encode_phase_rle(phase)
+        assert rle == _reference_rle(phase)
+        # plain str and int, so the YAML sidecar bytes stay the same
+        assert all(type(label) is str and type(count) is int for label, count in rle)
+        runs = phase_runs(phase)
+        assert [stop - start for _, start, stop in runs] == [count for _, count in rle]
+        assert all(type(a) is int and type(b) is int for _, a, b in runs)
+        if container == "str":
+            traj = dataclasses.replace(_TRAJ, phase=phase)
+            assert traj.phase_runs() == _reference_trajectory_runs(phase)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -27,7 +28,6 @@ from sefc.synthgen import (
     build_phase_plan,
     generate_corpus,
     generate_episode,
-    inject_fault,
     plan_trajectory,
     profiles_from_plan,
     sample_params,
@@ -213,7 +213,7 @@ class TestPlant:
                                     {"configured_scale": 1e7}),
         )
         with pytest.raises(NumericalInstability):
-            inject_fault(simulate_plant(sample_params(8)), params)
+            simulate_plant(params)
 
     def test_phase_partition_ten_contiguous_runs(self, noiseless_episode):
         runs = encode_phase_rle(noiseless_episode.phase)
@@ -265,17 +265,13 @@ class TestFaults:
                 healthy.channel(f"effort_motor_torque_{i}"),
             )
 
-    def test_inject_none_is_identity(self, noiseless_episode):
-        params = sample_params(1234)
-        assert inject_fault(noiseless_episode, params) is noiseless_episode
-
-    def test_out_of_subset_fault(self, noiseless_episode):
+    def test_out_of_subset_fault(self):
         params = sample_params(1234)
         params = EpisodeParams(
             **{**params.__dict__, "fault": FaultDirective("damaged_screw_thread")}
         )
         with pytest.raises(UnsupportedFault):
-            inject_fault(noiseless_episode, params)
+            simulate_plant(params)
 
     def test_unstable_platform_adds_exact_sinusoid(self):
         seed = 31
@@ -320,6 +316,53 @@ class TestFaults:
         )
         assert np.all(ep.channel("ctx_gripper_attached") == 0.0)
         assert np.abs(ep.channel("feedback_gripper_pos")).max() <= 1e-12
+
+
+# sha256 over the channel names, the phase labels, t and the channels (as
+# little-endian float64) of `generate_episode(19, FaultDirective(fault),
+# episode_id="ep", noise=noise)` with the default fault magnitudes, recorded
+# when each fault was still applied by a second simulate entry point.  Any
+# change to the plant, a fault's injection or the sensor noise moves them.
+GOLDEN_EPISODES = {
+    (None, False): "5ac60cc7d6af76453e21c1edf88561d9c7f42d2c6779e9c78e141be65a7ac14a",
+    (None, True): "b8502465e2665164469ecb21a1ed2d1abbb7f2074c311e969341bf083964cf07",
+    ("additional_axis_payload", False): "19bf0538a8fd080ef9f7d23fd151dbf419dc2137c0b4ee01ca7ec02c1b6a117a",
+    ("additional_axis_payload", True): "efadf940158f95c5e20ea13942cabc6610ff0b3297b7861873858faa94942470",
+    ("collision_foam_spike", False): "ac67c881c89abe1fe59457c365d93e91f3246635cc0b8b81acedfa8e9b5ad651",
+    ("collision_foam_spike", True): "42385987960859cf9d63eec3d3ba9668800b8f2f248246e551e8d9192c84edda",
+    ("gripper_activation_failure", False): "cec5235d3c970cdc6e171d181e3bd4723596200395301239c48a8e55511e199a",
+    ("gripper_activation_failure", True): "77ca4834ee09b11529f847058bcb5765e4dd651416bb090d28d6c628d2d85aaf",
+    ("gripper_release_mid_motion", False): "841c95dd39a370be78ff489965ff50093e7dbde254c662f6f3369d9500b4fd49",
+    ("gripper_release_mid_motion", True): "902edb99ce495cf9bec8c2c639c2c94ef1793f261f51685b75599cf631780e66",
+    ("invalid_gripping_position", False): "380187d311336ec98593fbf0cddf7e7165775589d182c6da811fd6d9598e7bb2",
+    ("invalid_gripping_position", True): "f7b819cb71b5e951f9693c944da2209a89ef970bd65a6601e930d9b487d19c59",
+    ("payload_weight_misconfiguration", False): "d307c40e359c9338652688c069607527603ee7deb2909e804335ea71bd8206aa",
+    ("payload_weight_misconfiguration", True): "5d74d04c93ffbf69cd3c64560f38555f6fc16be00426d376289f1c9da69370ee",
+    ("unexpected_payload_weight", False): "ab00451e5df3d0ad301455ac423bfbfc02debed0ff264fce8f0eaf4e24dcc4be",
+    ("unexpected_payload_weight", True): "9ad201e9829d697c693680cf3c1d502fb4b167faf4cb24d3f0b99cced453d76a",
+    ("unstable_platform", False): "6455ca587400738ec29069ac485eaf68ddad81b2e2da48e7afb2bdb7c7ff25e4",
+    ("unstable_platform", True): "d163bac3e8d053155ff12a73699485ef4b6be12fd7a09c18fbc1e9c2c843751e",
+}
+
+
+def _episode_digest(ep):
+    h = hashlib.sha256()
+    h.update(",".join(ep.channel_names).encode())
+    h.update("\n".join(map(str, ep.phase)).encode())
+    h.update(np.ascontiguousarray(ep.t, dtype="<f8").tobytes())
+    h.update(np.ascontiguousarray(ep.channels, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+def test_golden_digests_cover_every_injectable_fault():
+    assert {f for f, _ in GOLDEN_EPISODES} == {None, *INJECTABLE_FAULTS}
+
+
+@pytest.mark.parametrize("fault,noise", sorted(GOLDEN_EPISODES, key=str))
+def test_generate_episode_digest(fault, noise):
+    directive = None if fault is None else FaultDirective(fault)
+    ep = generate_episode(19, fault=directive, episode_id="ep", noise=noise)
+    assert _episode_digest(ep) == GOLDEN_EPISODES[fault, noise]
 
 
 class TestNoise:
