@@ -239,8 +239,13 @@ def cmd_eval_forecast(args: argparse.Namespace, out: Path) -> _Done:
     rows_by_model: dict[str, list[forecast.HorizonRow]] = {}
     survival_by_model: dict[str, float] = {}
     curves: dict[str, np.ndarray] = {}
+    training: dict[str, dict] = {}
     for kind in kinds:
-        model, _ = forecast.train_forecaster(train_eps, kind, target="accel", config=config)
+        model, history = forecast.train_forecaster(train_eps, kind, target="accel",
+                                                   config=config)
+        if history is not None:
+            training[kind] = {"best_epoch": history.best_epoch,
+                              "stopped_early": history.stopped_early}
         results = [
             forecast.euler_rollout(model, ep, start, h_max, args.threshold)
             for ep in eval_eps
@@ -257,7 +262,8 @@ def cmd_eval_forecast(args: argparse.Namespace, out: Path) -> _Done:
          for kind in sorted(curves) for step, frac in enumerate(curves[kind], start=1)),
     )
     return _Done([str(args.data)], [report_path.name, curve_path.name],
-                 f"evaluated {kinds} at H={horizons} -> {report_path}")
+                 f"evaluated {kinds} at H={horizons} -> {report_path}",
+                 {"training": training})
 
 
 @_command

@@ -12,6 +12,13 @@ the last trunk layer (final encoder block, or the conv stack's last layer
 when there is no block) and the head run on the last row, while keys and
 values still cover every step.  ``forward_seq`` (and ``relu_margin``, which
 uses it) stays full-sequence.
+
+``predict`` keeps no backward cache: every model's ``_forward`` records
+activations only when ``loss_and_grad`` or ``relu_margin`` hands it a
+cache dict.  ``predict`` runs a large batch in blocks of rows sized so that
+one block's widest activation stays about 1 MiB (``_BLOCK_VALUES``); a
+batch that fits runs whole.  ``loss_and_grad`` and ``forward_seq`` run the
+whole batch at once.
 """
 
 from __future__ import annotations
@@ -25,6 +32,13 @@ import numpy as np
 from ..errors import ShapeMismatch
 
 LN_EPS = 1e-8
+
+# Float64 values in the widest activation of one ``predict`` row block
+# (1 MiB): a block's temporaries then stay inside a 2 MiB L2 cache, where a
+# (500, 10, 64) activation is 2.5 MB of fresh memory per layer.  On a
+# 2-vCPU Xeon, 68-window blocks ran a 500-window SeqNet or TCNNet predict
+# about 10% faster than one whole-batch pass.
+_BLOCK_VALUES = 1 << 17
 
 
 def _uniform_init(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> np.ndarray:
@@ -76,10 +90,21 @@ class Model:
             np.asarray(grads[name]).ravel() for name in self._params
         ])
 
-    # subclasses implement: predict, loss_and_grad, relu_margin
+    # subclasses implement: _check_input, _values_per_row, _predict_rows,
+    # loss_and_grad, relu_margin
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        """Outputs for a batch, computed in row blocks without a backward cache.
+
+        Each subclass names ``predict = Model.predict`` in its own body, so
+        that ``bench/tracer.py`` can time each class apart.
+        """
+        x = self._check_input(x)
+        rows = max(1, _BLOCK_VALUES // self._values_per_row(x))
+        if len(x) <= rows:
+            return self._predict_rows(x)
+        return np.concatenate([self._predict_rows(x[i:i + rows])
+                               for i in range(0, len(x), rows)])
 
     def loss(self, x: np.ndarray, y: np.ndarray) -> float:
         return _mse(self.predict(x), y)[0]
@@ -123,34 +148,49 @@ class DenseNet(Model):
     def from_spec(cls, spec: dict) -> "DenseNet":
         return cls(spec["widths"])
 
-    def _forward(self, x: np.ndarray):
+    def _check_input(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.widths[0]:
             raise ShapeMismatch(
                 f"expected input (B, {self.widths[0]}), got {x.shape}"
             )
-        hs = [x]
-        zs = []
+        return x
+
+    def _values_per_row(self, x: np.ndarray) -> int:
+        return max(self.widths)
+
+    def _forward(self, x: np.ndarray, cache: Optional[dict] = None) -> np.ndarray:
+        """Network output; a *cache* dict gets each layer's input ``hs`` and
+        pre-activation ``zs``."""
+        if cache is not None:
+            hs, zs = cache["hs"], cache["zs"] = [], []
         h = x
         for l in range(self.n_layers):
-            z = h @ self._params[f"W{l}"] + self._params[f"b{l}"]
-            zs.append(z)
-            h = np.maximum(z, 0.0) if l < self.n_layers - 1 else z
-            hs.append(h)
-        return hs, zs
+            if l:
+                h = np.maximum(z, 0.0, out=z if cache is None else None)
+            z = h @ self._params[f"W{l}"]
+            z += self._params[f"b{l}"]
+            if cache is not None:
+                hs.append(h)
+                zs.append(z)
+        return z
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        hs, _ = self._forward(np.asarray(x, dtype=np.float64))
-        return hs[-1]
+    def _predict_rows(self, x: np.ndarray) -> np.ndarray:
+        return self._forward(x)
+
+    predict = Model.predict
 
     def relu_margin(self, x: np.ndarray) -> float:
-        _, zs = self._forward(np.asarray(x, dtype=np.float64))
+        cache: dict = {}
+        self._forward(self._check_input(x), cache)
         if self.n_layers == 1:
             return math.inf
-        return float(min(np.abs(z).min() for z in zs[:-1]))
+        return float(min(np.abs(z).min() for z in cache["zs"][:-1]))
 
     def loss_and_grad(self, x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
-        hs, zs = self._forward(np.asarray(x, dtype=np.float64))
-        loss, delta = _mse(hs[-1], y)
+        cache: dict = {}
+        loss, delta = _mse(self._forward(self._check_input(x), cache), y)
+        hs, zs = cache["hs"], cache["zs"]
         grads: dict[str, np.ndarray] = {}
         for l in range(self.n_layers - 1, -1, -1):
             grads[f"W{l}"] = hs[l].T @ delta
@@ -199,29 +239,33 @@ class _CausalConvStack:
             model._register(f"{prefix}.b{l}", np.zeros(hidden))
             c_in = hidden
 
-    def forward(self, x: np.ndarray, cache: dict, n_out: int) -> np.ndarray:
+    def forward(self, x: np.ndarray, cache: Optional[dict], n_out: int) -> np.ndarray:
         """Stack output for the last ``n_out`` steps of ``x`` (B, T, C).
 
         Earlier layers cover every step; the last layer computes only the
-        ``n_out`` rows the caller reads.
+        ``n_out`` rows the caller reads.  Each layer is one GEMM: the
+        ``kernel`` shifted slices of the padded input lie side by side
+        against ``w.reshape(kernel * C, H)``.  A *cache* dict gets each
+        padded input and pre-activation.
         """
         B, T, _ = x.shape
         h = x
-        cache["inputs"] = []
-        cache["zs"] = []
+        if cache is not None:
+            cache["inputs"], cache["zs"] = [], []
         for l, d in enumerate(self.dilations):
             w = self.model._params[f"{self.prefix}.W{l}"]
-            b = self.model._params[f"{self.prefix}.b{l}"]
             pad = (self.kernel - 1) * d
             hp = np.zeros((B, pad + T, h.shape[2]))
             hp[:, pad:] = h
             n = n_out if l == len(self.dilations) - 1 else T
-            z = np.full((B, n, w.shape[2]), b, dtype=np.float64)
-            for k in range(self.kernel):
-                z += hp[:, k * d + T - n:k * d + T] @ w[k]
-            cache["inputs"].append(hp)
-            cache["zs"].append(z)
-            h = np.maximum(z, 0.0)
+            taps = np.concatenate([hp[:, k * d + T - n:k * d + T]
+                                   for k in range(self.kernel)], axis=2)
+            z = taps @ w.reshape(-1, w.shape[2])
+            z += self.model._params[f"{self.prefix}.b{l}"]
+            if cache is not None:
+                cache["inputs"].append(hp)
+                cache["zs"].append(z)
+            h = np.maximum(z, 0.0, out=z if cache is None else None)
         return h[:, h.shape[1] - n_out:]
 
     def backward(self, dh: np.ndarray, cache: dict, grads: dict) -> None:
@@ -251,13 +295,23 @@ class _CausalConvStack:
 
 
 def _layer_norm_forward(x, g, b, cache_key, cache):
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc ** 2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = xc * inv
+    """Layer norm over the last axis; a *cache* dict gets ``(xhat, inv)``
+    under *cache_key*.  The reductions are ``mean``'s own sum-then-divide."""
+    n = x.shape[-1]
+    xhat = x - np.add.reduce(x, axis=-1, keepdims=True) / n
+    inv = np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / n
+    inv += LN_EPS
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
+    if cache is None:
+        xhat *= g
+        xhat += b
+        return xhat
     cache[cache_key] = (xhat, inv)
-    return g * xhat + b
+    out = xhat * g
+    out += b
+    return out
 
 
 def _layer_norm_backward(dy, g, cache_key, cache):
@@ -307,39 +361,47 @@ class _EncoderBlock:
     def _merge(self, m: np.ndarray) -> np.ndarray:  # (B,H,t,dh) -> (B,t,D)
         return m.transpose(0, 2, 1, 3).reshape(m.shape[0], m.shape[2], self.dim)
 
-    def forward(self, x: np.ndarray, cache: dict, n: int) -> np.ndarray:
+    def forward(self, x: np.ndarray, cache: Optional[dict], n: int) -> np.ndarray:
         """Block output for the last ``n`` steps of ``x`` (B, T, D).
 
         Keys and values cover every step; queries, the residual, LN2 and the
-        feedforward cover only the last ``n``.
+        feedforward cover only the last ``n``.  The last row sees every key,
+        so ``n == 1`` needs no causal mask.  A *cache* dict gets what
+        ``backward`` reads.
         """
         T = x.shape[1]
-        cache["x"] = x
         xn = _layer_norm_forward(x, self._p("ln1_g"), self._p("ln1_b"), "ln1", cache)
-        cache["xn"] = xn
-        q = xn[:, T - n:] @ self._p("Wq") + self._p("bq")
-        k = xn @ self._p("Wk") + self._p("bk")
-        v = xn @ self._p("Wv") + self._p("bv")
+        q = xn[:, T - n:] @ self._p("Wq")
+        q += self._p("bq")
+        k = xn @ self._p("Wk")
+        k += self._p("bk")
+        v = xn @ self._p("Wv")
+        v += self._p("bv")
 
         qh, kh, vh = self._split(q), self._split(k), self._split(v)
-        scores = qh @ kh.transpose(0, 1, 3, 2) / math.sqrt(self.dh)
-        scores += _causal_mask(T)[T - n:]
-        scores -= scores.max(axis=-1, keepdims=True)
-        exps = np.exp(scores)
-        attn = exps / exps.sum(axis=-1, keepdims=True)
+        attn = qh @ kh.transpose(0, 1, 3, 2)
+        attn /= math.sqrt(self.dh)
+        if n > 1:
+            attn += _causal_mask(T)[T - n:]
+        attn -= attn.max(axis=-1, keepdims=True)
+        np.exp(attn, out=attn)
+        attn /= attn.sum(axis=-1, keepdims=True)
         ctx_flat = self._merge(attn @ vh)                    # (B,n,D)
-        attn_out = ctx_flat @ self._p("Wo") + self._p("bo")
-        cache.update(qh=qh, kh=kh, vh=vh, attn=attn, ctx_flat=ctx_flat)
+        y = ctx_flat @ self._p("Wo")
+        y += self._p("bo")
+        y += x[:, T - n:]
 
-        y = x[:, T - n:] + attn_out
         yn = _layer_norm_forward(y, self._p("ln2_g"), self._p("ln2_b"), "ln2", cache)
-        cache["yn"] = yn
-        z1 = yn @ self._p("F1") + self._p("f1")
-        cache["z1"] = z1
-        h1 = np.maximum(z1, 0.0)
-        cache["h1"] = h1
-        ff_out = h1 @ self._p("F2") + self._p("f2")
-        return y + ff_out
+        z1 = yn @ self._p("F1")
+        z1 += self._p("f1")
+        h1 = np.maximum(z1, 0.0, out=z1 if cache is None else None)
+        out = h1 @ self._p("F2")
+        out += self._p("f2")
+        out += y
+        if cache is not None:
+            cache.update(x=x, xn=xn, qh=qh, kh=kh, vh=vh, attn=attn,
+                         ctx_flat=ctx_flat, yn=yn, z1=z1, h1=h1)
+        return out
 
     def backward(self, dout: np.ndarray, cache: dict, grads: dict) -> np.ndarray:
         """Gradient of the whole input (B, T, D) from ``dout`` (B, n, D)."""
@@ -453,31 +515,49 @@ class SeqNet(Model):
             )
         return x
 
-    def _forward(self, x: np.ndarray, cache: dict, n_out: int) -> np.ndarray:
+    def _values_per_row(self, x: np.ndarray) -> int:
+        """Widest activation of one window: the conv taps, or with encoder
+        blocks the feedforward or the attention scores, over every step."""
+        T = x.shape[1]
+        widest = self.kernel * max(self.in_features, self.hidden)
+        if self.blocks:
+            widest = max(widest, self.ff_dim, self.heads * T)
+        return T * widest
+
+    def _forward(self, x: np.ndarray, cache: Optional[dict], n_out: int) -> np.ndarray:
         """Outputs (B, n_out, out_dim) for the last ``n_out`` steps.
 
         Only the last layer of the trunk (the last encoder block, or the
-        conv stack when there is none) narrows to ``n_out`` rows.
+        conv stack when there is none) narrows to ``n_out`` rows.  With
+        ``cache=None`` nothing is recorded; a dict gets what the backward
+        passes read.
         """
         T = x.shape[1]
         h = self.stack.forward(x, cache, T if self.blocks else n_out)
-        cache["blocks"] = []
+        if cache is not None:
+            cache["blocks"] = []
         for i, block in enumerate(self.blocks, 1):
-            bc: dict = {}
+            bc = None if cache is None else {}
             h = block.forward(h, bc, n_out if i == len(self.blocks) else T)
-            cache["blocks"].append(bc)
+            if cache is not None:
+                cache["blocks"].append(bc)
         if self.final_norm:
             h = _layer_norm_forward(h, self._params["ln_f_g"], self._params["ln_f_b"],
                                     "ln_f", cache)
-        cache["h_final"] = h
-        return h @ self._params["head.W"] + self._params["head.b"]
+        if cache is not None:
+            cache["h_final"] = h
+        out = h @ self._params["head.W"]
+        out += self._params["head.b"]
+        return out
 
     def forward_seq(self, x: np.ndarray, cache: Optional[dict] = None) -> np.ndarray:
         x = self._check_input(x)
-        return self._forward(x, cache if cache is not None else {}, x.shape[1])
+        return self._forward(x, cache, x.shape[1])
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        return self._forward(self._check_input(x), {}, 1)[:, 0]
+    def _predict_rows(self, x: np.ndarray) -> np.ndarray:
+        return self._forward(x, None, 1)[:, 0]
+
+    predict = Model.predict
 
     def relu_margin(self, x: np.ndarray) -> float:
         cache: dict = {}
@@ -532,5 +612,5 @@ class TCNNet(SeqNet):
                    spec["dilations"], spec["out_dim"])
 
     # Own entries in the class __dict__, so bench/tracer.py times TCNNet apart from SeqNet.
-    predict = SeqNet.predict
+    predict = Model.predict
     loss_and_grad = SeqNet.loss_and_grad

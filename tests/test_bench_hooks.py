@@ -3,9 +3,10 @@
 ``bench/tracer.py`` wraps every ``sefc.cli.cmd_*`` by module attribute and
 counts a command as failed unless it returns exit code 0, so each command
 must stay a module-level function that returns an int.  It wraps each model
-method it times from the class's own ``__dict__``, so ``TCNNet`` must keep
-its own ``predict`` and ``loss_and_grad`` entries even though they are
-``SeqNet``'s.  It wraps ``save_model``/``load_model`` where ``anomaly`` and
+method it times from the class's own ``__dict__``, so each model class must
+keep its own ``predict`` and ``loss_and_grad`` entries even where they are
+inherited (``predict`` is ``Model``'s, ``TCNNet.loss_and_grad`` is
+``SeqNet``'s).  It wraps ``save_model``/``load_model`` where ``anomaly`` and
 ``forecast`` look them up, so those modules must keep importing them by name.
 """
 
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from sefc.cli import main
-from sefc.nnkit import SeqNet, TCNNet
+from sefc.nnkit import DenseNet, SeqNet, TCNNet
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -43,15 +44,16 @@ def test_tracer_times_each_sequence_class_apart(monkeypatch):
     rng = np.random.default_rng(0)
     x, y = rng.normal(size=(3, 6, 4)), rng.normal(size=(3, 2))
     nets = {
-        "TCNNet": TCNNet(4, hidden=8, dilations=(1, 2), out_dim=2, seed=0),
-        "SeqNet": SeqNet(4, hidden=8, tcn_dilations=(1,), n_blocks=1, heads=2,
-                         ff_dim=8, out_dim=2, seed=0),
+        "TCNNet": (TCNNet(4, hidden=8, dilations=(1, 2), out_dim=2, seed=0), x),
+        "SeqNet": (SeqNet(4, hidden=8, tcn_dilations=(1,), n_blocks=1, heads=2,
+                          ff_dim=8, out_dim=2, seed=0), x),
+        "DenseNet": (DenseNet([24, 8, 2], seed=0), x.reshape(3, 24)),
     }
-    for cls, net in nets.items():
+    for cls, (net, inputs) in nets.items():
         tracer.install()
         try:
-            net.predict(x)
-            net.loss_and_grad(x, y)
+            net.predict(inputs)
+            net.loss_and_grad(inputs, y)
         finally:
             not_restored = tracer.uninstall()
         assert not_restored == []

@@ -400,6 +400,27 @@ class TestEvalForecast:
         assert len(lines) == 1 + 2 * 3  # header + 2 models x 3 horizons
         assert (out / "survival_curve.csv").exists()
 
+    def test_manifest_records_best_epoch_and_early_stop_per_kind(self, small_corpus, tmp_path,
+                                                                 monkeypatch):
+        from sefc import forecast
+        from sefc.nnkit import TrainHistory
+
+        histories = {
+            "linear": TrainHistory(train_loss=[1.0, 0.5], val_loss=[1.0, 0.4], lr=[1e-3] * 2,
+                                   best_epoch=1, stopped_early=False),
+            "tcn": TrainHistory(train_loss=[1.0, 0.5], val_loss=[0.4, 0.6], lr=[1e-3] * 2,
+                                best_epoch=0, stopped_early=True),
+        }
+        monkeypatch.setattr(forecast, "train_forecaster", lambda eps, kind, target, config: (
+            forecast.Forecaster("kinematic_zero"), histories.get(kind)))
+        out = tmp_path / "fc"
+        assert main(["eval-forecast", "--data", str(small_corpus), "--out", str(out),
+                     "--models", "kinematic_zero,linear,tcn", "--horizon", "50"]) == 0
+        manifest = yaml.safe_load((out / "manifest.yaml").read_text())
+        assert manifest["training"] == {
+            "linear": {"best_epoch": 1, "stopped_early": False},
+            "tcn": {"best_epoch": 0, "stopped_early": True},
+        }
 
     @pytest.mark.parametrize("flags,name", [
         (["--horizon", "0,50"], "--horizon"),

@@ -21,6 +21,7 @@ from sefc.nnkit import (
     save_model,
     train,
 )
+from sefc.nnkit.models import _BLOCK_VALUES
 
 RNG = np.random.default_rng(2024)
 
@@ -58,6 +59,17 @@ class TestForward:
             net.predict(RNG.normal(size=(3, 5)))
         with pytest.raises(ShapeMismatch):
             SeqNet(seed=0).predict(RNG.normal(size=(2, 10, 35)))
+
+    def test_densenet_row_blocks_match_row_by_row(self):
+        rng = np.random.default_rng(11)   # the module RNG feeds later tests' data
+        net = DenseNet([18, 512, 256, 128, 6], seed=3)
+        net.set_params(net.get_params() + rng.normal(0.0, 0.05, size=net.n_params))
+        rows = max(1, _BLOCK_VALUES // net._values_per_row(np.empty((1, 18))))
+        x = rng.normal(size=(2 * rows + 7, 18))
+        got = net.predict(x)
+        want = np.concatenate([net.predict(x[i:i + 1]) for i in range(len(x))])
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_finite_outputs(self):
         net = SeqNet(seed=9)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from sefc.nnkit import SeqNet, TCNNet, gradient_check
-from sefc.nnkit.models import LN_EPS
+from sefc.nnkit.models import _BLOCK_VALUES, LN_EPS
 
 REL = 1e-10
 
@@ -240,6 +240,21 @@ def test_tcn_matches_full_sequence_reference(B, T, kernel, dilations):
     net = TCNNet(in_features=5, hidden=8, kernel=kernel, dilations=dilations,
                  out_dim=3, seed=B + 10 * T)
     _check(net, _ref_tcn, B, T, seed=kernel)
+
+
+@pytest.mark.parametrize("make,ref", [
+    (lambda: SeqNet(in_features=5, hidden=8, kernel=3, tcn_dilations=(1, 2), n_blocks=2,
+                    heads=4, ff_dim=12, out_dim=3, seed=21), _ref_seqnet),
+    (lambda: TCNNet(in_features=5, hidden=8, kernel=3, dilations=(1, 2, 4), out_dim=3,
+                    seed=22), _ref_tcn),
+], ids=["seqnet", "tcn"])
+def test_row_blocks_match_full_sequence_reference(make, ref):
+    """``predict`` over two full row blocks and a ragged third one."""
+    net, T = make(), 10
+    rows = max(1, _BLOCK_VALUES // net._values_per_row(np.empty((1, T, net.in_features))))
+    B = 2 * rows + rows // 2 + 1
+    assert B > 2 * rows and B % rows
+    _check(net, ref, B, T, seed=5)
 
 
 @pytest.mark.parametrize("n_blocks", [0, 1])
