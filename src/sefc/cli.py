@@ -98,6 +98,16 @@ def _model_kinds(models: str) -> list[str]:
     return kinds
 
 
+def _train_each(kinds: list[str], episodes, target: str, config: TrainConfig):
+    """Each kind's model, and ``{kind: {best_epoch, stopped_early}}`` for the manifest."""
+    models, training = {}, {}
+    for kind in kinds:
+        models[kind], hist = forecast.train_forecaster(episodes, kind, target=target, config=config)
+        if hist is not None:   # kinematic_zero does not train
+            training[kind] = {"best_epoch": hist.best_epoch, "stopped_early": hist.stopped_early}
+    return models, training
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -239,13 +249,8 @@ def cmd_eval_forecast(args: argparse.Namespace, out: Path) -> _Done:
     rows_by_model: dict[str, list[forecast.HorizonRow]] = {}
     survival_by_model: dict[str, float] = {}
     curves: dict[str, np.ndarray] = {}
-    training: dict[str, dict] = {}
-    for kind in kinds:
-        model, history = forecast.train_forecaster(train_eps, kind, target="accel",
-                                                   config=config)
-        if history is not None:
-            training[kind] = {"best_epoch": history.best_epoch,
-                              "stopped_early": history.stopped_early}
+    models, training = _train_each(kinds, train_eps, "accel", config)
+    for kind, model in models.items():
         results = [
             forecast.euler_rollout(model, ep, start, h_max, args.threshold)
             for ep in eval_eps
@@ -272,13 +277,11 @@ def cmd_eval_transfer(args: argparse.Namespace, out: Path) -> _Done:
     source = [ep for ep in ingest.read_episode_dir(args.train_data) if ep.healthy]
     target = ingest.read_episode_dir(args.eval_data)
     config = _train_config(args, optimizer="adamw")
-    reports = []
-    for kind in kinds:
-        model, _ = forecast.train_forecaster(source, kind, args.channel_set, config)
-        reports.append(forecast.transfer_eval(model, target, args.channel_set))
+    models, training = _train_each(kinds, source, args.channel_set, config)
+    reports = [forecast.transfer_eval(m, target, args.channel_set) for m in models.values()]
     path = forecast.write_transfer_csv(reports, out / "transfer_report.csv")
     return _Done([str(args.train_data), str(args.eval_data)], [path.name],
-                 f"transfer report -> {path}")
+                 f"transfer report -> {path}", {"training": training})
 
 
 @_command

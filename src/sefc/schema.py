@@ -406,8 +406,7 @@ def apply_adapter(
             [("unknown" if v is None else str(v)) for v in raw_table[meta.phase_column]]
         )
     else:
-        phase = np.full(n_rows, "unknown", dtype=object)
-        phase = np.asarray(phase, dtype=str)
+        phase = np.full(n_rows, "unknown")
 
     t = np.arange(n_rows, dtype=np.float64) / spec.native_rate_hz
     return Episode(

@@ -26,9 +26,11 @@ from __future__ import annotations
 
 import contextlib
 import math
+import numbers
+import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Mapping, Optional, Union
+from typing import Callable, Mapping, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -126,44 +128,70 @@ class RandomizationConfig:
         return errors
 
 
+class _Magnitude(NamedTuple):
+    key: str
+    draw: Callable                     # (rng, runs) -> default; runs[phase] = (start, stop)
+    steps: Optional[Callable] = None   # (n_steps, runs) -> closed integer range (lo, hi)
+
+
 @dataclass(frozen=True)
 class FaultCatalogEntry:
     fault_type: str
     description: str
     tasks: tuple[str, ...]
-    injectable: bool
+    magnitudes: Optional[tuple[_Magnitude, ...]]   # None: not injectable
+
+    @property
+    def injectable(self) -> bool:
+        return self.magnitudes is not None
 
 
-def _cat(fault_type, description, tasks, injectable=False):
-    return FaultCatalogEntry(fault_type, description, tasks, injectable)
+def _cat(fault_type, description, tasks, magnitudes=None):
+    return FaultCatalogEntry(fault_type, description, tasks, magnitudes)
 
 
 #: Full fault taxonomy (27 types). Only the injectable subset has a
 #: signal-level analogue in the generator; the rest is carried as metadata.
+#: An injectable type declares its magnitudes.  An integer range leaves out
+#: every value that crashes the plant or matches the healthy twin; a
+#: magnitude without a range is a positive finite float.
 FAULT_CATALOG: tuple[FaultCatalogEntry, ...] = (
     _cat("damaged_screw_thread", "screw thread damaged, no engagement", ("screwdriving",)),
     _cat("missing_screw", "tightening attempted with no screw", ("screwdriving",)),
     _cat("damaged_plate_thread", "threaded plate hole damaged", ("screwdriving",)),
     _cat("loosening_phase", "counterclockwise loosening replaces tightening", ("screwdriving",)),
     _cat("gripper_activation_failure", "gripper never activates, payload never picked",
-         ("pick_and_place",), injectable=True),
-    _cat("gripper_release_mid_motion", "payload released mid-trajectory",
-         ("pick_and_place",), injectable=True),
+         ("pick_and_place",), ()),
+    _cat("gripper_release_mid_motion", "payload released mid-trajectory", ("pick_and_place",),
+         (_Magnitude("onset_step", lambda rng, runs: int(rng.integers(*runs["transfer"])),
+                     lambda n, runs: (runs["lift"][0], runs["release"][0] - 1)),)),
     _cat("additional_axis_payload", "dead weight bolted to one link",
-         ("pick_and_place", "screwdriving"), injectable=True),
+         ("pick_and_place", "screwdriving"),
+         (_Magnitude("joint", lambda rng, runs: int(rng.integers(1, 4)),
+                     lambda *_: (1, N_JOINTS - 1)),   # joint 0 has no gravity moment arm
+          _Magnitude("weight_kg", lambda rng, runs: float(rng.uniform(0.4, 1.2))))),
     _cat("collision_foam_spike", "soft foam block in the TCP path",
-         ("pick_and_place", "screwdriving", "peg_in_hole"), injectable=True),
+         ("pick_and_place", "screwdriving", "peg_in_hole"),
+         (_Magnitude("onset_step", lambda rng, runs: int(rng.integers(runs["transfer"][0],
+                                                                      runs["transfer"][1] - 15)),
+                     lambda n, runs: (0, n - 2)),   # a pulse cut to one step is sin(0) = 0
+          _Magnitude("duration_s", lambda *_: 0.2),
+          _Magnitude("peak_nm", lambda *_: 0.3),
+          _Magnitude("n_joints", lambda *_: 3, lambda *_: (1, N_JOINTS)))),
     _cat("unexpected_payload_weight", "transported box heavier/lighter than nominal",
-         ("pick_and_place",), injectable=True),
-    _cat("invalid_gripping_position", "gripper closure lags the lift motion",
-         ("pick_and_place",), injectable=True),
-    _cat("unstable_platform", "base instability adds low-frequency vibration",
-         ("pick_and_place",), injectable=True),
+         ("pick_and_place",),
+         (_Magnitude("scale", lambda rng, runs: float(rng.uniform(1.5, 3.0))),)),
+    _cat("invalid_gripping_position", "gripper closure lags the lift motion", ("pick_and_place",),
+         (_Magnitude("delay_steps", lambda rng, runs: int(rng.integers(10, 41)),
+                     lambda n, runs: (1, n - 1)),)),
+    _cat("unstable_platform", "base instability adds low-frequency vibration", ("pick_and_place",),
+         (_Magnitude("freq_hz", lambda *_: 3.0), _Magnitude("amplitude_rad", lambda *_: 0.005))),
     _cat("joint_position_limit_violation", "waypoint beyond soft joint limit", ("pick_and_place",)),
     _cat("tcp_frame_misconfiguration", "TCP frame or mounting angle misconfigured",
          ("pick_and_place", "screwdriving", "peg_in_hole")),
     _cat("payload_weight_misconfiguration", "configured payload mass wrong while tool attached",
-         ("pick_and_place", "screwdriving"), injectable=True),
+         ("pick_and_place", "screwdriving"),
+         (_Magnitude("configured_scale", lambda rng, runs: float(rng.uniform(2.0, 4.0))),)),
     _cat("external_arm_disturbance", "continuous external force on the TCP",
          ("pick_and_place", "screwdriving", "peg_in_hole")),
     _cat("payload_cog_misconfiguration", "payload CoG offset wrong in controller",
@@ -214,37 +242,6 @@ class EpisodeParams:
         return replace(self, fault=None)
 
 
-def _default_fault_params(fault_type: str, rng: np.random.Generator,
-                          n_steps: int, phase_runs: dict) -> dict:
-    """Deterministic default magnitudes for an injectable fault."""
-    transfer_lo, transfer_hi = phase_runs["transfer"]
-    if fault_type == "additional_axis_payload":
-        return {
-            "joint": int(rng.integers(1, 4)),
-            "weight_kg": float(rng.uniform(0.4, 1.2)),
-        }
-    if fault_type == "unexpected_payload_weight":
-        return {"scale": float(rng.uniform(1.5, 3.0))}
-    if fault_type == "gripper_release_mid_motion":
-        return {"onset_step": int(rng.integers(transfer_lo, transfer_hi))}
-    if fault_type == "gripper_activation_failure":
-        return {}
-    if fault_type == "invalid_gripping_position":
-        return {"delay_steps": int(rng.integers(10, 41))}
-    if fault_type == "collision_foam_spike":
-        return {
-            "onset_step": int(rng.integers(transfer_lo, transfer_hi - 15)),
-            "duration_s": 0.2,
-            "peak_nm": 0.3,
-            "n_joints": 3,
-        }
-    if fault_type == "unstable_platform":
-        return {"freq_hz": 3.0, "amplitude_rad": 0.005}
-    if fault_type == "payload_weight_misconfiguration":
-        return {"configured_scale": float(rng.uniform(2.0, 4.0))}
-    raise UnsupportedFault(fault_type)
-
-
 def sample_params(
     seed: int,
     config: RandomizationConfig = RandomizationConfig(),
@@ -255,8 +252,8 @@ def sample_params(
 
     Base draws use a substream untouched by the fault directive, so the
     healthy twin (same seed, fault=None) gets identical values.  A fault
-    directive with missing magnitudes is completed from defaults drawn on
-    a separate substream.
+    directive's missing magnitudes are drawn on a separate substream, and
+    all of them are checked against the nominal plan's steps.
     """
     errors = config.validate()
     if errors:
@@ -275,14 +272,8 @@ def sample_params(
     offset = (float(rng.uniform(-half_x, half_x)), float(rng.uniform(-half_y, half_y)))
 
     if fault is not None:
-        if fault.fault_type not in INJECTABLE_FAULTS:
-            raise UnsupportedFault(fault.fault_type)
-        n_steps, runs = _nominal_step_layout(config)
-        fault_rng = np.random.default_rng([seed, _STREAM_FAULT])
-        params = dict(_default_fault_params(fault.fault_type, fault_rng, n_steps, runs))
-        params.update(fault.params)
-        _check_fault_params(fault.fault_type, params, n_steps)
-        fault = FaultDirective(fault.fault_type, params)
+        nominal = profiles_from_plan(build_phase_plan(), 1.0 / config.sim_dt_s)
+        fault = _complete_fault(fault, nominal, np.random.default_rng([seed, _STREAM_FAULT]))
 
     return EpisodeParams(
         seed=seed,
@@ -297,16 +288,34 @@ def sample_params(
     )
 
 
-def _check_fault_params(fault_type: str, params: Mapping, n_steps: int) -> None:
-    onset = params.get("onset_step")
-    if onset is not None and not (0 <= int(onset) < n_steps):
-        raise SchemaViolation(
-            f"{fault_type}: onset_step {onset} outside episode of {n_steps} steps"
-        )
-    for key in ("weight_kg", "scale", "duration_s", "peak_nm",
-                "freq_hz", "amplitude_rad", "configured_scale"):
-        if key in params and params[key] <= 0:
-            raise SchemaViolation(f"{fault_type}: {key} must be positive")
+def _complete_fault(directive: FaultDirective, traj: TrajectoryPlan,
+                    rng: Optional[np.random.Generator]) -> FaultDirective:
+    """*directive* with its magnitudes checked against *traj*; with *rng* every
+    default is drawn first, in table order, and the directive's values replace it."""
+    fault = directive.fault_type
+    magnitudes = next((c.magnitudes for c in FAULT_CATALOG if c.fault_type == fault), None)
+    if magnitudes is None:
+        raise UnsupportedFault(fault)
+    n, runs = traj.n_steps, traj.phase_runs()
+    params = {} if rng is None else {m.key: m.draw(rng, runs) for m in magnitudes}
+    params.update(directive.params)
+    for key in params.keys() - {m.key for m in magnitudes}:
+        raise SchemaViolation(f"{fault}: unknown magnitude {key!r}")
+    for m in magnitudes:
+        if m.key not in params:
+            raise SchemaViolation(f"{fault}: magnitude {m.key!r} is missing")
+        value = params[m.key]
+        if m.steps is None:
+            rule = "a positive finite number"
+            valid = isinstance(value, numbers.Real) and 0 < value <= sys.float_info.max
+        else:
+            lo, hi = m.steps(n, runs)
+            rule = f"an integer in [{lo}, {hi}]"
+            valid = isinstance(value, numbers.Integral) and lo <= value <= hi
+        if isinstance(value, bool) or not valid:
+            raise SchemaViolation(f"{fault}: {m.key} must be {rule}, got {value!r}")
+        params[m.key] = float(value) if m.steps is None else int(value)
+    return FaultDirective(fault, params)
 
 
 # ---------------------------------------------------------------------------
@@ -502,11 +511,6 @@ def plan_trajectory(params: EpisodeParams) -> TrajectoryPlan:
     return profiles_from_plan(plan, 1.0 / params.config.sim_dt_s)
 
 
-def _nominal_step_layout(config: RandomizationConfig) -> tuple[int, dict]:
-    traj = profiles_from_plan(build_phase_plan(), 1.0 / config.sim_dt_s)
-    return traj.n_steps, traj.phase_runs()
-
-
 # ---------------------------------------------------------------------------
 # plant simulation
 # ---------------------------------------------------------------------------
@@ -593,18 +597,16 @@ def simulate_plant(params: EpisodeParams, traj: Optional[TrajectoryPlan] = None)
     Most faults change plant or controller terms; the platform sinusoid
     and the foam pulse are added to the joint feedback and effort after
     the TCP and object channels are computed, so those stay unperturbed.
-    *traj* defaults to ``plan_trajectory(params)``.
+    *traj* defaults to ``plan_trajectory(params)``; the directive must give
+    every magnitude, within *traj*'s steps.
     """
-    directive = params.fault
-    if directive is not None and directive.fault_type not in INJECTABLE_FAULTS:
-        raise UnsupportedFault(directive.fault_type)
     if traj is None:
         traj = plan_trajectory(params)
     dt = params.config.sim_dt_s
     n = traj.n_steps
     runs = traj.phase_runs()
-    fp = dict(directive.params) if directive is not None else {}
-    ftype = directive.fault_type if directive is not None else None
+    ftype = params.fault.fault_type if params.fault is not None else None
+    fp = _complete_fault(params.fault, traj, None).params if params.fault is not None else {}
 
     # payload attachment window: between the grasp and release phases
     attach_step = runs["lift"][0]
@@ -616,11 +618,11 @@ def simulate_plant(params: EpisodeParams, traj: Optional[TrajectoryPlan] = None)
     if ftype == "gripper_activation_failure":
         attach_step = detach_step  # never attached
     if ftype == "invalid_gripping_position":
-        attach_step = min(attach_step + int(fp["delay_steps"]), detach_step)
+        attach_step = min(attach_step + fp["delay_steps"], detach_step)
     carry = np.zeros(n, dtype=bool)
     carry[attach_step:detach_step] = True
     if ftype == "gripper_release_mid_motion":
-        carry[int(fp["onset_step"]):] = False
+        carry[fp["onset_step"]:] = False
     carried_mass[carry] = true_mass
 
     # controller's configured payload mass (feedforward side of the effort)
@@ -651,13 +653,10 @@ def simulate_plant(params: EpisodeParams, traj: Optional[TrajectoryPlan] = None)
     if ftype == "gripper_activation_failure":
         grip_cmd[:] = GRIPPER_OPEN_RAD
     if ftype == "invalid_gripping_position":
-        delay = int(fp["delay_steps"])
-        shifted = np.concatenate([np.full(delay, grip_cmd[0]), grip_cmd[:-delay]]) \
-            if delay > 0 else grip_cmd
-        grip_cmd = shifted
+        delay = fp["delay_steps"]
+        grip_cmd = np.concatenate([np.full(delay, grip_cmd[0]), grip_cmd[:-delay]])
     if ftype == "gripper_release_mid_motion":
-        grip_cmd = grip_cmd.copy()
-        grip_cmd[int(fp["onset_step"]):] = GRIPPER_OPEN_RAD
+        grip_cmd[fp["onset_step"]:] = GRIPPER_OPEN_RAD
     wn_grip = math.sqrt(params.kp_grip * GRIPPER_STIFFNESS_SCALE)
     grip_fb, _, _ = _track_second_order(grip_cmd, wn_grip, dt)
 
@@ -665,7 +664,7 @@ def simulate_plant(params: EpisodeParams, traj: Optional[TrajectoryPlan] = None)
         GRAVITY * arms[None, :] * configured_mass[:, None] * np.cos(q_fb)
     )
     if ftype == "additional_axis_payload":
-        j = int(fp["joint"])
+        j = fp["joint"]
         effort[:, j] += fp["weight_kg"] * GRAVITY * arms[j] * np.cos(q_fb[:, j])
 
     # TCP surrogate and object perception channels
@@ -696,13 +695,11 @@ def simulate_plant(params: EpisodeParams, traj: Optional[TrajectoryPlan] = None)
     if ftype == "unstable_platform":
         q_fb += (fp["amplitude_rad"] * np.sin(2.0 * math.pi * fp["freq_hz"] * traj.t))[:, None]
     if ftype == "collision_foam_spike":
-        onset = int(fp["onset_step"])
-        n_pulse = max(2, int(round(fp["duration_s"] / dt)))
+        onset = fp["onset_step"]
+        n_pulse = max(2, round(fp["duration_s"] / dt))
         end = min(onset + n_pulse, n)
-        pulse = fp["peak_nm"] * np.sin(
-            math.pi * np.arange(end - onset) / max(n_pulse - 1, 1)
-        )
-        effort[onset:end, :int(fp["n_joints"])] += pulse[:, None]
+        pulse = fp["peak_nm"] * np.sin(math.pi * np.arange(end - onset) / (n_pulse - 1))
+        effort[onset:end, :fp["n_joints"]] += pulse[:, None]
 
     const = np.ones(n)
     columns = [

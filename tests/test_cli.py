@@ -471,6 +471,29 @@ class TestEvalTransfer:
         assert "'bogus'" in capsys.readouterr().err
         assert not (out / "transfer_report.csv").exists()
 
+    def test_manifest_records_best_epoch_and_early_stop_per_kind(self, small_corpus, tmp_path,
+                                                                 monkeypatch):
+        from sefc import forecast
+        from sefc.nnkit import TrainHistory
+
+        histories = {
+            "linear": TrainHistory(train_loss=[1.0, 0.5], val_loss=[1.0, 0.4], lr=[1e-3] * 2,
+                                   best_epoch=1, stopped_early=False),
+            "tcn": TrainHistory(train_loss=[1.0, 0.5], val_loss=[0.4, 0.6], lr=[1e-3] * 2,
+                                best_epoch=0, stopped_early=True),
+        }
+        monkeypatch.setattr(forecast, "train_forecaster", lambda eps, kind, target, config: (
+            forecast.Forecaster("kinematic_zero", target=target), histories.get(kind)))
+        out = tmp_path / "tr"
+        assert main(["eval-transfer", "--train-data", str(small_corpus),
+                     "--eval-data", str(small_corpus), "--out", str(out),
+                     "--models", "kinematic_zero,linear,tcn", "--channel-set", "effort"]) == 0
+        manifest = yaml.safe_load((out / "manifest.yaml").read_text())
+        assert manifest["training"] == {
+            "linear": {"best_epoch": 1, "stopped_early": False},
+            "tcn": {"best_epoch": 0, "stopped_early": True},
+        }
+
 
 class TestGapCommand:
     def test_summary_shape(self, tmp_path):

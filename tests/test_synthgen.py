@@ -318,6 +318,64 @@ class TestFaults:
         assert np.abs(ep.channel("feedback_gripper_pos")).max() <= 1e-12
 
 
+def _declared_magnitudes(integer: bool):
+    """(fault, magnitude) for every integer (or every float) magnitude in the table."""
+    return [pytest.param(c.fault_type, m, id=f"{c.fault_type}-{m.key}")
+            for c in FAULT_CATALOG if c.injectable
+            for m in c.magnitudes if (m.steps is not None) == integer]
+
+
+class TestFaultMagnitudes:
+    @pytest.mark.parametrize("fault,params,key", [
+        ("unstable_platform", {"amplitude": 0.5}, "amplitude"),
+        ("unstable_platform", {"amplitude_rad": "x"}, "amplitude_rad"),
+        ("collision_foam_spike", {"n_joints": 0}, "n_joints"),
+        ("additional_axis_payload", {"joint": -1}, "joint"),
+        ("additional_axis_payload", {"joint": 0}, "joint"),
+        ("additional_axis_payload", {"joint": 9}, "joint"),
+        ("invalid_gripping_position", {"delay_steps": -5}, "delay_steps"),
+        ("invalid_gripping_position", {"delay_steps": 2.5}, "delay_steps"),
+        ("invalid_gripping_position", {"delay_steps": 10_000}, "delay_steps"),
+        ("gripper_release_mid_motion", {"onset_step": 3.7}, "onset_step"),
+        ("gripper_release_mid_motion", {"onset_step": 500}, "onset_step"),
+        ("collision_foam_spike", {"duration_s": float("nan")}, "duration_s"),
+        ("unexpected_payload_weight", {"scale": True}, "scale"),
+        ("gripper_activation_failure", {"foo": 1}, "foo"),
+    ])
+    def test_bad_magnitude_names_fault_and_key(self, fault, params, key):
+        with pytest.raises(SchemaViolation) as err:
+            sample_params(19, fault=FaultDirective(fault, params))
+        assert fault in str(err.value) and key in str(err.value)
+
+    def test_simulate_plant_checks_hand_built_directive(self):
+        params = dataclasses.replace(sample_params(1),
+                                     fault=FaultDirective("unstable_platform"))
+        with pytest.raises(SchemaViolation, match="unstable_platform.*freq_hz"):
+            simulate_plant(params)
+
+    @pytest.mark.parametrize("fault,magnitude", _declared_magnitudes(integer=True))
+    def test_integer_range_ends_change_episode_and_beyond_raise(self, fault, magnitude):
+        healthy = generate_episode(19, episode_id="ep", noise=False)
+        traj = plan_trajectory(sample_params(19))
+        lo, hi = magnitude.steps(traj.n_steps, traj.phase_runs())
+        ends = [generate_episode(19, fault=FaultDirective(fault, {magnitude.key: value}),
+                                 episode_id="ep", noise=False).channels for value in (lo, hi)]
+        assert not np.array_equal(ends[0], healthy.channels), lo
+        assert not np.array_equal(ends[1], healthy.channels), hi
+        assert not np.array_equal(ends[0], ends[1]), f"{magnitude.key} has no effect"
+        for value in (lo - 1, hi + 1):
+            with pytest.raises(SchemaViolation, match=f"{fault}: {magnitude.key}"):
+                sample_params(19, fault=FaultDirective(fault, {magnitude.key: value}))
+
+    @pytest.mark.parametrize("fault,magnitude", _declared_magnitudes(integer=False))
+    def test_every_float_magnitude_changes_episode(self, fault, magnitude):
+        default = generate_episode(19, fault=FaultDirective(fault), episode_id="ep", noise=False)
+        value = sample_params(19, fault=FaultDirective(fault)).fault.params[magnitude.key]
+        ep = generate_episode(19, fault=FaultDirective(fault, {magnitude.key: value * 1.25}),
+                              episode_id="ep", noise=False)
+        assert not np.array_equal(ep.channels, default.channels)
+
+
 # sha256 over the channel names, the phase labels, t and the channels (as
 # little-endian float64) of `generate_episode(19, FaultDirective(fault),
 # episode_id="ep", noise=noise)` with the default fault magnitudes, recorded
