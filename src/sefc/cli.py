@@ -27,6 +27,14 @@ from .schema import BUILTIN_ADAPTER_IDS, EpisodeMeta, apply_adapter, builtin_ada
 
 log = logging.getLogger("sefc")
 
+#: The report file of each section that ``sefc report`` merges, in order.
+_REPORT_FILES = {
+    "anomaly": "anomaly_report.csv",
+    "forecast": "forecast_report.csv",
+    "transfer": "transfer_report.csv",
+    "gap": "gap_summary.csv",
+}
+
 
 class _Done(NamedTuple):
     """What a command body hands back to ``_command``."""
@@ -211,7 +219,7 @@ def cmd_score(args: argparse.Namespace, out: Path) -> _Done:
     outputs = [scores_path.name]
     if any(s.is_anomalous for s in scored) and any(not s.is_anomalous for s in scored):
         report = anomaly.per_category_report(scored, seed=args.seed)
-        outputs.append(anomaly.write_report_csv(report, out / "anomaly_report.csv").name)
+        outputs.append(anomaly.write_report_csv(report, out / _REPORT_FILES["anomaly"]).name)
         outputs.append(
             anomaly.write_report_summary(report, out / "anomaly_summary.yaml").name
         )
@@ -260,7 +268,7 @@ def cmd_eval_forecast(args: argparse.Namespace, out: Path) -> _Done:
         curves[kind] = forecast.survival_curve(results, h_max)
 
     report_path = forecast.write_forecast_csv(rows_by_model, survival_by_model,
-                                              out / "forecast_report.csv")
+                                              out / _REPORT_FILES["forecast"])
     curve_path = write_csv(
         out / "survival_curve.csv", ["model", "step", "fraction_surviving"],
         ([kind, step, f"{frac:.6f}"]
@@ -279,7 +287,7 @@ def cmd_eval_transfer(args: argparse.Namespace, out: Path) -> _Done:
     config = _train_config(args, optimizer="adamw")
     models, training = _train_each(kinds, source, args.channel_set, config)
     reports = [forecast.transfer_eval(m, target, args.channel_set) for m in models.values()]
-    path = forecast.write_transfer_csv(reports, out / "transfer_report.csv")
+    path = forecast.write_transfer_csv(reports, out / _REPORT_FILES["transfer"])
     return _Done([str(args.train_data), str(args.eval_data)], [path.name],
                  f"transfer report -> {path}", {"training": training})
 
@@ -296,7 +304,7 @@ def cmd_gap(args: argparse.Namespace, out: Path) -> _Done:
         per_pair.append(gap.pair_metrics(aligned))
     summary = gap.batch_summary(per_pair)
     pair_path = gap.write_pair_metrics_csv(per_pair, out / "gap_pairs.csv")
-    summary_path = gap.write_summary_csv(summary, out / "gap_summary.csv")
+    summary_path = gap.write_summary_csv(summary, out / _REPORT_FILES["gap"])
     message = f"gap summary over {summary.n_pairs} pairs -> {summary_path}"
     if unpaired.real_only or unpaired.sim_only:
         message = (f"unpaired: real={list(unpaired.real_only)} "
@@ -310,18 +318,10 @@ def cmd_gap(args: argparse.Namespace, out: Path) -> _Done:
     )
 
 
-_REPORT_SECTIONS = (
-    ("anomaly", "anomaly_report.csv"),
-    ("forecast", "forecast_report.csv"),
-    ("transfer", "transfer_report.csv"),
-    ("gap", "gap_summary.csv"),
-)
-
-
 @_command
 def cmd_report(args: argparse.Namespace, out: Path) -> _Done:
     in_dir = Path(args.in_dir)
-    present = [(section, in_dir / name) for section, name in _REPORT_SECTIONS
+    present = [(section, in_dir / name) for section, name in _REPORT_FILES.items()
                if (in_dir / name).exists()]
     merged = write_csv(
         out / "summary.csv", ["section", "row"],

@@ -38,9 +38,10 @@ FEATURE_BLOCKS = (
 )
 N_FEATURES = len(FEATURE_BLOCKS) * N_JOINTS
 
-_FB_POS = slice(0, 6)
-_FB_VEL = slice(6, 12)
-_FB_ACC = slice(12, 18)
+_FB_POS, _FB_VEL, _FB_ACC = (
+    slice(i * N_JOINTS, (i + 1) * N_JOINTS)
+    for i in map(FEATURE_BLOCKS.index, ("feedback_pos", "feedback_vel", "feedback_acc"))
+)
 
 MODEL_KINDS = ("linear", "flat_mlp", "tcn", "tcn_transformer", "kinematic_zero")
 

@@ -15,10 +15,10 @@ uses it) stays full-sequence.
 
 ``predict`` keeps no backward cache: every model's ``_forward`` records
 activations only when ``loss_and_grad`` or ``relu_margin`` hands it a
-cache dict.  ``predict`` runs a large batch in blocks of rows sized so that
-one block's widest activation stays about 1 MiB (``_BLOCK_VALUES``); a
-batch that fits runs whole.  ``loss_and_grad`` and ``forward_seq`` run the
-whole batch at once.
+cache dict.  ``SeqNet.predict`` runs a large batch in blocks of rows sized
+so that one block's widest activation stays about 1 MiB (``_BLOCK_VALUES``);
+a batch that fits runs whole.  ``DenseNet.predict``, ``loss_and_grad`` and
+``forward_seq`` run the whole batch at once.
 """
 
 from __future__ import annotations
@@ -90,21 +90,11 @@ class Model:
             np.asarray(grads[name]).ravel() for name in self._params
         ])
 
-    # subclasses implement: _check_input, _values_per_row, _predict_rows,
-    # loss_and_grad, relu_margin
+    # subclasses implement: _check_input, predict, loss_and_grad, relu_margin
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        """Outputs for a batch, computed in row blocks without a backward cache.
-
-        Each subclass names ``predict = Model.predict`` in its own body, so
-        that ``bench/tracer.py`` can time each class apart.
-        """
-        x = self._check_input(x)
-        rows = max(1, _BLOCK_VALUES // self._values_per_row(x))
-        if len(x) <= rows:
-            return self._predict_rows(x)
-        return np.concatenate([self._predict_rows(x[i:i + rows])
-                               for i in range(0, len(x), rows)])
+        """Outputs for a batch, computed without a backward cache."""
+        raise NotImplementedError
 
     def loss(self, x: np.ndarray, y: np.ndarray) -> float:
         return _mse(self.predict(x), y)[0]
@@ -156,9 +146,6 @@ class DenseNet(Model):
             )
         return x
 
-    def _values_per_row(self, x: np.ndarray) -> int:
-        return max(self.widths)
-
     def _forward(self, x: np.ndarray, cache: Optional[dict] = None) -> np.ndarray:
         """Network output; a *cache* dict gets each layer's input ``hs`` and
         pre-activation ``zs``."""
@@ -175,10 +162,10 @@ class DenseNet(Model):
                 zs.append(z)
         return z
 
-    def _predict_rows(self, x: np.ndarray) -> np.ndarray:
-        return self._forward(x)
-
-    predict = Model.predict
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        """Outputs for the whole batch at once: its GEMMs are already blocked
+        by BLAS, so row blocks would only add overhead."""
+        return self._forward(self._check_input(x))
 
     def relu_margin(self, x: np.ndarray) -> float:
         cache: dict = {}
@@ -554,10 +541,15 @@ class SeqNet(Model):
         x = self._check_input(x)
         return self._forward(x, cache, x.shape[1])
 
-    def _predict_rows(self, x: np.ndarray) -> np.ndarray:
-        return self._forward(x, None, 1)[:, 0]
-
-    predict = Model.predict
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        """Last-step outputs for a batch, in blocks of rows whose widest
+        activation stays within ``_BLOCK_VALUES``; a batch that fits runs whole."""
+        x = self._check_input(x)
+        rows = max(1, _BLOCK_VALUES // self._values_per_row(x))
+        if len(x) <= rows:
+            return self._forward(x, None, 1)[:, 0]
+        return np.concatenate([self._forward(x[i:i + rows], None, 1)[:, 0]
+                               for i in range(0, len(x), rows)])
 
     def relu_margin(self, x: np.ndarray) -> float:
         cache: dict = {}
@@ -612,5 +604,5 @@ class TCNNet(SeqNet):
                    spec["dilations"], spec["out_dim"])
 
     # Own entries in the class __dict__, so bench/tracer.py times TCNNet apart from SeqNet.
-    predict = Model.predict
+    predict = SeqNet.predict
     loss_and_grad = SeqNet.loss_and_grad

@@ -37,6 +37,7 @@ import numpy as np
 from .codec import load_yaml
 from .errors import (
     InfeasibleProfile,
+    MissingChannel,
     NumericalInstability,
     SchemaViolation,
     UnsupportedFault,
@@ -132,6 +133,8 @@ class _Magnitude(NamedTuple):
     key: str
     draw: Callable                     # (rng, runs) -> default; runs[phase] = (start, stop)
     steps: Optional[Callable] = None   # (n_steps, runs) -> closed integer range (lo, hi)
+    most: Optional[Callable] = None    # float: (traj) -> largest value
+    identity: Optional[float] = None   # float: the value that leaves the plant healthy
 
 
 @dataclass(frozen=True)
@@ -154,7 +157,8 @@ def _cat(fault_type, description, tasks, magnitudes=None):
 #: signal-level analogue in the generator; the rest is carried as metadata.
 #: An injectable type declares its magnitudes.  An integer range leaves out
 #: every value that crashes the plant or matches the healthy twin; a
-#: magnitude without a range is a positive finite float.
+#: magnitude without a range is a positive finite float, at most its declared
+#: largest value and never its identity value.
 FAULT_CATALOG: tuple[FaultCatalogEntry, ...] = (
     _cat("damaged_screw_thread", "screw thread damaged, no engagement", ("screwdriving",)),
     _cat("missing_screw", "tightening attempted with no screw", ("screwdriving",)),
@@ -175,12 +179,13 @@ FAULT_CATALOG: tuple[FaultCatalogEntry, ...] = (
          (_Magnitude("onset_step", lambda rng, runs: int(rng.integers(runs["transfer"][0],
                                                                       runs["transfer"][1] - 15)),
                      lambda n, runs: (0, n - 2)),   # a pulse cut to one step is sin(0) = 0
-          _Magnitude("duration_s", lambda *_: 0.2),
+          _Magnitude("duration_s", lambda *_: 0.2,   # at most the episode length
+                     most=lambda traj: traj.n_steps / traj.rate_hz),
           _Magnitude("peak_nm", lambda *_: 0.3),
           _Magnitude("n_joints", lambda *_: 3, lambda *_: (1, N_JOINTS)))),
     _cat("unexpected_payload_weight", "transported box heavier/lighter than nominal",
          ("pick_and_place",),
-         (_Magnitude("scale", lambda rng, runs: float(rng.uniform(1.5, 3.0))),)),
+         (_Magnitude("scale", lambda rng, runs: float(rng.uniform(1.5, 3.0)), identity=1.0),)),
     _cat("invalid_gripping_position", "gripper closure lags the lift motion", ("pick_and_place",),
          (_Magnitude("delay_steps", lambda rng, runs: int(rng.integers(10, 41)),
                      lambda n, runs: (1, n - 1)),)),
@@ -191,7 +196,8 @@ FAULT_CATALOG: tuple[FaultCatalogEntry, ...] = (
          ("pick_and_place", "screwdriving", "peg_in_hole")),
     _cat("payload_weight_misconfiguration", "configured payload mass wrong while tool attached",
          ("pick_and_place", "screwdriving"),
-         (_Magnitude("configured_scale", lambda rng, runs: float(rng.uniform(2.0, 4.0))),)),
+         (_Magnitude("configured_scale", lambda rng, runs: float(rng.uniform(2.0, 4.0)),
+                     identity=1.0),)),
     _cat("external_arm_disturbance", "continuous external force on the TCP",
          ("pick_and_place", "screwdriving", "peg_in_hole")),
     _cat("payload_cog_misconfiguration", "payload CoG offset wrong in controller",
@@ -306,8 +312,11 @@ def _complete_fault(directive: FaultDirective, traj: TrajectoryPlan,
             raise SchemaViolation(f"{fault}: magnitude {m.key!r} is missing")
         value = params[m.key]
         if m.steps is None:
-            rule = "a positive finite number"
-            valid = isinstance(value, numbers.Real) and 0 < value <= sys.float_info.max
+            hi = sys.float_info.max if m.most is None else m.most(traj)
+            rule = "a positive finite number" if m.most is None else f"a number in (0, {hi:g}]"
+            if m.identity is not None:
+                rule += f" other than {m.identity:g}"
+            valid = isinstance(value, numbers.Real) and 0 < value <= hi and value != m.identity
         else:
             lo, hi = m.steps(n, runs)
             rule = f"an integer in [{lo}, {hi}]"
@@ -556,38 +565,51 @@ def _track_second_order(
     return q, v, a
 
 
-def _synthetic_descriptors() -> tuple[ChannelDescriptor, ...]:
-    descs: list[ChannelDescriptor] = []
+class _Block(NamedTuple):
+    name: str
+    role: SignalRole
+    units: tuple[str, ...]         # one per column
+    sigmas: tuple[str, ...] = ()   # RandomizationConfig sigma field per column; () is noiseless
 
-    def add(name, role, unit, axis=None):
-        descs.append(ChannelDescriptor(name, role, unit, axis))
-
-    for kind, unit in (("pos", "rad"), ("vel", "rad/s"), ("acc", "rad/s^2")):
-        for i in range(N_JOINTS):
-            add(f"setpoint_{kind}_{i}", SignalRole.SETPOINT, unit, i)
-    add("setpoint_gripper_pos", SignalRole.SETPOINT, "rad")
-    for kind, unit in (("pos", "rad"), ("vel", "rad/s"), ("acc", "rad/s^2")):
-        for i in range(N_JOINTS):
-            add(f"feedback_{kind}_{i}", SignalRole.FEEDBACK, unit, i)
-    add("feedback_gripper_pos", SignalRole.FEEDBACK, "rad")
-    for i in range(N_JOINTS):
-        add(f"effort_motor_torque_{i}", SignalRole.EFFORT, "Nm", i)
-    for i in range(3):
-        add(f"feedback_pos_cartesian_{i}", SignalRole.FEEDBACK, "m", i)
-    for i in range(3, 6):
-        add(f"feedback_pos_cartesian_{i}", SignalRole.FEEDBACK, "rad", i)
-    for i, unit in enumerate(("m", "m", "m")):
-        add(f"feedback_obj_pos_{i}", SignalRole.FEEDBACK, unit, i)
-    add("ctx_gripper_attached", SignalRole.CONTEXT, "bool")
-    add("ctx_cube_mass", SignalRole.CONTEXT, "kg")
-    add("ctx_cube_friction", SignalRole.CONTEXT, "-")
-    add("ctx_cube_width", SignalRole.CONTEXT, "m")
-    add("ctx_cube_depth", SignalRole.CONTEXT, "m")
-    add("ctx_cube_height", SignalRole.CONTEXT, "m")
-    return tuple(descs)
+    def axes(self) -> list[tuple[str, Optional[int]]]:
+        """(channel name, axis) per column; a one-column block has no axis."""
+        if len(self.units) == 1:
+            return [(self.name, None)]
+        return [(f"{self.name}_{i}", i) for i in range(len(self.units))]
 
 
-SYNTH_DESCRIPTORS = _synthetic_descriptors()
+_J = N_JOINTS
+#: The synthetic channel layout, in column order: `simulate_plant` fills one
+#: array per block, and the noisy columns draw in this order.
+_SYNTH_LAYOUT = (
+    _Block("setpoint_pos", SignalRole.SETPOINT, ("rad",) * _J),
+    _Block("setpoint_vel", SignalRole.SETPOINT, ("rad/s",) * _J),
+    _Block("setpoint_acc", SignalRole.SETPOINT, ("rad/s^2",) * _J),
+    _Block("setpoint_gripper_pos", SignalRole.SETPOINT, ("rad",)),
+    _Block("feedback_pos", SignalRole.FEEDBACK, ("rad",) * _J, ("sigma_pos_rad",) * _J),
+    _Block("feedback_vel", SignalRole.FEEDBACK, ("rad/s",) * _J, ("sigma_vel_radps",) * _J),
+    _Block("feedback_acc", SignalRole.FEEDBACK, ("rad/s^2",) * _J),
+    _Block("feedback_gripper_pos", SignalRole.FEEDBACK, ("rad",)),
+    _Block("effort_motor_torque", SignalRole.EFFORT, ("Nm",) * _J, ("sigma_effort",) * _J),
+    _Block("feedback_pos_cartesian", SignalRole.FEEDBACK, ("m", "m", "m", "rad", "rad", "rad")),
+    _Block("feedback_obj_pos", SignalRole.FEEDBACK, ("m", "m", "m"),
+           ("sigma_obj_xy_m", "sigma_obj_xy_m", "sigma_obj_z_m")),
+    _Block("ctx_gripper_attached", SignalRole.CONTEXT, ("bool",)),
+    _Block("ctx_cube_mass", SignalRole.CONTEXT, ("kg",)),
+    _Block("ctx_cube_friction", SignalRole.CONTEXT, ("-",)),
+    _Block("ctx_cube_width", SignalRole.CONTEXT, ("m",)),
+    _Block("ctx_cube_depth", SignalRole.CONTEXT, ("m",)),
+    _Block("ctx_cube_height", SignalRole.CONTEXT, ("m",)),
+)
+
+SYNTH_DESCRIPTORS = tuple(
+    ChannelDescriptor(name, b.role, unit, axis)
+    for b in _SYNTH_LAYOUT for (name, axis), unit in zip(b.axes(), b.units)
+)
+#: (channel name, sigma field) of every noisy channel, in column order.
+_NOISY_CHANNELS = tuple(
+    (name, sigma) for b in _SYNTH_LAYOUT for (name, _), sigma in zip(b.axes(), b.sigmas)
+)
 SYNTH_SOURCE_ID = "synth_ur5"
 
 
@@ -608,22 +630,28 @@ def simulate_plant(params: EpisodeParams, traj: Optional[TrajectoryPlan] = None)
     ftype = params.fault.fault_type if params.fault is not None else None
     fp = _complete_fault(params.fault, traj, None).params if params.fault is not None else {}
 
-    # payload attachment window: between the grasp and release phases
-    attach_step = runs["lift"][0]
-    detach_step = runs["release"][0]
-    carried_mass = np.zeros(n)
+    # the gripper carries the payload over [attach, detach), from the lift to
+    # the release, and its feedback tracks a command that faults may alter
+    attach, detach = runs["lift"][0], runs["release"][0]
+    grip_cmd = traj.gripper_pos
     true_mass = params.mass_kg
-    if ftype == "unexpected_payload_weight":
-        true_mass = params.mass_kg * fp["scale"]
     if ftype == "gripper_activation_failure":
-        attach_step = detach_step  # never attached
-    if ftype == "invalid_gripping_position":
-        attach_step = min(attach_step + fp["delay_steps"], detach_step)
+        attach = detach   # never attached
+        grip_cmd = np.full(n, GRIPPER_OPEN_RAD)
+    elif ftype == "invalid_gripping_position":
+        delay = fp["delay_steps"]
+        attach = min(attach + delay, detach)
+        grip_cmd = np.concatenate([np.full(delay, grip_cmd[0]), grip_cmd[:-delay]])
+    elif ftype == "gripper_release_mid_motion":
+        detach = fp["onset_step"]   # its range keeps it in [attach, release)
+        grip_cmd = np.concatenate([grip_cmd[:detach], np.full(n - detach, GRIPPER_OPEN_RAD)])
+    elif ftype == "unexpected_payload_weight":
+        true_mass = params.mass_kg * fp["scale"]
     carry = np.zeros(n, dtype=bool)
-    carry[attach_step:detach_step] = True
-    if ftype == "gripper_release_mid_motion":
-        carry[fp["onset_step"]:] = False
-    carried_mass[carry] = true_mass
+    carry[attach:detach] = True
+    carried_mass = np.where(carry, true_mass, 0.0)
+    wn_grip = math.sqrt(params.kp_grip * GRIPPER_STIFFNESS_SCALE)
+    grip_fb, _, _ = _track_second_order(grip_cmd, wn_grip, dt)
 
     # controller's configured payload mass (feedforward side of the effort)
     configured_mass = carried_mass
@@ -648,18 +676,6 @@ def simulate_plant(params: EpisodeParams, traj: Optional[TrajectoryPlan] = None)
             traj.setpoint_pos[:, j], wn, dt, disturbance=dist
         )
 
-    # gripper feedback tracks an internal command that faults may alter
-    grip_cmd = traj.gripper_pos.copy()
-    if ftype == "gripper_activation_failure":
-        grip_cmd[:] = GRIPPER_OPEN_RAD
-    if ftype == "invalid_gripping_position":
-        delay = fp["delay_steps"]
-        grip_cmd = np.concatenate([np.full(delay, grip_cmd[0]), grip_cmd[:-delay]])
-    if ftype == "gripper_release_mid_motion":
-        grip_cmd[fp["onset_step"]:] = GRIPPER_OPEN_RAD
-    wn_grip = math.sqrt(params.kp_grip * GRIPPER_STIFFNESS_SCALE)
-    grip_fb, _, _ = _track_second_order(grip_cmd, wn_grip, dt)
-
     effort = K_TRACK * (traj.setpoint_pos - q_fb) + (
         GRAVITY * arms[None, :] * configured_mass[:, None] * np.cos(q_fb)
     )
@@ -667,29 +683,19 @@ def simulate_plant(params: EpisodeParams, traj: Optional[TrajectoryPlan] = None)
         j = fp["joint"]
         effort[:, j] += fp["weight_kg"] * GRAVITY * arms[j] * np.cos(q_fb[:, j])
 
-    # TCP surrogate and object perception channels
+    # TCP surrogate and object perception channels: the object rides at the
+    # TCP while carried, then rests on its base where it was let go
     tcp_x, tcp_y = two_link_fk(q_fb[:, 0], q_fb[:, 1])
     tcp = np.column_stack([
         tcp_x, tcp_y, np.full(n, TCP_Z_M),
         np.zeros(n), np.zeros(n), q_fb[:, 0] + q_fb[:, 1],
     ])
-
-    spawn = np.array([
-        PICK_XY_M[0] + params.spawn_offset_m[0],
-        PICK_XY_M[1] + params.spawn_offset_m[1],
-        params.cube_dims_m[2] / 2.0,
-    ])
-    obj = np.tile(spawn, (n, 1))
-    attached_steps = np.flatnonzero(carry)
-    if attached_steps.size:
-        obj[carry, 0] = tcp_x[carry]
-        obj[carry, 1] = tcp_y[carry]
-        obj[carry, 2] = TCP_Z_M
-        last = attached_steps[-1]
-        if last + 1 < n:
-            obj[last + 1:, 0] = tcp_x[last]
-            obj[last + 1:, 1] = tcp_y[last]
-            obj[last + 1:, 2] = params.cube_dims_m[2] / 2.0
+    obj = np.tile([PICK_XY_M[0] + params.spawn_offset_m[0],
+                   PICK_XY_M[1] + params.spawn_offset_m[1],
+                   params.cube_dims_m[2] / 2.0], (n, 1))
+    if attach < detach:
+        obj[attach:detach] = tcp[attach:detach, :3]
+        obj[detach:, :2] = tcp[detach - 1, :2]
 
     # purely additive faults, applied on top of the simulated signals
     if ftype == "unstable_platform":
@@ -701,23 +707,19 @@ def simulate_plant(params: EpisodeParams, traj: Optional[TrajectoryPlan] = None)
         pulse = fp["peak_nm"] * np.sin(math.pi * np.arange(end - onset) / (n_pulse - 1))
         effort[onset:end, :fp["n_joints"]] += pulse[:, None]
 
-    const = np.ones(n)
-    columns = [
-        traj.setpoint_pos, traj.setpoint_vel, traj.setpoint_acc,
-        traj.gripper_pos[:, None],
-        q_fb, v_fb, a_fb,
-        grip_fb[:, None],
-        effort,
-        tcp,
-        obj,
-        carry.astype(np.float64)[:, None],
-        (const * params.mass_kg)[:, None],
-        (const * params.friction)[:, None],
-        (const * params.cube_dims_m[0])[:, None],
-        (const * params.cube_dims_m[1])[:, None],
-        (const * params.cube_dims_m[2])[:, None],
-    ]
-    channels = np.concatenate(columns, axis=1)
+    blocks = {
+        "setpoint_pos": traj.setpoint_pos, "setpoint_vel": traj.setpoint_vel,
+        "setpoint_acc": traj.setpoint_acc, "setpoint_gripper_pos": traj.gripper_pos,
+        "feedback_pos": q_fb, "feedback_vel": v_fb, "feedback_acc": a_fb,
+        "feedback_gripper_pos": grip_fb, "effort_motor_torque": effort,
+        "feedback_pos_cartesian": tcp, "feedback_obj_pos": obj, "ctx_gripper_attached": carry,
+        "ctx_cube_mass": np.full(n, params.mass_kg),
+        "ctx_cube_friction": np.full(n, params.friction),
+        "ctx_cube_width": np.full(n, params.cube_dims_m[0]),
+        "ctx_cube_depth": np.full(n, params.cube_dims_m[1]),
+        "ctx_cube_height": np.full(n, params.cube_dims_m[2]),
+    }
+    channels = np.column_stack([blocks[b.name] for b in _SYNTH_LAYOUT])
 
     return Episode(
         episode_id=params.episode_id,
@@ -734,32 +736,25 @@ def simulate_plant(params: EpisodeParams, traj: Optional[TrajectoryPlan] = None)
     )
 
 
-_NOISE_FAMILIES = (
-    # (channel names, sigma attribute)
-    (tuple(f"feedback_pos_{i}" for i in range(N_JOINTS)), "sigma_pos_rad"),
-    (tuple(f"feedback_vel_{i}" for i in range(N_JOINTS)), "sigma_vel_radps"),
-    (tuple(f"effort_motor_torque_{i}" for i in range(N_JOINTS)), "sigma_effort"),
-    (("feedback_obj_pos_0", "feedback_obj_pos_1"), "sigma_obj_xy_m"),
-    (("feedback_obj_pos_2",), "sigma_obj_z_m"),
-)
-
-
 def add_sensor_noise(ep: Episode, params: EpisodeParams) -> Episode:
-    """Add the per-family Gaussian sensor noise; deterministic in the seed.
+    """Add the per-channel Gaussian sensor noise of the synthetic layout;
+    deterministic in the seed.
 
     Setpoint and Context channels stay noiseless (commands and scene
-    constants, not telemetry).  Standard-normal draws are consumed in a
-    fixed channel order regardless of the sigma values, so twins share
-    identical noise on every channel.
+    constants, not telemetry).  Standard-normal draws are consumed in the
+    layout's column order regardless of the sigma values, so twins share
+    identical noise on every channel.  An episode without one of the noisy
+    channels raises MissingChannel.
     """
     rng = np.random.default_rng([params.seed, _STREAM_NOISE])
     channels = np.array(ep.channels)
-    for names, attr in _NOISE_FAMILIES:
-        sigma = getattr(params.config, attr)
-        for name in names:
-            draw = rng.standard_normal(ep.n_steps)
-            if sigma > 0 and ep.has_channel(name):
-                channels[:, ep.channel_index(name)] += sigma * draw
+    for name, sigma_field in _NOISY_CHANNELS:
+        if not ep.has_channel(name):
+            raise MissingChannel(name)
+        draw = rng.standard_normal(ep.n_steps)
+        sigma = getattr(params.config, sigma_field)
+        if sigma > 0:
+            channels[:, ep.channel_index(name)] += sigma * draw
     return ep.replace(channels=channels)
 
 

@@ -21,7 +21,6 @@ from sefc.nnkit import (
     save_model,
     train,
 )
-from sefc.nnkit.models import _BLOCK_VALUES
 
 RNG = np.random.default_rng(2024)
 
@@ -60,12 +59,11 @@ class TestForward:
         with pytest.raises(ShapeMismatch):
             SeqNet(seed=0).predict(RNG.normal(size=(2, 10, 35)))
 
-    def test_densenet_row_blocks_match_row_by_row(self):
+    def test_densenet_whole_batch_matches_row_by_row(self):
         rng = np.random.default_rng(11)   # the module RNG feeds later tests' data
         net = DenseNet([18, 512, 256, 128, 6], seed=3)
         net.set_params(net.get_params() + rng.normal(0.0, 0.05, size=net.n_params))
-        rows = max(1, _BLOCK_VALUES // net._values_per_row(np.empty((1, 18))))
-        x = rng.normal(size=(2 * rows + 7, 18))
+        x = rng.normal(size=(519, 18))
         got = net.predict(x)
         want = np.concatenate([net.predict(x[i:i + 1]) for i in range(len(x))])
         assert got.shape == want.shape

@@ -8,6 +8,7 @@ import pytest
 from sefc import synthgen
 from sefc.errors import (
     InfeasibleProfile,
+    MissingChannel,
     NumericalInstability,
     SchemaViolation,
     UnsupportedFault,
@@ -347,6 +348,27 @@ class TestFaultMagnitudes:
             sample_params(19, fault=FaultDirective(fault, params))
         assert fault in str(err.value) and key in str(err.value)
 
+    @pytest.mark.parametrize("fault,params,key", [
+        ("unexpected_payload_weight", {"scale": 1.0}, "scale"),
+        ("payload_weight_misconfiguration", {"configured_scale": 1.0}, "configured_scale"),
+        ("collision_foam_spike", {"duration_s": 1e308}, "duration_s"),
+    ])
+    def test_float_rule_names_fault_and_key(self, fault, params, key):
+        # an identity scale leaves the episode equal to its twin; a huge duration overflows
+        with pytest.raises(SchemaViolation) as err:
+            generate_episode(19, fault=FaultDirective(fault, params), noise=False)
+        assert fault in str(err.value) and key in str(err.value)
+
+    def test_duration_bound_is_the_episode_length(self):
+        traj = plan_trajectory(sample_params(19))
+        longest = traj.n_steps / traj.rate_hz
+        ep = generate_episode(19, fault=FaultDirective("collision_foam_spike",
+                                                       {"duration_s": longest}), noise=False)
+        assert ep.fault == "collision_foam_spike"
+        beyond = FaultDirective("collision_foam_spike", {"duration_s": math.nextafter(longest, 1e9)})
+        with pytest.raises(SchemaViolation, match="collision_foam_spike: duration_s"):
+            sample_params(19, fault=beyond)
+
     def test_simulate_plant_checks_hand_built_directive(self):
         params = dataclasses.replace(sample_params(1),
                                      fault=FaultDirective("unstable_platform"))
@@ -465,6 +487,14 @@ class TestNoise:
         params = sample_params(1234, cfg)
         out = synthgen.add_sensor_noise(noiseless_episode, params)
         assert np.array_equal(out.channels, noiseless_episode.channels)
+
+    def test_missing_noisy_channel_raises(self, noiseless_episode):
+        ep = noiseless_episode
+        keep = [d for d in ep.descriptors if d.canonical_name != "feedback_obj_pos_2"]
+        partial = ep.replace(channels=ep.columns([d.canonical_name for d in keep]),
+                             descriptors=tuple(keep))
+        with pytest.raises(MissingChannel, match="feedback_obj_pos_2"):
+            synthgen.add_sensor_noise(partial, sample_params(1234))
 
     def test_setpoints_stay_noiseless(self, noiseless_episode, noisy_episode):
         for i in range(6):
