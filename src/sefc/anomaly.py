@@ -210,10 +210,12 @@ def bootstrap_ci(
         raise DegenerateLabels("need both classes for a bootstrap CI")
     rng = np.random.default_rng(seed)
     n_h, n_a = healthy.size, anom.size
-    draws = np.empty((n_resamples, n_h + n_a))
-    for b in range(n_resamples):
-        draws[b, :n_h] = rng.choice(healthy, size=n_h, replace=True)
-        draws[b, n_h:] = rng.choice(anom, size=n_a, replace=True)
+    # one draw of every resample's indices, in the order of the per-resample
+    # ``rng.choice`` calls it replaces: each row n_h healthy, then n_a anomalous
+    bounds = np.empty((n_resamples, n_h + n_a), dtype=np.int64)
+    bounds[:, :n_h], bounds[:, n_h:] = n_h, n_a
+    idx = rng.integers(0, bounds)
+    draws = np.concatenate((healthy[idx[:, :n_h]], anom[idx[:, n_h:]]), axis=1)
     rank_sums = rankdata(draws, method="average", axis=1)[:, n_h:].sum(axis=1)
     stats = _auroc_from_rank_sum(rank_sums, n_a, n_h)
     alpha = (1.0 - level) / 2.0

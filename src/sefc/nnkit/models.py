@@ -15,10 +15,13 @@ uses it) stays full-sequence.
 
 ``predict`` keeps no backward cache: every model's ``_forward`` records
 activations only when ``loss_and_grad`` or ``relu_margin`` hands it a
-cache dict.  ``SeqNet.predict`` runs a large batch in blocks of rows sized
-so that one block's widest activation stays about 1 MiB (``_BLOCK_VALUES``);
-a batch that fits runs whole.  ``DenseNet.predict``, ``loss_and_grad`` and
-``forward_seq`` run the whole batch at once.
+cache dict.  ``SeqNet.predict`` and ``SeqNet.loss_and_grad`` run a large
+batch in blocks of rows sized so that one block's widest activation stays
+about 1 MiB (``_BLOCK_VALUES``), so a training step's memory follows the
+block, not the batch; a batch that fits runs whole.  ``DenseNet`` runs the
+whole batch at once: row blocks would reorder its gradient sums, and its
+step caches one array per layer instead.  ``forward_seq`` runs the whole
+batch.
 """
 
 from __future__ import annotations
@@ -33,11 +36,13 @@ from ..errors import ShapeMismatch
 
 LN_EPS = 1e-8
 
-# Float64 values in the widest activation of one ``predict`` row block
+# Float64 values in the widest activation of one sequence-model row block
 # (1 MiB): a block's temporaries then stay inside a 2 MiB L2 cache, where a
 # (500, 10, 64) activation is 2.5 MB of fresh memory per layer.  On a
 # 2-vCPU Xeon, 68-window blocks ran a 500-window SeqNet or TCNNet predict
-# about 10% faster than one whole-batch pass.
+# about 10% faster than one whole-batch pass, and a training step's traced
+# peak stays at one block's cache (17 MB for the forecast SeqNet, where a
+# whole 2000-window batch held 460 MB).
 _BLOCK_VALUES = 1 << 17
 
 
@@ -147,19 +152,18 @@ class DenseNet(Model):
         return x
 
     def _forward(self, x: np.ndarray, cache: Optional[dict] = None) -> np.ndarray:
-        """Network output; a *cache* dict gets each layer's input ``hs`` and
-        pre-activation ``zs``."""
+        """Network output; a *cache* dict gets each layer's input ``hs``, one
+        array per layer: a hidden pre-activation is overwritten by its ReLU."""
         if cache is not None:
-            hs, zs = cache["hs"], cache["zs"] = [], []
+            hs = cache["hs"] = []
         h = x
         for l in range(self.n_layers):
             if l:
-                h = np.maximum(z, 0.0, out=z if cache is None else None)
-            z = h @ self._params[f"W{l}"]
-            z += self._params[f"b{l}"]
+                h = np.maximum(z, 0.0, out=z)
             if cache is not None:
                 hs.append(h)
-                zs.append(z)
+            z = h @ self._params[f"W{l}"]
+            z += self._params[f"b{l}"]
         return z
 
     def predict(self, x: np.ndarray) -> np.ndarray:
@@ -168,22 +172,32 @@ class DenseNet(Model):
         return self._forward(self._check_input(x))
 
     def relu_margin(self, x: np.ndarray) -> float:
+        """Each hidden pre-activation is recomputed from its cached input
+        with ``_forward``'s own ops, so it has the same bits."""
         cache: dict = {}
         self._forward(self._check_input(x), cache)
-        if self.n_layers == 1:
-            return math.inf
-        return float(min(np.abs(z).min() for z in cache["zs"][:-1]))
+        margins = []
+        for l, h in enumerate(cache["hs"][:-1]):
+            z = h @ self._params[f"W{l}"]
+            z += self._params[f"b{l}"]
+            margins.append(np.abs(z).min())
+        return float(min(margins)) if margins else math.inf
 
     def loss_and_grad(self, x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+        """Whole-batch step.  The ReLU mask comes from the cached layer input:
+        ``relu(z) > 0`` equals ``z > 0`` bit for bit, NaN and -0.0 included.
+        Each input is dropped once its layer's gradients are formed."""
         cache: dict = {}
         loss, delta = _mse(self._forward(self._check_input(x), cache), y)
-        hs, zs = cache["hs"], cache["zs"]
+        hs = cache["hs"]
         grads: dict[str, np.ndarray] = {}
         for l in range(self.n_layers - 1, -1, -1):
-            grads[f"W{l}"] = hs[l].T @ delta
+            h = hs.pop()
+            grads[f"W{l}"] = h.T @ delta
             grads[f"b{l}"] = delta.sum(axis=0)
             if l > 0:
-                delta = (delta @ self._params[f"W{l}"].T) * (zs[l - 1] > 0)
+                delta = delta @ self._params[f"W{l}"].T
+                delta *= h > 0
         return loss, self._grads_to_flat(grads)
 
 
@@ -541,11 +555,15 @@ class SeqNet(Model):
         x = self._check_input(x)
         return self._forward(x, cache, x.shape[1])
 
+    def _block_rows(self, x: np.ndarray) -> int:
+        """Rows of one block: its widest activation stays within ``_BLOCK_VALUES``."""
+        return max(1, _BLOCK_VALUES // self._values_per_row(x))
+
     def predict(self, x: np.ndarray) -> np.ndarray:
-        """Last-step outputs for a batch, in blocks of rows whose widest
-        activation stays within ``_BLOCK_VALUES``; a batch that fits runs whole."""
+        """Last-step outputs for a batch, in row blocks; a batch that fits
+        in one block runs whole."""
         x = self._check_input(x)
-        rows = max(1, _BLOCK_VALUES // self._values_per_row(x))
+        rows = self._block_rows(x)
         if len(x) <= rows:
             return self._forward(x, None, 1)[:, 0]
         return np.concatenate([self._forward(x[i:i + rows], None, 1)[:, 0]
@@ -560,8 +578,31 @@ class SeqNet(Model):
         return min(margins)
 
     def loss_and_grad(self, x, y):
+        """Loss and flat gradient in ``predict``'s row blocks: each block's
+        loss and gradient are weighted by its share of rows and summed, and
+        a block's cache is freed before the next block starts.  A batch that
+        fits in one block runs whole and keeps its bits."""
+        x = self._check_input(x)
+        y = np.asarray(y, dtype=np.float64)
+        if y.shape != (len(x), self.out_dim):
+            raise ShapeMismatch(f"prediction {(len(x), self.out_dim)} vs target {y.shape}")
+        rows = self._block_rows(x)
+        if len(x) <= rows:
+            return self._block_loss_and_grad(x, y)
+        loss, grad = 0.0, np.zeros(self.n_params)
+        for i in range(0, len(x), rows):
+            share = len(x[i:i + rows]) / len(x)
+            block_loss, block_grad = self._block_loss_and_grad(x[i:i + rows], y[i:i + rows])
+            loss += share * block_loss
+            block_grad *= share
+            grad += block_grad
+        return loss, grad
+
+    def _block_loss_and_grad(self, x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+        """One block's step.  Not a public entry, so a tracer that wraps
+        ``loss_and_grad`` counts one span per training step."""
         cache: dict = {}
-        loss, dpred = _mse(self._forward(self._check_input(x), cache, 1)[:, 0], y)
+        loss, dpred = _mse(self._forward(x, cache, 1)[:, 0], y)
         dout = dpred[:, None]
         grads: dict[str, np.ndarray] = {}
         grads["head.W"] = _weight_grad(cache["h_final"], dout)

@@ -134,6 +134,7 @@ class _Magnitude(NamedTuple):
     draw: Callable                     # (rng, runs) -> default; runs[phase] = (start, stop)
     steps: Optional[Callable] = None   # (n_steps, runs) -> closed integer range (lo, hi)
     most: Optional[Callable] = None    # float: (traj) -> largest value
+    below: Optional[Callable] = None   # float: (traj) -> bound the value stays under
     identity: Optional[float] = None   # float: the value that leaves the plant healthy
 
 
@@ -158,7 +159,7 @@ def _cat(fault_type, description, tasks, magnitudes=None):
 #: An injectable type declares its magnitudes.  An integer range leaves out
 #: every value that crashes the plant or matches the healthy twin; a
 #: magnitude without a range is a positive finite float, at most its declared
-#: largest value and never its identity value.
+#: largest value, under its declared bound and never its identity value.
 FAULT_CATALOG: tuple[FaultCatalogEntry, ...] = (
     _cat("damaged_screw_thread", "screw thread damaged, no engagement", ("screwdriving",)),
     _cat("missing_screw", "tightening attempted with no screw", ("screwdriving",)),
@@ -190,7 +191,9 @@ FAULT_CATALOG: tuple[FaultCatalogEntry, ...] = (
          (_Magnitude("delay_steps", lambda rng, runs: int(rng.integers(10, 41)),
                      lambda n, runs: (1, n - 1)),)),
     _cat("unstable_platform", "base instability adds low-frequency vibration", ("pick_and_place",),
-         (_Magnitude("freq_hz", lambda *_: 3.0), _Magnitude("amplitude_rad", lambda *_: 0.005))),
+         (_Magnitude("freq_hz", lambda *_: 3.0,   # at rate_hz / 2 it samples sin(pi k)
+                     below=lambda traj: traj.rate_hz / 2),
+          _Magnitude("amplitude_rad", lambda *_: 0.005))),
     _cat("joint_position_limit_violation", "waypoint beyond soft joint limit", ("pick_and_place",)),
     _cat("tcp_frame_misconfiguration", "TCP frame or mounting angle misconfigured",
          ("pick_and_place", "screwdriving", "peg_in_hole")),
@@ -314,9 +317,13 @@ def _complete_fault(directive: FaultDirective, traj: TrajectoryPlan,
         if m.steps is None:
             hi = sys.float_info.max if m.most is None else m.most(traj)
             rule = "a positive finite number" if m.most is None else f"a number in (0, {hi:g}]"
+            valid = isinstance(value, numbers.Real) and 0 < value <= hi and value != m.identity
+            if m.below is not None:
+                bound = m.below(traj)
+                rule += f" below {bound:g}"
+                valid = valid and value < bound
             if m.identity is not None:
                 rule += f" other than {m.identity:g}"
-            valid = isinstance(value, numbers.Real) and 0 < value <= hi and value != m.identity
         else:
             lo, hi = m.steps(n, runs)
             rule = f"an integer in [{lo}, {hi}]"
@@ -524,6 +531,11 @@ def plan_trajectory(params: EpisodeParams) -> TrajectoryPlan:
 # plant simulation
 # ---------------------------------------------------------------------------
 
+#: Largest joint position the plant may reach, checked per step by the
+#: tracking law and once more after the additive faults.
+_Q_BOUND_RAD = 8.0 * math.pi
+
+
 def _track_second_order(
     setpoint: np.ndarray,
     wn: float,
@@ -556,7 +568,7 @@ def _track_second_order(
         edot_next = (edot - wn * c2 * dt) * decay
         q[k + 1] = setpoint[k] + d / (wn * wn) + e_next
         v[k + 1] = edot_next
-        if abs(q[k + 1]) > 8.0 * math.pi or abs(v[k + 1]) > 100.0:
+        if abs(q[k + 1]) > _Q_BOUND_RAD or abs(v[k + 1]) > 100.0:
             raise NumericalInstability(
                 f"state out of bounds at step {k + 1}: q={q[k + 1]:.3f}, v={v[k + 1]:.3f}"
             )
@@ -619,6 +631,7 @@ def simulate_plant(params: EpisodeParams, traj: Optional[TrajectoryPlan] = None)
     Most faults change plant or controller terms; the platform sinusoid
     and the foam pulse are added to the joint feedback and effort after
     the TCP and object channels are computed, so those stay unperturbed.
+    The joint-position bound and a finite effort are checked after them.
     *traj* defaults to ``plan_trajectory(params)``; the directive must give
     every magnitude, within *traj*'s steps.
     """
@@ -706,6 +719,10 @@ def simulate_plant(params: EpisodeParams, traj: Optional[TrajectoryPlan] = None)
         end = min(onset + n_pulse, n)
         pulse = fp["peak_nm"] * np.sin(math.pi * np.arange(end - onset) / (n_pulse - 1))
         effort[onset:end, :fp["n_joints"]] += pulse[:, None]
+    if not np.abs(q_fb).max() <= _Q_BOUND_RAD:
+        raise NumericalInstability(f"{ftype}: joint feedback beyond |q| <= {_Q_BOUND_RAD:.4g} rad")
+    if not np.isfinite(effort).all():
+        raise NumericalInstability(f"{ftype}: effort is not finite")
 
     blocks = {
         "setpoint_pos": traj.setpoint_pos, "setpoint_vel": traj.setpoint_vel,

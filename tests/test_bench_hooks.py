@@ -61,6 +61,30 @@ def test_tracer_times_each_sequence_class_apart(monkeypatch):
         assert names == [f"nnkit.{cls}.loss_and_grad", f"nnkit.{cls}.predict"]
 
 
+def test_tracer_counts_one_span_per_multi_block_step(monkeypatch):
+    # the row blocks run through a private method the tracer does not wrap, so
+    # ``loss_and_grad.calls`` and ``train_samples_per_s`` still count steps
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracer = importlib.import_module("tracer").Tracer()
+    rng = np.random.default_rng(0)
+    nets = {
+        "TCNNet": TCNNet(4, hidden=8, dilations=(1, 2), out_dim=2, seed=0),
+        "SeqNet": SeqNet(4, hidden=8, tcn_dilations=(1,), n_blocks=1, heads=2,
+                         ff_dim=8, out_dim=2, seed=0),
+    }
+    for cls, net in nets.items():
+        B = 2 * net._block_rows(np.empty((1, 6, 4))) + 1
+        x, y = rng.normal(size=(B, 6, 4)), rng.normal(size=(B, 2))
+        tracer.install()
+        try:
+            net.loss_and_grad(x, y)
+        finally:
+            not_restored = tracer.uninstall()
+        assert not_restored == []
+        names = [s.name for s in tracer.take() if s.name.startswith("nnkit.")]
+        assert names == [f"nnkit.{cls}.loss_and_grad"]
+
+
 def test_tracer_times_checkpoint_save_and_load(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))
     tracer = importlib.import_module("tracer").Tracer()

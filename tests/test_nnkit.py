@@ -1,6 +1,7 @@
 import logging
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -367,3 +368,40 @@ class TestCheckpoint:
         self._rewrite(path, lambda header: header.update(model=spec))
         with pytest.raises(SchemaViolation, match=f"^{re.escape(str(path))}: "):
             load_model(path)
+
+
+def _step_peak(net, x, y) -> int:
+    """Peak bytes traced over one ``loss_and_grad`` call; *x* and *y* are not counted."""
+    tracemalloc.start()
+    try:
+        net.loss_and_grad(x, y)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStepMemory:
+    """A training step's memory follows the row block, not the batch."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: SeqNet(36, hidden=64, kernel=3, tcn_dilations=(1, 2, 4), n_blocks=2,
+                       heads=4, ff_dim=128, out_dim=6, seed=0),
+        lambda: TCNNet(36, hidden=64, kernel=3, dilations=(1, 2), out_dim=6, seed=0),
+    ], ids=["seqnet", "tcn"])
+    def test_sequence_step_peak_flat_in_batch(self, make):
+        net = make()
+        rng = np.random.default_rng(0)
+        rows = net._block_rows(np.empty((1, 10, 36)))
+        x = rng.normal(size=(4 * rows, 10, 36))
+        y = rng.normal(size=(4 * rows, 6))
+        one_block = _step_peak(net, x[:rows], y[:rows])
+        assert _step_peak(net, x, y) <= 1.25 * one_block
+
+    def test_dense_step_keeps_one_array_per_layer(self):
+        # the anomaly regressor at a training batch of 2044 rows
+        net = DenseNet([18, 512, 256, 128, 6], seed=0)
+        rng = np.random.default_rng(0)
+        B = 2044
+        x, y = rng.normal(size=(B, 18)), rng.normal(size=(B, 6))
+        layer_inputs = B * sum(net.widths[:-1]) * 8
+        assert _step_peak(net, x, y) < 1.75 * layer_inputs

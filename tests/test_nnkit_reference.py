@@ -257,6 +257,37 @@ def test_row_blocks_match_full_sequence_reference(make, ref):
     _check(net, ref, B, T, seed=5)
 
 
+@pytest.mark.parametrize("make,ref", [
+    (lambda: SeqNet(in_features=5, hidden=8, kernel=3, tcn_dilations=(1, 2), n_blocks=2,
+                    heads=4, ff_dim=12, out_dim=3, seed=23), _ref_seqnet),
+    (lambda: TCNNet(in_features=5, hidden=8, kernel=3, dilations=(1, 2, 4), out_dim=3,
+                    seed=24), _ref_tcn),
+], ids=["seqnet", "tcn"])
+def test_loss_and_grad_row_blocks_match_full_sequence_reference(make, ref, monkeypatch):
+    """``loss_and_grad`` over two full row blocks and a ragged third one,
+    each weighted by its share of rows, against the whole-batch reference."""
+    net, T = make(), 10
+    rows = max(1, _BLOCK_VALUES // net._values_per_row(np.empty((1, T, net.in_features))))
+    B = 2 * rows + rows // 2 + 1
+    block_rows = []
+    block_step = type(net)._block_loss_and_grad
+
+    def counted(self, x, y):
+        block_rows.append(len(x))
+        return block_step(self, x, y)
+
+    monkeypatch.setattr(type(net), "_block_loss_and_grad", counted)
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(B, T, net.in_features))
+    y = rng.normal(size=(B, net.out_dim))
+    net.set_params(net.get_params() + rng.normal(0.0, 0.1, size=net.n_params))
+    _, want_loss, want_grad = ref(net, x, y)
+    loss, grad = net.loss_and_grad(x, y)
+    assert block_rows == [rows, rows, B - 2 * rows]
+    _assert_close(loss, want_loss)
+    _assert_close(grad, want_grad)
+
+
 @pytest.mark.parametrize("n_blocks", [0, 1])
 def test_seqnet_gradcheck_shallow(n_blocks):
     rng = np.random.default_rng(7)

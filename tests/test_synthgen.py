@@ -369,6 +369,29 @@ class TestFaultMagnitudes:
         with pytest.raises(SchemaViolation, match="collision_foam_spike: duration_s"):
             sample_params(19, fault=beyond)
 
+    @pytest.mark.parametrize("freq_hz", [30.0, 60.0, 90.0])
+    def test_platform_frequency_stays_below_nyquist(self, freq_hz):
+        # a multiple of half the 60 Hz rate samples sin(pi k) and leaves the twin
+        with pytest.raises(SchemaViolation, match="unstable_platform: freq_hz"):
+            generate_episode(19, fault=FaultDirective("unstable_platform",
+                                                      {"freq_hz": freq_hz}), noise=False)
+
+    def test_platform_frequency_just_below_nyquist_changes_episode(self):
+        healthy = generate_episode(19, episode_id="ep", noise=False)
+        ep = generate_episode(19, fault=FaultDirective("unstable_platform", {"freq_hz": 29.0}),
+                              episode_id="ep", noise=False)
+        assert np.abs(ep.channels - healthy.channels).max() > 1e-4
+
+    @pytest.mark.parametrize("fault,params", [
+        ("unstable_platform", {"amplitude_rad": 1e308}),
+        ("unstable_platform", {"amplitude_rad": 100.0}),
+        ("additional_axis_payload", {"weight_kg": 1e308}),
+    ])
+    def test_additive_fault_keeps_plant_bounds(self, fault, params):
+        # the additive faults act after the tracking law, whose state guard never sees them
+        with pytest.raises(NumericalInstability, match=fault):
+            generate_episode(19, fault=FaultDirective(fault, params), noise=False)
+
     def test_simulate_plant_checks_hand_built_directive(self):
         params = dataclasses.replace(sample_params(1),
                                      fault=FaultDirective("unstable_platform"))
