@@ -5,6 +5,8 @@ motor-torque channels from the 18 setpoint channels; the anomaly score of
 an episode is its mean absolute prediction error in standardized units.
 Per-channel standardization is fitted on the training split only and
 travels with the model checkpoint (stored data stays in raw units).
+The AUROC and its bootstrap rank scores with one numpy midrank helper,
+``_midranks``, so the protocol needs numpy alone.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from pathlib import Path
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .codec import dump_yaml, write_csv
 from .errors import DegenerateLabels, EmptyDataset, SchemaViolation
@@ -180,8 +181,31 @@ def auroc(scored: Sequence[tuple[float, bool]]) -> float:
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise DegenerateLabels("need at least one anomalous and one healthy score")
-    ranks = rankdata(scores, method="average")
+    ranks = _midranks(scores)
     return float(_auroc_from_rank_sum(ranks[labels].sum(), n_pos, n_neg))
+
+
+def _midranks(a: np.ndarray) -> np.ndarray:
+    """1-based ranks along the last axis, tied values sharing the mean of their ranks.
+
+    A stable sort puts equal values next to each other; a run at sorted
+    positions ``first..last`` gets ``(first + last) / 2 + 1``, an exact
+    half-integer.  A row holding a NaN comes out all NaN.
+    """
+    order = np.argsort(a, axis=-1, kind="stable")
+    s = np.take_along_axis(a, order, axis=-1)
+    pos = np.broadcast_to(np.arange(a.shape[-1]), a.shape)
+    starts = np.ones(a.shape, dtype=bool)
+    starts[..., 1:] = s[..., 1:] != s[..., :-1]
+    ends = np.ones(a.shape, dtype=bool)
+    ends[..., :-1] = starts[..., 1:]
+    first = np.maximum.accumulate(np.where(starts, pos, 0), axis=-1)
+    last = np.minimum.accumulate(np.where(ends, pos, a.shape[-1])[..., ::-1], axis=-1)[..., ::-1]
+    # NaN sorts last, so a row's last sorted value tells whether it holds one
+    sorted_ranks = np.where(np.isnan(s[..., -1:]), np.nan, (first + last) / 2.0 + 1.0)
+    ranks = np.empty(a.shape)
+    np.put_along_axis(ranks, order, sorted_ranks, axis=-1)
+    return ranks
 
 
 def _auroc_from_rank_sum(rank_sum, n_pos: int, n_neg: int):
@@ -216,7 +240,7 @@ def bootstrap_ci(
     bounds[:, :n_h], bounds[:, n_h:] = n_h, n_a
     idx = rng.integers(0, bounds)
     draws = np.concatenate((healthy[idx[:, :n_h]], anom[idx[:, n_h:]]), axis=1)
-    rank_sums = rankdata(draws, method="average", axis=1)[:, n_h:].sum(axis=1)
+    rank_sums = _midranks(draws)[:, n_h:].sum(axis=1)
     stats = _auroc_from_rank_sum(rank_sums, n_a, n_h)
     alpha = (1.0 - level) / 2.0
     lo, hi = np.percentile(stats, [100.0 * alpha, 100.0 * (1.0 - alpha)])

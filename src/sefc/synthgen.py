@@ -534,6 +534,9 @@ def plan_trajectory(params: EpisodeParams) -> TrajectoryPlan:
 #: Largest joint position the plant may reach, checked per step by the
 #: tracking law and once more after the additive faults.
 _Q_BOUND_RAD = 8.0 * math.pi
+#: Largest motor torque the plant may report, checked after the additive
+#: faults: healthy efforts stay under 15 N·m and a UR5 joint is rated 150.
+_EFFORT_BOUND_NM = 1000.0
 
 
 def _track_second_order(
@@ -625,13 +628,23 @@ _NOISY_CHANNELS = tuple(
 SYNTH_SOURCE_ID = "synth_ur5"
 
 
+def _add_fault_term(ftype: str, block: np.ndarray, term: np.ndarray) -> None:
+    """Add an additive fault's *term* to *block* in place; a term too small to
+    change any value of it would label a healthy episode faulty, so it raises."""
+    total = block + term
+    if np.array_equal(total, block):
+        raise SchemaViolation(f"{ftype}: its magnitudes are too small to change the episode")
+    block[...] = total
+
+
 def simulate_plant(params: EpisodeParams, traj: Optional[TrajectoryPlan] = None) -> Episode:
     """Simulate a noiseless episode with the fault directive in *params* applied.
 
     Most faults change plant or controller terms; the platform sinusoid
     and the foam pulse are added to the joint feedback and effort after
     the TCP and object channels are computed, so those stay unperturbed.
-    The joint-position bound and a finite effort are checked after them.
+    The joint-position and effort bounds are checked after them, and an
+    additive fault that changes nothing is refused.
     *traj* defaults to ``plan_trajectory(params)``; the directive must give
     every magnitude, within *traj*'s steps.
     """
@@ -694,7 +707,8 @@ def simulate_plant(params: EpisodeParams, traj: Optional[TrajectoryPlan] = None)
     )
     if ftype == "additional_axis_payload":
         j = fp["joint"]
-        effort[:, j] += fp["weight_kg"] * GRAVITY * arms[j] * np.cos(q_fb[:, j])
+        moment = fp["weight_kg"] * GRAVITY * arms[j] * np.cos(q_fb[:, j])
+        _add_fault_term(ftype, effort[:, j], moment)
 
     # TCP surrogate and object perception channels: the object rides at the
     # TCP while carried, then rests on its base where it was let go
@@ -712,17 +726,18 @@ def simulate_plant(params: EpisodeParams, traj: Optional[TrajectoryPlan] = None)
 
     # purely additive faults, applied on top of the simulated signals
     if ftype == "unstable_platform":
-        q_fb += (fp["amplitude_rad"] * np.sin(2.0 * math.pi * fp["freq_hz"] * traj.t))[:, None]
+        sway = fp["amplitude_rad"] * np.sin(2.0 * math.pi * fp["freq_hz"] * traj.t)
+        _add_fault_term(ftype, q_fb, sway[:, None])
     if ftype == "collision_foam_spike":
         onset = fp["onset_step"]
         n_pulse = max(2, round(fp["duration_s"] / dt))
         end = min(onset + n_pulse, n)
         pulse = fp["peak_nm"] * np.sin(math.pi * np.arange(end - onset) / (n_pulse - 1))
-        effort[onset:end, :fp["n_joints"]] += pulse[:, None]
+        _add_fault_term(ftype, effort[onset:end, :fp["n_joints"]], pulse[:, None])
     if not np.abs(q_fb).max() <= _Q_BOUND_RAD:
         raise NumericalInstability(f"{ftype}: joint feedback beyond |q| <= {_Q_BOUND_RAD:.4g} rad")
-    if not np.isfinite(effort).all():
-        raise NumericalInstability(f"{ftype}: effort is not finite")
+    if not np.abs(effort).max() <= _EFFORT_BOUND_NM:
+        raise NumericalInstability(f"{ftype}: effort beyond |tau| <= {_EFFORT_BOUND_NM:g} Nm")
 
     blocks = {
         "setpoint_pos": traj.setpoint_pos, "setpoint_vel": traj.setpoint_vel,

@@ -420,6 +420,27 @@ class TestFaultMagnitudes:
                               episode_id="ep", noise=False)
         assert not np.array_equal(ep.channels, default.channels)
 
+    @pytest.mark.parametrize("fault,params", [
+        ("collision_foam_spike", {"peak_nm": 1.7e308}),
+        ("additional_axis_payload", {"weight_kg": 1e300}),
+    ])
+    def test_huge_finite_effort_raises(self, fault, params):
+        # finite but absurd efforts: only a declared effort bound catches them
+        with pytest.raises(NumericalInstability, match=f"{fault}: effort"):
+            generate_episode(19, fault=FaultDirective(fault, params), noise=False)
+
+    def test_effort_up_to_its_bound_is_kept(self):
+        ep = generate_episode(19, fault=FaultDirective("collision_foam_spike", {"peak_nm": 900.0}),
+                              noise=False)
+        effort = ep.columns([f"effort_motor_torque_{j}" for j in range(6)])
+        assert 800.0 < np.abs(effort).max() <= synthgen._EFFORT_BOUND_NM
+
+    def test_pulse_that_changes_no_effort_raises(self):
+        # a subnormal peak adds nothing to efforts of order 1: the twin, labelled faulty
+        with pytest.raises(SchemaViolation, match="collision_foam_spike"):
+            generate_episode(19, fault=FaultDirective("collision_foam_spike", {"peak_nm": 1e-320}),
+                             noise=False)
+
 
 # sha256 over the channel names, the phase labels, t and the channels (as
 # little-endian float64) of `generate_episode(19, FaultDirective(fault),
