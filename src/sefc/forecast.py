@@ -93,15 +93,6 @@ def make_windows(ep: Episode, target: str = "accel") -> tuple[np.ndarray, np.nda
     return x, targets[WINDOW_STEPS:]
 
 
-def validate_window(window: np.ndarray) -> np.ndarray:
-    window = np.asarray(window, dtype=np.float64)
-    if window.shape != (WINDOW_STEPS, N_FEATURES):
-        raise ShapeMismatch(
-            f"context window must be ({WINDOW_STEPS}, {N_FEATURES}), got {window.shape}"
-        )
-    return window
-
-
 # ---------------------------------------------------------------------------
 # forecaster wrapper
 # ---------------------------------------------------------------------------
@@ -159,12 +150,6 @@ class Forecaster:
 def _net_input(net: Model, z: np.ndarray) -> np.ndarray:
     """Standardized windows laid out for *net*: a DenseNet takes them flattened."""
     return z.reshape(len(z), -1) if isinstance(net, DenseNet) else z
-
-
-def predict_accel(model: Forecaster, window: np.ndarray) -> np.ndarray:
-    """Six next-step values from one context window (zeros for the baseline)."""
-    window = validate_window(window)
-    return model.predict_batch(window[None])[0]
 
 
 def _build_net(kind: str, out_dim: int, seed: int) -> Model:

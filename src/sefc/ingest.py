@@ -7,13 +7,16 @@ The canonical on-disk form of an episode is a UTF-8 CSV (header line
 labels, and channel descriptors.  Both are written and read through
 ``sefc.codec``: rows are formatted and parsed as whole arrays, and the
 sidecar goes through libyaml when PyYAML has it, with the same bytes on
-disk either way.  The pipeline order for raw sources is
+disk either way.  The sidecar's ``channels:`` block is written once per
+channel layout: it is dumped for the first episode of a layout and reused
+for every later one.  The pipeline order for raw sources is
 parse -> apply_adapter -> fill_gaps -> resample.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -360,6 +363,21 @@ def write_canonical(ep: Episode, out_dir: Union[str, Path]) -> tuple[Path, Path]
         "fault": ep.fault,
         "healthy": bool(ep.healthy),
         "phase_rle": encode_phase_rle(ep.phase),
+    }
+    sidecar.write_text(dump_yaml(meta) + _channels_yaml(ep.descriptors), encoding="utf-8")
+    return csv_path, sidecar
+
+
+@functools.lru_cache(maxsize=16)
+def _channels_yaml(descriptors: tuple[ChannelDescriptor, ...]) -> str:
+    """The sidecar's ``channels:`` block, its last key.
+
+    A block-style mapping dumps each top-level key on its own lines, so this
+    text appended to the dump of the other keys is the dump of the whole
+    sidecar.  Episodes of one layout share the block, so it is dumped once
+    per layout.
+    """
+    return dump_yaml({
         "channels": [
             {
                 "name": d.canonical_name,
@@ -367,11 +385,9 @@ def write_canonical(ep: Episode, out_dir: Union[str, Path]) -> tuple[Path, Path]
                 "unit": d.unit,
                 "axis": d.axis,
             }
-            for d in ep.descriptors
+            for d in descriptors
         ],
-    }
-    sidecar.write_text(dump_yaml(meta), encoding="utf-8")
-    return csv_path, sidecar
+    })
 
 
 def read_canonical(csv_path: Union[str, Path]) -> Episode:

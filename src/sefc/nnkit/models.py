@@ -75,9 +75,6 @@ class Model:
     def n_params(self) -> int:
         return sum(p.size for p in self._params.values())
 
-    def param_breakdown(self) -> dict[str, int]:
-        return {name: p.size for name, p in self._params.items()}
-
     def get_params(self) -> np.ndarray:
         return np.concatenate([p.ravel() for p in self._params.values()])
 

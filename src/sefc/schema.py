@@ -71,12 +71,6 @@ class AdapterSpec:
     absent_channels: tuple[str, ...] = ()
     notes: str = ""
 
-    def signal_for_raw(self, raw_name: str) -> Optional[SignalSpec]:
-        for sig in self.signals:
-            if sig.raw_name == raw_name:
-                return sig
-        return None
-
 
 @dataclass(frozen=True)
 class ChannelDescriptor:
@@ -355,8 +349,17 @@ def _column_as_floats(name: str, col: np.ndarray, role: SignalRole) -> np.ndarra
             except (TypeError, ValueError):
                 raise NonNumericColumn(name, f"row {i}: {v!r}") from None
     else:
+        # label columns repeat a few values over every row: coerce each
+        # distinct string once
+        memo: dict[str, float] = {}
         for i, v in enumerate(col):
-            out[i] = _coerce_cell(v)
+            if isinstance(v, str):
+                x = memo.get(v)
+                if x is None:
+                    x = memo[v] = _coerce_cell(v)
+                out[i] = x
+            else:
+                out[i] = _coerce_cell(v)
     return out
 
 

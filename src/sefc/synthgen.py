@@ -28,7 +28,7 @@ import contextlib
 import math
 import numbers
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Optional, Union
 
@@ -246,9 +246,6 @@ class EpisodeParams:
     spawn_offset_m: tuple[float, float]
     fault: Optional[FaultDirective] = None
     config: RandomizationConfig = field(default_factory=RandomizationConfig)
-
-    def without_fault(self) -> "EpisodeParams":
-        return replace(self, fault=None)
 
 
 def sample_params(
@@ -553,31 +550,36 @@ def _track_second_order(
     solution (C1 + C2 tau) exp(-wn tau) about the shifted equilibrium
     d/wn^2, which is evaluated directly; the integration is exact, not an
     Euler scheme.
+
+    The per-step formulas run on Python floats, and their float evaluation
+    order is the contract: each operation rounds as the same float64
+    operation does in numpy, so reordering any of them changes the bits of
+    every synthetic episode.
     """
     n = setpoint.shape[0]
-    q = np.empty(n)
-    v = np.empty(n)
-    a = np.empty(n)
-    q[0] = setpoint[0] if q0 is None else q0
-    v[0] = 0.0
+    sp = setpoint.tolist()
+    dist = [0.0] * n if disturbance is None else disturbance.tolist()
+    q = [0.0] * n
+    v = [0.0] * n
+    a = [0.0] * n
+    q[0] = sp[0] if q0 is None else float(q0)
     decay = math.exp(-wn * dt)
     for k in range(n - 1):
-        d = 0.0 if disturbance is None else disturbance[k]
-        a[k] = wn * wn * (setpoint[k] - q[k]) - 2.0 * wn * v[k] + d
-        e = q[k] - setpoint[k] - d / (wn * wn)
+        d = dist[k]
+        a[k] = wn * wn * (sp[k] - q[k]) - 2.0 * wn * v[k] + d
+        e = q[k] - sp[k] - d / (wn * wn)
         edot = v[k]
         c2 = edot + wn * e
         e_next = (e + c2 * dt) * decay
         edot_next = (edot - wn * c2 * dt) * decay
-        q[k + 1] = setpoint[k] + d / (wn * wn) + e_next
+        q[k + 1] = sp[k] + d / (wn * wn) + e_next
         v[k + 1] = edot_next
         if abs(q[k + 1]) > _Q_BOUND_RAD or abs(v[k + 1]) > 100.0:
             raise NumericalInstability(
                 f"state out of bounds at step {k + 1}: q={q[k + 1]:.3f}, v={v[k + 1]:.3f}"
             )
-    d_last = 0.0 if disturbance is None else disturbance[n - 1]
-    a[n - 1] = wn * wn * (setpoint[n - 1] - q[n - 1]) - 2.0 * wn * v[n - 1] + d_last
-    return q, v, a
+    a[n - 1] = wn * wn * (sp[n - 1] - q[n - 1]) - 2.0 * wn * v[n - 1] + dist[n - 1]
+    return np.array(q), np.array(v), np.array(a)
 
 
 class _Block(NamedTuple):

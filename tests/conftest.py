@@ -3,7 +3,9 @@ import pytest
 import yaml
 
 from sefc import synthgen
-from sefc.schema import AdapterSpec, ChannelDescriptor, Episode, SignalRole
+from sefc.schema import (
+    AdapterSpec, ChannelDescriptor, Episode, EpisodeMeta, SignalRole, apply_adapter,
+)
 
 
 def make_episode(
@@ -51,6 +53,15 @@ def raw_table_for(spec: AdapterSpec, n_rows: int = 12, seed: int = 0) -> dict:
     """A numeric raw table covering every mapped column of an adapter."""
     rng = np.random.default_rng(seed)
     return {s.raw_name: rng.normal(size=n_rows) for s in spec.signals}
+
+
+def channel_for_raw(spec: AdapterSpec, raw_name: str) -> ChannelDescriptor:
+    """The channel ``apply_adapter`` makes of raw column *raw_name* alone."""
+    others = {s.raw_name for s in spec.signals} - {raw_name}
+    ep = apply_adapter({raw_name: np.zeros(2)}, spec,
+                       EpisodeMeta("e", "arm", "pick_and_place"), allow_missing=others)
+    (desc,) = ep.descriptors
+    return desc
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .models import Model
+from sefc.nnkit import Model
 
 
 def gradient_check(

@@ -13,14 +13,15 @@ import numpy as np
 import pytest
 
 from adapter_expectations import EXPECTED_BY_SOURCE
-from conftest import make_episode
+from conftest import channel_for_raw, make_episode
+from gradcheck import gradient_check
 from sefc import anomaly, gap, ingest, synthgen
 from sefc.anomaly import ANOMALY_INPUT_CHANNELS, ANOMALY_OUTPUT_CHANNELS, auroc
 from sefc.cli import main as cli_main
 from sefc.errors import ExcessiveMissing
 from sefc.forecast import Forecaster, euler_rollout, mc_mae
 from sefc.gap import batch_summary, pair_metrics, phase_align, wasserstein_1d
-from sefc.nnkit import DenseNet, SeqNet, TCNNet, TrainConfig, gradient_check
+from sefc.nnkit import DenseNet, SeqNet, TCNNet, TrainConfig
 from sefc.schema import SignalRole, apply_adapter, builtin_adapter, select_signals
 
 
@@ -32,8 +33,7 @@ def test_criterion_01_adapter_fidelity():
     for source_id, expected in EXPECTED_BY_SOURCE.items():
         spec = builtin_adapter(source_id)
         for raw, canonical, role, unit in expected:
-            s = spec.signal_for_raw(raw)
-            assert s is not None, f"{source_id}: {raw} unmapped"
+            s = channel_for_raw(spec, raw)
             assert (s.canonical_name, s.role.value, s.unit) == (canonical, role, unit), \
                 f"{source_id}: {raw}"
         assert {s.raw_name for s in spec.signals} == {r for r, *_ in expected}, source_id

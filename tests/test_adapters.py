@@ -5,6 +5,7 @@ unit)."""
 import pytest
 
 from adapter_expectations import EXPECTED_BY_SOURCE, KUKA_ABSENT_EXPECTED
+from conftest import channel_for_raw
 from sefc.schema import builtin_adapter
 
 
@@ -12,8 +13,7 @@ from sefc.schema import builtin_adapter
 def test_every_expected_row_is_mapped(source_id):
     spec = builtin_adapter(source_id)
     for raw, canonical, role, unit in EXPECTED_BY_SOURCE[source_id]:
-        s = spec.signal_for_raw(raw)
-        assert s is not None, f"{source_id}: raw {raw!r} not mapped"
+        s = channel_for_raw(spec, raw)
         assert s.canonical_name == canonical, f"{source_id}: {raw}"
         assert s.role.value == role, f"{source_id}: {raw}"
         assert s.unit == unit, f"{source_id}: {raw}"

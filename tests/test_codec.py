@@ -10,6 +10,7 @@ checkpoints from ``conftest.reference_checkpoint`` must still read back as
 ``float()`` of each line.
 """
 
+import dataclasses
 import hashlib
 import io
 import string
@@ -25,12 +26,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import make_episode, reference_checkpoint
-from sefc import codec
+from sefc import codec, ingest
 from sefc.cli import main
 from sefc.forecast import _build_net
 from sefc.ingest import encode_phase_rle, read_canonical, write_canonical
 from sefc.nnkit import DenseNet, load_model, save_model
-from sefc.schema import SignalRole
+from sefc.schema import EpisodeMeta, SignalRole, apply_adapter, builtin_adapter
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 NAN = float("nan")
 INF = float("inf")
@@ -79,8 +82,8 @@ def reference_csv(ep) -> str:
         np.column_stack((ep.t, ep.channels)))
 
 
-def reference_sidecar(ep) -> str:
-    meta = {
+def reference_meta(ep) -> dict:
+    return {
         "episode_id": ep.episode_id,
         "source_id": ep.source_id,
         "embodiment": ep.embodiment,
@@ -92,7 +95,11 @@ def reference_sidecar(ep) -> str:
         "channels": [{"name": d.canonical_name, "role": d.role.value,
                       "unit": d.unit, "axis": d.axis} for d in ep.descriptors],
     }
-    return yaml.dump(meta, Dumper=yaml.SafeDumper, sort_keys=False, default_flow_style=False)
+
+
+def reference_sidecar(ep) -> str:
+    return yaml.dump(reference_meta(ep), Dumper=yaml.SafeDumper, sort_keys=False,
+                     default_flow_style=False)
 
 
 def reference_checkpoint_v2(model) -> bytes:
@@ -157,11 +164,31 @@ class TestCanonicalBytes:
         fast = write_canonical(noisy_episode, tmp_path / "fast")
         monkeypatch.setattr(codec, "_DUMPER", yaml.SafeDumper)
         monkeypatch.setattr(codec, "_LOADER", yaml.SafeLoader)
+        ingest._channels_yaml.cache_clear()   # dump the channel block again, in Python
         slow = write_canonical(noisy_episode, tmp_path / "slow")
         for a, b in zip(fast, slow):
             assert a.read_bytes() == b.read_bytes()
         back = read_canonical(slow[0])
         assert np.array_equal(_bits(back.channels), _bits(noisy_episode.channels))
+
+    def test_sidecars_of_alternating_layouts(self, tmp_path, noisy_episode):
+        # the channel block is dumped once per layout and reused: every
+        # sidecar is still the dump of its whole meta, across layouts
+        # that alternate or differ in one unit only
+        table = ingest.parse_raw_csv(FIXTURES / "voraus_sample.csv", ingest.CsvDialect())
+        voraus = apply_adapter(table, builtin_adapter("voraus_ad"),
+                               EpisodeMeta("voraus", "ur5", "pick_and_place"))
+        descs = list(noisy_episode.descriptors)
+        descs[3] = dataclasses.replace(descs[3], unit="deg")
+        one_unit = noisy_episode.replace(episode_id="one_unit", descriptors=tuple(descs))
+        hits = ingest._channels_yaml.cache_info().hits
+        for i, ep in enumerate([noisy_episode, voraus, noisy_episode, one_unit]):
+            _, sidecar = write_canonical(ep, tmp_path / str(i))
+            text = sidecar.read_text(encoding="utf-8")
+            assert text == codec.dump_yaml(reference_meta(ep)) == reference_sidecar(ep)
+        assert "unit: deg" in text
+        assert ingest._channels_yaml.cache_info().hits > hits
+        assert isinstance(ingest._channels_yaml.cache_info().maxsize, int)
 
 
 # --- checkpoints -----------------------------------------------------------------

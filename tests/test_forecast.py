@@ -17,7 +17,6 @@ from sefc.forecast import (
     horizon_metrics,
     make_windows,
     mc_mae,
-    predict_accel,
     survival_curve,
     train_forecaster,
     transfer_eval,
@@ -118,7 +117,7 @@ class TestPredict:
     def test_kinematic_zero(self):
         model = Forecaster(kind="kinematic_zero")
         window = np.ones((10, 36))
-        assert predict_accel(model, window).tolist() == [0.0] * 6
+        assert model.predict_batch(window[None]).tolist() == [[0.0] * 6]
 
     def test_zero_weight_linear(self):
         from sefc.anomaly import Standardizer
@@ -131,12 +130,12 @@ class TestPredict:
             x_std=Standardizer(np.zeros(36), np.ones(36)),
             y_std=Standardizer(np.zeros(6), np.ones(6)),
         )
-        assert predict_accel(model, np.ones((10, 36))).tolist() == [0.0] * 6
+        assert model.predict_batch(np.ones((1, 10, 36))).tolist() == [[0.0] * 6]
 
     def test_window_shape_checked(self):
         model = Forecaster(kind="kinematic_zero")
         with pytest.raises(ShapeMismatch):
-            predict_accel(model, np.ones((9, 36)))
+            model.predict_batch(np.ones((1, 9, 36)))
 
     def test_trained_tcn_recovers_constant_acceleration(self):
         # constant-acceleration kinematics: the recovered constant of each

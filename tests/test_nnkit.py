@@ -8,6 +8,7 @@ import pytest
 import yaml
 
 from conftest import reference_checkpoint
+from gradcheck import gradient_check
 from sefc.errors import EmptyDataset, SchemaViolation, ShapeMismatch
 from sefc.nnkit import (
     DenseNet,
@@ -16,7 +17,6 @@ from sefc.nnkit import (
     TrainConfig,
     adam_step,
     cosine_lr,
-    gradient_check,
     init_adam,
     load_model,
     save_model,
@@ -91,8 +91,7 @@ class TestParamCounts:
 
     def test_seqnet_count_matches_breakdown(self):
         net = SeqNet(seed=0)
-        breakdown = net.param_breakdown()
-        assert sum(breakdown.values()) == net.n_params
+        assert net.get_params().size == net.n_params
         # documented composition: 3 conv layers + 2 encoder blocks + final LN + head
         conv = 3 * 36 * 64 + 64 + 2 * (3 * 64 * 64 + 64)
         block = 4 * (64 * 64 + 64) + 2 * 128 + (64 * 128 + 128) + (128 * 64 + 64)

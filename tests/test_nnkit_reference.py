@@ -14,7 +14,8 @@ import math
 import numpy as np
 import pytest
 
-from sefc.nnkit import SeqNet, TCNNet, gradient_check
+from gradcheck import gradient_check
+from sefc.nnkit import SeqNet, TCNNet
 from sefc.nnkit.models import _BLOCK_VALUES, LN_EPS
 
 REL = 1e-10

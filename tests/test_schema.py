@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import raw_table_for
+from conftest import channel_for_raw, raw_table_for
 from sefc.errors import MissingChannel, MissingRawColumn, NonNumericColumn, SchemaViolation
 from sefc.schema import (
     BUILTIN_ADAPTER_IDS,
@@ -20,6 +20,7 @@ from sefc.schema import (
     phase_runs,
     select_signals,
     validate_adapter,
+    _coerce_cell,
 )
 from sefc.ingest import encode_phase_rle
 from sefc.synthgen import plan_trajectory, sample_params
@@ -98,19 +99,19 @@ class TestValidateAdapter:
 class TestApplyAdapter:
     def test_voraus_row_mapping(self):
         spec = builtin_adapter("voraus_ad")
-        s = spec.signal_for_raw("target_position_1")
+        s = channel_for_raw(spec, "target_position_1")
         assert s.canonical_name == "setpoint_pos_0"
         assert s.role == SignalRole.SETPOINT
         assert s.unit == "rad"
 
     def test_aursad_row_mapping(self):
-        s = builtin_adapter("aursad").signal_for_raw("actual_current_0")
+        s = channel_for_raw(builtin_adapter("aursad"), "actual_current_0")
         assert (s.canonical_name, s.role, s.unit) == (
             "effort_current_0", SignalRole.EFFORT, "A"
         )
 
     def test_cnc_row_mapping(self):
-        s = builtin_adapter("umich_cnc").signal_for_raw("X1_CommandPosition")
+        s = channel_for_raw(builtin_adapter("umich_cnc"), "X1_CommandPosition")
         assert (s.canonical_name, s.role, s.unit) == (
             "setpoint_pos_0", SignalRole.SETPOINT, "mm"
         )
@@ -162,6 +163,23 @@ class TestApplyAdapter:
         ep = apply_adapter(table, spec, META)
         assert np.all(np.isnan(ep.channel("ctx_anomaly_category")[:3]))
         assert ep.channel("ctx_is_anomaly").tolist() == [1.0, 0.0, 1.0, 0.0]
+
+    def test_label_cells_coerced_as_each_cell_alone(self):
+        # repeated strings are coerced once; every other kind of cell,
+        # unhashable ones included, still goes through _coerce_cell
+        values = [None, "", " Yes ", "false", "1.5", "nan", "abc", 3, 2.5,
+                  np.float64(1), float("nan"), [1, 2], " Yes ", "abc", "1.5", None]
+        col = np.empty(len(values), dtype=object)
+        for i, v in enumerate(values):
+            col[i] = v
+        spec = builtin_adapter("voraus_ad")
+        table = raw_table_for(spec, n_rows=len(values))
+        table["anomaly"] = col
+        got = apply_adapter(table, spec, META).channel("ctx_is_anomaly")
+        want = np.array([_coerce_cell(v) for v in values])
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert np.array_equal(got, want, equal_nan=True)
+        assert got.tolist()[2:5] == [1.0, 0.0, 1.5]
 
     def test_phase_column_pickup(self):
         spec = builtin_adapter("isaac_ur5")

@@ -37,6 +37,88 @@ from sefc.synthgen import (
 )
 
 
+def reference_track_second_order(setpoint, wn, dt, disturbance=None, q0=None):
+    """The tracking law on numpy scalars read from and written to float64
+    arrays: the per-step formulas of `_track_second_order`, in its order."""
+    n = setpoint.shape[0]
+    q = np.empty(n)
+    v = np.empty(n)
+    a = np.empty(n)
+    q[0] = setpoint[0] if q0 is None else q0
+    v[0] = 0.0
+    decay = math.exp(-wn * dt)
+    for k in range(n - 1):
+        d = 0.0 if disturbance is None else disturbance[k]
+        a[k] = wn * wn * (setpoint[k] - q[k]) - 2.0 * wn * v[k] + d
+        e = q[k] - setpoint[k] - d / (wn * wn)
+        edot = v[k]
+        c2 = edot + wn * e
+        e_next = (e + c2 * dt) * decay
+        edot_next = (edot - wn * c2 * dt) * decay
+        q[k + 1] = setpoint[k] + d / (wn * wn) + e_next
+        v[k + 1] = edot_next
+        if abs(q[k + 1]) > synthgen._Q_BOUND_RAD or abs(v[k + 1]) > 100.0:
+            raise NumericalInstability(
+                f"state out of bounds at step {k + 1}: q={q[k + 1]:.3f}, v={v[k + 1]:.3f}"
+            )
+    d_last = 0.0 if disturbance is None else disturbance[n - 1]
+    a[n - 1] = wn * wn * (setpoint[n - 1] - q[n - 1]) - 2.0 * wn * v[n - 1] + d_last
+    return q, v, a
+
+
+def _tracking_cases():
+    """(setpoint, wn, disturbance, q0) cases the plant runs, and a few it may."""
+    params = sample_params(3)
+    traj = plan_trajectory(params)
+    wn = math.sqrt(synthgen.JOINT_STIFFNESS[0])
+    sp = traj.setpoint_pos
+    # uncompensated gravity of a misconfigured payload, as simulate_plant
+    # builds it: the carried mass times (1 - configured_scale)
+    runs = traj.phase_runs()
+    carried = np.zeros(traj.n_steps)
+    carried[runs["lift"][0]:runs["release"][0]] = params.mass_kg
+    uncompensated = carried - carried * 3.0
+    cases = {f"joint_{j}": (sp[:, j], wn, None, None) for j in range(sp.shape[1])}
+    for j in range(sp.shape[1]):
+        if GRAVITY_ARM_M[j] > 0:
+            dist = GRAVITY * GRAVITY_ARM_M[j] * uncompensated * np.cos(sp[:, j])
+            cases[f"misconfigured_payload_{j}"] = (sp[:, j], wn, dist, None)
+    cases["q0_given"] = (sp[:, 1], wn, None, 0.3)
+    cases["gripper"] = (
+        traj.gripper_pos, math.sqrt(params.kp_grip * synthgen.GRIPPER_STIFFNESS_SCALE),
+        None, None)
+    cases["nan_setpoint"] = (np.where(np.arange(traj.n_steps) == 40, np.nan, sp[:, 0]),
+                             wn, None, None)
+    return cases
+
+
+TRACKING_CASES = _tracking_cases()
+
+
+class TestTrackingLaw:
+    @pytest.mark.parametrize("case", sorted(TRACKING_CASES))
+    def test_bit_identical_to_numpy_scalar_reference(self, case):
+        setpoint, wn, dist, q0 = TRACKING_CASES[case]
+        dt = RandomizationConfig().sim_dt_s
+        got = synthgen._track_second_order(setpoint, wn, dt, disturbance=dist, q0=q0)
+        want = reference_track_second_order(setpoint, wn, dt, disturbance=dist, q0=q0)
+        for g, w in zip(got, want):
+            assert g.dtype == np.float64 and g.shape == w.shape
+            assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
+
+    def test_instability_at_the_same_step_with_the_same_message(self):
+        # a disturbance that drives the joint past its position bound
+        n, wn, dt = 200, 10.0, RandomizationConfig().sim_dt_s
+        setpoint = np.zeros(n)
+        dist = np.full(n, 3000.0)
+        with pytest.raises(NumericalInstability) as want:
+            reference_track_second_order(setpoint, wn, dt, disturbance=dist)
+        with pytest.raises(NumericalInstability) as got:
+            synthgen._track_second_order(setpoint, wn, dt, disturbance=dist)
+        assert str(got.value) == str(want.value)
+        assert "at step" in str(got.value)
+
+
 class TestSampleParams:
     def test_draws_within_ranges(self):
         cfg = RandomizationConfig()
@@ -62,7 +144,7 @@ class TestSampleParams:
     def test_twin_base_draws_unaffected_by_fault(self):
         faulty = sample_params(7, fault=FaultDirective("additional_axis_payload"))
         twin = sample_params(7)
-        assert faulty.without_fault() == twin.without_fault()
+        assert dataclasses.replace(faulty, fault=None) == twin
         assert faulty.mass_kg == twin.mass_kg
 
     def test_invalid_range_names_field(self):
