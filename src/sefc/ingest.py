@@ -1,5 +1,9 @@
 """Raw table parsing, resampling, gap filling, and canonical episode files.
 
+A plain raw CSV is parsed a block of whole lines at a time into one
+preallocated float64 array, so parse memory follows the parsed table, not
+copies of the file's text; any other raw file goes through ``csv.reader``.
+
 The canonical on-disk form of an episode is a UTF-8 CSV (header line
 ``t_s,<channel>,...``, then one line per step with every cell formatted as
 ``%.17g``, comma separated, ``\n`` terminated) plus a YAML sidecar
@@ -9,8 +13,9 @@ labels, and channel descriptors.  Both are written and read through
 sidecar goes through libyaml when PyYAML has it, with the same bytes on
 disk either way.  The sidecar's ``channels:`` block is written once per
 channel layout: it is dumped for the first episode of a layout and reused
-for every later one.  The pipeline order for raw sources is
-parse -> apply_adapter -> fill_gaps -> resample.
+for every later one, and the reader parses each distinct block once.  The
+pipeline order for raw sources is parse -> apply_adapter -> fill_gaps ->
+resample.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import functools
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -49,6 +54,10 @@ class CsvDialect:
 # than space and the quote character, and the \n line end.
 _PLAIN_BYTES = bytes(range(0x21, 0x7F)).replace(b'"', b"") + b"\n"
 _NAN = np.frombuffer(b"nan", dtype=np.uint8)
+# Bytes of a plain file parsed at a time: enough lines per ``np.loadtxt``
+# call to amortize it, few enough that the per-block text copies stay small
+# next to the table.
+_BLOCK_BYTES = 1 << 18
 
 
 def parse_raw_csv(
@@ -65,14 +74,16 @@ def parse_raw_csv(
 
     A plain file (ASCII only, no quote character, no ``\\r``, no
     whitespace other than the delimiter and no line longer than
-    ``csv.field_size_limit()``) is parsed as whole arrays: one
-    ``np.loadtxt`` call over every numeric column, with NA cells rewritten
-    to ``nan`` first, and one over the string columns, which are the
-    columns whose first data cell is neither NA nor a number.  Any other
-    file, and a plain file ``np.loadtxt`` rejects (a text cell further down
-    a numeric-looking column, or a number only ``float()`` reads, such as
-    ``1_000``), goes through ``csv.reader`` cell by cell.  Both paths give
-    the same keys, dtypes, float64 bits and string cells.
+    ``csv.field_size_limit()``) is parsed in blocks of whole lines: per
+    block, one ``np.loadtxt`` call over every numeric column, with NA cells
+    rewritten to ``nan`` first, written into one preallocated float64
+    array, and one over the string columns, which are the columns whose
+    first data cell is neither NA nor a number.  Its parse memory is the
+    file's bytes, the table and one block's copies.  Any other file, and a
+    plain file ``np.loadtxt`` rejects in any block (a text cell further
+    down a numeric-looking column, or a number only ``float()`` reads, such
+    as ``1_000``), goes through ``csv.reader`` cell by cell.  Both paths
+    give the same keys, dtypes, float64 bits and string cells.
 
     Raises:
         EmptyFile: no header or fewer than 2 data rows.
@@ -87,55 +98,93 @@ def parse_raw_csv(
     return _parse_with_csv_reader(path, dialect) if table is None else table
 
 
-def _is_plain(raw: bytes, dialect: CsvDialect) -> bool:
+def _plain_dialect(dialect: CsvDialect) -> bool:
     d, dec = dialect.delimiter, dialect.decimal
     if len(d) != 1 or not d.isascii() or d in '"\r\n':
         return False
-    # The decimal mark is rewritten across the whole body once NA cells read
+    # The decimal mark is rewritten across each block once NA cells read
     # "nan", so it must not be the delimiter, a line end or a letter of "nan".
-    if len(dec) != 1 or dec in d + "\nnan":
-        return False
-    return not raw.translate(None, _PLAIN_BYTES + d.encode())
+    return len(dec) == 1 and dec not in d + "\nnan"
+
+
+def _blocks(raw: bytes) -> Iterator[bytes]:
+    """*raw* in slices of whole lines, each about ``_BLOCK_BYTES`` long."""
+    start = 0
+    while start < len(raw):
+        stop = raw.find(b"\n", start + _BLOCK_BYTES - 1) + 1 or len(raw)
+        yield raw[start:stop]
+        start = stop
 
 
 def _parse_plain(path: Path, dialect: CsvDialect) -> Optional[dict[str, np.ndarray]]:
-    """The table of a plain file as whole arrays; None for any other file."""
-    raw = path.read_bytes()
-    if not _is_plain(raw, dialect):
+    """The table of a plain file, read in blocks of lines; None for any other file.
+
+    Pass 1 checks every block and collects the header and the physical line
+    number and field count of each data row; pass 2 parses each block's rows
+    into one preallocated array of the numeric columns.
+    """
+    if not _plain_dialect(dialect):
         return None
     d = dialect.delimiter
-    lines = raw.decode("ascii").split("\n")
-    del raw
-    # csv.reader refuses a cell over the field limit; no cell is longer than
-    # its line, so a longer line goes to csv.reader and fails the same way.
-    if max(map(len, lines)) > csv.field_size_limit():
-        return None
-    rows = [(n, line) for n, line in enumerate(lines, start=1) if line]
-    del lines
-    header = _checked_header(
-        path, rows[0][1].split(d) if rows else None,
-        [(n, line.count(d) + 1) for n, line in rows[1:]],
-    )
-    body = [line for _, line in rows[1:]]
-    del rows
+    plain = _PLAIN_BYTES + d.encode()
+    limit = csv.field_size_limit()
+    raw = path.read_bytes()
+    header: Optional[list[str]] = None
+    first = ""
+    widths: list[tuple[int, int]] = []
+    line_no = 0
+    for block in _blocks(raw):
+        if block.translate(None, plain):
+            return None
+        lines = block.decode("ascii").split("\n")
+        # csv.reader refuses a cell over the field limit; no cell is longer
+        # than its line, so a longer line goes to csv.reader and fails the same way.
+        if max(map(len, lines)) > limit:
+            return None
+        for n, line in enumerate(lines, start=line_no + 1):
+            if not line:
+                continue
+            if header is None:
+                header = line.split(d)
+                continue
+            if not widths:
+                first = line
+            widths.append((n, line.count(d) + 1))
+        # Only the last block may lack a final line end; in every other the
+        # split's last item is the empty text after it.
+        line_no += len(lines) - 1
+    header = _checked_header(path, header, widths)
     na = set(dialect.na_tokens)
     text_cols = [
-        j for j, cell in enumerate(body[0].split(d))
+        j for j, cell in enumerate(first.split(d))
         if cell not in na and not _is_number(cell.replace(dialect.decimal, "."))
     ]
     num_cols = [j for j in range(len(header)) if j not in text_cols]
-    table: dict[str, np.ndarray] = {}
-    if num_cols:
-        try:
-            values = np.loadtxt(_numeric_lines(body, dialect), dtype=np.float64, delimiter=d,
-                                comments=None, usecols=num_cols, ndmin=2)
-        except ValueError:
-            return None
-        values = np.ascontiguousarray(values.T)
-        table.update(zip((header[j] for j in num_cols), values))
+    values = np.empty((len(num_cols), len(widths)), dtype=np.float64)
+    text_blocks = []
+    row = 0
+    skip_header = True
+    for block in _blocks(raw):
+        body = [line for line in block.decode("ascii").split("\n") if line]
+        del block
+        if skip_header and body:
+            body, skip_header = body[1:], False
+        if not body:
+            continue
+        if num_cols:
+            try:
+                values[:, row:row + len(body)] = np.loadtxt(
+                    _numeric_lines(body, dialect), dtype=np.float64, delimiter=d,
+                    comments=None, usecols=num_cols, ndmin=2).T
+            except ValueError:
+                return None
+        if text_cols:
+            text_blocks.append(np.loadtxt(body, dtype=object, delimiter=d, comments=None,
+                                    usecols=text_cols, ndmin=2))
+        row += len(body)
+    table = dict(zip((header[j] for j in num_cols), values))
     if text_cols:
-        cells = np.loadtxt(body, dtype=object, delimiter=d, comments=None,
-                           usecols=text_cols, ndmin=2)
+        cells = np.concatenate(text_blocks)
         for k, j in enumerate(text_cols):
             table[header[j]] = _parse_column(
                 [None if c in na else c for c in cells[:, k]], dialect.decimal)
@@ -168,9 +217,9 @@ def _numeric_lines(body: list[str], dialect: CsvDialect) -> list[str]:
         # end or the end of the text) on both sides.
         buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
         del text
-        edge = buf == ord(d)
-        edge |= buf == ord("\n")
-        at = np.flatnonzero(np.concatenate(([True], edge)) & np.concatenate((edge, [True])))
+        edge = np.concatenate(([True], buf == ord(d), [True]))
+        edge[1:-1] |= buf == ord("\n")
+        at = np.flatnonzero(edge[:-1] & edge[1:])
         del edge
         if at.size:
             buf = np.insert(buf, np.repeat(at, 3), np.tile(_NAN, at.size))
@@ -323,19 +372,19 @@ def decode_phase_rle(rle: Sequence[Sequence], n_steps: int) -> np.ndarray:
     """Phase labels from ``[label, count]`` runs; each count is an int >= 1."""
     if not isinstance(rle, (list, tuple)):
         raise SchemaViolation(f"phase RLE must be a list of [label, count] runs, got {rle!r}")
-    labels: list[str] = []
     for entry in rle:
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise SchemaViolation(f"bad phase RLE entry: {entry!r}")
-        label, count = entry
+        count = entry[1]
         if isinstance(count, bool) or not isinstance(count, int) or count < 1:
             raise SchemaViolation(f"phase RLE count must be an integer >= 1, got {count!r}")
-        labels.extend([str(label)] * count)
-    if len(labels) != n_steps:
+    counts = [count for _, count in rle]
+    if sum(counts) != n_steps:
         raise SchemaViolation(
-            f"phase RLE decodes to {len(labels)} labels for T={n_steps}"
+            f"phase RLE decodes to {sum(counts)} labels for T={n_steps}"
         )
-    return np.asarray(labels)
+    return np.repeat(np.asarray([str(label) for label, _ in rle]),
+                     np.asarray(counts, dtype=np.intp))
 
 
 def sidecar_path_for(csv_path: Union[str, Path]) -> Path:
@@ -390,6 +439,66 @@ def _channels_yaml(descriptors: tuple[ChannelDescriptor, ...]) -> str:
     })
 
 
+# A column-0 ``channels:`` key: where the writer's last sidecar key starts.
+_CHANNELS_KEY = re.compile(r"^channels:", re.MULTILINE)
+
+
+def _descriptors(channels) -> tuple[ChannelDescriptor, ...]:
+    return tuple(
+        ChannelDescriptor(
+            canonical_name=str(c["name"]),
+            role=SignalRole(str(c["role"])),
+            unit=str(c["unit"]),
+            axis=None if c.get("axis") is None else int(c["axis"]),
+        )
+        for c in channels
+    )
+
+
+@functools.lru_cache(maxsize=16)
+def _block_descriptors(block: str) -> Optional[tuple[ChannelDescriptor, ...]]:
+    """The descriptors of a sidecar's ``channels:`` block, parsed once per layout.
+
+    *block* is the sidecar text from its column-0 ``channels:`` line to the
+    end.  None unless the block alone parses to that one key holding valid
+    descriptors.  A block holding ``&`` or ``!`` may define an anchor or use
+    a tag whose meaning depends on the rest of the file, so it gives None too.
+    """
+    if "&" in block or "!" in block:
+        return None
+    try:
+        doc = load_yaml(block, "channels block")
+        if not isinstance(doc, dict) or list(doc) != ["channels"]:
+            return None
+        return _descriptors(doc["channels"])
+    except (SchemaViolation, KeyError, ValueError, TypeError):
+        return None
+
+
+def _load_sidecar(sidecar: Path) -> tuple[object, Optional[tuple[ChannelDescriptor, ...]]]:
+    """The sidecar's document, and its descriptors when they were parsed apart.
+
+    A sidecar in the writer's shape, with one column-0 ``channels:`` key and
+    that key last, is parsed as its other keys followed by an empty
+    ``channels:`` key, the context they have in the whole file, and its
+    block through ``_block_descriptors``.  Any other sidecar, and one whose
+    parts fail to parse, is parsed as one document, so every error keeps
+    the whole-document text.
+    """
+    text = sidecar.read_text(encoding="utf-8")
+    keys = [m.start() for m in _CHANNELS_KEY.finditer(text)]
+    if len(keys) == 1:
+        descs = _block_descriptors(text[keys[0]:])
+        if descs is not None:
+            try:
+                meta = load_yaml(text[:keys[0]] + "channels:\n", sidecar)
+            except SchemaViolation:
+                meta = None
+            if isinstance(meta, dict):
+                return meta, descs
+    return load_yaml(text, sidecar), None
+
+
 def read_canonical(csv_path: Union[str, Path]) -> Episode:
     """Read a canonical episode and its sidecar, validating all invariants.
 
@@ -398,20 +507,13 @@ def read_canonical(csv_path: Union[str, Path]) -> Episode:
     """
     csv_path = Path(csv_path)
     sidecar = sidecar_path_for(csv_path)
-    meta = load_yaml(sidecar.read_text(encoding="utf-8"), sidecar)
+    meta, descs = _load_sidecar(sidecar)
     if not isinstance(meta, dict):
         raise SchemaViolation(f"{sidecar}: sidecar is not a mapping")
 
     try:
-        descs = tuple(
-            ChannelDescriptor(
-                canonical_name=str(c["name"]),
-                role=SignalRole(str(c["role"])),
-                unit=str(c["unit"]),
-                axis=None if c.get("axis") is None else int(c["axis"]),
-            )
-            for c in meta["channels"]
-        )
+        if descs is None:
+            descs = _descriptors(meta["channels"])
         episode_id = str(meta["episode_id"])
         source_id = str(meta["source_id"])
         embodiment = str(meta["embodiment"])

@@ -1,7 +1,9 @@
 import csv
 import dataclasses
 import importlib
+import json
 import re
+import tracemalloc
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_episode
-from sefc import synthgen
+from sefc import ingest, synthgen
 from sefc.codec import dump_yaml, load_yaml
 from sefc.errors import (
     DuplicateKey,
@@ -30,11 +32,14 @@ from sefc.ingest import (
     pair_episodes,
     parse_raw_csv,
     read_canonical,
+    read_episode_dir,
     resample,
     sidecar_path_for,
     write_canonical,
 )
-from sefc.schema import AdapterSpec, EpisodeMeta, SignalRole, SignalSpec, apply_adapter
+from sefc.schema import (
+    AdapterSpec, EpisodeMeta, SignalRole, SignalSpec, apply_adapter, builtin_adapter,
+)
 
 D = {"a": (SignalRole.SETPOINT, "rad", None),
      "b": (SignalRole.FEEDBACK, "rad", None),
@@ -379,6 +384,148 @@ class TestParseRawCsv:
         assert_same_table(parse_raw_csv(p, dialect), want)
 
 
+def _bench_inputs(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    return importlib.import_module("inputs")
+
+
+def _csv_reader_spy(monkeypatch) -> list:
+    """Record each ``csv.reader`` call; the reader itself still runs."""
+    calls = []
+    real = csv.reader
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(csv, "reader", spy)
+    return calls
+
+
+class TestParseBlocks:
+    """A plain file is parsed a block of whole lines at a time; no block
+    boundary may change the table, the error or the fallback."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_tiny_blocks_match_reference_reader(self, tmp_path_factory, data):
+        dialect = data.draw(st.sampled_from([
+            COMMA, SEMICOLON,
+            CsvDialect(na_tokens=DEFAULT_NA_TOKENS + ("-999",)),
+            CsvDialect(";", ",", DEFAULT_NA_TOKENS + ("-999",)),
+        ]))
+        text, (ragged_line, old_line) = data.draw(raw_csv_texts(dialect))
+        block_bytes = data.draw(st.integers(1, 40))
+        p = tmp_path_factory.mktemp("raw") / "f.csv"
+        p.write_bytes(text.encode())
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ingest, "_BLOCK_BYTES", block_bytes)
+            try:
+                want = reference_table(p, dialect)
+            except (EmptyFile, RaggedRow) as exc:
+                with pytest.raises(type(exc)) as got:
+                    parse_raw_csv(p, dialect)
+                if isinstance(exc, RaggedRow):
+                    assert (exc.line, got.value.line) == (old_line, ragged_line)
+                return
+            assert_same_table(parse_raw_csv(p, dialect), want)
+
+    @pytest.mark.parametrize("block_bytes", [1, 5, 9])
+    def test_ragged_row_in_later_block_after_blank_lines(self, tmp_path, monkeypatch,
+                                                          block_bytes):
+        monkeypatch.setattr(ingest, "_BLOCK_BYTES", block_bytes)
+        p = tmp_path / "f.csv"
+        p.write_text("x,y\n1,2\n3,4\n\n\n5,6\n\n7\n8,9\n")
+        with pytest.raises(RaggedRow) as exc:
+            parse_raw_csv(p)
+        assert exc.value.line == 8 and str(exc.value) == "line 8: expected 2 fields, got 1"
+
+    @pytest.mark.parametrize("dialect", [COMMA, SEMICOLON], ids=["comma", "semicolon"])
+    @pytest.mark.parametrize("na", ["", "NA"])
+    def test_na_cell_first_or_last_in_block(self, tmp_path, monkeypatch, dialect, na):
+        # one line per block: the NA cells sit at the edges of their blocks
+        monkeypatch.setattr(ingest, "_BLOCK_BYTES", 1)
+        d, one = dialect.delimiter, f"1{dialect.decimal}5"
+        rows = [["a", "b", "c"], [na, one, "2"], ["3", one, na], [na, na, na], [one, "4", "5"]]
+        p = tmp_path / "f.csv"
+        p.write_text("\n".join(d.join(r) for r in rows) + "\n")
+        want = reference_table(p, dialect)
+        monkeypatch.setattr(csv, "reader", _no_csv_reader)
+        got = parse_raw_csv(p, dialect)
+        assert_same_table(got, want)
+        assert np.isnan(got["a"][[0, 2]]).all() and np.isnan(got["c"][[1, 2]]).all()
+
+    @pytest.mark.parametrize("block_bytes", [1, 8, 1 << 18])
+    def test_text_cell_in_later_block_falls_back(self, tmp_path, monkeypatch, block_bytes):
+        monkeypatch.setattr(ingest, "_BLOCK_BYTES", block_bytes)
+        p = tmp_path / "f.csv"
+        p.write_text("a,b,tag\n1,2,x\n3,4,y\n5,6,z\n7,idle,w\n9,10,v\n")
+        want = reference_table(p)
+        calls = _csv_reader_spy(monkeypatch)
+        got = parse_raw_csv(p)
+        assert_same_table(got, want)
+        assert len(calls) == 1 and got["b"].dtype == object
+
+    @pytest.mark.parametrize("block_bytes", [1, 3, 7, 64])
+    def test_header_after_blank_lines(self, tmp_path, monkeypatch, block_bytes):
+        monkeypatch.setattr(ingest, "_BLOCK_BYTES", block_bytes)
+        p = tmp_path / "f.csv"
+        p.write_text("\n\n\nt,x,tag\n0,1,a\n\n1,,b\n2,3,c\n")
+        want = reference_table(p)
+        monkeypatch.setattr(csv, "reader", _no_csv_reader)
+        assert_same_table(parse_raw_csv(p), want)
+
+    @pytest.mark.parametrize("block_bytes", [1, 4, 6, 100])
+    @pytest.mark.parametrize("last", ["5,6", "5,", "5,NA"])
+    def test_no_trailing_newline(self, tmp_path, monkeypatch, block_bytes, last):
+        monkeypatch.setattr(ingest, "_BLOCK_BYTES", block_bytes)
+        p = tmp_path / "f.csv"
+        p.write_text("a,b\n1,2\n3,4\n" + last)
+        want = reference_table(p)
+        monkeypatch.setattr(csv, "reader", _no_csv_reader)
+        assert_same_table(parse_raw_csv(p), want)
+
+    def test_line_over_field_limit_in_later_block(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ingest, "_BLOCK_BYTES", 4)
+        p = tmp_path / "f.csv"
+        p.write_text("time,x\n0,1\n1,2\n\n2," + "9" * 200_000 + "\n3,4\n")
+        calls = _csv_reader_spy(monkeypatch)
+        with pytest.raises(SchemaViolation, match=rf"^{re.escape(str(p))}: line 5: "
+                           r"field larger than field limit \(131072\)"):
+            parse_raw_csv(p)
+        assert len(calls) == 1
+
+    def test_long_line_of_short_cells_in_later_block(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ingest, "_BLOCK_BYTES", 4)
+        n = csv.field_size_limit() // 2 + 1
+        p = tmp_path / "f.csv"
+        p.write_text(",".join(f"c{j}" for j in range(n)) + "\n" + ("1," * n)[:-1] + "\n"
+                     + ("2," * n)[:-1] + "\n")
+        assert_same_table(parse_raw_csv(p), reference_table(p))
+
+    def test_benchmark_file_spans_several_blocks(self, tmp_path, monkeypatch):
+        p = tmp_path / "rec.csv"
+        _bench_inputs(monkeypatch).write_raw_voraus(p, seed=3, semicolon=False)
+        assert len(list(ingest._blocks(p.read_bytes()))) > 1
+
+    @pytest.mark.parametrize("semicolon,dialect", [(False, COMMA), (True, SEMICOLON)])
+    def test_parse_memory_follows_the_table(self, tmp_path, monkeypatch, semicolon, dialect):
+        # Traced peak: the file's bytes and the float64 table, with room for
+        # one block's copies; not several whole-file copies of the text.
+        p = tmp_path / "rec.csv"
+        _bench_inputs(monkeypatch).write_raw_voraus(p, seed=3, semicolon=semicolon)
+        parse_raw_csv(p, dialect)
+        tracemalloc.start()
+        try:
+            table = parse_raw_csv(p, dialect)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        numeric = [c for c in table.values() if c.dtype == np.float64]
+        rows = len(numeric[0])
+        assert peak <= 1.5 * (p.stat().st_size + 8 * rows * len(numeric))
+
+
 class TestResample:
     def test_linear_signal_exact(self):
         t = np.arange(61) / 60.0
@@ -510,6 +657,18 @@ class TestCanonicalFiles:
         rle = encode_phase_rle(labels)
         assert list(decode_phase_rle(rle, len(labels))) == labels
 
+    @given(st.lists(st.tuples(st.one_of(st.text(max_size=6), st.integers(-50, 50), st.none()),
+                              st.integers(1, 30)).map(list), max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_phase_rle_decode_matches_list_build(self, rle):
+        labels: list[str] = []
+        for label, count in rle:
+            labels.extend([str(label)] * count)
+        want = np.asarray(labels)
+        got = decode_phase_rle(rle, len(labels))
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tolist() == want.tolist()
+
 
 class TestCanonicalReadErrors:
     """Malformed canonical files: each case raises SchemaViolation or reads
@@ -639,6 +798,117 @@ class TestCanonicalReadErrors:
             self._edit_lines(csv_path, lines_edit)
         with pytest.raises(SchemaViolation, match=f"^{re.escape(str(csv_path))}: {reason}"):
             read_canonical(csv_path)
+
+
+def _read_outcome(csv_path):
+    """The decoded episode's fields, or the type and text of the error."""
+    try:
+        ep = read_canonical(csv_path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return (ep.episode_id, ep.source_id, ep.embodiment, ep.task, ep.rate_hz, ep.fault,
+            ep.healthy, ep.descriptors, ep.phase.dtype, ep.phase.tolist(),
+            ep.t.view(np.uint64).tolist(), ep.channels.view(np.uint64).tolist())
+
+
+class TestSidecarChannelBlock:
+    """``read_canonical`` parses each distinct ``channels:`` block once; every
+    sidecar still reads as its whole-document parse does, errors included."""
+
+    @staticmethod
+    def assert_reads_as_whole_document(csv_path, monkeypatch, split: bool):
+        """*csv_path* reads as with the block parse turned off; *split* says
+        whether its sidecar takes the block parse."""
+        sidecar = sidecar_path_for(csv_path)
+        try:
+            assert (ingest._load_sidecar(sidecar)[1] is not None) == split
+        except SchemaViolation:
+            assert not split
+        got = _read_outcome(csv_path)
+        with monkeypatch.context() as mp:
+            mp.setattr(ingest, "_block_descriptors", lambda block: None)
+            want = _read_outcome(csv_path)
+        assert got == want
+        return got
+
+    @pytest.mark.parametrize("seed,fault", [
+        (3, None), (19, "additional_axis_payload"), (55, "gripper_release_mid_motion"),
+    ])
+    def test_synthetic_sidecars(self, tmp_path, monkeypatch, seed, fault):
+        directive = fault and synthgen.FaultDirective(fault)
+        ep = synthgen.generate_episode(seed, fault=directive, episode_id=f"s{seed}")
+        csv_path, _ = write_canonical(ep, tmp_path)
+        got = self.assert_reads_as_whole_document(csv_path, monkeypatch, split=True)
+        assert got[7] == ep.descriptors and got[9] == ep.phase.tolist()
+
+    def test_ingested_sidecar(self, tmp_path, monkeypatch):
+        table = parse_raw_csv(Path(__file__).parent / "fixtures" / "voraus_sample.csv")
+        ep = apply_adapter(table, builtin_adapter("voraus_ad"),
+                           EpisodeMeta("voraus", "ur5", "pick_and_place"))
+        csv_path, _ = write_canonical(ep, tmp_path)
+        got = self.assert_reads_as_whole_document(csv_path, monkeypatch, split=True)
+        assert got[7] == ep.descriptors
+
+    def test_block_parsed_once_per_layout(self, tmp_path):
+        eps = [synthgen.generate_episode(seed, episode_id=f"e{seed}") for seed in (1, 2, 3)]
+        for ep in eps:
+            write_canonical(ep, tmp_path)
+        read_canonical(tmp_path / "e1.csv")
+        before = ingest._block_descriptors.cache_info()
+        back = read_episode_dir(tmp_path)
+        after = ingest._block_descriptors.cache_info()
+        assert after.hits - before.hits == 3 and after.misses == before.misses
+        assert [b.descriptors for b in back] == [ep.descriptors for ep in eps]
+
+    EDITS = {
+        # not in the writer's shape: parsed as one document
+        "no_channels_key": (lambda head, block: head, False),
+        "key_not_last": (lambda head, block: block + head, False),
+        "key_repeated": (lambda head, block: head + block + block.replace("rad", "deg"), False),
+        "key_first_and_last": (lambda head, block: block + head + block, False),
+        "flow_style": (lambda head, block: head + "channels: " + _flow_block(block), True),
+        # the writer's shape around an edited block or head
+        "comment_after_block": (lambda head, block: head + block + "# end\n", True),
+        "document_start": (lambda head, block: "---\n" + head + block, True),
+        "quoted_key_in_head": (lambda head, block: '"channels": 5\n' + head + block, True),
+        "block_only": (lambda head, block: block, True),
+        "bad_role": (lambda head, block: head + block.replace("role: feedback", "role: nope", 1),
+                     False),
+        "missing_unit": (lambda head, block: head + re.sub(r"  unit: .*\n", "", block, 1),
+                         False),
+        "channels_scalar": (lambda head, block: head + "channels: 5\n", False),
+        "malformed_block": (lambda head, block: head + "channels:\n- {name: a\n", False),
+        "extra_key_after_block": (lambda head, block: head + block + "extra: 1\n", False),
+        "anchor_in_head_alias_in_block": (
+            lambda head, block: head.replace("source_id: test", "source_id: &u rad")
+            + block.replace("unit: rad", "unit: *u", 1), False),
+        "same_anchor_in_head_and_block": (
+            lambda head, block: head.replace("source_id: test", "source_id: &u test")
+            + block.replace("unit: rad", "unit: &u rad", 1), False),
+        "tag_directive": (
+            lambda head, block: "%TAG !! tag:example.com,2000:\n---\n" + head
+            + block.replace("unit: rad", "unit: !!str rad", 1), False),
+        # the writer's shape, but the other keys do not parse before the block
+        "document_end_before_block": (lambda head, block: head + "...\n" + block, False),
+        "indented_head": (lambda head, block: re.sub("(?m)^(?=.)", "  ", head) + block, False),
+        "head_open_flow": (lambda head, block: head + "note: [1,\n" + block, False),
+        "head_not_a_mapping": (lambda head, block: "- a\n" + block, False),
+    }
+
+    @pytest.mark.parametrize("name", list(EDITS))
+    def test_hand_edited_sidecars(self, tmp_path, monkeypatch, name):
+        edit, split = self.EDITS[name]
+        ep = make_episode({"a": np.arange(4.0), "b": np.ones(4), "c": np.ones(4)}, D)
+        csv_path, sidecar = write_canonical(ep, tmp_path)
+        text = sidecar.read_text(encoding="utf-8")
+        at = text.index("\nchannels:\n") + 1
+        sidecar.write_text(edit(text[:at], text[at:]), encoding="utf-8")
+        self.assert_reads_as_whole_document(csv_path, monkeypatch, split)
+
+
+def _flow_block(block: str) -> str:
+    """The ``channels:`` block's list in flow style (JSON is YAML)."""
+    return json.dumps(load_yaml(block, "block")["channels"]) + "\n"
 
 
 class TestPairing:
