@@ -2,9 +2,17 @@
 
 from __future__ import annotations
 
+import copyreg
+
 
 class SefcError(Exception):
     """Base class for all toolkit errors."""
+
+    def __reduce__(self):
+        # Rebuild without calling ``__init__``, whose parameters differ from
+        # ``args`` (the message) in most subclasses: same type, same ``args``
+        # and so the same ``str()``, same attributes.
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 # --- schema / adapters ---------------------------------------------------

@@ -50,8 +50,9 @@ class CsvDialect:
     na_tokens: tuple[str, ...] = DEFAULT_NA_TOKENS
 
 
-# Bytes a plain file may hold besides its delimiter: printable ASCII other
-# than space and the quote character, and the \n line end.
+# Bytes a plain file may hold besides its delimiter, once its \r\n line ends
+# read \n: printable ASCII other than space and the quote character, and the
+# \n line end.
 _PLAIN_BYTES = bytes(range(0x21, 0x7F)).replace(b'"', b"") + b"\n"
 _NAN = np.frombuffer(b"nan", dtype=np.uint8)
 # Bytes of a plain file parsed at a time: enough lines per ``np.loadtxt``
@@ -72,13 +73,13 @@ def parse_raw_csv(
     In an object column a cell that reads as a number once its decimal mark
     is ``.`` holds that rewritten text.  Blank lines are skipped.
 
-    A plain file (ASCII only, no quote character, no ``\\r``, no
-    whitespace other than the delimiter and no line longer than
-    ``csv.field_size_limit()``) is parsed in blocks of whole lines: per
-    block, one ``np.loadtxt`` call over every numeric column, with NA cells
-    rewritten to ``nan`` first, written into one preallocated float64
-    array, and one over the string columns, which are the columns whose
-    first data cell is neither NA nor a number.  Its parse memory is the
+    A plain file (ASCII only, no quote character, no ``\\r`` outside a
+    ``\\r\\n`` line end, no whitespace other than the delimiter and no line
+    longer than ``csv.field_size_limit()``) is parsed in blocks of whole
+    lines: per block, one ``np.loadtxt`` call over every numeric column,
+    with NA cells rewritten to ``nan`` first, written into one preallocated
+    float64 array, and one over the string columns, which are the columns
+    whose first data cell is neither NA nor a number.  Its parse memory is the
     file's bytes, the table and one block's copies.  Any other file, and a
     plain file ``np.loadtxt`` rejects in any block (a text cell further
     down a numeric-looking column, or a number only ``float()`` reads, such
@@ -128,7 +129,9 @@ def _parse_plain(path: Path, dialect: CsvDialect) -> Optional[dict[str, np.ndarr
     d = dialect.delimiter
     plain = _PLAIN_BYTES + d.encode()
     limit = csv.field_size_limit()
-    raw = path.read_bytes()
+    # One copy at most, and none for a file without \r\n; a bare \r stays and
+    # sends the file to csv.reader, which also ends a line there.
+    raw = path.read_bytes().replace(b"\r\n", b"\n")
     header: Optional[list[str]] = None
     first = ""
     widths: list[tuple[int, int]] = []

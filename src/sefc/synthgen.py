@@ -810,6 +810,29 @@ def generate_episode(
     return ep
 
 
+def corpus_plan(
+    n_healthy: int, fault_mix: Mapping[str, int], seed0: int
+) -> list[tuple[int, Optional[FaultDirective], str]]:
+    """``(seed, fault, episode_id)`` of each episode of a corpus, in corpus order.
+
+    Healthy episodes come first, then each fault type of *fault_mix* in
+    sorted order.  Each faulty episode is followed by its healthy twin, which
+    shares its seed (hence all randomization draws and noise) and carries the
+    primary id plus a ``_twin`` suffix.
+    """
+    if n_healthy < 0 or any(c < 0 for c in fault_mix.values()):
+        raise SchemaViolation("episode counts must be >= 0")
+    plan = [(seed0 + idx, None, f"ep_{idx:05d}") for idx in range(n_healthy)]
+    idx = n_healthy
+    for fault_type in sorted(fault_mix):
+        for _ in range(fault_mix[fault_type]):
+            primary_id = f"ep_{idx:05d}"
+            plan.append((seed0 + idx, FaultDirective(fault_type), primary_id))
+            plan.append((seed0 + idx, None, f"{primary_id}_twin"))
+            idx += 1
+    return plan
+
+
 def generate_corpus(
     n_healthy: int,
     fault_mix: Mapping[str, int],
@@ -817,33 +840,9 @@ def generate_corpus(
     config: RandomizationConfig = RandomizationConfig(),
     noise: bool = True,
 ) -> list[Episode]:
-    """Generate a reproducible corpus; each faulty episode gets a healthy twin.
-
-    The twin shares the faulty episode's seed (hence all randomization
-    draws and noise) and carries the primary id plus a ``_twin`` suffix.
-    """
-    if n_healthy < 0 or any(c < 0 for c in fault_mix.values()):
-        raise SchemaViolation("episode counts must be >= 0")
-    episodes: list[Episode] = []
-    idx = 0
-    for _ in range(n_healthy):
-        episodes.append(
-            generate_episode(seed0 + idx, config, episode_id=f"ep_{idx:05d}", noise=noise)
-        )
-        idx += 1
-    for fault_type in sorted(fault_mix):
-        for _ in range(fault_mix[fault_type]):
-            seed = seed0 + idx
-            primary_id = f"ep_{idx:05d}"
-            episodes.append(
-                generate_episode(seed, config, FaultDirective(fault_type),
-                                 episode_id=primary_id, noise=noise)
-            )
-            episodes.append(
-                generate_episode(seed, config, episode_id=f"{primary_id}_twin", noise=noise)
-            )
-            idx += 1
-    return episodes
+    """Generate the episodes of ``corpus_plan``: each faulty episode gets a healthy twin."""
+    return [generate_episode(seed, config, fault, episode_id, noise)
+            for seed, fault, episode_id in corpus_plan(n_healthy, fault_mix, seed0)]
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,16 @@ import contextlib
 import dataclasses
 import filecmp
 import io
+import os
+import time
 from pathlib import Path
 
 import pytest
 import yaml
 
+from sefc import synthgen
 from sefc.cli import main
+from sefc.errors import NumericalInstability, SchemaViolation
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -132,6 +136,114 @@ class TestGenerate:
         assert manifest["command"] == "generate"
         assert manifest["seed"] == 11
         assert len(manifest["outputs"]) == 10  # 6 healthy + 2 faulty + 2 twins
+
+
+# 5 episodes: ep_00000..ep_00002 healthy, ep_00003 faulty and ep_00003_twin.
+_GENERATE = ["generate", "--seed", "3", "--n-healthy", "3", "--fault-mix", "unstable_platform=1"]
+_IDS = ["ep_00000", "ep_00001", "ep_00002", "ep_00003", "ep_00003_twin"]
+
+
+class TestGenerateOnEveryCore:
+    """``generate`` maps its episodes over one process per CPU of its affinity mask."""
+
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def _cpus(monkeypatch, k):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
+
+    @staticmethod
+    def _patch_generate(monkeypatch, before):
+        """Make ``synthgen.generate_episode`` call ``before(episode_id)`` first."""
+        real = synthgen.generate_episode
+
+        def patched(seed, config, fault=None, episode_id=None, noise=True):
+            before(episode_id)
+            return real(seed, config, fault, episode_id, noise)
+
+        monkeypatch.setattr(synthgen, "generate_episode", patched)
+
+    def _pids(self, monkeypatch, log: Path):
+        """Log the pid that generates each episode to *log*."""
+        def note(episode_id):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+        self._patch_generate(monkeypatch, note)
+
+    def test_bytes_do_not_depend_on_cpu_count(self, tmp_path, monkeypatch):
+        for k in (1, 2, 3):
+            self._cpus(monkeypatch, k)
+            self._pids(monkeypatch, tmp_path / f"pids{k}")
+            assert main([*_GENERATE, "--out", str(tmp_path / str(k))]) == 0
+            pids = (tmp_path / f"pids{k}").read_text().split()
+            assert len(pids) == 5 and len(set(pids)) == k and str(os.getpid()) in pids
+        manifests = [yaml.safe_load((tmp_path / str(k) / "manifest.yaml").read_text())
+                     for k in (1, 2, 3)]
+        assert [m["outputs"] for m in manifests] == [[f"{i}.csv" for i in _IDS]] * 3
+        for k in (2, 3):
+            assert _dir_contents_equal(tmp_path / "1" / "episodes",
+                                       tmp_path / str(k) / "episodes")
+
+    @pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
+    def test_serial_without_fork_or_affinity(self, tmp_path, monkeypatch, missing):
+        self._pids(monkeypatch, tmp_path / "pids")
+        monkeypatch.delattr(os, missing)
+        assert main([*_GENERATE, "--out", str(tmp_path / "o")]) == 0
+        assert set((tmp_path / "pids").read_text().split()) == {str(os.getpid())}
+
+    # On 2 CPUs this process generates episodes 0, 2 and 4, a child 1 and 3.
+    @pytest.mark.parametrize("failing,rc,message", [
+        ({1: SchemaViolation, 2: NumericalInstability}, 2, "bad ep_00001"),  # the child's first
+        ({2: NumericalInstability, 3: SchemaViolation}, 1, "bad ep_00002"),  # this process's first
+    ])
+    def test_first_error_in_corpus_order_wins(self, tmp_path, monkeypatch, capsys,
+                                              failing, rc, message):
+        kinds = {_IDS[i]: kind for i, kind in failing.items()}
+
+        def fail(episode_id):
+            if episode_id in kinds:
+                raise kinds[episode_id](f"bad {episode_id}")
+
+        self._patch_generate(monkeypatch, fail)
+        errs = []
+        for k in (1, 2):
+            self._cpus(monkeypatch, k)
+            assert main([*_GENERATE, "--out", str(tmp_path / str(k))]) == rc
+            errs.append(capsys.readouterr().err)
+        assert errs == [f"error: {message}\n"] * 2
+
+    def test_child_without_result_exits_1_with_one_line(self, tmp_path, monkeypatch, capsys):
+        parent = os.getpid()
+
+        def die_in_child(episode_id):
+            if os.getpid() != parent:
+                os._exit(3)
+
+        self._cpus(monkeypatch, 2)
+        self._patch_generate(monkeypatch, die_in_child)
+        assert main([*_GENERATE, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "status 3" in err
+
+    def test_interrupt_kills_and_reaps_every_child(self, tmp_path, monkeypatch):
+        parent = os.getpid()
+
+        def stall_in_child_interrupt_here(episode_id):
+            if os.getpid() != parent:
+                time.sleep(60)
+            raise KeyboardInterrupt
+
+        self._cpus(monkeypatch, 3)
+        self._patch_generate(monkeypatch, stall_in_child_interrupt_here)
+        t0 = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            main([*_GENERATE, "--out", str(tmp_path / "o")])
+        assert time.monotonic() - t0 < 30
 
 
 class TestIngest:

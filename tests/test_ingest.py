@@ -153,7 +153,8 @@ def raw_csv_texts(draw, dialect: CsvDialect):
     Columns are numeric, string, numeric-then-string or free-form; cells may
     be NA tokens or odd values, and blank lines may appear anywhere.  Half
     the texts are plain; the rest may also pad or quote cells (with the
-    delimiter inside), pad header names and end lines in CRLF.
+    delimiter inside) and pad header names.  Lines end in LF, in CRLF or in
+    a mix of both.
     """
     d = dialect.delimiter
     plain = draw(st.booleans())
@@ -204,12 +205,17 @@ def raw_csv_texts(draw, dialect: CsvDialect):
         physical.append(line)
         if ragged is not None and k == ragged + 1:
             ragged_line = len(physical)
-    newline = "\n" if plain else draw(st.sampled_from(["\n", "\r\n"]))
-    end = draw(st.sampled_from([newline, "", newline + newline]))
+    newline = draw(st.sampled_from(["\n", "\r\n", None]))   # None: drawn per line
+
+    def line_end() -> str:
+        return newline or draw(st.sampled_from(["\n", "\r\n"]))
+
+    text = "".join(line + line_end() for line in physical[:-1]) + physical[-1]
+    text += "".join(line_end() for _ in range(draw(st.sampled_from([1, 0, 2]))))
     # The reference numbers only non-blank lines; a one-column row holding the
     # empty NA token is a blank line too.
     old_line = None if ragged is None else 1 + sum(1 for line in lines[1:ragged + 2] if line)
-    return newline.join(physical) + end, (ragged_line, old_line)
+    return text, (ragged_line, old_line)
 
 
 def _no_csv_reader(*args, **kwargs):
@@ -260,14 +266,14 @@ class TestParseRawCsv:
         table = parse_raw_csv(p, CsvDialect(delimiter=";", decimal=","))
         assert table["x"].tolist() == [1.5, 2.5]
 
-    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["plain", "csv_reader"])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
     def test_decimal_comma_numbers_in_text_column(self, tmp_path, newline):
         p = tmp_path / "f.csv"
         p.write_bytes(newline.join(["x;tag", "1;0,25", "2;idle", "3;0,75", "4;1,2,3", ""]).encode())
         table = parse_raw_csv(p, SEMICOLON)
         assert table["tag"].tolist() == ["0.25", "idle", "0.75", "1,2,3"]
 
-    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["plain", "csv_reader"])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
     def test_decimal_comma_mixed_columns_through_adapter(self, tmp_path, newline):
         spec = AdapterSpec("x", 10.0, (
             SignalSpec("eff", "effort_motor_torque_0", SignalRole.EFFORT, "Nm", 0),
@@ -354,7 +360,9 @@ class TestParseRawCsv:
         (COMMA, "a,b\n#,2\n1,#\n"),
         (SEMICOLON, "a;b\n1,5;2\n1.234,5;3\n"),
         (COMMA, 'a,b\n"1,5",2\n3,"4"\n'),
-        (COMMA, "a,b\r\n1,2\r\n3,4\r\n"),
+        (COMMA, "a,b\r\n1,2\r3,4\r\n"),  # a bare CR ends a line for csv.reader
+        (COMMA, "a,b\r1,2\r3,4\r"),
+        (COMMA, "a,b\r\r\n1,2\r\n3,4\r\n"),
         (COMMA, "a,b\n 1 ,NA \n3,\t\n"),
     ])
     def test_cells_only_csv_reader_handles(self, tmp_path, dialect, text):
@@ -400,6 +408,47 @@ def _csv_reader_spy(monkeypatch) -> list:
 
     monkeypatch.setattr(csv, "reader", spy)
     return calls
+
+
+def _rewrite_line_ends(path: Path, newline: str) -> None:
+    """End the lines of *path* in LF, CRLF or, for "mixed", CRLF on every other line."""
+    lines = path.read_bytes().split(b"\n")
+    ends = {"lf": [b"\n"], "crlf": [b"\r\n"], "mixed": [b"\r\n", b"\n"]}[newline]
+    path.write_bytes(b"".join(line + ends[k % len(ends)] for k, line in enumerate(lines[:-1]))
+                     + lines[-1])
+
+
+class TestCrlfLineEnds:
+    """A CRLF line end reads as LF on the block path: same table and errors as
+    ``csv.reader``, which still takes every file with a bare CR (see
+    ``test_cells_only_csv_reader_handles``)."""
+
+    @pytest.mark.parametrize("newline", ["crlf", "mixed"])
+    @pytest.mark.parametrize("semicolon,dialect", [(False, COMMA), (True, SEMICOLON)])
+    def test_benchmark_file_skips_csv_reader(self, tmp_path, monkeypatch, semicolon, dialect,
+                                             newline):
+        p = tmp_path / "rec.csv"
+        _bench_inputs(monkeypatch).write_raw_voraus(p, seed=3, semicolon=semicolon)
+        _rewrite_line_ends(p, newline)
+        want = ingest._parse_with_csv_reader(p, dialect)
+        monkeypatch.setattr(csv, "reader", _no_csv_reader)
+        assert_same_table(parse_raw_csv(p, dialect), want)
+
+    @pytest.mark.parametrize("newline", ["crlf", "mixed"])
+    @pytest.mark.parametrize("block_bytes", [1, 7, 1 << 18])
+    def test_ragged_row_line_matches_csv_reader(self, tmp_path, monkeypatch, newline,
+                                                block_bytes):
+        monkeypatch.setattr(ingest, "_BLOCK_BYTES", block_bytes)
+        p = tmp_path / "f.csv"
+        p.write_text("\nx,y\n1,2\n\n3,4\n\n5\n6,7\n")
+        _rewrite_line_ends(p, newline)
+        with pytest.raises(RaggedRow) as want:
+            ingest._parse_with_csv_reader(p, COMMA)
+        monkeypatch.setattr(csv, "reader", _no_csv_reader)
+        with pytest.raises(RaggedRow) as got:
+            parse_raw_csv(p)
+        assert got.value.line == want.value.line == 7
+        assert str(got.value) == str(want.value)
 
 
 class TestParseBlocks:
@@ -508,12 +557,16 @@ class TestParseBlocks:
         _bench_inputs(monkeypatch).write_raw_voraus(p, seed=3, semicolon=False)
         assert len(list(ingest._blocks(p.read_bytes()))) > 1
 
+    @pytest.mark.parametrize("newline", ["lf", "crlf", "mixed"])
     @pytest.mark.parametrize("semicolon,dialect", [(False, COMMA), (True, SEMICOLON)])
-    def test_parse_memory_follows_the_table(self, tmp_path, monkeypatch, semicolon, dialect):
+    def test_parse_memory_follows_the_table(self, tmp_path, monkeypatch, semicolon, dialect,
+                                            newline):
         # Traced peak: the file's bytes and the float64 table, with room for
         # one block's copies; not several whole-file copies of the text.
         p = tmp_path / "rec.csv"
         _bench_inputs(monkeypatch).write_raw_voraus(p, seed=3, semicolon=semicolon)
+        _rewrite_line_ends(p, newline)
+        monkeypatch.setattr(csv, "reader", _no_csv_reader)
         parse_raw_csv(p, dialect)
         tracemalloc.start()
         try:

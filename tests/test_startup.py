@@ -36,6 +36,8 @@ def test_cli_import_adds_only_sefc_and_stdlib_modules():
     added = set(out.split())
     assert "sefc" in added
     assert added - {"sefc"} <= sys.stdlib_module_names, added - {"sefc"} - sys.stdlib_module_names
+    # generate forks its workers with os and pickle alone; process pools are not paid for
+    assert not added & {"multiprocessing", "concurrent"}, added & {"multiprocessing", "concurrent"}
 
 
 def _third_party_imports() -> dict[str, set[str]]:
