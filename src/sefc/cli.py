@@ -374,8 +374,11 @@ def cmd_eval_transfer(args: argparse.Namespace, out: Path) -> _Done:
 
 @_command
 def cmd_gap(args: argparse.Namespace, out: Path) -> _Done:
-    real = ingest.read_episode_dir(args.real_dir)
-    sim = ingest.read_episode_dir(args.sim_dir)
+    # One fork-map reads both directories, each in read_episode_dir's order.
+    real_files = sorted(Path(args.real_dir).glob("*.csv"))
+    sim_files = sorted(Path(args.sim_dir).glob("*.csv"))
+    episodes = _fork_map(ingest.read_canonical, real_files + sim_files)
+    real, sim = episodes[:len(real_files)], episodes[len(real_files):]
     pairs, unpaired = ingest.pair_episodes(real, sim)
     per_pair, phases_skipped = [], {}
     for pair in pairs:

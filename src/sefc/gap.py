@@ -17,7 +17,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .codec import write_csv
-from .errors import EmptyInput, NoCommonPhases
+from .errors import EmptyInput, NoCommonPhases, SchemaViolation
 from .ingest import EpisodePair
 from .schema import ChannelDescriptor, SignalRole
 
@@ -138,32 +138,37 @@ METRIC_NAMES = (
 
 _RAD_TO_DEG = 180.0 / np.pi
 
-
-def _unit_factor(unit: str, to: str) -> float:
-    """Scale factor from a channel's recorded unit to the metric unit."""
-    unit = unit.lower()
-    if to == "deg":
-        return 1.0 if unit.startswith("deg") else _RAD_TO_DEG
-    if to == "mm":
-        return 1.0 if unit == "mm" else 1000.0
-    if to == "mrad":
-        if unit.startswith("deg"):
-            return np.pi / 180.0 * 1000.0
-        return 1000.0
-    raise ValueError(to)
+#: Scale factor to each metric unit from every channel unit it accepts
+#: (matched lower-cased).  A channel in any other unit fails the metric.
+_UNIT_FACTORS = {
+    "deg": {"deg": 1.0, "rad": _RAD_TO_DEG},
+    "mm": {"m": 1000.0, "mm": 1.0, "m/rad": 1000.0},
+    "mrad": {"rad": 1000.0, "deg": np.pi / 180.0 * 1000.0, "m/rad": 1000.0},
+}
 
 
-def _scaled_diff(aligned: AlignedPair, names: Sequence[str], to: str):
+def _scaled_diff(aligned: AlignedPair, names: Sequence[str], metric: str):
     """``(idx, factors, (real - sim) * factors)`` over the *names* columns.
 
-    *factors* converts each channel's unit to *to*.  None when any name
-    is absent from the pair.
+    *factors* converts each channel's unit to the unit that ends the
+    *metric* name.  None when any name is absent from the pair; raises
+    SchemaViolation for a channel whose unit is not in ``_UNIT_FACTORS``.
     """
     where = {d.canonical_name: i for i, d in enumerate(aligned.descriptors)}
     if not all(n in where for n in names):
         return None
     idx = np.asarray([where[n] for n in names], dtype=int)
-    factors = np.array([_unit_factor(aligned.descriptors[i].unit, to) for i in idx])
+    to = _UNIT_FACTORS[metric.rsplit("_", 1)[1]]
+    factors = np.empty(idx.size)
+    for k, i in enumerate(idx):
+        d = aligned.descriptors[i]
+        factor = to.get(d.unit.lower())
+        if factor is None:
+            raise SchemaViolation(
+                f"pair {aligned.pair_key!r}: channel {d.canonical_name} has unit "
+                f"{d.unit!r}, which {metric} cannot convert (accepted: {', '.join(to)})"
+            )
+        factors[k] = factor
     return idx, factors, (aligned.real[:, idx] - aligned.sim[:, idx]) * factors
 
 
@@ -171,18 +176,19 @@ def pair_metrics(aligned: AlignedPair) -> GapMetrics:
     """Table-style metric suite for one aligned pair.
 
     Joint, TCP-position and rotation-vector metrics need their full channel
-    group and convert each channel to the metric's unit first.  Effort W1
+    group and convert each channel to the metric's unit first; a channel
+    in a unit the metric does not accept raises SchemaViolation.  Effort W1
     averages over every Effort channel in real-side descriptor order.  A
     metric whose channels are absent is reported as None rather than
     failing the pair.
     """
     values: dict[str, Optional[float]] = {}
 
-    joint = _scaled_diff(aligned, JOINT_CHANNELS, "deg")
+    joint = _scaled_diff(aligned, JOINT_CHANNELS, "joint_rmse_deg")
     if joint is not None:
         values["joint_rmse_deg"] = float(np.sqrt(np.mean(joint[2] ** 2)))
 
-    tcp = _scaled_diff(aligned, TCP_POS_CHANNELS, "mm")
+    tcp = _scaled_diff(aligned, TCP_POS_CHANNELS, "tcp_pos_rmse_mm")
     if tcp is not None:
         diff = tcp[2]
         values["tcp_pos_rmse_mm"] = float(np.sqrt(np.mean(diff ** 2)))
@@ -190,7 +196,7 @@ def pair_metrics(aligned: AlignedPair) -> GapMetrics:
         values["ee_l2_rms_mm"] = float(np.sqrt(np.mean(np.sum(diff ** 2, axis=1))))
 
     wrapped = False
-    rot = _scaled_diff(aligned, TCP_ROT_CHANNELS, "mrad")
+    rot = _scaled_diff(aligned, TCP_ROT_CHANNELS, "tcp_rotvec_rmse_mrad")
     if rot is not None:
         idx, factors, diff = rot
         values["tcp_rotvec_rmse_mrad"] = float(np.sqrt(np.mean(diff ** 2)))

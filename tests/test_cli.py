@@ -3,6 +3,7 @@ import dataclasses
 import filecmp
 import io
 import os
+import shutil
 import time
 from pathlib import Path
 
@@ -37,6 +38,17 @@ def small_corpus(tmp_path_factory):
                "--fault-mix", "additional_axis_payload=2"])
     assert rc == 0
     return out / "episodes"
+
+
+@pytest.fixture(scope="module")
+def healthy_corpus(small_corpus, tmp_path_factory):
+    """The healthy episodes of ``small_corpus``: ep_00000..ep_00005 and the twins."""
+    out = tmp_path_factory.mktemp("healthy")
+    for p in small_corpus.iterdir():
+        stem = p.name.split(".")[0]
+        if stem.endswith("_twin") or int(stem.split("_")[1]) < 6:
+            shutil.copy(p, out / p.name)
+    return out
 
 
 class TestGenerate:
@@ -143,18 +155,22 @@ _GENERATE = ["generate", "--seed", "3", "--n-healthy", "3", "--fault-mix", "unst
 _IDS = ["ep_00000", "ep_00001", "ep_00002", "ep_00003", "ep_00003_twin"]
 
 
+@pytest.fixture
+def no_child_left():
+    """Fail a test that leaves a child process of this one behind."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _cpus(monkeypatch, k):
+    """Make this process's affinity mask hold *k* CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
+
+
+@pytest.mark.usefixtures("no_child_left")
 class TestGenerateOnEveryCore:
     """``generate`` maps its episodes over one process per CPU of its affinity mask."""
-
-    @pytest.fixture(autouse=True)
-    def no_child_left(self):
-        yield
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    @staticmethod
-    def _cpus(monkeypatch, k):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
 
     @staticmethod
     def _patch_generate(monkeypatch, before):
@@ -176,7 +192,7 @@ class TestGenerateOnEveryCore:
 
     def test_bytes_do_not_depend_on_cpu_count(self, tmp_path, monkeypatch):
         for k in (1, 2, 3):
-            self._cpus(monkeypatch, k)
+            _cpus(monkeypatch, k)
             self._pids(monkeypatch, tmp_path / f"pids{k}")
             assert main([*_GENERATE, "--out", str(tmp_path / str(k))]) == 0
             pids = (tmp_path / f"pids{k}").read_text().split()
@@ -211,7 +227,7 @@ class TestGenerateOnEveryCore:
         self._patch_generate(monkeypatch, fail)
         errs = []
         for k in (1, 2):
-            self._cpus(monkeypatch, k)
+            _cpus(monkeypatch, k)
             assert main([*_GENERATE, "--out", str(tmp_path / str(k))]) == rc
             errs.append(capsys.readouterr().err)
         assert errs == [f"error: {message}\n"] * 2
@@ -223,7 +239,7 @@ class TestGenerateOnEveryCore:
             if os.getpid() != parent:
                 os._exit(3)
 
-        self._cpus(monkeypatch, 2)
+        _cpus(monkeypatch, 2)
         self._patch_generate(monkeypatch, die_in_child)
         assert main([*_GENERATE, "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
@@ -238,7 +254,7 @@ class TestGenerateOnEveryCore:
                 time.sleep(60)
             raise KeyboardInterrupt
 
-        self._cpus(monkeypatch, 3)
+        _cpus(monkeypatch, 3)
         self._patch_generate(monkeypatch, stall_in_child_interrupt_here)
         t0 = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
@@ -395,15 +411,9 @@ class TestTrainAndScore:
         assert field in capsys.readouterr().err
         assert not (tmp_path / "t" / "anomaly_model.ckpt").exists()
 
-    def test_train_then_score(self, small_corpus, tmp_path):
-        healthy_dir = tmp_path / "healthy"
-        healthy_dir.mkdir()
-        for p in small_corpus.iterdir():
-            stem = p.name.split(".")[0]
-            if stem.endswith("_twin") or int(stem.split("_")[1]) < 6:
-                (healthy_dir / p.name).write_text(p.read_text())
+    def test_train_then_score(self, small_corpus, healthy_corpus, tmp_path):
         train_out = tmp_path / "train"
-        rc = main(["train-anomaly", "--data", str(healthy_dir),
+        rc = main(["train-anomaly", "--data", str(healthy_corpus),
                    "--out", str(train_out), "--epochs", "2", "--batch-size", "1024"])
         assert rc == 0
         score_out = tmp_path / "score"
@@ -659,9 +669,9 @@ class TestGapCommand:
 
 
 @pytest.fixture(scope="module")
-def gap_run(tmp_path_factory):
-    """Gap over ep_00000 (sim lacks its 'return' phase), a real-only ep_00001
-    and a sim-only ep_00009."""
+def gap_dirs(tmp_path_factory):
+    """``(real, sim)``: ep_00000 on both sides (sim lacks its 'return' phase),
+    a real-only ep_00001 and a sim-only ep_00009."""
     from sefc import ingest
 
     root = tmp_path_factory.mktemp("gapdiag")
@@ -676,7 +686,14 @@ def gap_run(tmp_path_factory):
     phase[phase == "return"] = "release"
     ingest.write_canonical(dataclasses.replace(twin, phase=phase), sim)
     ingest.write_canonical(dataclasses.replace(eps["ep_00001_twin"], episode_id="ep_00009_sim"), sim)
-    out = root / "gapout"
+    return real, sim
+
+
+@pytest.fixture(scope="module")
+def gap_run(gap_dirs, tmp_path_factory):
+    """The gap command's manifest, stdout and out directory over ``gap_dirs``."""
+    real, sim = gap_dirs
+    out = tmp_path_factory.mktemp("gapdiag") / "gapout"
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         assert main(["gap", "--real-dir", str(real), "--sim-dir", str(sim),
@@ -705,6 +722,138 @@ class TestGapManifest:
 
     def test_seed_is_null(self, gap_run):
         assert gap_run[0]["seed"] is None
+
+
+@pytest.mark.usefixtures("no_child_left")
+class TestGapOnEveryCore:
+    """``gap`` reads its real and sim episodes with one process per CPU of its mask.
+
+    The read list is real ep_00000, ep_00001, then sim ep_00000_twin,
+    ep_00009_sim; on 2 CPUs this process reads items 0 and 2, a child 1 and 3.
+    """
+
+    @staticmethod
+    def _patch_read(monkeypatch, before):
+        """Make ``ingest.read_canonical`` call ``before(path)`` first."""
+        from sefc import ingest
+
+        real = ingest.read_canonical
+
+        def patched(path):
+            before(path)
+            return real(path)
+
+        monkeypatch.setattr(ingest, "read_canonical", patched)
+
+    @staticmethod
+    def _gap(real, sim, out):
+        return main(["gap", "--real-dir", str(real), "--sim-dir", str(sim), "--out", str(out)])
+
+    @staticmethod
+    def _break(src: Path, dst: Path, stem: str) -> Path:
+        """Copy *src* to *dst* with *stem*'s sidecar listing one channel too few."""
+        shutil.copytree(src, dst)
+        sidecar = dst / f"{stem}.meta.yaml"
+        meta = yaml.safe_load(sidecar.read_text())
+        meta["channels"].pop()
+        sidecar.write_text(yaml.safe_dump(meta, sort_keys=False))
+        return dst / f"{stem}.csv"
+
+    def test_reports_do_not_depend_on_cpu_count(self, gap_dirs, tmp_path, monkeypatch):
+        real, sim = gap_dirs
+        for k in (1, 2, 3):
+            _cpus(monkeypatch, k)
+            log = tmp_path / f"pids{k}"
+
+            def note(path, log=log):
+                with open(log, "a") as fh:
+                    fh.write(f"{os.getpid()}\n")
+
+            self._patch_read(monkeypatch, note)
+            assert self._gap(real, sim, tmp_path / str(k)) == 0
+            pids = log.read_text().split()
+            assert len(pids) == 4 and len(set(pids)) == k and str(os.getpid()) in pids
+        manifests = [yaml.safe_load((tmp_path / str(k) / "manifest.yaml").read_text())
+                     for k in (1, 2, 3)]
+        assert manifests[0]["unpaired"] == {"real_only": ["ep_00001"], "sim_only": ["ep_00009"]}
+        assert manifests[0]["phases_skipped"] == {"ep_00000": ["return"]}
+        for k, manifest in zip((2, 3), manifests[1:]):
+            for key in ("unpaired", "phases_skipped"):
+                assert manifest[key] == manifests[0][key]
+            for name in ("gap_pairs.csv", "gap_summary.csv"):
+                assert filecmp.cmp(tmp_path / "1" / name, tmp_path / str(k) / name,
+                                   shallow=False)
+
+    def test_broken_sim_episode_reports_alike_on_1_and_2_cpus(self, gap_dirs, tmp_path,
+                                                              monkeypatch, capsys):
+        real, sim = gap_dirs
+        broken = self._break(sim, tmp_path / "sim", "ep_00009_sim")   # read by the child
+        results = []
+        for k in (1, 2):
+            _cpus(monkeypatch, k)
+            rc = self._gap(real, tmp_path / "sim", tmp_path / str(k))
+            results.append((rc, capsys.readouterr().err))
+        assert results == [(2, f"error: {broken}: data columns do not match "
+                               "sidecar channel list\n")] * 2
+
+    # (real stem, sim stem): the broken real file read by the child, then by this process.
+    @pytest.mark.parametrize("real_stem,sim_stem", [
+        ("ep_00001", "ep_00000_twin"),
+        ("ep_00000", "ep_00009_sim"),
+    ])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_broken_real_file_wins_over_broken_sim_file(self, gap_dirs, tmp_path, monkeypatch,
+                                                        capsys, real_stem, sim_stem, k):
+        real, sim = gap_dirs
+        broken = self._break(real, tmp_path / "real", real_stem)
+        self._break(sim, tmp_path / "sim", sim_stem)
+        _cpus(monkeypatch, k)
+        assert self._gap(tmp_path / "real", tmp_path / "sim", tmp_path / "o") == 2
+        assert capsys.readouterr().err == (f"error: {broken}: data columns do not match "
+                                           "sidecar channel list\n")
+
+    def test_interrupt_kills_and_reaps_every_child(self, gap_dirs, tmp_path, monkeypatch):
+        parent = os.getpid()
+
+        def stall_in_child_interrupt_here(path):
+            if os.getpid() != parent:
+                time.sleep(60)
+            raise KeyboardInterrupt
+
+        _cpus(monkeypatch, 3)
+        self._patch_read(monkeypatch, stall_in_child_interrupt_here)
+        t0 = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            self._gap(*gap_dirs, tmp_path / "o")
+        assert time.monotonic() - t0 < 30
+
+
+class TestModelPlaneReadsSerially:
+    """The model-plane commands never fork: their BLAS work already uses every CPU."""
+
+    @pytest.fixture
+    def no_fork(self, monkeypatch):
+        def fork():
+            raise AssertionError("a model-plane command forked")
+
+        _cpus(monkeypatch, 2)
+        monkeypatch.setattr(os, "fork", fork)
+
+    def test_train_anomaly_then_score(self, small_corpus, healthy_corpus, tmp_path, no_fork):
+        assert main(["train-anomaly", "--data", str(healthy_corpus), "--out", str(tmp_path / "t"),
+                     "--epochs", "1", "--batch-size", "1024"]) == 0
+        assert main(["score", "--model", str(tmp_path / "t" / "anomaly_model.ckpt"),
+                     "--data", str(small_corpus), "--out", str(tmp_path / "s")]) == 0
+
+    def test_eval_forecast(self, small_corpus, tmp_path, no_fork):
+        assert main(["eval-forecast", "--data", str(small_corpus), "--out", str(tmp_path),
+                     "--models", "kinematic_zero,linear", "--horizon", "50",
+                     "--epochs", "1"]) == 0
+
+    def test_eval_transfer(self, small_corpus, tmp_path, no_fork):
+        assert main(["eval-transfer", "--train-data", str(small_corpus),
+                     "--eval-data", str(small_corpus), "--out", str(tmp_path),
+                     "--models", "kinematic_zero,linear", "--epochs", "1"]) == 0
 
 
 class TestReport:

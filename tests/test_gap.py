@@ -4,8 +4,11 @@ from scipy.optimize import linprog
 from scipy.stats import wasserstein_distance
 
 from conftest import make_episode
-from sefc.errors import EmptyInput, NoCommonPhases
+from sefc.errors import EmptyInput, NoCommonPhases, SchemaViolation
 from sefc.gap import (
+    JOINT_CHANNELS,
+    TCP_POS_CHANNELS,
+    TCP_ROT_CHANNELS,
     GapMetrics,
     batch_summary,
     pair_metrics,
@@ -14,7 +17,7 @@ from sefc.gap import (
     write_summary_csv,
 )
 from sefc.ingest import EpisodePair
-from sefc.schema import SignalRole
+from sefc.schema import BUILTIN_ADAPTER_IDS, SignalRole, builtin_adapter
 
 
 def w1_transport_oracle(a, b):
@@ -215,6 +218,62 @@ class TestPairMetrics:
         sim = _episode(shifted, phase, "s")
         m = pair_metrics(phase_align(EpisodePair(real, sim, "k")))
         assert m.w1_effort_mean == pytest.approx(0.5, abs=1e-12)
+
+
+def _offset_pair(names, unit, offset):
+    """Real and sim episodes whose *names* channels (in *unit*) differ by *offset*."""
+    descs = {n: (SignalRole.FEEDBACK, unit, i) for i, n in enumerate(names)}
+    phase = ["a"] * 10
+    base = {n: np.linspace(0.0, 0.5, 10) for n in names}
+    real = make_episode(base, descs, phase=phase, episode_id="r")
+    sim = make_episode({n: v + offset for n, v in base.items()}, descs, phase=phase,
+                       episode_id="s")
+    return phase_align(EpisodePair(real, sim, "k"))
+
+
+class TestUnitTable:
+    """Each metric converts from a closed set of channel units; any other unit fails."""
+
+    @pytest.mark.parametrize("names,unit,offset,metric,expected", [
+        (JOINT_CHANNELS, "rad", np.deg2rad(1.0), "joint_rmse_deg", 1.0),
+        (JOINT_CHANNELS, "deg", 1.0, "joint_rmse_deg", 1.0),
+        (JOINT_CHANNELS, "DEG", 1.0, "joint_rmse_deg", 1.0),
+        (TCP_POS_CHANNELS, "m", 0.001, "tcp_pos_rmse_mm", 1.0),
+        (TCP_POS_CHANNELS, "mm", 1.0, "tcp_pos_rmse_mm", 1.0),
+        (TCP_POS_CHANNELS, "m/rad", 0.001, "tcp_pos_rmse_mm", 1.0),
+        (TCP_ROT_CHANNELS, "rad", 0.001, "tcp_rotvec_rmse_mrad", 1.0),
+        (TCP_ROT_CHANNELS, "deg", 1.0, "tcp_rotvec_rmse_mrad", np.pi / 180.0 * 1000.0),
+        (TCP_ROT_CHANNELS, "m/rad", 0.001, "tcp_rotvec_rmse_mrad", 1.0),
+    ])
+    def test_accepted_unit_converts(self, names, unit, offset, metric, expected):
+        m = pair_metrics(_offset_pair(names, unit, offset))
+        assert getattr(m, metric) == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("names,unit,metric", [
+        (JOINT_CHANNELS, "mm", "joint_rmse_deg"),
+        (JOINT_CHANNELS, "rpm", "joint_rmse_deg"),
+        (JOINT_CHANNELS, "degC", "joint_rmse_deg"),
+        (TCP_POS_CHANNELS, "cm", "tcp_pos_rmse_mm"),
+        (TCP_POS_CHANNELS, "in", "tcp_pos_rmse_mm"),
+        (TCP_ROT_CHANNELS, "mm", "tcp_rotvec_rmse_mrad"),
+    ])
+    def test_other_unit_raises_naming_channel_unit_and_metric(self, names, unit, metric):
+        # a 1-unit offset: the old guess reported 57.2958 "deg" for joints in mm
+        with pytest.raises(SchemaViolation) as err:
+            pair_metrics(_offset_pair(names, unit, 1.0))
+        assert names[0] in str(err.value)
+        assert repr(unit) in str(err.value)
+        assert metric in str(err.value)
+
+    @pytest.mark.parametrize("source_id", BUILTIN_ADAPTER_IDS)
+    def test_builtin_adapter_position_units_are_accepted(self, source_id):
+        metric_channels = set(JOINT_CHANNELS + TCP_POS_CHANNELS + TCP_ROT_CHANNELS)
+        descs = {s.canonical_name: (s.role, s.unit, s.axis)
+                 for s in builtin_adapter(source_id).signals
+                 if s.canonical_name in metric_channels}
+        phase = ["a"] * 4
+        ep = make_episode({n: np.zeros(4) for n in descs}, descs, phase=phase)
+        pair_metrics(phase_align(EpisodePair(ep, ep, "k")))
 
 
 class TestBatchSummary:
