@@ -374,9 +374,8 @@ def cmd_eval_transfer(args: argparse.Namespace, out: Path) -> _Done:
 
 @_command
 def cmd_gap(args: argparse.Namespace, out: Path) -> _Done:
-    # One fork-map reads both directories, each in read_episode_dir's order.
-    real_files = sorted(Path(args.real_dir).glob("*.csv"))
-    sim_files = sorted(Path(args.sim_dir).glob("*.csv"))
+    real_files = ingest.episode_files(args.real_dir)
+    sim_files = ingest.episode_files(args.sim_dir)
     episodes = _fork_map(ingest.read_canonical, real_files + sim_files)
     real, sim = episodes[:len(real_files)], episodes[len(real_files):]
     pairs, unpaired = ingest.pair_episodes(real, sim)

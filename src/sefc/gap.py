@@ -1,8 +1,9 @@
 """Phase-aware sim-to-real gap metrics over paired episodes.
 
-Each task phase present on both sides is mapped to normalized time
-u in [0, 1] and the simulated signals are linearly interpolated onto the
-real side's u-grid, which removes duration mismatch before comparing.
+Each phase run present on both sides (a label's k-th run on each) is
+mapped to normalized time u in [0, 1] and the simulated signals are
+linearly interpolated onto the real side's u-grid, which removes duration
+mismatch before comparing.
 The metric suite covers joint-space RMSE, TCP position RMSE, the RMS of
 the 3-D TCP Euclidean distance, rotation-vector RMSE, and the exact 1-D
 Wasserstein-1 distance between pooled effort samples.
@@ -10,7 +11,9 @@ Wasserstein-1 distance between pooled effort samples.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import count
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -19,7 +22,7 @@ import numpy as np
 from .codec import write_csv
 from .errors import EmptyInput, NoCommonPhases, SchemaViolation
 from .ingest import EpisodePair
-from .schema import ChannelDescriptor, SignalRole
+from .schema import ChannelDescriptor, SignalRole, phase_runs
 
 
 def wasserstein_1d(a: np.ndarray, b: np.ndarray) -> float:
@@ -50,6 +53,7 @@ def wasserstein_1d(a: np.ndarray, b: np.ndarray) -> float:
 class AlignedPair:
     pair_key: str
     descriptors: tuple[ChannelDescriptor, ...]   # real-side descriptors
+    sim_units: tuple[str, ...]                   # sim-side unit of each channel
     real: np.ndarray                             # n_aligned x C
     sim: np.ndarray                              # sim interpolated, same shape
     phases_used: tuple[str, ...]
@@ -61,51 +65,53 @@ class AlignedPair:
 
 
 def phase_align(pair: EpisodePair) -> AlignedPair:
-    """Align the pair's common channels phase by phase on normalized time.
+    """Align the pair's common channels phase run by phase run on normalized time.
 
-    Phases are taken in order of first appearance.  Phases present on
-    only one side are skipped and reported, the real side's first; raises
-    NoCommonPhases when the shared vocabulary is empty.
+    A label's k-th run (``schema.phase_runs``) on one side pairs with its
+    k-th run on the other, in the real side's run order.  Runs on only one
+    side are skipped and reported, the real side's first.  A run is named
+    ``<label>`` if it is its label's first and ``<label>#<k>`` if its k-th.
+    Raises NoCommonPhases when no run pairs.
     """
     real, sim = pair.real, pair.sim
     descriptors = tuple(d for d in real.descriptors if sim.has_channel(d.canonical_name))
     common = [d.canonical_name for d in descriptors]
     real_x, sim_x = real.columns(common), sim.columns(common)
 
-    real_phases = dict.fromkeys(map(str, real.phase))
-    sim_phases = dict.fromkeys(map(str, sim.phase))
-    used = [p for p in real_phases if p in sim_phases]
-    skipped = [p for p in real_phases if p not in sim_phases]
-    skipped += [p for p in sim_phases if p not in real_phases]
+    real_runs, sim_runs = _numbered_runs(real.phase), _numbered_runs(sim.phase)
+    used = [run for run in real_runs if run in sim_runs]
+    skipped = [run for run in real_runs if run not in sim_runs]
+    skipped += [run for run in sim_runs if run not in real_runs]
     if not used:
-        raise NoCommonPhases(
-            f"pair {pair.pair_key!r}: no shared phases between real and sim"
-        )
+        raise NoCommonPhases(f"pair {pair.pair_key!r}: no shared phases between real and sim")
 
     real_blocks, sim_blocks = [], []
-    for p in used:
-        ridx = np.flatnonzero(real.phase == p)
-        sidx = np.flatnonzero(sim.phase == p)
-        u_real = (
-            np.arange(ridx.size) / (ridx.size - 1) if ridx.size > 1 else np.zeros(1)
-        )
-        u_sim = (
-            np.arange(sidx.size) / (sidx.size - 1) if sidx.size > 1 else np.zeros(1)
-        )
-        real_blocks.append(real_x[ridx])
-        sim_block = np.empty((ridx.size, len(common)))
+    for run in used:
+        (r0, r1), (s0, s1) = real_runs[run], sim_runs[run]
+        u_real, u_sim = (np.arange(n) / max(n - 1, 1) for n in (r1 - r0, s1 - s0))
+        real_blocks.append(real_x[r0:r1])
+        sim_block = np.empty((r1 - r0, len(common)))
         for c in range(len(common)):
-            sim_block[:, c] = np.interp(u_real, u_sim, sim_x[sidx, c])
+            sim_block[:, c] = np.interp(u_real, u_sim, sim_x[s0:s1, c])
         sim_blocks.append(sim_block)
 
+    names = [label if k == 1 else f"{label}#{k}" for label, k in used + skipped]
     return AlignedPair(
         pair_key=pair.pair_key,
         descriptors=descriptors,
+        sim_units=tuple(sim.descriptors[sim.channel_index(n)].unit for n in common),
         real=np.vstack(real_blocks),
         sim=np.vstack(sim_blocks),
-        phases_used=tuple(used),
-        phases_skipped=tuple(skipped),
+        phases_used=tuple(names[:len(used)]),
+        phases_skipped=tuple(names[len(used):]),
     )
+
+
+def _numbered_runs(phase) -> dict[tuple[str, int], tuple[int, int]]:
+    """``(label, k) -> (start, stop)`` of each label's k-th run, in run order."""
+    counters: defaultdict = defaultdict(lambda: count(1))
+    return {(label, next(counters[label])): (start, stop)
+            for label, start, stop in phase_runs(phase)}
 
 
 # ---------------------------------------------------------------------------
@@ -148,39 +154,46 @@ _UNIT_FACTORS = {
 
 
 def _scaled_diff(aligned: AlignedPair, names: Sequence[str], metric: str):
-    """``(idx, factors, (real - sim) * factors)`` over the *names* columns.
+    """``(idx, [f_real, f_sim], (real - sim * (f_sim / f_real)) * f_real)``.
 
-    *factors* converts each channel's unit to the unit that ends the
-    *metric* name.  None when any name is absent from the pair; raises
-    SchemaViolation for a channel whose unit is not in ``_UNIT_FACTORS``.
+    Over the *names* columns, the rows *f_real* and *f_sim* convert each
+    side's unit of a channel to the unit that ends the *metric* name; with
+    equal units the ratio is exactly 1.0.  None when any name is absent
+    from the pair; raises SchemaViolation for a unit, on either side, that
+    is not in ``_UNIT_FACTORS``.
     """
     where = {d.canonical_name: i for i, d in enumerate(aligned.descriptors)}
     if not all(n in where for n in names):
         return None
     idx = np.asarray([where[n] for n in names], dtype=int)
     to = _UNIT_FACTORS[metric.rsplit("_", 1)[1]]
-    factors = np.empty(idx.size)
-    for k, i in enumerate(idx):
-        d = aligned.descriptors[i]
-        factor = to.get(d.unit.lower())
-        if factor is None:
-            raise SchemaViolation(
-                f"pair {aligned.pair_key!r}: channel {d.canonical_name} has unit "
-                f"{d.unit!r}, which {metric} cannot convert (accepted: {', '.join(to)})"
-            )
-        factors[k] = factor
-    return idx, factors, (aligned.real[:, idx] - aligned.sim[:, idx]) * factors
+    factors = np.empty((2, idx.size))
+    for side, units in enumerate(([d.unit for d in aligned.descriptors], aligned.sim_units)):
+        for k, i in enumerate(idx):
+            factor = to.get(units[i].lower())
+            if factor is None:
+                raise SchemaViolation(
+                    f"pair {aligned.pair_key!r}: {('real', 'sim')[side]} channel "
+                    f"{names[k]} has unit {units[i]!r}, which {metric} cannot convert "
+                    f"(accepted: {', '.join(to)})"
+                )
+            factors[side, k] = factor
+    f_real, f_sim = factors
+    diff = (aligned.real[:, idx] - aligned.sim[:, idx] * (f_sim / f_real)) * f_real
+    return idx, factors, diff
 
 
 def pair_metrics(aligned: AlignedPair) -> GapMetrics:
     """Table-style metric suite for one aligned pair.
 
     Joint, TCP-position and rotation-vector metrics need their full channel
-    group and convert each channel to the metric's unit first; a channel
-    in a unit the metric does not accept raises SchemaViolation.  Effort W1
-    averages over every Effort channel in real-side descriptor order.  A
-    metric whose channels are absent is reported as None rather than
-    failing the pair.
+    group and convert each side's channels from that side's own unit to
+    the metric's unit first; a unit the metric does not accept, on either
+    side, raises SchemaViolation.  Effort W1 averages over every Effort
+    channel in real-side descriptor order, in the channels' own unit, and
+    raises SchemaViolation when the two sides' units of an Effort channel
+    differ (compared lower-cased).  A metric whose channels are absent is
+    reported as None rather than failing the pair.
     """
     values: dict[str, Optional[float]] = {}
 
@@ -198,10 +211,10 @@ def pair_metrics(aligned: AlignedPair) -> GapMetrics:
     wrapped = False
     rot = _scaled_diff(aligned, TCP_ROT_CHANNELS, "tcp_rotvec_rmse_mrad")
     if rot is not None:
-        idx, factors, diff = rot
+        idx, side_factors, diff = rot
         values["tcp_rotvec_rmse_mrad"] = float(np.sqrt(np.mean(diff ** 2)))
         # no angular unwrapping is applied; flag suspicious component spans
-        for side in (aligned.real, aligned.sim):
+        for side, factors in zip((aligned.real, aligned.sim), side_factors):
             span = side[:, idx].max(axis=0) - side[:, idx].min(axis=0)
             if np.any(span * (factors / 1000.0) > np.pi):
                 wrapped = True
@@ -209,6 +222,14 @@ def pair_metrics(aligned: AlignedPair) -> GapMetrics:
     effort_idx = [
         i for i, d in enumerate(aligned.descriptors) if d.role == SignalRole.EFFORT
     ]
+    for i in effort_idx:
+        real_unit, sim_unit = aligned.descriptors[i].unit, aligned.sim_units[i]
+        if real_unit.lower() != sim_unit.lower():
+            raise SchemaViolation(
+                f"pair {aligned.pair_key!r}: effort channel "
+                f"{aligned.descriptors[i].canonical_name} has unit {real_unit!r} on the "
+                f"real side and {sim_unit!r} on the sim side; w1_effort_mean needs one unit"
+            )
     if effort_idx:
         w1s = [
             wasserstein_1d(aligned.real[:, i], aligned.sim[:, i]) for i in effort_idx

@@ -567,10 +567,14 @@ def read_canonical(csv_path: Union[str, Path]) -> Episode:
         raise SchemaViolation(f"{csv_path}: {exc}") from None
 
 
+def episode_files(directory: Union[str, Path]) -> list[Path]:
+    """The canonical episode files under a directory, sorted by filename."""
+    return sorted(Path(directory).glob("*.csv"))
+
+
 def read_episode_dir(directory: Union[str, Path]) -> list[Episode]:
-    """Read every canonical episode under a directory (sorted by filename)."""
-    directory = Path(directory)
-    return [read_canonical(p) for p in sorted(directory.glob("*.csv"))]
+    """Read every canonical episode under a directory, in ``episode_files`` order."""
+    return [read_canonical(p) for p in episode_files(directory)]
 
 
 # ---------------------------------------------------------------------------

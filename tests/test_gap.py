@@ -1,9 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 from scipy.stats import wasserstein_distance
 
 from conftest import make_episode
+from sefc import ingest, synthgen
+from sefc.cli import main
 from sefc.errors import EmptyInput, NoCommonPhases, SchemaViolation
 from sefc.gap import (
     JOINT_CHANNELS,
@@ -17,7 +23,7 @@ from sefc.gap import (
     write_summary_csv,
 )
 from sefc.ingest import EpisodePair
-from sefc.schema import BUILTIN_ADAPTER_IDS, SignalRole, builtin_adapter
+from sefc.schema import BUILTIN_ADAPTER_IDS, SignalRole, builtin_adapter, phase_runs
 
 
 def w1_transport_oracle(a, b):
@@ -138,13 +144,94 @@ class TestPhaseAlign:
         sim = _episode({}, ["z"] * 4 + ["b"] * 5 + ["a"] * 5 + ["y"] * 3, "s")
         aligned = phase_align(EpisodePair(real, sim, "k"))
         assert aligned.phases_used == ("a", "b")
-        assert aligned.phases_skipped == ("lift", "grasp", "z", "y")
+        assert aligned.phases_skipped == ("lift", "grasp", "a#2", "z", "y")
 
     def test_no_common_phases(self):
         real = _episode({}, ["a"] * 10, "r")
         sim = _episode({}, ["b"] * 10, "s")
         with pytest.raises(NoCommonPhases):
             phase_align(EpisodePair(real, sim, "k"))
+
+    def test_recurring_label_pairs_runs_like_distinct_labels(self):
+        # the twin's first run stretched 60 -> 90 steps, its last squeezed 79 -> 49
+        control = synthgen.generate_episode(3, noise=False)
+        runs = phase_runs(control.phase)
+        assert (runs[0][2], runs[-1][0], runs[-1][2] - runs[-1][1]) == (60, "return", 79)
+        lengths = [stop - start for _, start, stop in runs]
+        lengths[0], lengths[-1] = 90, 49
+        recurring = control.replace(
+            phase=np.where(np.arange(control.n_steps) < 60, "return", control.phase))
+
+        got = phase_align(EpisodePair(recurring, _warp_runs(recurring, lengths), "k"))
+        want = phase_align(EpisodePair(control, _warp_runs(control, lengths), "k"))
+        assert got.real.tobytes() == want.real.tobytes()
+        assert got.sim.tobytes() == want.sim.tobytes()
+        assert pair_metrics(got) == pair_metrics(want)
+        assert got.phases_used == ("return", *want.phases_used[1:-1], "return#2")
+        assert got.phases_skipped == ()
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_single_run_layouts_match_label_gathering(self, data):
+        # every label forms one run: shared, one-sided, and runs of one step
+        labels = st.lists(st.sampled_from("abcdef"), min_size=1, max_size=5, unique=True)
+        sides = []
+        for side in ("r", "s"):
+            layout = [(p, data.draw(st.integers(1, 6))) for p in data.draw(labels)]
+            phase = [p for p, n in layout for _ in range(n)]
+            assume(len(phase) >= 2)
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+            values = {f"feedback_pos_{i}": rng.normal(size=len(phase)) for i in range(6)}
+            sides.append(_episode(values, phase, side))
+        pair = EpisodePair(*sides, "k")
+        try:
+            want = _label_gather_align(pair)
+        except NoCommonPhases:
+            with pytest.raises(NoCommonPhases):
+                phase_align(pair)
+            return
+        got = phase_align(pair)
+        assert got.real.shape == want[0].shape and got.real.tobytes() == want[0].tobytes()
+        assert got.sim.shape == want[1].shape and got.sim.tobytes() == want[1].tobytes()
+        assert (got.phases_used, got.phases_skipped) == want[2:]
+
+
+def _warp_runs(ep, lengths):
+    """*ep* with each phase run resampled (``np.interp``) to its entry of *lengths*."""
+    blocks, phase = [], []
+    for (label, start, stop), n in zip(phase_runs(ep.phase), lengths):
+        u_old, u_new = np.linspace(0.0, 1.0, stop - start), np.linspace(0.0, 1.0, n)
+        blocks.append(np.column_stack(
+            [np.interp(u_new, u_old, col) for col in ep.channels[start:stop].T]))
+        phase += [label] * n
+    return ep.replace(channels=np.vstack(blocks), phase=np.asarray(phase))
+
+
+def _label_gather_align(pair):
+    """``(real, sim, phases_used, phases_skipped)`` from the label-gathering
+    alignment that ``phase_align`` replaced: every row of a label in one block."""
+    real, sim = pair.real, pair.sim
+    common = [d.canonical_name for d in real.descriptors if sim.has_channel(d.canonical_name)]
+    real_x, sim_x = real.columns(common), sim.columns(common)
+    real_phases = dict.fromkeys(map(str, real.phase))
+    sim_phases = dict.fromkeys(map(str, sim.phase))
+    used = [p for p in real_phases if p in sim_phases]
+    skipped = [p for p in real_phases if p not in sim_phases]
+    skipped += [p for p in sim_phases if p not in real_phases]
+    if not used:
+        raise NoCommonPhases(pair.pair_key)
+    real_blocks, sim_blocks = [], []
+    for p in used:
+        ridx = np.flatnonzero(real.phase == p)
+        sidx = np.flatnonzero(sim.phase == p)
+        u_real = np.arange(ridx.size) / (ridx.size - 1) if ridx.size > 1 else np.zeros(1)
+        u_sim = np.arange(sidx.size) / (sidx.size - 1) if sidx.size > 1 else np.zeros(1)
+        real_blocks.append(real_x[ridx])
+        sim_block = np.empty((ridx.size, len(common)))
+        for c in range(len(common)):
+            sim_block[:, c] = np.interp(u_real, u_sim, sim_x[sidx, c])
+        sim_blocks.append(sim_block)
+    return np.vstack(real_blocks), np.vstack(sim_blocks), tuple(used), tuple(skipped)
 
 
 class TestPairMetrics:
@@ -274,6 +361,71 @@ class TestUnitTable:
         phase = ["a"] * 4
         ep = make_episode({n: np.zeros(4) for n in descs}, descs, phase=phase)
         pair_metrics(phase_align(EpisodePair(ep, ep, "k")))
+
+
+EFFORT_CHANNELS = tuple(f"effort_motor_torque_{i}" for i in range(6))
+
+
+def _restated(ep, names, unit, scale):
+    """*ep* with its *names* channels multiplied by *scale* and declared in *unit*."""
+    channels = ep.channels.copy()
+    channels[:, [ep.channel_index(n) for n in names]] *= scale
+    descriptors = tuple(dataclasses.replace(d, unit=unit) if d.canonical_name in names else d
+                        for d in ep.descriptors)
+    return ep.replace(channels=channels, descriptors=descriptors)
+
+
+class TestSimSideUnits:
+    """Each side converts by its own units; effort W1 needs one unit on both sides."""
+
+    def test_sim_joints_in_deg_match_real_in_rad(self):
+        real = synthgen.generate_episode(3, noise=False)
+        sim = _restated(real, JOINT_CHANNELS, "deg", 180.0 / np.pi)
+        m = pair_metrics(phase_align(EpisodePair(real, sim, "k")))
+        assert m.joint_rmse_deg == pytest.approx(0.0, abs=1e-9)
+
+    def test_rotvec_wrap_flag_uses_each_sides_unit(self):
+        # a 2 rad span is 114.6 in deg: under pi only when read in the sim's unit
+        real = _episode({"feedback_pos_cartesian_5": np.linspace(-1.0, 1.0, 12)}, ["a"] * 12)
+        sim = _restated(real, TCP_ROT_CHANNELS, "deg", 180.0 / np.pi)
+        m = pair_metrics(phase_align(EpisodePair(real, sim, "k")))
+        assert m.tcp_rotvec_rmse_mrad == pytest.approx(0.0, abs=1e-9)
+        assert not m.rotvec_wrapped
+
+    @pytest.mark.parametrize("names,metric", [
+        (JOINT_CHANNELS, "joint_rmse_deg"),
+        (TCP_POS_CHANNELS, "tcp_pos_rmse_mm"),
+        (TCP_ROT_CHANNELS, "tcp_rotvec_rmse_mrad"),
+    ])
+    def test_sim_unit_outside_table_raises_naming_side(self, names, metric):
+        real = synthgen.generate_episode(3, noise=False)
+        sim = _restated(real, names, "furlong", 1.0)
+        with pytest.raises(SchemaViolation) as err:
+            pair_metrics(phase_align(EpisodePair(real, sim, "k")))
+        assert f"sim channel {names[0]} has unit 'furlong'" in str(err.value)
+        assert metric in str(err.value)
+
+    def test_effort_units_must_match(self):
+        real = synthgen.generate_episode(3, noise=False)
+        sim = _restated(real, EFFORT_CHANNELS, "A", 1.0 / 0.1)
+        with pytest.raises(SchemaViolation) as err:
+            pair_metrics(phase_align(EpisodePair(real, sim, "k3")))
+        message = str(err.value)
+        for part in ("'k3'", EFFORT_CHANNELS[0], "'Nm'", "'A'", "w1_effort_mean"):
+            assert part in message
+
+    def test_effort_units_compare_lower_cased(self):
+        real = synthgen.generate_episode(3, noise=False)
+        sim = _restated(real, EFFORT_CHANNELS, "NM", 1.0)
+        assert pair_metrics(phase_align(EpisodePair(real, sim, "k"))).w1_effort_mean == 0.0
+
+    def test_gap_command_exits_2_on_effort_unit_mismatch(self, tmp_path, capsys):
+        real = synthgen.generate_episode(3, noise=False)
+        ingest.write_canonical(real, tmp_path / "real")
+        ingest.write_canonical(_restated(real, EFFORT_CHANNELS, "A", 1.0 / 0.1), tmp_path / "sim")
+        assert main(["gap", "--real-dir", str(tmp_path / "real"), "--sim-dir",
+                     str(tmp_path / "sim"), "--out", str(tmp_path / "out")]) == 2
+        assert EFFORT_CHANNELS[0] in capsys.readouterr().err
 
 
 class TestBatchSummary:
