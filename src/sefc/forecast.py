@@ -190,18 +190,19 @@ def train_forecaster(
     y_train = np.concatenate([y for _, y in windows[:-n_val]])
     x_val = np.concatenate([x for x, _ in windows[-n_val:]])
     y_val = np.concatenate([y for _, y in windows[-n_val:]])
+    del windows
 
     x_std = Standardizer.fit(x_train.reshape(-1, N_FEATURES))
     y_std = Standardizer.fit(y_train)
     out_dim = y_train.shape[1]
     net = _build_net(kind, out_dim, seed=config.seed)
 
-    history = train(
-        net,
-        (_net_input(net, x_std.transform(x_train)), y_std.transform(y_train)),
-        (_net_input(net, x_std.transform(x_val)), y_std.transform(y_val)),
-        config,
-    )
+    # each raw window set is dropped once standardized, before training starts
+    train_set = (_net_input(net, x_std.transform(x_train)), y_std.transform(y_train))
+    del x_train
+    val_set = (_net_input(net, x_std.transform(x_val)), y_std.transform(y_val))
+    del x_val
+    history = train(net, train_set, val_set, config)
     return Forecaster(kind, net, x_std, y_std, target, out_dim), history
 
 

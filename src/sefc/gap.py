@@ -71,7 +71,9 @@ def phase_align(pair: EpisodePair) -> AlignedPair:
     k-th run on the other, in the real side's run order.  Runs on only one
     side are skipped and reported, the real side's first.  A run is named
     ``<label>`` if it is its label's first and ``<label>#<k>`` if its k-th.
-    Raises NoCommonPhases when no run pairs.
+    Raises NoCommonPhases when no run pairs, and SchemaViolation when two
+    runs would get the same name (a label spelled like another label's
+    k-th run, such as ``a#2`` beside a second ``a`` run).
     """
     real, sim = pair.real, pair.sim
     descriptors = tuple(d for d in real.descriptors if sim.has_channel(d.canonical_name))
@@ -96,6 +98,12 @@ def phase_align(pair: EpisodePair) -> AlignedPair:
         sim_blocks.append(sim_block)
 
     names = [label if k == 1 else f"{label}#{k}" for label, k in used + skipped]
+    if len(set(names)) < len(names):
+        name = next(n for n in names if names.count(n) > 1)
+        raise SchemaViolation(
+            f"pair {pair.pair_key!r}: two phase runs would both be named {name!r}; "
+            f"a phase label must not read as another label's numbered run"
+        )
     return AlignedPair(
         pair_key=pair.pair_key,
         descriptors=descriptors,
@@ -193,7 +201,8 @@ def pair_metrics(aligned: AlignedPair) -> GapMetrics:
     channel in real-side descriptor order, in the channels' own unit, and
     raises SchemaViolation when the two sides' units of an Effort channel
     differ (compared lower-cased).  A metric whose channels are absent is
-    reported as None rather than failing the pair.
+    reported as None rather than failing the pair; a pair with no metric at
+    all raises EmptyInput.
     """
     values: dict[str, Optional[float]] = {}
 
@@ -236,6 +245,13 @@ def pair_metrics(aligned: AlignedPair) -> GapMetrics:
         ]
         values["w1_effort_mean"] = float(np.mean(w1s))
 
+    if not values:
+        raise EmptyInput(
+            f"pair {aligned.pair_key!r}: no gap metric can be computed; the channels "
+            f"both sides share hold none of the groups looked for: joints "
+            f"({', '.join(JOINT_CHANNELS)}), TCP position ({', '.join(TCP_POS_CHANNELS)}), "
+            f"TCP rotation ({', '.join(TCP_ROT_CHANNELS)}) and Effort-role channels"
+        )
     return GapMetrics(pair_key=aligned.pair_key, rotvec_wrapped=wrapped, **values)
 
 

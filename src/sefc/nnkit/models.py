@@ -10,18 +10,20 @@ blocks, an optional final layer norm and a linear head.  ``TCNNet`` is
 step, so ``predict``/``loss_and_grad`` compute only what that step needs:
 the last trunk layer (final encoder block, or the conv stack's last layer
 when there is no block) and the head run on the last row, while keys and
-values still cover every step.  ``forward_seq`` (and ``relu_margin``, which
-uses it) stays full-sequence.
+values still cover every step.
 
 ``predict`` keeps no backward cache: every model's ``_forward`` records
-activations only when ``loss_and_grad`` or ``relu_margin`` hands it a
-cache dict.  ``SeqNet.predict`` and ``SeqNet.loss_and_grad`` run a large
-batch in blocks of rows sized so that one block's widest activation stays
-about 1 MiB (``_BLOCK_VALUES``), so a training step's memory follows the
-block, not the batch; a batch that fits runs whole.  ``DenseNet`` runs the
-whole batch at once: row blocks would reorder its gradient sums, and its
-step caches one array per layer instead.  ``forward_seq`` runs the whole
-batch.
+activations only when ``loss_and_grad`` hands it a cache dict.  The cache
+keeps one array per ReLU, its output, computed in place; backward reads
+the ReLU mask from it (``relu(z) > 0`` equals ``z > 0`` bit for bit, NaN
+and -0.0 included) and drops each cached array and each layer input after
+its last use, so no pre-activation copy is kept.  ``SeqNet.predict`` and
+``SeqNet.loss_and_grad`` run a large batch in blocks of rows sized so
+that one block's widest activation stays about 1 MiB (``_BLOCK_VALUES``),
+so a training step's memory follows the block, not the batch; a batch
+that fits runs whole.  ``DenseNet`` runs the whole batch at once: row
+blocks would reorder its gradient sums, and its step caches one array per
+layer instead.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ LN_EPS = 1e-8
 # (500, 10, 64) activation is 2.5 MB of fresh memory per layer.  On a
 # 2-vCPU Xeon, 68-window blocks ran a 500-window SeqNet or TCNNet predict
 # about 10% faster than one whole-batch pass, and a training step's traced
-# peak stays at one block's cache (17 MB for the forecast SeqNet, where a
+# peak stays at one block's cache (10 MB for the forecast SeqNet, where a
 # whole 2000-window batch held 460 MB).
 _BLOCK_VALUES = 1 << 17
 
@@ -92,7 +94,7 @@ class Model:
             np.asarray(grads[name]).ravel() for name in self._params
         ])
 
-    # subclasses implement: _check_input, predict, loss_and_grad, relu_margin
+    # subclasses implement: _check_input, predict, loss_and_grad
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Outputs for a batch, computed without a backward cache."""
@@ -102,10 +104,6 @@ class Model:
         return _mse(self.predict(x), y)[0]
 
     def loss_and_grad(self, x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
-        raise NotImplementedError
-
-    def relu_margin(self, x: np.ndarray) -> float:
-        """Smallest |pre-activation| over every ReLU input (kink distance)."""
         raise NotImplementedError
 
     def spec(self) -> dict:
@@ -168,22 +166,11 @@ class DenseNet(Model):
         by BLAS, so row blocks would only add overhead."""
         return self._forward(self._check_input(x))
 
-    def relu_margin(self, x: np.ndarray) -> float:
-        """Each hidden pre-activation is recomputed from its cached input
-        with ``_forward``'s own ops, so it has the same bits."""
-        cache: dict = {}
-        self._forward(self._check_input(x), cache)
-        margins = []
-        for l, h in enumerate(cache["hs"][:-1]):
-            z = h @ self._params[f"W{l}"]
-            z += self._params[f"b{l}"]
-            margins.append(np.abs(z).min())
-        return float(min(margins)) if margins else math.inf
-
     def loss_and_grad(self, x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
         """Whole-batch step.  The ReLU mask comes from the cached layer input:
         ``relu(z) > 0`` equals ``z > 0`` bit for bit, NaN and -0.0 included.
-        Each input is dropped once its layer's gradients are formed."""
+        Each input is dropped once its layer's gradients and mask are
+        formed, before the next delta is allocated."""
         cache: dict = {}
         loss, delta = _mse(self._forward(self._check_input(x), cache), y)
         hs = cache["hs"]
@@ -193,8 +180,10 @@ class DenseNet(Model):
             grads[f"W{l}"] = h.T @ delta
             grads[f"b{l}"] = delta.sum(axis=0)
             if l > 0:
+                mask = h > 0
+                del h
                 delta = delta @ self._params[f"W{l}"].T
-                delta *= h > 0
+                delta *= mask
         return loss, self._grads_to_flat(grads)
 
 
@@ -243,13 +232,13 @@ class _CausalConvStack:
         Earlier layers cover every step; the last layer computes only the
         ``n_out`` rows the caller reads.  Each layer is one GEMM: the
         ``kernel`` shifted slices of the padded input lie side by side
-        against ``w.reshape(kernel * C, H)``.  A *cache* dict gets each
-        padded input and pre-activation.
+        against ``w.reshape(kernel * C, H)``.  Each ReLU runs in place; a
+        *cache* dict gets each layer's padded input and ReLU output.
         """
         B, T, _ = x.shape
         h = x
         if cache is not None:
-            cache["inputs"], cache["zs"] = [], []
+            cache["inputs"], cache["outputs"] = [], []
         for l, d in enumerate(self.dilations):
             w = self.model._params[f"{self.prefix}.W{l}"]
             pad = (self.kernel - 1) * d
@@ -260,23 +249,25 @@ class _CausalConvStack:
                                    for k in range(self.kernel)], axis=2)
             z = taps @ w.reshape(-1, w.shape[2])
             z += self.model._params[f"{self.prefix}.b{l}"]
+            h = np.maximum(z, 0.0, out=z)
             if cache is not None:
                 cache["inputs"].append(hp)
-                cache["zs"].append(z)
-            h = np.maximum(z, 0.0, out=z if cache is None else None)
+                cache["outputs"].append(h)
         return h[:, h.shape[1] - n_out:]
 
     def backward(self, dh: np.ndarray, cache: dict, grads: dict) -> None:
         """Parameter gradients from ``dh``, the gradient of the output rows
-        ``forward`` returned.  The input gradient is not needed and not formed."""
+        ``forward`` returned.  The input gradient is not needed and not formed.
+        The ReLU mask comes from the cached output (``relu(z) > 0`` equals
+        ``z > 0`` bit for bit), and each layer's cache is dropped once read."""
+        inputs, outputs = cache.pop("inputs"), cache.pop("outputs")
         for l in range(len(self.dilations) - 1, -1, -1):
             d = self.dilations[l]
             w = self.model._params[f"{self.prefix}.W{l}"]
-            hp = cache["inputs"][l]
-            z = cache["zs"][l]
-            dz = dh * (z > 0)
+            hp = inputs.pop()
+            dz = dh * (outputs.pop() > 0)
             pad = (self.kernel - 1) * d
-            T, n = hp.shape[1] - pad, z.shape[1]
+            T, n = hp.shape[1] - pad, dz.shape[1]
             dw = np.empty_like(w)
             for k in range(self.kernel):
                 dw[k] = _weight_grad(hp[:, k * d + T - n:k * d + T], dz)
@@ -287,9 +278,6 @@ class _CausalConvStack:
                 for k in range(self.kernel):
                     dhp[:, k * d + T - n:k * d + T] += dz @ w[k].T
                 dh = dhp[:, pad:]
-
-    def margins(self, cache: dict) -> list[float]:
-        return [float(np.abs(z).min()) for z in cache["zs"]]
 
 
 def _layer_norm_forward(x, g, b, cache_key, cache):
@@ -313,7 +301,8 @@ def _layer_norm_forward(x, g, b, cache_key, cache):
 
 
 def _layer_norm_backward(dy, g, cache_key, cache):
-    xhat, inv = cache[cache_key]
+    """Gradients of the input, ``g`` and ``b``; drops *cache_key* from *cache*."""
+    xhat, inv = cache.pop(cache_key)
     n = xhat.shape[-1]
     dxhat = dy * g
     dg = (dy * xhat).sum(axis=tuple(range(dy.ndim - 1)))
@@ -364,8 +353,8 @@ class _EncoderBlock:
 
         Keys and values cover every step; queries, the residual, LN2 and the
         feedforward cover only the last ``n``.  The last row sees every key,
-        so ``n == 1`` needs no causal mask.  A *cache* dict gets what
-        ``backward`` reads.
+        so ``n == 1`` needs no causal mask.  The feedforward ReLU runs in
+        place.  A *cache* dict gets what ``backward`` reads.
         """
         T = x.shape[1]
         xn = _layer_norm_forward(x, self._p("ln1_g"), self._p("ln1_b"), "ln1", cache)
@@ -392,63 +381,71 @@ class _EncoderBlock:
         yn = _layer_norm_forward(y, self._p("ln2_g"), self._p("ln2_b"), "ln2", cache)
         z1 = yn @ self._p("F1")
         z1 += self._p("f1")
-        h1 = np.maximum(z1, 0.0, out=z1 if cache is None else None)
+        h1 = np.maximum(z1, 0.0, out=z1)
         out = h1 @ self._p("F2")
         out += self._p("f2")
         out += y
         if cache is not None:
-            cache.update(x=x, xn=xn, qh=qh, kh=kh, vh=vh, attn=attn,
-                         ctx_flat=ctx_flat, yn=yn, z1=z1, h1=h1)
+            cache.update(T=T, xn=xn, qh=qh, kh=kh, vh=vh, attn=attn,
+                         ctx_flat=ctx_flat, yn=yn, h1=h1)
         return out
 
     def backward(self, dout: np.ndarray, cache: dict, grads: dict) -> np.ndarray:
-        """Gradient of the whole input (B, T, D) from ``dout`` (B, n, D)."""
-        T = cache["x"].shape[1]
+        """Gradient of the whole input (B, T, D) from ``dout`` (B, n, D).
+
+        The ReLU mask comes from the cached output, as in ``DenseNet``.
+        Each cached array and each gradient is dropped after its last use.
+        """
+        T = cache.pop("T")
         last = slice(T - dout.shape[1], T)
         pre = self.prefix
 
         # feedforward branch
-        grads[f"{pre}.F2"] = _weight_grad(cache["h1"], dout)
+        h1 = cache.pop("h1")
+        grads[f"{pre}.F2"] = _weight_grad(h1, dout)
         grads[f"{pre}.f2"] = dout.sum(axis=(0, 1))
-        dh1 = dout @ self._p("F2").T
-        dz1 = dh1 * (cache["z1"] > 0)
-        grads[f"{pre}.F1"] = _weight_grad(cache["yn"], dz1)
+        dz1 = dout @ self._p("F2").T
+        dz1 *= h1 > 0
+        del h1
+        grads[f"{pre}.F1"] = _weight_grad(cache.pop("yn"), dz1)
         grads[f"{pre}.f1"] = dz1.sum(axis=(0, 1))
         dyn = dz1 @ self._p("F1").T
-        dy_ln, dg2, db2 = _layer_norm_backward(dyn, self._p("ln2_g"), "ln2", cache)
-        grads[f"{pre}.ln2_g"] = dg2
-        grads[f"{pre}.ln2_b"] = db2
-        dy = dout + dy_ln
+        del dz1
+        dy, grads[f"{pre}.ln2_g"], grads[f"{pre}.ln2_b"] = _layer_norm_backward(
+            dyn, self._p("ln2_g"), "ln2", cache)
+        del dyn
+        dy += dout
 
         # attention branch
-        grads[f"{pre}.Wo"] = _weight_grad(cache["ctx_flat"], dy)
+        grads[f"{pre}.Wo"] = _weight_grad(cache.pop("ctx_flat"), dy)
         grads[f"{pre}.bo"] = dy.sum(axis=(0, 1))
         dctx = self._split(dy @ self._p("Wo").T)
 
-        attn, qh, kh, vh = cache["attn"], cache["qh"], cache["kh"], cache["vh"]
+        attn, vh = cache.pop("attn"), cache.pop("vh")
         dattn = dctx @ vh.transpose(0, 1, 3, 2)
+        del vh
         dvh = attn.transpose(0, 1, 3, 2) @ dctx
+        del dctx
         dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
+        del attn, dattn
         dscores /= math.sqrt(self.dh)
-        dqh = dscores @ kh
-        dkh = dscores.transpose(0, 1, 3, 2) @ qh
+        dqh = dscores @ cache.pop("kh")
+        dkh = dscores.transpose(0, 1, 3, 2) @ cache.pop("qh")
+        del dscores
 
-        xn = cache["xn"]
+        xn = cache.pop("xn")
         dxn = np.zeros_like(xn)
-        for name, rows, dm in (("q", last, self._merge(dqh)),
-                               ("k", slice(None), self._merge(dkh)),
-                               ("v", slice(None), self._merge(dvh))):
+        for name, rows, d in (("q", last, dqh), ("k", slice(None), dkh),
+                              ("v", slice(None), dvh)):
+            dm = self._merge(d)
             grads[f"{pre}.W{name}"] = _weight_grad(xn[:, rows], dm)
             grads[f"{pre}.b{name}"] = dm.sum(axis=(0, 1))
             dxn[:, rows] += dm @ self._p(f"W{name}").T
-        dx, dg1, db1 = _layer_norm_backward(dxn, self._p("ln1_g"), "ln1", cache)
-        grads[f"{pre}.ln1_g"] = dg1
-        grads[f"{pre}.ln1_b"] = db1
+        del xn, dqh, dkh, dvh, dm
+        dx, grads[f"{pre}.ln1_g"], grads[f"{pre}.ln1_b"] = _layer_norm_backward(
+            dxn, self._p("ln1_g"), "ln1", cache)
         dx[:, last] += dy
         return dx
-
-    def margins(self, cache: dict) -> list[float]:
-        return [float(np.abs(cache["z1"]).min())]
 
 
 class SeqNet(Model):
@@ -548,10 +545,6 @@ class SeqNet(Model):
         out += self._params["head.b"]
         return out
 
-    def forward_seq(self, x: np.ndarray, cache: Optional[dict] = None) -> np.ndarray:
-        x = self._check_input(x)
-        return self._forward(x, cache, x.shape[1])
-
     def _block_rows(self, x: np.ndarray) -> int:
         """Rows of one block: its widest activation stays within ``_BLOCK_VALUES``."""
         return max(1, _BLOCK_VALUES // self._values_per_row(x))
@@ -565,14 +558,6 @@ class SeqNet(Model):
             return self._forward(x, None, 1)[:, 0]
         return np.concatenate([self._forward(x[i:i + rows], None, 1)[:, 0]
                                for i in range(0, len(x), rows)])
-
-    def relu_margin(self, x: np.ndarray) -> float:
-        cache: dict = {}
-        self.forward_seq(x, cache)
-        margins = self.stack.margins(cache)
-        for block, bc in zip(self.blocks, cache["blocks"]):
-            margins.extend(block.margins(bc))
-        return min(margins)
 
     def loss_and_grad(self, x, y):
         """Loss and flat gradient in ``predict``'s row blocks: each block's
@@ -597,19 +582,21 @@ class SeqNet(Model):
 
     def _block_loss_and_grad(self, x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
         """One block's step.  Not a public entry, so a tracer that wraps
-        ``loss_and_grad`` counts one span per training step."""
+        ``loss_and_grad`` counts one span per training step.  Each layer's
+        cache is dropped once its backward has read it."""
         cache: dict = {}
         loss, dpred = _mse(self._forward(x, cache, 1)[:, 0], y)
         dout = dpred[:, None]
         grads: dict[str, np.ndarray] = {}
-        grads["head.W"] = _weight_grad(cache["h_final"], dout)
+        grads["head.W"] = _weight_grad(cache.pop("h_final"), dout)
         grads["head.b"] = dout.sum(axis=(0, 1))
         dh = dout @ self._params["head.W"].T
         if self.final_norm:
             dh, grads["ln_f_g"], grads["ln_f_b"] = _layer_norm_backward(
                 dh, self._params["ln_f_g"], "ln_f", cache)
-        for block, bc in zip(reversed(self.blocks), reversed(cache["blocks"])):
-            dh = block.backward(dh, bc, grads)
+        block_caches = cache.pop("blocks")
+        for block in reversed(self.blocks):
+            dh = block.backward(dh, block_caches.pop(), grads)
         self.stack.backward(dh, cache, grads)
         return loss, self._grads_to_flat(grads)
 

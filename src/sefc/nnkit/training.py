@@ -94,6 +94,7 @@ def train(
                 weight_decay=config.weight_decay,
                 decoupled=config.optimizer == "adamw",
             )
+            del grads  # not held through the next step's forward pass
             model.set_params(params)
         val = model.loss(x_val, y_val)
         history.train_loss.append(total / n)

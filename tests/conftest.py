@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import yaml
@@ -37,6 +39,17 @@ def make_episode(
         fault=fault,
         healthy=fault is None,
     )
+
+
+def traced_peak_mb(fn, *args) -> float:
+    """Peak MiB that tracemalloc traces over one call ``fn(*args)``; what was
+    allocated before the call is not counted.  Tracing stops even if it raises."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def reference_checkpoint(model, extra: dict | None = None) -> str:

@@ -1,10 +1,45 @@
-"""Central-difference gradient verification."""
+"""Central-difference gradient verification, and the full-sequence forward
+and ReLU kink distance it needs.  The models' step caches keep each ReLU's
+output only, so the pre-activations are recomputed here from cached inputs."""
 
 from __future__ import annotations
 
+import math
+from typing import Optional
+
 import numpy as np
 
-from sefc.nnkit import Model
+from sefc.nnkit import DenseNet, Model, SeqNet
+
+
+def forward_seq(net: SeqNet, x: np.ndarray, cache: Optional[dict] = None) -> np.ndarray:
+    """Outputs (B, T, out_dim) of a SeqNet or TCNNet at every step."""
+    x = net._check_input(x)
+    return net._forward(x, cache, x.shape[1])
+
+
+def _pre_activations(model: Model, x: np.ndarray) -> list[np.ndarray]:
+    """Every ReLU input, recomputed from the forward cache with the forward
+    pass's own ops, so each has the same bits as the one the model saw."""
+    p, cache = model._params, {}
+    if isinstance(model, DenseNet):
+        model._forward(model._check_input(x), cache)
+        return [h @ p[f"W{l}"] + p[f"b{l}"] for l, h in enumerate(cache["hs"][:-1])]
+    forward_seq(model, x, cache)
+    stack, T, zs = model.stack, x.shape[1], []
+    for l, (d, hp) in enumerate(zip(stack.dilations, cache["inputs"])):
+        w = p[f"{stack.prefix}.W{l}"]
+        taps = np.concatenate([hp[:, k * d:k * d + T] for k in range(stack.kernel)], axis=2)
+        zs.append(taps @ w.reshape(-1, w.shape[2]) + p[f"{stack.prefix}.b{l}"])
+    for block, bc in zip(model.blocks, cache["blocks"]):
+        zs.append(bc["yn"] @ block._p("F1") + block._p("f1"))
+    return zs
+
+
+def relu_margin(model: Model, x: np.ndarray) -> float:
+    """Smallest |pre-activation| over every ReLU input (kink distance)."""
+    return min((float(np.abs(z).min()) for z in _pre_activations(model, x)),
+               default=math.inf)
 
 
 def gradient_check(
@@ -28,7 +63,7 @@ def gradient_check(
     y = np.array(y, dtype=np.float64)
 
     for _ in range(50):
-        if model.relu_margin(x) >= margin_factor * eps:
+        if relu_margin(model, x) >= margin_factor * eps:
             break
         x = x + rng.normal(0.0, 1e-3, size=x.shape)
     else:

@@ -48,6 +48,7 @@ def w1_transport_oracle(a, b):
     return float(res.fun)
 
 
+EFFORT_CHANNELS = tuple(f"effort_motor_torque_{i}" for i in range(6))
 D6 = {}
 for i in range(6):
     D6[f"feedback_pos_{i}"] = (SignalRole.FEEDBACK, "rad", i)
@@ -151,6 +152,26 @@ class TestPhaseAlign:
         sim = _episode({}, ["b"] * 10, "s")
         with pytest.raises(NoCommonPhases):
             phase_align(EpisodePair(real, sim, "k"))
+
+    @pytest.mark.parametrize("real_runs,sim_runs", [
+        ("a b a", "a a#2"),            # two skipped runs: the real a#2 and the sim's label
+        ("a a#2 a", "a a#2"),          # a skipped run against a used one
+        ("a x a a#2", "a y a a#2"),    # two used runs
+        ("a b a a#2", "a"),            # two skipped runs of the real side alone
+    ])
+    def test_colliding_run_names_raise(self, real_runs, sim_runs):
+        real = _episode({}, [p for p in real_runs.split() for _ in range(3)], "r")
+        sim = _episode({}, [p for p in sim_runs.split() for _ in range(3)], "s")
+        with pytest.raises(SchemaViolation) as err:
+            phase_align(EpisodePair(real, sim, "k7"))
+        assert "'k7'" in str(err.value) and "'a#2'" in str(err.value)
+
+    def test_label_spelled_like_a_run_name_alone_is_kept(self):
+        real = _episode({}, ["a"] * 3 + ["a#2"] * 3 + ["b"] * 3, "r")
+        sim = _episode({}, ["a"] * 4 + ["a#2"] * 2 + ["c"] * 3, "s")
+        aligned = phase_align(EpisodePair(real, sim, "k"))
+        assert aligned.phases_used == ("a", "a#2")
+        assert aligned.phases_skipped == ("b", "c")
 
     def test_recurring_label_pairs_runs_like_distinct_labels(self):
         # the twin's first run stretched 60 -> 90 steps, its last squeezed 79 -> 49
@@ -279,15 +300,47 @@ class TestPairMetrics:
 
     def test_missing_channels_mark_metric_absent(self):
         descs = {"feedback_pos_0": (SignalRole.FEEDBACK, "rad", 0)}
+        descs.update({n: (SignalRole.FEEDBACK, "m", i) for i, n in enumerate(TCP_POS_CHANNELS)})
         phase = ["a"] * 10
-        real = make_episode({"feedback_pos_0": np.arange(10.0)}, descs,
+        real = make_episode({n: np.arange(10.0) for n in descs}, descs,
                             phase=phase, episode_id="r")
-        sim = make_episode({"feedback_pos_0": np.arange(10.0)}, descs,
+        sim = make_episode({n: np.arange(10.0) for n in descs}, descs,
                            phase=phase, episode_id="s")
         m = pair_metrics(phase_align(EpisodePair(real, sim, "k")))
         assert m.joint_rmse_deg is None          # needs all six joints
-        assert m.tcp_pos_rmse_mm is None
+        assert m.tcp_rotvec_rmse_mrad is None
         assert m.w1_effort_mean is None
+        assert m.tcp_pos_rmse_mm == 0.0
+
+    @pytest.mark.parametrize("real_names,sim_names", [
+        (("feedback_pos_0",), ("feedback_pos_0",)),       # one joint of six, on both sides
+        (JOINT_CHANNELS, EFFORT_CHANNELS),                 # no channel in common
+    ], ids=["partial_group", "disjoint"])
+    def test_pair_without_any_metric_raises(self, real_names, sim_names):
+        phase = ["a"] * 10
+        real, sim = (make_episode({n: np.arange(10.0) for n in names},
+                                  {n: D6[n] for n in names}, phase=phase, episode_id=i)
+                     for names, i in ((real_names, "r"), (sim_names, "s")))
+        aligned = phase_align(EpisodePair(real, sim, "k5"))
+        with pytest.raises(EmptyInput) as err:
+            pair_metrics(aligned)
+        for part in ("'k5'", *JOINT_CHANNELS, *TCP_POS_CHANNELS, *TCP_ROT_CHANNELS, "Effort"):
+            assert part in str(err.value)
+
+    def test_gap_command_exits_1_on_a_pair_without_any_metric(self, tmp_path, capsys):
+        # the real and sim episodes share only channels no metric reads
+        ep = synthgen.generate_episode(3, noise=False)
+        groups = set(JOINT_CHANNELS + TCP_POS_CHANNELS + TCP_ROT_CHANNELS)
+        keep = [i for i, d in enumerate(ep.descriptors)
+                if d.canonical_name not in groups and d.role != SignalRole.EFFORT]
+        ep = ep.replace(channels=ep.channels[:, keep],
+                        descriptors=tuple(ep.descriptors[i] for i in keep))
+        ingest.write_canonical(ep, tmp_path / "real")
+        ingest.write_canonical(ep, tmp_path / "sim")
+        assert main(["gap", "--real-dir", str(tmp_path / "real"), "--sim-dir",
+                     str(tmp_path / "sim"), "--out", str(tmp_path / "out")]) == 1
+        assert "no gap metric can be computed" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "gap_summary.csv").exists()
 
     def test_rotvec_wrap_flag(self):
         phase = ["a"] * 12
@@ -357,13 +410,10 @@ class TestUnitTable:
         metric_channels = set(JOINT_CHANNELS + TCP_POS_CHANNELS + TCP_ROT_CHANNELS)
         descs = {s.canonical_name: (s.role, s.unit, s.axis)
                  for s in builtin_adapter(source_id).signals
-                 if s.canonical_name in metric_channels}
+                 if s.canonical_name in metric_channels or s.role == SignalRole.EFFORT}
         phase = ["a"] * 4
         ep = make_episode({n: np.zeros(4) for n in descs}, descs, phase=phase)
         pair_metrics(phase_align(EpisodePair(ep, ep, "k")))
-
-
-EFFORT_CHANNELS = tuple(f"effort_motor_torque_{i}" for i in range(6))
 
 
 def _restated(ep, names, unit, scale):

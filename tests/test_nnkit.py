@@ -1,15 +1,16 @@
+import hashlib
 import logging
 import math
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
 import yaml
 
-from conftest import reference_checkpoint
-from gradcheck import gradient_check
+from conftest import reference_checkpoint, traced_peak_mb
+from gradcheck import forward_seq, gradient_check
 from sefc.errors import EmptyDataset, SchemaViolation, ShapeMismatch
+from sefc.forecast import _build_net
 from sefc.nnkit import (
     DenseNet,
     SeqNet,
@@ -36,21 +37,21 @@ class TestForward:
     def test_seqnet_output_shape_and_causality(self):
         net = SeqNet(seed=4)
         x = RNG.normal(size=(2, 10, 36))
-        out = net.forward_seq(x)
+        out = forward_seq(net, x)
         assert out.shape == (2, 10, 6)
         x2 = np.array(x)
         x2[:, 9, :] += 1.0
-        out2 = net.forward_seq(x2)
+        out2 = forward_seq(net, x2)
         assert np.array_equal(out[:, :9, :], out2[:, :9, :])
         assert not np.allclose(out[:, 9, :], out2[:, 9, :])
 
     def test_tcn_causality(self):
         net = TCNNet(in_features=5, hidden=8, dilations=(1, 2), out_dim=3, seed=1)
         x = RNG.normal(size=(2, 12, 5))
-        out = net.forward_seq(x)
+        out = forward_seq(net, x)
         x2 = np.array(x)
         x2[:, 7, :] += 2.0
-        out2 = net.forward_seq(x2)
+        out2 = forward_seq(net, x2)
         assert np.array_equal(out[:, :7, :], out2[:, :7, :])
 
     def test_shape_mismatch(self):
@@ -369,16 +370,6 @@ class TestCheckpoint:
             load_model(path)
 
 
-def _step_peak(net, x, y) -> int:
-    """Peak bytes traced over one ``loss_and_grad`` call; *x* and *y* are not counted."""
-    tracemalloc.start()
-    try:
-        net.loss_and_grad(x, y)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 class TestStepMemory:
     """A training step's memory follows the row block, not the batch."""
 
@@ -393,8 +384,8 @@ class TestStepMemory:
         rows = net._block_rows(np.empty((1, 10, 36)))
         x = rng.normal(size=(4 * rows, 10, 36))
         y = rng.normal(size=(4 * rows, 6))
-        one_block = _step_peak(net, x[:rows], y[:rows])
-        assert _step_peak(net, x, y) <= 1.25 * one_block
+        one_block = traced_peak_mb(net.loss_and_grad, x[:rows], y[:rows])
+        assert traced_peak_mb(net.loss_and_grad, x, y) <= 1.25 * one_block
 
     def test_dense_step_keeps_one_array_per_layer(self):
         # the anomaly regressor at a training batch of 2044 rows
@@ -402,5 +393,68 @@ class TestStepMemory:
         rng = np.random.default_rng(0)
         B = 2044
         x, y = rng.normal(size=(B, 18)), rng.normal(size=(B, 6))
-        layer_inputs = B * sum(net.widths[:-1]) * 8
-        assert _step_peak(net, x, y) < 1.75 * layer_inputs
+        layer_inputs = B * sum(net.widths[:-1]) * 8 / 2**20
+        assert traced_peak_mb(net.loss_and_grad, x, y) < 1.75 * layer_inputs
+
+    def test_dense_step_frees_each_input_before_the_next_delta(self):
+        # Forward holds every hidden layer's output.  Backward, at its widest,
+        # holds the 512-wide ReLU mask and the deltas on both sides of it;
+        # the 512-wide layer input, freed by then, is what the bound leaves out.
+        net = DenseNet([18, 512, 256, 128, 6], seed=0)
+        rng = np.random.default_rng(0)
+        B = 2048
+        x, y = rng.normal(size=(B, 18)), rng.normal(size=(B, 6))
+        hidden = B * sum(net.widths[1:-1]) * 8 / 2**20                  # 14 MiB
+        backward = (B * 512 + B * (512 + 256) * 8) / 2**20             # 13 MiB
+        assert traced_peak_mb(net.loss_and_grad, x, y) <= max(hidden, backward) + 2.0
+
+    def test_seqnet_step_keeps_one_array_per_relu(self):
+        # The forecast SeqNet over 500 windows (8 row blocks).  Bound: what
+        # one block's backward reads (the padded conv inputs and ReLU
+        # outputs; per full encoder block 8 (R, T, H) arrays -- the output
+        # and normalized input of LN1 and of LN2, q, k, v and the attention
+        # context -- plus the scores and the feedforward ReLU output; the
+        # last block, narrowed to one row, keeps LN1's two arrays, keys and
+        # values over every step), the running and block gradients, and
+        # 2 MiB.  No pre-activation or block input is cached, and a block's
+        # cache is freed once its backward has run.
+        net = _build_net("tcn_transformer", 6, seed=0)
+        rng = np.random.default_rng(0)
+        x, y = rng.normal(size=(500, 10, 36)), rng.normal(size=(500, 6))
+        R, T, H = net._block_rows(x), 10, net.hidden
+        assert len(x) > 7 * R
+        act = R * T * H
+        conv = R * sum(((net.kernel - 1) * d + T) * c
+                       for d, c in zip(net.tcn_dilations, (36, H, H)))
+        conv += len(net.tcn_dilations) * act
+        full_block = 8 * act + R * net.heads * T * T + R * T * net.ff_dim
+        cache = (conv + full_block + 4 * act) * 8 / 2**20               # 7.1 MiB
+        gradients = 2 * net.n_params * 8 / 2**20                        # 1.5 MiB
+        assert traced_peak_mb(net.loss_and_grad, x, y) <= cache + gradients + 2.0
+
+
+# sha256 of the loss bits and then the flat-gradient bits of one
+# `loss_and_grad` call, recorded before the step caches kept one array per
+# ReLU (numpy 2.4 with 2-thread OpenBLAS, x86-64; the BLAS thread count moves
+# the sequence models' bits).  Freeing an array earlier must move no bit.
+GOLDEN_GRADIENTS = {
+    "dense": "6536c949e4f0d87f9a77d79f12af39904f173ae3b0e2a7275e63b622e35932ee",
+    "tcn": "16aee2028269d66dad0fff1c9145b7b1d3c793db7b18667eafa096e6ca6170e9",
+    "tcn_transformer": "d3500fed58f4baf68ad4c65a78223e11db11bc9d7034a5339c1ae69dd003931d",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_GRADIENTS))
+def test_step_bits_are_golden(kind):
+    # the anomaly regressor at B=2048; the forecast sequence nets at B=500,
+    # which spans several row blocks
+    if kind == "dense":
+        net, shape = DenseNet([18, 512, 256, 128, 6], seed=0), (2048, 18)
+    else:
+        net, shape = _build_net(kind, 6, seed=0), (500, 10, 36)
+    rng = np.random.default_rng(7)
+    net.set_params(net.get_params() + rng.normal(0.0, 0.05, size=net.n_params))
+    x, y = rng.normal(size=shape), rng.normal(size=(shape[0], 6))
+    loss, grad = net.loss_and_grad(x, y)
+    digest = hashlib.sha256(np.float64(loss).tobytes() + grad.tobytes()).hexdigest()
+    assert digest == GOLDEN_GRADIENTS[kind]
