@@ -73,18 +73,19 @@ def episode_features(ep: Episode) -> np.ndarray:
     return np.hstack(cols)
 
 
-def episode_targets(ep: Episode, target: str = "accel") -> np.ndarray:
+def make_windows(ep: Episode, target: str = "accel") -> tuple[np.ndarray, np.ndarray]:
+    """All (10, 36) -> next-step-target training pairs of one episode.
+
+    Accel targets are the features' feedback_acc block, so a joint without a
+    recorded acceleration gets the derived one there too.
+    """
+    feats = episode_features(ep)
     if target not in TARGET_CHANNELS:
         raise SchemaViolation(f"unknown target {target!r}")
-    if target == "accel" and not ep.has_channel("feedback_acc_0"):
-        return episode_features(ep)[:, _FB_ACC]
-    return ep.columns(TARGET_CHANNELS[target])
-
-
-def make_windows(ep: Episode, target: str = "accel") -> tuple[np.ndarray, np.ndarray]:
-    """All (10, 36) -> next-step-target training pairs of one episode."""
-    feats = episode_features(ep)
-    targets = episode_targets(ep, target)
+    if target == "accel":
+        targets = feats[:, _FB_ACC].copy()
+    else:
+        targets = ep.columns(TARGET_CHANNELS[target])
     if ep.n_steps <= WINDOW_STEPS:
         raise EmptyDataset(f"{ep.episode_id}: too short for a {WINDOW_STEPS}-step window")
     # window k is feats[k:k + 10]; the last full window has no target row
@@ -231,15 +232,11 @@ class RolloutResult:
 
 
 def _survival(err: np.ndarray, threshold: float) -> tuple[np.ndarray, float]:
-    H = err.shape[0]
-    first = np.full(err.shape[1], -1, dtype=int)
-    survival = np.full(err.shape[1], float(H))
-    for j in range(err.shape[1]):
-        over = np.flatnonzero(err[:, j] > threshold)
-        if over.size:
-            first[j] = int(over[0]) + 1          # 1-based violating step
-            survival[j] = float(over[0])         # steps survived before it
-    return first, float(survival.mean())
+    over = err > threshold
+    hit = over.any(axis=0)
+    # steps survived before the first violation, the whole horizon when none
+    survived = np.where(hit, over.argmax(axis=0), err.shape[0])
+    return np.where(hit, survived + 1, -1), float(survived.astype(float).mean())
 
 
 def euler_rollout(
@@ -351,14 +348,9 @@ def survival_curve(results: Sequence[RolloutResult], horizon: int) -> np.ndarray
     """Fraction of (rollout, joint) trajectories surviving each step 1..H."""
     if not results:
         raise EmptyDataset("no rollouts")
-    alive = np.zeros(horizon)
-    total = 0
-    for r in results:
-        for j in range(r.first_violation.size):
-            total += 1
-            steps = r.horizon if r.first_violation[j] < 0 else r.first_violation[j] - 1
-            alive[:min(steps, horizon)] += 1
-    return alive / max(total, 1)
+    steps = np.concatenate([np.where(r.first_violation < 0, r.horizon, r.first_violation - 1)
+                            for r in results])
+    return (steps[:, None] > np.arange(horizon)).sum(axis=0) / max(steps.size, 1)
 
 
 # ---------------------------------------------------------------------------

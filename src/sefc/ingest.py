@@ -1,8 +1,9 @@
 """Raw table parsing, resampling, gap filling, and canonical episode files.
 
-A plain raw CSV is parsed a block of whole lines at a time into one
-preallocated float64 array, so parse memory follows the parsed table, not
-copies of the file's text; any other raw file goes through ``csv.reader``.
+A well-formed plain raw CSV is parsed in one pass, a block of whole lines
+at a time, into one preallocated float64 array, so parse memory follows the
+parsed table, not copies of the file's text; any other raw file goes through
+``csv.reader``, which alone reports raw-table errors.
 
 The canonical on-disk form of an episode is a UTF-8 CSV (header line
 ``t_s,<channel>,...``, then one line per step with every cell formatted as
@@ -75,16 +76,21 @@ def parse_raw_csv(
 
     A plain file (ASCII only, no quote character, no ``\\r`` outside a
     ``\\r\\n`` line end, no whitespace other than the delimiter and no line
-    longer than ``csv.field_size_limit()``) is parsed in blocks of whole
-    lines: per block, one ``np.loadtxt`` call over every numeric column,
-    with NA cells rewritten to ``nan`` first, written into one preallocated
-    float64 array, and one over the string columns, which are the columns
-    whose first data cell is neither NA nor a number.  Its parse memory is the
-    file's bytes, the table and one block's copies.  Any other file, and a
-    plain file ``np.loadtxt`` rejects in any block (a text cell further
-    down a numeric-looking column, or a number only ``float()`` reads, such
-    as ``1_000``), goes through ``csv.reader`` cell by cell.  Both paths
-    give the same keys, dtypes, float64 bits and string cells.
+    longer than ``csv.field_size_limit()``) is parsed in one pass over
+    blocks of whole lines: per block, one ``np.loadtxt`` call over every
+    numeric column, with NA cells rewritten to ``nan`` first, written into
+    one preallocated float64 array, and one over the string columns, which
+    are the columns whose first data cell is neither NA nor a number.  Its
+    parse memory is the file's bytes, the table and one block's copies.
+    The pass declines any file it cannot parse exactly: one that is not
+    plain, has no header, fewer than 2 data rows, a repeated header name or
+    a row whose field count differs from the header's, or a cell
+    ``np.loadtxt`` rejects in any block (a text cell further down a
+    numeric-looking column, or a number only ``float()`` reads, such as
+    ``1_000``).  That file goes through ``csv.reader`` cell by cell, which
+    parses it or raises the error below, so every raw table gets the same
+    errors.  Both paths give the same keys, dtypes, float64 bits and string
+    cells.
 
     Raises:
         EmptyFile: no header or fewer than 2 data rows.
@@ -118,74 +124,62 @@ def _blocks(raw: bytes) -> Iterator[bytes]:
 
 
 def _parse_plain(path: Path, dialect: CsvDialect) -> Optional[dict[str, np.ndarray]]:
-    """The table of a plain file, read in blocks of lines; None for any other file.
-
-    Pass 1 checks every block and collects the header and the physical line
-    number and field count of each data row; pass 2 parses each block's rows
-    into one preallocated array of the numeric columns.
+    """The table of a well-formed plain file, read in one pass over blocks of
+    lines; None for any other file, which ``csv.reader`` then parses or
+    diagnoses.
     """
     if not _plain_dialect(dialect):
         return None
     d = dialect.delimiter
     plain = _PLAIN_BYTES + d.encode()
     limit = csv.field_size_limit()
+    na = set(dialect.na_tokens)
     # One copy at most, and none for a file without \r\n; a bare \r stays and
     # sends the file to csv.reader, which also ends a line there.
     raw = path.read_bytes().replace(b"\r\n", b"\n")
     header: Optional[list[str]] = None
-    first = ""
-    widths: list[tuple[int, int]] = []
-    line_no = 0
+    values: Optional[np.ndarray] = None
+    text_blocks = []
+    rows = 0
     for block in _blocks(raw):
         if block.translate(None, plain):
             return None
-        lines = block.decode("ascii").split("\n")
-        # csv.reader refuses a cell over the field limit; no cell is longer
-        # than its line, so a longer line goes to csv.reader and fails the same way.
-        if max(map(len, lines)) > limit:
-            return None
-        for n, line in enumerate(lines, start=line_no + 1):
-            if not line:
-                continue
-            if header is None:
-                header = line.split(d)
-                continue
-            if not widths:
-                first = line
-            widths.append((n, line.count(d) + 1))
-        # Only the last block may lack a final line end; in every other the
-        # split's last item is the empty text after it.
-        line_no += len(lines) - 1
-    header = _checked_header(path, header, widths)
-    na = set(dialect.na_tokens)
-    text_cols = [
-        j for j, cell in enumerate(first.split(d))
-        if cell not in na and not _is_number(cell.replace(dialect.decimal, "."))
-    ]
-    num_cols = [j for j in range(len(header)) if j not in text_cols]
-    values = np.empty((len(num_cols), len(widths)), dtype=np.float64)
-    text_blocks = []
-    row = 0
-    skip_header = True
-    for block in _blocks(raw):
         body = [line for line in block.decode("ascii").split("\n") if line]
         del block
-        if skip_header and body:
-            body, skip_header = body[1:], False
+        # csv.reader refuses a cell over the field limit; no cell is longer
+        # than its line, so a longer line goes to csv.reader and fails the same way.
+        if max(map(len, body), default=0) > limit:
+            return None
+        if header is None and body:
+            header = body.pop(0).split(d)
+            if len(set(header)) < len(header):
+                return None
         if not body:
             continue
+        if any(line.count(d) != len(header) - 1 for line in body):
+            return None
+        if values is None:
+            text_cols = [
+                j for j, cell in enumerate(body[0].split(d))
+                if cell not in na and not _is_number(cell.replace(dialect.decimal, "."))
+            ]
+            num_cols = [j for j in range(len(header)) if j not in text_cols]
+            # a slot per line of the file; the table keeps the first *rows*
+            values = np.empty((len(num_cols), raw.count(b"\n") + 1), dtype=np.float64)
         if num_cols:
             try:
-                values[:, row:row + len(body)] = np.loadtxt(
+                values[:, rows:rows + len(body)] = np.loadtxt(
                     _numeric_lines(body, dialect), dtype=np.float64, delimiter=d,
                     comments=None, usecols=num_cols, ndmin=2).T
             except ValueError:
                 return None
         if text_cols:
             text_blocks.append(np.loadtxt(body, dtype=object, delimiter=d, comments=None,
-                                    usecols=text_cols, ndmin=2))
-        row += len(body)
-    table = dict(zip((header[j] for j in num_cols), values))
+                                          usecols=text_cols, ndmin=2))
+        rows += len(body)
+    if header is None or rows < 2:
+        return None
+    table = dict(zip((header[j] for j in num_cols), values[:, :rows]))
     if text_cols:
         cells = np.concatenate(text_blocks)
         for k, j in enumerate(text_cols):
@@ -242,38 +236,26 @@ def _parse_with_csv_reader(path: Path, dialect: CsvDialect) -> dict[str, np.ndar
             ) from None
         except csv.Error as exc:
             raise SchemaViolation(f"{path}: line {reader.line_num}: {exc}") from None
-    header = _checked_header(path, rows[0][1] if rows else None,
-                             [(n, len(row)) for n, row in rows[1:]])
-    data = [row for _, row in rows[1:]]
-    na = set(dialect.na_tokens)
-    table: dict[str, np.ndarray] = {}
-    for j, name in enumerate(header):
-        cells = [row[j].strip() for row in data]
-        table[name] = _parse_column([None if v in na else v for v in cells], dialect.decimal)
-    return table
-
-
-def _checked_header(path: Path, header: Optional[Sequence[str]],
-                    widths: Sequence[tuple[int, int]]) -> list[str]:
-    """The stripped header names, after the checks every raw table must pass.
-
-    *header* is None for a file without a non-blank line; *widths* holds the
-    physical line number and field count of each data row.
-    """
-    if header is None:
+    if not rows:
         raise EmptyFile(str(path))
-    if len(widths) < 2:
-        raise EmptyFile(f"{path}: needs at least 2 data rows, got {len(widths)}")
-    for line_no, width in widths:
-        if width != len(header):
-            raise RaggedRow(line_no, len(header), width)
+    (_, header), data = rows[0], rows[1:]
+    if len(data) < 2:
+        raise EmptyFile(f"{path}: needs at least 2 data rows, got {len(data)}")
+    for line_no, row in data:
+        if len(row) != len(header):
+            raise RaggedRow(line_no, len(header), len(row))
     names = [h.strip() for h in header]
     seen: set[str] = set()
     for name in names:
         if name in seen:
             raise SchemaViolation(f"{path}: duplicate column name {name!r} in header")
         seen.add(name)
-    return names
+    na = set(dialect.na_tokens)
+    table: dict[str, np.ndarray] = {}
+    for j, name in enumerate(names):
+        cells = [row[j].strip() for _, row in data]
+        table[name] = _parse_column([None if v in na else v for v in cells], dialect.decimal)
+    return table
 
 
 def _parse_column(cells: Sequence[Optional[str]], decimal: str) -> np.ndarray:

@@ -35,15 +35,33 @@ def adam_step(
     (``decoupled=True``) shrinks the parameters directly and feeds the raw
     gradient to the moment estimates.
     """
-    g = grads if (decoupled or weight_decay == 0.0) else grads + weight_decay * params
+    if decoupled or weight_decay == 0.0:
+        g = grads
+    else:
+        g = params * weight_decay
+        g += grads
     state.t += 1
-    state.m = BETA1 * state.m + (1.0 - BETA1) * g
-    state.v = BETA2 * state.v + (1.0 - BETA2) * g * g
-    m_hat = state.m / (1.0 - BETA1 ** state.t)
-    v_hat = state.v / (1.0 - BETA2 ** state.t)
-    new = params - lr * m_hat / (np.sqrt(v_hat) + EPS)
+    # m and v update in place and two parameter-sized arrays hold the rest,
+    # with the float operations of m*B1 + (1-B1)*g, v*B2 + (1-B2)*g*g and
+    # params - lr*m_hat / (sqrt(v_hat) + EPS) in that order.
+    m, v = state.m, state.v
+    tmp = g * (1.0 - BETA1)
+    m *= BETA1
+    m += tmp
+    np.multiply(g, 1.0 - BETA2, out=tmp)
+    tmp *= g
+    v *= BETA2
+    v += tmp
+    new = v / (1.0 - BETA2 ** state.t)
+    np.sqrt(new, out=new)
+    new += EPS
+    np.divide(m, 1.0 - BETA1 ** state.t, out=tmp)
+    tmp *= lr
+    tmp /= new
+    np.subtract(params, tmp, out=new)
     if decoupled and weight_decay != 0.0:
-        new = new - lr * weight_decay * params
+        np.multiply(params, lr * weight_decay, out=tmp)
+        new -= tmp
     return new
 
 

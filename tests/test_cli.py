@@ -348,7 +348,10 @@ class TestIngest:
         ("latin1.csv", b"time,x\n0,\xe9\n1,2\n", "not UTF-8 text"),
         ("huge.csv", b'time,x\n0,"' + b"9" * 200_000 + b'"\n1,2\n',
          "line 2: field larger than field limit"),
-    ], ids=["not_utf8", "oversized_field"])
+        ("ragged_lf.csv", b"time,x\n0,1\n\n2\n3,4\n", "line 4: expected 2 fields, got 1"),
+        ("ragged_crlf.csv", b"time,x\r\n0,1\r\n\r\n2\r\n3,4\r\n",
+         "line 4: expected 2 fields, got 1"),
+    ], ids=["not_utf8", "oversized_field", "ragged_lf", "ragged_crlf"])
     def test_unreadable_raw_file_is_a_failure(self, tmp_path, capsys, name, raw_bytes,
                                               reason):
         raw = tmp_path / "raw"

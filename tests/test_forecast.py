@@ -101,6 +101,18 @@ class TestFeatures:
         with pytest.raises(MissingChannel):
             episode_features(ep)
 
+    @pytest.mark.parametrize("joint", [0, 3])
+    def test_accel_targets_without_one_recorded_acc_channel(self, joint):
+        # episode_features derives a missing feedback_acc joint by joint; the
+        # accel targets are those feature columns
+        ep = synthgen.generate_episode(3, noise=False)
+        k = ep.channel_index(f"feedback_acc_{joint}")
+        ep = ep.replace(channels=np.delete(ep.channels, k, axis=1),
+                        descriptors=ep.descriptors[:k] + ep.descriptors[k + 1:])
+        x, y = make_windows(ep, target="accel")
+        feats = episode_features(ep)
+        assert np.array_equal(y, feats[10:, 12:18]) and len(y) == len(x)
+
     def test_make_windows_shapes(self):
         ep = recurrence_episode(n_steps=60)
         x, y = make_windows(ep, target="accel")

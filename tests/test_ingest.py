@@ -22,6 +22,7 @@ from sefc.errors import (
     NonNumericColumn,
     RaggedRow,
     SchemaViolation,
+    SefcError,
 )
 from sefc.ingest import (
     DEFAULT_NA_TOKENS,
@@ -444,7 +445,6 @@ class TestCrlfLineEnds:
         _rewrite_line_ends(p, newline)
         with pytest.raises(RaggedRow) as want:
             ingest._parse_with_csv_reader(p, COMMA)
-        monkeypatch.setattr(csv, "reader", _no_csv_reader)
         with pytest.raises(RaggedRow) as got:
             parse_raw_csv(p)
         assert got.value.line == want.value.line == 7
@@ -551,6 +551,28 @@ class TestParseBlocks:
         p.write_text(",".join(f"c{j}" for j in range(n)) + "\n" + ("1," * n)[:-1] + "\n"
                      + ("2," * n)[:-1] + "\n")
         assert_same_table(parse_raw_csv(p), reference_table(p))
+
+    @pytest.mark.parametrize("block_bytes", [4, 1 << 18])
+    @pytest.mark.parametrize("text", [
+        "x,y\n1,2\n3,4\n\n5,6\n7\n8,9\n",
+        "x,y\n\n1,2\n",
+        "x,y,x\n1,2,3\n4,5,6\n",
+        "\n\n",
+    ], ids=["ragged_row_in_later_block", "one_data_row", "repeated_header_name",
+            "no_header"])
+    def test_defective_file_reaches_csv_reader_once(self, tmp_path, monkeypatch, block_bytes,
+                                                    text):
+        # The block path declines every defective file; csv.reader alone
+        # raises the error, the same one for every raw table.
+        monkeypatch.setattr(ingest, "_BLOCK_BYTES", block_bytes)
+        p = tmp_path / "f.csv"
+        p.write_text(text)
+        with pytest.raises(SefcError) as want:
+            ingest._parse_with_csv_reader(p, COMMA)
+        calls = _csv_reader_spy(monkeypatch)
+        with pytest.raises(type(want.value)) as got:
+            parse_raw_csv(p)
+        assert str(got.value) == str(want.value) and len(calls) == 1
 
     def test_benchmark_file_spans_several_blocks(self, tmp_path, monkeypatch):
         p = tmp_path / "rec.csv"

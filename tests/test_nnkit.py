@@ -181,6 +181,50 @@ class TestOptim:
         expected = 2.0 - 0.1 * (0.02 / (0.02 + 1e-8))
         assert abs(out[0] - expected) <= 1e-12
 
+    @pytest.mark.parametrize("weight_decay,decoupled", [
+        (0.0, False), (0.01, False), (0.0, True), (0.01, True)])
+    def test_step_bits_match_formula(self, weight_decay, decoupled):
+        rng = np.random.default_rng(5)
+        params = ref_params = rng.normal(size=500)
+        state, ref_state = init_adam(500), init_adam(500)
+        for k in range(5):
+            grads = rng.normal(size=500) * 10.0 ** rng.integers(-8, 3, size=500)
+            grads[::7] = -0.0
+            lr = 1e-3 * (k + 1)
+            params = adam_step(state, params, grads, lr, weight_decay, decoupled)
+            ref_params = _adam_formula(ref_state, ref_params, grads, lr, weight_decay,
+                                       decoupled)
+            for got, want in [(params, ref_params), (state.m, ref_state.m),
+                              (state.v, ref_state.v)]:
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("weight_decay,decoupled", [(0.01, False), (0.01, True)])
+    def test_step_memory(self, weight_decay, decoupled):
+        # the moments update in place: the new parameters, one temporary and,
+        # for an L2 penalty, the penalized gradient
+        n = 1 << 17
+        vector_mb = 8 * n / 2**20
+        params = RNG.normal(size=n)
+        grads = RNG.normal(size=n)
+        state = init_adam(n)
+        adam_step(state, params, grads, 1e-3, weight_decay, decoupled)
+        peak = traced_peak_mb(adam_step, state, params, grads, 1e-3, weight_decay, decoupled)
+        assert peak <= (2 + (not decoupled)) * vector_mb + 0.25
+
+
+def _adam_formula(state, params, grads, lr, weight_decay, decoupled):
+    """One Adam step as whole-array expressions, updating *state*'s moments."""
+    g = grads if (decoupled or weight_decay == 0.0) else grads + weight_decay * params
+    state.t += 1
+    state.m = 0.9 * state.m + (1.0 - 0.9) * g
+    state.v = 0.999 * state.v + (1.0 - 0.999) * g * g
+    m_hat = state.m / (1.0 - 0.9 ** state.t)
+    v_hat = state.v / (1.0 - 0.999 ** state.t)
+    new = params - lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+    if decoupled and weight_decay != 0.0:
+        new = new - lr * weight_decay * params
+    return new
+
 
 def _linear_problem(n=1000, m=300):
     rng = np.random.default_rng(0)
