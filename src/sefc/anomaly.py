@@ -49,6 +49,10 @@ class Standardizer:
     def inverse(self, x: np.ndarray) -> np.ndarray:
         return x * self.std + self.mean
 
+    def to_extra(self, prefix: str) -> dict:
+        """The ``<prefix>_mean``/``<prefix>_stdev`` checkpoint extras ``from_extra`` reads."""
+        return {f"{prefix}_mean": self.mean.tolist(), f"{prefix}_stdev": self.std.tolist()}
+
     @classmethod
     def from_extra(cls, extra: dict, prefix: str, length: int, path) -> "Standardizer":
         """The ``<prefix>_mean``/``<prefix>_stdev`` checkpoint extras, each *length* numbers."""
@@ -92,10 +96,8 @@ class AnomalyModel:
         extra = {
             "input_channels": list(self.input_channels),
             "output_channels": list(self.output_channels),
-            "x_mean": self.x_std.mean.tolist(),
-            "x_stdev": self.x_std.std.tolist(),
-            "y_mean": self.y_std.mean.tolist(),
-            "y_stdev": self.y_std.std.tolist(),
+            **self.x_std.to_extra("x"),
+            **self.y_std.to_extra("y"),
         }
         return save_model(path, self.net, extra=extra)
 
@@ -116,8 +118,7 @@ class AnomalyModel:
 
 
 def train_anomaly_model(
-    episodes: Sequence[Episode],
-    config: TrainConfig = TrainConfig(),
+    episodes: Sequence[Episode], config: TrainConfig
 ) -> tuple[AnomalyModel, TrainHistory]:
     """Fit the regressor on healthy episodes only.
 

@@ -99,6 +99,12 @@ def _train_config(args: argparse.Namespace, **overrides) -> TrainConfig:
     return TrainConfig(**kwargs)
 
 
+def _finite_positive(flag: str, value: float) -> None:
+    """Raise SchemaViolation naming *flag* unless *value* is finite and above 0."""
+    if not 0 < value < np.inf:
+        raise SchemaViolation(f"{flag} {value!r}: expected a finite number above 0")
+
+
 def _model_kinds(models: str) -> list[str]:
     """The ``--models`` list; every kind must be one of ``forecast.MODEL_KINDS``."""
     kinds = [k.strip() for k in models.split(",")]
@@ -232,6 +238,10 @@ def _map_share(fn, share: list) -> tuple[list, Optional[Exception]]:
 
 @_command
 def cmd_ingest(args: argparse.Namespace, out: Path) -> _Done:
+    _finite_positive("--rate-hz", args.rate_hz)
+    if not 0 <= args.max_missing_fraction <= 1:
+        raise SchemaViolation(f"--max-missing-fraction {args.max_missing_fraction!r}: "
+                              "expected a number from 0 to 1")
     adapter_arg = args.adapter
     if adapter_arg in BUILTIN_ADAPTER_IDS:
         adapter = builtin_adapter(adapter_arg)
@@ -308,6 +318,7 @@ def cmd_score(args: argparse.Namespace, out: Path) -> _Done:
 
 @_command
 def cmd_eval_forecast(args: argparse.Namespace, out: Path) -> _Done:
+    _finite_positive("--threshold", args.threshold)
     episodes = [ep for ep in ingest.read_episode_dir(args.data) if ep.healthy]
     if len(episodes) < 3:
         raise SchemaViolation("eval-forecast needs at least 3 healthy episodes")
@@ -379,24 +390,32 @@ def cmd_gap(args: argparse.Namespace, out: Path) -> _Done:
     episodes = _fork_map(ingest.read_canonical, real_files + sim_files)
     real, sim = episodes[:len(real_files)], episodes[len(real_files):]
     pairs, unpaired = ingest.pair_episodes(real, sim)
-    per_pair, phases_skipped = [], {}
+    per_pair, phases_skipped, failures = [], {}, []
     for pair in pairs:
-        aligned = gap.phase_align(pair)
-        phases_skipped[pair.pair_key] = list(aligned.phases_skipped)
-        per_pair.append(gap.pair_metrics(aligned))
-    summary = gap.batch_summary(per_pair)
-    pair_path = gap.write_pair_metrics_csv(per_pair, out / "gap_pairs.csv")
-    summary_path = gap.write_summary_csv(summary, out / _REPORT_FILES["gap"])
-    message = f"gap summary over {summary.n_pairs} pairs -> {summary_path}"
+        try:
+            aligned = gap.phase_align(pair)
+            phases_skipped[pair.pair_key] = list(aligned.phases_skipped)
+            per_pair.append(gap.pair_metrics(aligned))
+        except SefcError as exc:
+            log.error("%s: %s", pair.pair_key, exc)
+            failures.append(f"{pair.pair_key}: {exc}")
+    outputs = []
+    if per_pair or not failures:   # no pair at all raises EmptyInput here
+        summary = gap.batch_summary(per_pair)
+        outputs = [gap.write_pair_metrics_csv(per_pair, out / "gap_pairs.csv").name,
+                   gap.write_summary_csv(summary, out / _REPORT_FILES["gap"]).name]
+        message = f"gap summary over {summary.n_pairs} pairs -> {out / outputs[1]}"
+    else:
+        message = f"no gap summary: all {len(failures)} pairs failed"
     if unpaired.real_only or unpaired.sim_only:
         message = (f"unpaired: real={list(unpaired.real_only)} "
                    f"sim={list(unpaired.sim_only)}\n{message}")
     return _Done(
-        [str(args.real_dir), str(args.sim_dir)], [pair_path.name, summary_path.name],
-        message,
+        [str(args.real_dir), str(args.sim_dir)], outputs, message,
         {"unpaired": {"real_only": list(unpaired.real_only),
                       "sim_only": list(unpaired.sim_only)},
-         "phases_skipped": phases_skipped},
+         "phases_skipped": phases_skipped,
+         "failures": failures},
     )
 
 

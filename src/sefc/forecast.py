@@ -19,7 +19,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .codec import write_csv
 from .errors import EmptyDataset, HorizonOverrun, SchemaViolation, ShapeMismatch
-from .anomaly import Standardizer
+from .anomaly import ANOMALY_OUTPUT_CHANNELS, Standardizer
 from .nnkit import DenseNet, Model, SeqNet, TCNNet, TrainConfig, TrainHistory, train
 from .nnkit.checkpoint import load_model, require_extras, save_model
 from .schema import Episode
@@ -45,32 +45,24 @@ _FB_POS, _FB_VEL, _FB_ACC = (
 
 MODEL_KINDS = ("linear", "flat_mlp", "tcn", "tcn_transformer", "kinematic_zero")
 
-TARGET_CHANNELS = {
-    "accel": tuple(f"feedback_acc_{i}" for i in range(N_JOINTS)),
-    "effort": tuple(f"effort_motor_torque_{i}" for i in range(N_JOINTS)),
-}
-
 
 def episode_features(ep: Episode) -> np.ndarray:
     """Per-step 36-feature matrix in ``FEATURE_BLOCKS`` order.
 
-    When the recording carries no feedback_acc channels, acceleration is
-    the backward difference of feedback velocity (first step copies the
-    second).
+    A joint whose recording carries no feedback_acc channel gets the
+    backward difference of its feedback velocity (first step copies the
+    second).  Raises MissingChannel naming the first absent channel it needs.
     """
-    cols: list[np.ndarray] = []
-    for block in FEATURE_BLOCKS:
-        for i in range(N_JOINTS):
-            name = f"{block}_{i}"
-            if block == "feedback_acc" and not ep.has_channel(name):
-                vel = ep.columns([f"feedback_vel_{i}"])
-                acc = np.empty_like(vel)
-                acc[1:] = (vel[1:] - vel[:-1]) * ep.rate_hz
-                acc[0] = acc[1]
-                cols.append(acc)
-            else:
-                cols.append(ep.columns([name]))
-    return np.hstack(cols)
+    names = [f"{block}_{i}" for block in FEATURE_BLOCKS for i in range(N_JOINTS)]
+    derived = [i for i in range(N_JOINTS) if not ep.has_channel(f"feedback_acc_{i}")]
+    for i in derived:   # gathered as velocity, then differenced in place
+        names[_FB_ACC.start + i] = f"feedback_vel_{i}"
+    feats = ep.columns(names)
+    for i in derived:
+        acc = feats[:, _FB_ACC.start + i]
+        acc[1:] = (acc[1:] - acc[:-1]) * ep.rate_hz
+        acc[0] = acc[1]
+    return feats
 
 
 def make_windows(ep: Episode, target: str = "accel") -> tuple[np.ndarray, np.ndarray]:
@@ -80,12 +72,12 @@ def make_windows(ep: Episode, target: str = "accel") -> tuple[np.ndarray, np.nda
     recorded acceleration gets the derived one there too.
     """
     feats = episode_features(ep)
-    if target not in TARGET_CHANNELS:
-        raise SchemaViolation(f"unknown target {target!r}")
     if target == "accel":
         targets = feats[:, _FB_ACC].copy()
+    elif target == "effort":
+        targets = ep.columns(ANOMALY_OUTPUT_CHANNELS)
     else:
-        targets = ep.columns(TARGET_CHANNELS[target])
+        raise SchemaViolation(f"unknown target {target!r}")
     if ep.n_steps <= WINDOW_STEPS:
         raise EmptyDataset(f"{ep.episode_id}: too short for a {WINDOW_STEPS}-step window")
     # window k is feats[k:k + 10]; the last full window has no target row
@@ -126,10 +118,8 @@ class Forecaster:
         extra = {
             "forecaster_kind": self.kind,
             "target": self.target,
-            "x_mean": self.x_std.mean.tolist(),
-            "x_stdev": self.x_std.std.tolist(),
-            "y_mean": self.y_std.mean.tolist(),
-            "y_stdev": self.y_std.std.tolist(),
+            **self.x_std.to_extra("x"),
+            **self.y_std.to_extra("y"),
         }
         return save_model(path, self.net, extra=extra)
 
@@ -169,11 +159,7 @@ def _build_net(kind: str, out_dim: int, seed: int) -> Model:
 
 
 def train_forecaster(
-    episodes: Sequence[Episode],
-    kind: str,
-    target: str = "accel",
-    config: TrainConfig = TrainConfig(optimizer="adamw", lr0=1e-4, max_epochs=100,
-                                      patience=100, batch_size=1024),
+    episodes: Sequence[Episode], kind: str, target: str = "accel", *, config: TrainConfig
 ) -> tuple[Forecaster, Optional[TrainHistory]]:
     """Train one of the named predictors; the last 12% of episodes (at least one) validate."""
     if kind not in MODEL_KINDS:
@@ -252,7 +238,10 @@ def euler_rollout(
     recorded history before the start, its own predictions after -- and
     returns the acceleration at t; then v_{t+1} = v_t + a_t dt and
     q_{t+1} = q_t + v_t dt.  *model* needs only a ``predict_batch`` method.
+    Raises ValueError unless *threshold_rad* is finite and positive.
     """
+    if not 0 < threshold_rad < np.inf:
+        raise ValueError(f"threshold_rad must be finite and positive, got {threshold_rad!r}")
     if start < WINDOW_STEPS:
         raise HorizonOverrun(f"start={start} leaves no {WINDOW_STEPS}-step history")
     if start + horizon >= ep.n_steps:

@@ -71,11 +71,15 @@ def phase_align(pair: EpisodePair) -> AlignedPair:
     k-th run on the other, in the real side's run order.  Runs on only one
     side are skipped and reported, the real side's first.  A run is named
     ``<label>`` if it is its label's first and ``<label>#<k>`` if its k-th.
-    Raises NoCommonPhases when no run pairs, and SchemaViolation when two
-    runs would get the same name (a label spelled like another label's
-    k-th run, such as ``a#2`` beside a second ``a`` run).
+    Raises NoCommonPhases when no run pairs, and SchemaViolation when the
+    two sides record different tasks or two runs would get the same name
+    (a label spelled like another label's k-th run, such as ``a#2`` beside
+    a second ``a`` run).
     """
     real, sim = pair.real, pair.sim
+    if real.task != sim.task:
+        raise SchemaViolation(
+            f"pair {pair.pair_key!r}: task mismatch ({real.task} vs {sim.task})")
     descriptors = tuple(d for d in real.descriptors if sim.has_channel(d.canonical_name))
     common = [d.canonical_name for d in descriptors]
     real_x, sim_x = real.columns(common), sim.columns(common)

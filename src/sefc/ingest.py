@@ -291,8 +291,8 @@ def resample(ep: Episode, target_hz: float) -> Episode:
     beyond t_end. Phase labels are carried by the nearest source sample at
     or before each new timestamp (zero-order hold; phases are categorical).
     """
-    if target_hz <= 0:
-        raise ValueError("target_hz must be positive")
+    if not 0 < target_hz < np.inf:
+        raise ValueError(f"target_hz must be finite and positive, got {target_hz!r}")
     if ep.n_steps < 2:
         raise DegenerateEpisode(ep.episode_id)
 
@@ -319,8 +319,11 @@ def fill_gaps(ep: Episode, max_missing_fraction: float = 0.001) -> Episode:
     leading/trailing runs take the nearest valid value.  Channels with a
     modeling role whose missing fraction exceeds *max_missing_fraction*
     raise ExcessiveMissing; all-NaN carrier channels (e.g. a string label
-    column coerced to NaN) are left untouched.  Idempotent.
+    column coerced to NaN) are left untouched.  Idempotent.  Raises
+    ValueError unless 0 <= *max_missing_fraction* <= 1.
     """
+    if not 0 <= max_missing_fraction <= 1:
+        raise ValueError(f"max_missing_fraction must be in [0, 1], got {max_missing_fraction!r}")
     channels = np.array(ep.channels, dtype=np.float64)
     T = ep.n_steps
     for j, desc in enumerate(ep.descriptors):
@@ -568,13 +571,6 @@ class EpisodePair:
     real: Episode
     sim: Episode
     pair_key: str
-
-    def __post_init__(self):
-        if self.real.task != self.sim.task:
-            raise SchemaViolation(
-                f"pair {self.pair_key!r}: task mismatch "
-                f"({self.real.task} vs {self.sim.task})"
-            )
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ its last use, so no pre-activation copy is kept.  ``SeqNet.predict`` and
 ``SeqNet.loss_and_grad`` run a large batch in blocks of rows sized so
 that one block's widest activation stays about 1 MiB (``_BLOCK_VALUES``),
 so a training step's memory follows the block, not the batch; a batch
-that fits runs whole.  ``DenseNet`` runs the whole batch at once: row
+that fits is one block.  ``DenseNet`` runs the whole batch at once: row
 blocks would reorder its gradient sums, and its step caches one array per
 layer instead.
 """
@@ -550,27 +550,21 @@ class SeqNet(Model):
         return max(1, _BLOCK_VALUES // self._values_per_row(x))
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        """Last-step outputs for a batch, in row blocks; a batch that fits
-        in one block runs whole."""
+        """Last-step outputs for a batch in row blocks; an empty batch is one block."""
         x = self._check_input(x)
         rows = self._block_rows(x)
-        if len(x) <= rows:
-            return self._forward(x, None, 1)[:, 0]
         return np.concatenate([self._forward(x[i:i + rows], None, 1)[:, 0]
-                               for i in range(0, len(x), rows)])
+                               for i in range(0, max(len(x), 1), rows)])
 
     def loss_and_grad(self, x, y):
         """Loss and flat gradient in ``predict``'s row blocks: each block's
         loss and gradient are weighted by its share of rows and summed, and
-        a block's cache is freed before the next block starts.  A batch that
-        fits in one block runs whole and keeps its bits."""
+        a block's cache is freed before the next block starts."""
         x = self._check_input(x)
         y = np.asarray(y, dtype=np.float64)
         if y.shape != (len(x), self.out_dim):
             raise ShapeMismatch(f"prediction {(len(x), self.out_dim)} vs target {y.shape}")
         rows = self._block_rows(x)
-        if len(x) <= rows:
-            return self._block_loss_and_grad(x, y)
         loss, grad = 0.0, np.zeros(self.n_params)
         for i in range(0, len(x), rows):
             share = len(x[i:i + rows]) / len(x)

@@ -26,13 +26,16 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr0 <= 0:
-            raise ValueError("lr0 must be positive")
-        for name in ("batch_size", "max_epochs"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.patience < 0:
-            raise ValueError(f"patience must be >= 0, got {self.patience}")
+        if not 0 < self.lr0 < np.inf:
+            raise ValueError(f"lr0 must be finite and positive, got {self.lr0!r}")
+        if not 0 <= self.weight_decay < np.inf:
+            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay!r}")
+        for name, least in (("batch_size", 1), ("max_epochs", 1), ("patience", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
         if self.patience > self.max_epochs:
             raise ValueError("patience must not exceed max_epochs")
         if self.optimizer not in ("adam", "adamw"):
@@ -56,7 +59,7 @@ def train(
     model: Model,
     train_set: tuple[np.ndarray, np.ndarray],
     val_set: tuple[np.ndarray, np.ndarray],
-    config: TrainConfig = TrainConfig(),
+    config: TrainConfig,
 ) -> TrainHistory:
     """Train in place; the model ends at its best-validation-epoch weights.
 

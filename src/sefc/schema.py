@@ -112,9 +112,10 @@ class ValidationReport:
 class Episode:
     """A uniformly sampled multichannel recording of one task execution.
 
-    Invariants are checked at construction: at least two samples, matching
-    channel/descriptor counts, unique channel names, uniform time base
-    within 1e-9 s of ``1/rate_hz``, and ``healthy`` consistent with
+    Invariants are checked at construction: a finite positive ``rate_hz``,
+    at least two finite timestamps, matching channel/descriptor counts,
+    unique channel names, uniform time base within 1e-9 s of
+    ``1/rate_hz``, and ``healthy`` consistent with
     ``fault``.  Arrays are made read-only; episodes are safe to share
     across threads.
     """
@@ -142,10 +143,12 @@ class Episode:
 
         if self.task not in TASKS:
             raise SchemaViolation(f"unknown task {self.task!r}")
-        if self.rate_hz <= 0:
-            raise SchemaViolation("rate_hz must be positive")
+        if not 0 < self.rate_hz < np.inf:
+            raise SchemaViolation(f"rate_hz must be finite and positive, got {self.rate_hz!r}")
         if t.ndim != 1 or t.shape[0] < 2:
             raise SchemaViolation("episode needs at least 2 timestamps")
+        if not np.isfinite(t).all():
+            raise SchemaViolation("timestamps must be finite")
         if channels.ndim != 2 or channels.shape[0] != t.shape[0]:
             raise SchemaViolation(
                 f"channels shape {channels.shape} does not match T={t.shape[0]}"
@@ -296,8 +299,9 @@ def validate_adapter(spec: AdapterSpec) -> ValidationReport:
                 ValidationFinding("missing-unit", f"{sig.raw_name!r} has no unit")
             )
 
-    if spec.native_rate_hz <= 0:
-        findings.append(ValidationFinding("bad-rate", "native_rate_hz must be positive"))
+    if not 0 < spec.native_rate_hz < np.inf:
+        findings.append(
+            ValidationFinding("bad-rate", "native_rate_hz must be finite and positive"))
 
     overlap = set(spec.absent_channels) & seen_canon
     for name in sorted(overlap):

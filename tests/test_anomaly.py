@@ -23,7 +23,7 @@ from sefc.anomaly import (
 )
 from sefc.errors import DegenerateLabels, MissingChannel, SchemaViolation
 from sefc.forecast import Forecaster, _build_net
-from sefc.nnkit import DenseNet, load_model, save_model
+from sefc.nnkit import DenseNet, TrainConfig, load_model, save_model
 from sefc.schema import SignalRole
 
 
@@ -134,7 +134,7 @@ class TestScoring:
     def test_healthy_only_enforcement(self):
         eps = [_regression_episode(1), _regression_episode(2, fault="unstable_platform")]
         with pytest.raises(SchemaViolation, match="healthy-only"):
-            train_anomaly_model(eps)
+            train_anomaly_model(eps, TrainConfig())
 
     def test_load_rejects_plain_model_checkpoint(self, tmp_path):
         path = save_model(tmp_path / "plain.ckpt", DenseNet([18, 4, 6], seed=0))

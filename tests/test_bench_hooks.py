@@ -11,7 +11,10 @@ inherited (``predict`` is ``Model``'s, ``TCNNet.loss_and_grad`` is
 """
 
 import importlib
+import json
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -114,3 +117,15 @@ def test_tracer_times_checkpoint_save_and_load(tmp_path, monkeypatch):
         names = [s.name for s in tracer.take()]
         counts[name] = (names.count("nnkit.save_model"), names.count("nnkit.load_model"))
     assert counts == {"train_anomaly": (1, 0), "score": (0, 1)}
+
+
+def test_bench_runs_every_workload_once():
+    # one short untraced run of each workload against reference.json: a
+    # change that breaks a call the benchmark makes fails here
+    run = subprocess.run(
+        [sys.executable, str(BENCH / "run.py"), "--workload", "all", "--seed", "0",
+         "--seconds", "1", "--trace", "0"],
+        cwd=BENCH.parent, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, (run.stdout + run.stderr)[-2000:]
+    last = json.loads(run.stdout.strip().splitlines()[-1])
+    assert last["correct"] is True and last["failed"] == 0, last

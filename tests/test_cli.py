@@ -7,12 +7,15 @@ import shutil
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
 from sefc import synthgen
 from sefc.cli import main
 from sefc.errors import NumericalInstability, SchemaViolation
+from sefc.gap import JOINT_CHANNELS, TCP_POS_CHANNELS, TCP_ROT_CHANNELS
+from sefc.schema import SignalRole
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -29,6 +32,10 @@ def _dir_contents_equal(a: Path, b: Path) -> bool:
 
 def _no_training(*args, **kwargs):
     raise AssertionError("a model was trained")
+
+
+def _no_reading(*args, **kwargs):
+    raise AssertionError("a raw file was read")
 
 
 @pytest.fixture(scope="module")
@@ -369,6 +376,29 @@ class TestIngest:
         assert reason in manifest["failures"][0]
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value,expected", [
+        ("--rate-hz", "nan", "a finite number above 0"),
+        ("--rate-hz", "inf", "a finite number above 0"),
+        ("--rate-hz", "0", "a finite number above 0"),
+        ("--max-missing-fraction", "nan", "a number from 0 to 1"),
+        ("--max-missing-fraction", "-0.1", "a number from 0 to 1"),
+        ("--max-missing-fraction", "1.5", "a number from 0 to 1"),
+    ])
+    def test_bad_number_exits_2_before_reading(self, tmp_path, capsys, monkeypatch,
+                                               flag, value, expected):
+        from sefc import ingest
+
+        monkeypatch.setattr(ingest, "parse_raw_csv", _no_reading)
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        (raw / "good.csv").write_text((FIXTURES / "voraus_sample.csv").read_text())
+        out = tmp_path / "out"
+        rc = main(["ingest", "--raw-dir", str(raw), "--adapter", "voraus_ad",
+                   "--out", str(out), flag, value])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {flag} {float(value)!r}: expected {expected}\n"
+        assert not out.exists()
+
 
 class TestTrainAndScore:
     def test_faulty_episode_in_training_exits_2(self, small_corpus, tmp_path, capsys):
@@ -570,6 +600,20 @@ class TestEvalForecast:
         assert name in err and "invalid literal" not in err
         assert not (out / "forecast_report.csv").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-0.01"])
+    def test_bad_threshold_exits_2_before_training(self, small_corpus, tmp_path, capsys,
+                                                   monkeypatch, value):
+        from sefc import forecast
+
+        monkeypatch.setattr(forecast, "train", _no_training)
+        out = tmp_path / "fc"
+        rc = main(["eval-forecast", "--data", str(small_corpus), "--out", str(out),
+                   "--models", "linear", "--epochs", "1", "--threshold", value])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: --threshold {float(value)!r}: expected a finite number above 0\n")
+        assert not out.exists()
+
 
 class TestEvalTransfer:
     def test_transfer_report_rows(self, small_corpus, tmp_path):
@@ -669,6 +713,73 @@ class TestGapCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {sidecar}: phase RLE count must be an integer >= 1")
+
+
+class TestGapPairFailures:
+    """A pair's own error fails that pair alone: it is listed under the
+    manifest's ``failures``, the other pairs are reported as if alone, and
+    the command exits 1."""
+
+    ERRORS = {
+        "no_phases": "no shared phases between real and sim",
+        "no_metric": "no gap metric can be computed",
+        "task": "task mismatch (pick_and_place vs screwdriving)",
+    }
+
+    @staticmethod
+    def _write(root: Path, keys) -> tuple[Path, Path]:
+        """Real and sim dirs with one pair per key: ``good`` is a noiseless
+        episode against itself, the others each break it one way."""
+        from sefc import ingest
+
+        groups = set(JOINT_CHANNELS + TCP_POS_CHANNELS + TCP_ROT_CHANNELS)
+        for key in keys:
+            real = synthgen.generate_episode(3, episode_id=key, noise=False)
+            sim = real
+            if key == "no_phases":
+                sim = real.replace(phase=np.full(real.n_steps, "unknown"))
+            elif key == "task":
+                sim = real.replace(task="screwdriving")
+            elif key == "no_metric":
+                keep = [i for i, d in enumerate(real.descriptors)
+                        if d.canonical_name not in groups and d.role != SignalRole.EFFORT]
+                real = sim = real.replace(channels=real.channels[:, keep],
+                                          descriptors=tuple(real.descriptors[i] for i in keep))
+            ingest.write_canonical(real, root / "real")
+            ingest.write_canonical(sim, root / "sim")
+        return root / "real", root / "sim"
+
+    @staticmethod
+    def _gap(real, sim, out):
+        return main(["gap", "--real-dir", str(real), "--sim-dir", str(sim), "--out", str(out)])
+
+    @pytest.mark.parametrize("bad", sorted(ERRORS))
+    def test_other_pairs_are_reported(self, tmp_path, capsys, bad):
+        assert self._gap(*self._write(tmp_path / "alone", ["good"]), tmp_path / "want") == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert self._gap(*self._write(tmp_path / "batch", ["good", bad]), out) == 1
+        manifest = yaml.safe_load((out / "manifest.yaml").read_text())
+        (failure,) = manifest["failures"]
+        assert failure.startswith(f"{bad}: pair '{bad}': {self.ERRORS[bad]}")
+        assert manifest["outputs"] == ["gap_pairs.csv", "gap_summary.csv"]
+        for name in manifest["outputs"]:
+            assert filecmp.cmp(out / name, tmp_path / "want" / name, shallow=False)
+        captured = capsys.readouterr()
+        assert failure in captured.err
+        assert f"gap summary over 1 pairs -> {out / 'gap_summary.csv'}" in captured.out
+
+    def test_all_pairs_failing_writes_no_report(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert self._gap(*self._write(tmp_path, sorted(self.ERRORS)), out) == 1
+        manifest = yaml.safe_load((out / "manifest.yaml").read_text())
+        assert [f.partition(": ")[0] for f in manifest["failures"]] == sorted(self.ERRORS)
+        assert manifest["outputs"] == []
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.yaml"]
+        captured = capsys.readouterr()
+        assert captured.out == "no gap summary: all 3 pairs failed\n"
+        for failure in manifest["failures"]:
+            assert failure in captured.err
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import numpy as np
@@ -113,6 +114,21 @@ class TestFeatures:
         feats = episode_features(ep)
         assert np.array_equal(y, feats[10:, 12:18]) and len(y) == len(x)
 
+    # sha256 of the feature bits of seed 3's noiseless episode without some
+    # recorded accelerations, recorded while each feature column was gathered
+    # on its own (numpy 2.4, x86-64)
+    @pytest.mark.parametrize("dropped,digest", [
+        ((3,), "4596722ed4f9e7fc06b99d58ee1a00349b51ef71da53128a60322fd468fcf696"),
+        (range(6), "342c885b52ff509ba51e204fcb6afb906709c079bf7fdf4d3fc9ec006f18bef9"),
+    ])
+    def test_derived_feature_bits_are_golden(self, dropped, digest):
+        ep = synthgen.generate_episode(3, noise=False)
+        drop = {f"feedback_acc_{j}" for j in dropped}
+        keep = [k for k, d in enumerate(ep.descriptors) if d.canonical_name not in drop]
+        ep = ep.replace(channels=ep.channels[:, keep],
+                        descriptors=tuple(ep.descriptors[k] for k in keep))
+        assert hashlib.sha256(episode_features(ep).tobytes()).hexdigest() == digest
+
     def test_make_windows_shapes(self):
         ep = recurrence_episode(n_steps=60)
         x, y = make_windows(ep, target="accel")
@@ -189,6 +205,12 @@ class TestPredict:
 
 
 class TestRollout:
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf, 0.0])
+    def test_threshold_must_be_finite_and_positive(self, threshold):
+        with pytest.raises(ValueError, match="threshold_rad must be finite and positive"):
+            euler_rollout(Forecaster(kind="kinematic_zero"), recurrence_episode(), 10, 50,
+                          threshold)
+
     def test_kinematic_zero_closed_form(self):
         ep = recurrence_episode()
         res = euler_rollout(Forecaster(kind="kinematic_zero"), ep, 10, 200)
@@ -354,6 +376,20 @@ class TestTransfer:
         x, _ = make_windows(eps[0], "accel")
         assert np.array_equal(loaded.predict_batch(x), model.predict_batch(x))
         assert loaded.kind == "linear" and loaded.target == "accel"
+
+    def test_forecaster_checkpoint_bytes_are_golden(self, tmp_path):
+        # sha256 of a trained linear forecaster's checkpoint, recorded while
+        # `Forecaster.save` spelled out its standardizer extras itself
+        # (numpy 2.4 with 2-thread OpenBLAS, x86-64)
+        eps = [synthgen.generate_episode(5100 + k, episode_id=f"fc{k}") for k in range(3)]
+        model, _ = train_forecaster(
+            eps, "linear",
+            config=TrainConfig(optimizer="adamw", lr0=1e-3, batch_size=256,
+                               max_epochs=2, patience=2, seed=0),
+        )
+        path = model.save(tmp_path / "f.ckpt")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "3d08f705c7fca996f48503018dc87cba9e908439527503fc16de147ec8625c99")
 
     @pytest.mark.parametrize("drop", ["forecaster_kind", "x_mean", "y_stdev"])
     def test_load_rejects_checkpoint_without_forecaster_extras(self, tmp_path, drop):

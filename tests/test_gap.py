@@ -153,6 +153,14 @@ class TestPhaseAlign:
         with pytest.raises(NoCommonPhases):
             phase_align(EpisodePair(real, sim, "k"))
 
+    def test_task_mismatch_raises_naming_the_pair(self):
+        # a pair of two tasks is built, and fails as a pair when aligned
+        real = _episode({}, ["a"] * 10, "r")
+        pair = EpisodePair(real, real.replace(task="screwdriving"), "k")
+        with pytest.raises(SchemaViolation,
+                           match=r"^pair 'k': task mismatch \(pick_and_place vs screwdriving\)$"):
+            phase_align(pair)
+
     @pytest.mark.parametrize("real_runs,sim_runs", [
         ("a b a", "a a#2"),            # two skipped runs: the real a#2 and the sim's label
         ("a a#2 a", "a a#2"),          # a skipped run against a used one
@@ -469,13 +477,14 @@ class TestSimSideUnits:
         sim = _restated(real, EFFORT_CHANNELS, "NM", 1.0)
         assert pair_metrics(phase_align(EpisodePair(real, sim, "k"))).w1_effort_mean == 0.0
 
-    def test_gap_command_exits_2_on_effort_unit_mismatch(self, tmp_path, capsys):
+    def test_gap_command_fails_the_pair_on_effort_unit_mismatch(self, tmp_path, capsys):
         real = synthgen.generate_episode(3, noise=False)
         ingest.write_canonical(real, tmp_path / "real")
         ingest.write_canonical(_restated(real, EFFORT_CHANNELS, "A", 1.0 / 0.1), tmp_path / "sim")
         assert main(["gap", "--real-dir", str(tmp_path / "real"), "--sim-dir",
-                     str(tmp_path / "sim"), "--out", str(tmp_path / "out")]) == 2
+                     str(tmp_path / "sim"), "--out", str(tmp_path / "out")]) == 1
         assert EFFORT_CHANNELS[0] in capsys.readouterr().err
+        assert not (tmp_path / "out" / "gap_summary.csv").exists()
 
 
 class TestBatchSummary:

@@ -651,6 +651,13 @@ class TestResample:
         assert out.phase[k] == "p0"
         assert out.phase[int(round(0.3 * 20))] == "p1"
 
+    @pytest.mark.parametrize("rate", [np.nan, np.inf, 0.0])
+    def test_rate_must_be_finite_and_positive(self, rate):
+        t = np.arange(61) / 60.0
+        ep = make_episode({"a": t, "b": t, "c": t}, D, rate_hz=60.0)
+        with pytest.raises(ValueError, match="target_hz must be finite and positive"):
+            resample(ep, rate)
+
 
 class TestFillGaps:
     def test_midpoint_interpolation(self):
@@ -695,6 +702,14 @@ class TestFillGaps:
         out = fill_gaps(ep)
         assert np.all(np.isnan(out.channel("lbl")))
 
+    @pytest.mark.parametrize("fraction", [np.nan, np.inf, -0.1, 1.5])
+    def test_fraction_must_be_in_unit_interval(self, fraction):
+        col = np.ones(100)
+        col[10:20] = np.nan  # 10 percent
+        ep = make_episode({"a": col, "b": np.ones(100), "c": np.ones(100)}, D)
+        with pytest.raises(ValueError, match=r"max_missing_fraction must be in \[0, 1\]"):
+            fill_gaps(ep, fraction)
+
 
 class TestCanonicalFiles:
     def test_round_trip_exact(self, tmp_path, noisy_episode):
@@ -715,6 +730,16 @@ class TestCanonicalFiles:
         text[1:] = [line + ",0" for line in text[1:]]
         csv_path.write_text("\n".join(text) + "\n")
         with pytest.raises(SchemaViolation):
+            read_canonical(csv_path)
+
+    @pytest.mark.parametrize("rate", [".nan", ".inf"])
+    def test_non_finite_sidecar_rate_raises(self, tmp_path, rate):
+        ep = make_episode({"a": np.arange(4.0), "b": np.ones(4), "c": np.ones(4)}, D)
+        csv_path, sidecar = write_canonical(ep, tmp_path)
+        text = sidecar.read_text()
+        assert "\nrate_hz: 100.0\n" in text
+        sidecar.write_text(text.replace("\nrate_hz: 100.0\n", f"\nrate_hz: {rate}\n"))
+        with pytest.raises(SchemaViolation, match="rate_hz must be finite and positive"):
             read_canonical(csv_path)
 
     def test_phase_rle_decode(self):

@@ -314,6 +314,21 @@ class TestTrain:
         with pytest.raises(ValueError):
             TrainConfig(patience=50, max_epochs=10)
 
+    @pytest.mark.parametrize("field,value", [
+        ("lr0", np.nan), ("lr0", np.inf),
+        ("weight_decay", np.nan), ("weight_decay", np.inf), ("weight_decay", -1e-5),
+    ])
+    def test_config_refuses_non_finite_or_negative_rates(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("batch_size", np.nan), ("max_epochs", np.inf), ("patience", np.nan), ("patience", 2.5),
+    ])
+    def test_config_counts_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+            TrainConfig(**{field: value})
+
     @pytest.mark.parametrize("field", ["max_epochs", "batch_size"])
     def test_config_needs_at_least_one(self, field):
         with pytest.raises(ValueError, match=f"^{field} must be >= 1, got 0$"):
@@ -502,3 +517,40 @@ def test_step_bits_are_golden(kind):
     loss, grad = net.loss_and_grad(x, y)
     digest = hashlib.sha256(np.float64(loss).tobytes() + grad.tobytes()).hexdigest()
     assert digest == GOLDEN_GRADIENTS[kind]
+
+
+# sha256 of one `loss_and_grad` (loss bits, then flat-gradient bits) and of
+# one `predict` (output bits) for batches that fit in one row block (up to 68
+# windows for both forecast sequence nets), recorded while such a batch still
+# ran whole beside the row-block loop (same OpenBLAS note as above).  Running
+# it as the loop's one block must move no bit.
+GOLDEN_ONE_BLOCK = {
+    ("tcn", 1): ("c94d676153ca6c9f2b3838d1e338d71259feed4b07aba34bf5cdaef2fbcdbfe1",
+                 "e1154675e00b17aec95eda69dba0a675637709ef7aab3c5b7310b7a75d4b495a"),
+    ("tcn", 40): ("ed6511d7a20de6c57749375b8ebfec13cab862b6b948e6a081dd341ed138cde2",
+                  "d19179cd75e282253af69741274913bb75d3f3dd2bf5052dce4e97e036300568"),
+    ("tcn_transformer", 1): (
+        "b83c3c329425828f2a8fdb4e9e69460cde5b398d3d78a2b898c304a486cd67c4",
+        "0e336f88992876ca7c56846135862ba591b8c0abb6ff841760e60e03bb02b4bf"),
+    ("tcn_transformer", 40): (
+        "d435c601dd44b3dbd8a377fb2dc3f1047ebccc1cf8fab93ad1ca51b679c8d7f1",
+        "664068ff7202a161f496617ba501f5ff4562776d649b4b71fee0e93f5f8f1322"),
+}
+
+
+@pytest.mark.parametrize("kind,batch", sorted(GOLDEN_ONE_BLOCK))
+def test_one_block_bits_are_golden(kind, batch):
+    net = _build_net(kind, 6, seed=0)
+    rng = np.random.default_rng(7)
+    net.set_params(net.get_params() + rng.normal(0.0, 0.05, size=net.n_params))
+    x, y = rng.normal(size=(batch, 10, 36)), rng.normal(size=(batch, 6))
+    assert batch <= net._block_rows(x)
+    loss, grad = net.loss_and_grad(x, y)
+    step = hashlib.sha256(np.float64(loss).tobytes() + grad.tobytes()).hexdigest()
+    predict = hashlib.sha256(net.predict(x).tobytes()).hexdigest()
+    assert (step, predict) == GOLDEN_ONE_BLOCK[kind, batch]
+
+
+@pytest.mark.parametrize("kind", ["tcn", "tcn_transformer"])
+def test_empty_batch_predicts_no_rows(kind):
+    assert _build_net(kind, 6, seed=0).predict(np.empty((0, 10, 36))).shape == (0, 6)

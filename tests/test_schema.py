@@ -87,6 +87,11 @@ class TestValidateAdapter:
                            absent_channels=("setpoint_pos_0",))
         assert [f.code for f in validate_adapter(spec).findings] == ["absent-overlap"]
 
+    @pytest.mark.parametrize("rate", [np.nan, np.inf, 0.0])
+    def test_native_rate_must_be_finite_and_positive(self, rate):
+        spec = AdapterSpec("x", rate, (sig("a", "setpoint_pos_0", axis=0),))
+        assert [f.code for f in validate_adapter(spec).findings] == ["bad-rate"]
+
     def test_validation_reports_instead_of_raising(self):
         spec = AdapterSpec("x", -5.0, (
             sig("a", "Bad Name!", axis=3),
@@ -285,6 +290,18 @@ class TestEpisodeInvariants:
         d = ChannelDescriptor("feedback_pos_0", SignalRole.FEEDBACK, "rad", 0)
         with pytest.raises(SchemaViolation, match="'feedback_pos_0'"):
             Episode(**self._args(descriptors=(d, d)))
+
+    @pytest.mark.parametrize("rate_hz", [np.nan, np.inf])
+    def test_rate_must_be_finite(self, rate_hz):
+        with pytest.raises(SchemaViolation, match="rate_hz must be finite and positive"):
+            Episode(**self._args(rate_hz=rate_hz))
+
+    @pytest.mark.parametrize("k", [0, 2, 4])
+    def test_timestamps_must_be_finite(self, k):
+        t = np.arange(5) / 10.0
+        t[k] = np.nan
+        with pytest.raises(SchemaViolation, match="timestamps must be finite"):
+            Episode(**self._args(t=t))
 
 
 class TestEpisodeColumns:
