@@ -30,8 +30,6 @@ ANOMALY_OUTPUT_CHANNELS = tuple(f"effort_motor_torque_{i}" for i in range(6))
 
 HEALTHY_LABEL = "healthy"
 
-_CHECKPOINT_EXTRAS = ("input_channels", "output_channels", "x_mean", "x_stdev", "y_mean", "y_stdev")
-
 
 @dataclass(frozen=True)
 class Standardizer:
@@ -49,15 +47,20 @@ class Standardizer:
     def inverse(self, x: np.ndarray) -> np.ndarray:
         return x * self.std + self.mean
 
+    @staticmethod
+    def extra_keys(prefix: str) -> tuple[str, str]:
+        """The checkpoint extras' names of the mean and the stdev under *prefix*."""
+        return f"{prefix}_mean", f"{prefix}_stdev"
+
     def to_extra(self, prefix: str) -> dict:
-        """The ``<prefix>_mean``/``<prefix>_stdev`` checkpoint extras ``from_extra`` reads."""
-        return {f"{prefix}_mean": self.mean.tolist(), f"{prefix}_stdev": self.std.tolist()}
+        """The ``extra_keys(prefix)`` checkpoint extras ``from_extra`` reads."""
+        return dict(zip(self.extra_keys(prefix), (self.mean.tolist(), self.std.tolist())))
 
     @classmethod
     def from_extra(cls, extra: dict, prefix: str, length: int, path) -> "Standardizer":
-        """The ``<prefix>_mean``/``<prefix>_stdev`` checkpoint extras, each *length* numbers."""
-        mean, std = (extra_list(extra, f"{prefix}_{k}", length, (int, float), path)
-                     for k in ("mean", "stdev"))
+        """The ``extra_keys(prefix)`` checkpoint extras, each *length* numbers."""
+        mean, std = (extra_list(extra, key, length, (int, float), path)
+                     for key in cls.extra_keys(prefix))
         return cls(np.asarray(mean, np.float64), np.asarray(std, np.float64))
 
 
@@ -104,7 +107,8 @@ class AnomalyModel:
     @classmethod
     def load(cls, path: Union[str, Path]) -> "AnomalyModel":
         net, extra = load_model(path)
-        require_extras(extra, _CHECKPOINT_EXTRAS, path, "an anomaly")
+        require_extras(extra, ("input_channels", "output_channels", *Standardizer.extra_keys("x"),
+                               *Standardizer.extra_keys("y")), path, "an anomaly")
         if not isinstance(net, DenseNet):
             raise SchemaViolation(f"{path}: not an anomaly checkpoint")
         n_in, n_out = net.widths[0], net.out_dim

@@ -27,8 +27,6 @@ from .errors import SchemaViolation, SefcError, UnsupportedFault
 from .nnkit import TrainConfig
 from .schema import BUILTIN_ADAPTER_IDS, EpisodeMeta, apply_adapter, builtin_adapter, load_adapter
 
-log = logging.getLogger("sefc")
-
 #: The report file of each section that ``sefc report`` merges, in order.
 _REPORT_FILES = {
     "anomaly": "anomaly_report.csv",
@@ -54,7 +52,7 @@ def _command(body):
     ``out/manifest.yaml`` (command, config, seed, inputs, outputs, the body's
     diagnostics, tool_version, wall_time_s) and prints the message.  It
     returns 1 when the diagnostics hold a non-empty ``failures`` list, which
-    it also prints to stderr, and 0 otherwise.  Errors raised by the body
+    only it prints (to stderr), and 0 otherwise.  Errors raised by the body
     reach ``main``, which maps them to exit codes 2 and 1.
     """
     name = body.__name__.removeprefix("cmd_").replace("_", "-")
@@ -106,11 +104,13 @@ def _finite_positive(flag: str, value: float) -> None:
 
 
 def _model_kinds(models: str) -> list[str]:
-    """The ``--models`` list; every kind must be one of ``forecast.MODEL_KINDS``."""
+    """The ``--models`` list; every kind must be one of ``forecast.MODEL_KINDS``, once."""
     kinds = [k.strip() for k in models.split(",")]
-    for kind in kinds:
+    for i, kind in enumerate(kinds):
         if kind not in forecast.MODEL_KINDS:
             raise SchemaViolation(f"--models: unknown model kind {kind!r}")
+        if kind in kinds[:i]:
+            raise SchemaViolation(f"--models {models!r}: {kind!r} is repeated")
     return kinds
 
 
@@ -130,25 +130,22 @@ def _train_each(kinds: list[str], episodes, target: str, config: TrainConfig):
 
 @_command
 def cmd_generate(args: argparse.Namespace, out: Path) -> _Done:
-    loaded = synthgen.load_generation_config(args.config) if args.config else {
-        "config": synthgen.RandomizationConfig(), "n_healthy": 10, "fault_mix": {}, "seed": 0}
+    loaded = synthgen.load_generation_config(args.config)
     n_healthy = loaded["n_healthy"] if args.n_healthy is None else args.n_healthy
     fault_mix = loaded["fault_mix"]
     args.seed = seed = loaded["seed"] if args.seed is None else args.seed
     if args.fault_mix:
         fault_mix = {}
         for part in args.fault_mix.split(","):
-            name, _, count = part.partition("=")
-            if not count.strip().isdecimal():
+            name, _, count = (s.strip() for s in part.partition("="))
+            if not count.isdecimal():
                 raise SchemaViolation(
                     f"--fault-mix entry {part!r}: expected <fault>=<count> "
                     "with a non-negative integer count"
                 )
-            fault_mix[name.strip()] = int(count)
-
-    for name in fault_mix:
-        if name not in synthgen.INJECTABLE_FAULTS:
-            raise UnsupportedFault(name)
+            if name in fault_mix:
+                raise SchemaViolation(f"--fault-mix {args.fault_mix!r}: {name!r} is repeated")
+            fault_mix[name] = int(count)
 
     plan = synthgen.corpus_plan(n_healthy, fault_mix, seed)
     config, noise, ep_dir = loaded["config"], not args.no_noise, out / "episodes"
@@ -258,7 +255,7 @@ def cmd_ingest(args: argparse.Namespace, out: Path) -> _Done:
         decimal=args.dialect_decimal,
         na_tokens=tuple(args.dialect_na.split("|")) if args.dialect_na else ingest.DEFAULT_NA_TOKENS,
     )
-    files = sorted(Path(args.raw_dir).glob("*.csv"))
+    files = ingest.episode_files(args.raw_dir)
     ep_dir = out / "episodes"
     written, failures = [], []
     for path in files:
@@ -278,7 +275,6 @@ def cmd_ingest(args: argparse.Namespace, out: Path) -> _Done:
             csv_path, _ = ingest.write_canonical(ep, ep_dir)
             written.append(csv_path.name)
         except (SefcError, OSError) as exc:
-            log.error("%s: %s", path.name, exc)
             failures.append(f"{path.name}: {exc}")
     return _Done([p.name for p in files], sorted(written),
                  f"ingested {len(written)}/{len(files)} files -> {ep_dir}",
@@ -397,8 +393,7 @@ def cmd_gap(args: argparse.Namespace, out: Path) -> _Done:
             phases_skipped[pair.pair_key] = list(aligned.phases_skipped)
             per_pair.append(gap.pair_metrics(aligned))
         except SefcError as exc:
-            log.error("%s: %s", pair.pair_key, exc)
-            failures.append(f"{pair.pair_key}: {exc}")
+            failures.append(str(exc))
     outputs = []
     if per_pair or not failures:   # no pair at all raises EmptyInput here
         summary = gap.batch_summary(per_pair)

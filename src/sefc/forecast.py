@@ -126,8 +126,8 @@ class Forecaster:
     @classmethod
     def load(cls, path: Union[str, Path]) -> "Forecaster":
         net, extra = load_model(path)
-        require_extras(extra, ("forecaster_kind", "x_mean", "x_stdev", "y_mean", "y_stdev"),
-                       path, "a forecaster")
+        require_extras(extra, ("forecaster_kind", *Standardizer.extra_keys("x"),
+                               *Standardizer.extra_keys("y")), path, "a forecaster")
         return cls(
             kind=str(extra["forecaster_kind"]),
             net=net,

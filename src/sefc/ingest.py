@@ -553,7 +553,10 @@ def read_canonical(csv_path: Union[str, Path]) -> Episode:
 
 
 def episode_files(directory: Union[str, Path]) -> list[Path]:
-    """The canonical episode files under a directory, sorted by filename."""
+    """The ``*.csv`` files under a directory, sorted by filename; a missing
+    directory raises FileNotFoundError naming it."""
+    if not Path(directory).is_dir():
+        raise FileNotFoundError(f"{directory}: no such directory")
     return sorted(Path(directory).glob("*.csv"))
 
 

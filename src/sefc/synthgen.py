@@ -818,10 +818,13 @@ def corpus_plan(
     Healthy episodes come first, then each fault type of *fault_mix* in
     sorted order.  Each faulty episode is followed by its healthy twin, which
     shares its seed (hence all randomization draws and noise) and carries the
-    primary id plus a ``_twin`` suffix.
+    primary id plus a ``_twin`` suffix.  A fault type without a signal-level
+    injection raises UnsupportedFault, the first such type in sorted order.
     """
     if n_healthy < 0 or any(c < 0 for c in fault_mix.values()):
         raise SchemaViolation("episode counts must be >= 0")
+    for fault_type in sorted(fault_mix.keys() - INJECTABLE_FAULTS):
+        raise UnsupportedFault(fault_type)
     plan = [(seed0 + idx, None, f"ep_{idx:05d}") for idx in range(n_healthy)]
     idx = n_healthy
     for fault_type in sorted(fault_mix):
@@ -849,9 +852,9 @@ def generate_corpus(
 # generation config files
 # ---------------------------------------------------------------------------
 
-def load_generation_config(path: Union[str, Path]) -> dict:
-    """Load a generation config (ranges, counts, fault mix, seed) from YAML."""
-    doc = load_yaml(Path(path).read_text(encoding="utf-8"), path) or {}
+def load_generation_config(path: Optional[Union[str, Path]]) -> dict:
+    """Load a generation config (ranges, counts, fault mix, seed) from YAML; None reads ``{}``."""
+    doc = (load_yaml(Path(path).read_text(encoding="utf-8"), path) if path else None) or {}
     if not isinstance(doc, dict):
         raise SchemaViolation(f"{path}: not a mapping")
     randomization = doc.get("randomization") or {}
@@ -878,7 +881,7 @@ def load_generation_config(path: Union[str, Path]) -> dict:
         raise SchemaViolation(f"{path}: fault_mix must be a mapping of fault type to count")
     return {
         "config": config,
-        "n_healthy": _non_negative_int(doc.get("n_healthy", 0), path, "n_healthy"),
+        "n_healthy": _non_negative_int(doc.get("n_healthy", 10), path, "n_healthy"),
         "fault_mix": {
             str(k): _non_negative_int(v, path, f"fault_mix.{k}") for k, v in fault_mix.items()
         },

@@ -4,6 +4,8 @@ import filecmp
 import io
 import os
 import shutil
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -137,6 +139,36 @@ class TestGenerate:
         rc = main(["generate", "--out", str(tmp_path / "o"), "--seed", "0",
                    "--n-healthy", "1", "--fault-mix", "damaged_screw_thread=1"])
         assert rc == 2
+
+    def test_config_unknown_fault_exits_2_before_generating(self, tmp_path, capsys):
+        config = tmp_path / "gen.yaml"
+        config.write_text(yaml.safe_dump({"fault_mix": {"unstable_platform": 1, "nonsense": 1}}))
+        out = tmp_path / "o"
+        rc = main(["generate", "--out", str(out), "--config", str(config)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: fault type 'nonsense' has no signal-level injection\n")
+        assert not out.exists()
+
+    def test_config_without_n_healthy_generates_ten_healthy(self, tmp_path, capsys):
+        config = tmp_path / "gen.yaml"
+        config.write_text(yaml.safe_dump({"seed": 3}))
+        out = tmp_path / "o"
+        assert main(["generate", "--out", str(out), "--config", str(config)]) == 0
+        assert capsys.readouterr().out == f"generated 10 episodes -> {out / 'episodes'}\n"
+        manifest = yaml.safe_load((out / "manifest.yaml").read_text())
+        assert manifest["seed"] == 3
+        assert manifest["outputs"] == [f"ep_{i:05d}.csv" for i in range(10)]
+
+    def test_repeated_fault_mix_entry_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        rc = main(["generate", "--out", str(out), "--seed", "0", "--n-healthy", "1",
+                   "--fault-mix", "unstable_platform=1,unstable_platform=2"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: --fault-mix 'unstable_platform=1,unstable_platform=2': "
+            "'unstable_platform' is repeated\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("entry", [
         "additional_axis_payload", "additional_axis_payload=", "additional_axis_payload=two",
@@ -376,6 +408,22 @@ class TestIngest:
         assert reason in manifest["failures"][0]
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_each_failure_is_printed_once(self, tmp_path):
+        """Under pytest the log handler does not reach stderr, so a process is run."""
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        (raw / "bad1.csv").write_text("a,b\n1,2\n")
+        (raw / "bad2.csv").write_text("time,time\n0,0\n1,1\n")
+        out = tmp_path / "out"
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        run = subprocess.run([sys.executable, "-m", "sefc.cli", "ingest", "--raw-dir", str(raw),
+                              "--adapter", "voraus_ad", "--out", str(out)],
+                             env=env, capture_output=True, text=True)
+        assert run.returncode == 1
+        failures = yaml.safe_load((out / "manifest.yaml").read_text())["failures"]
+        assert [f.partition(": ")[0] for f in failures] == ["bad1.csv", "bad2.csv"]
+        assert run.stderr == "failures:\n" + "".join(f"  {f}\n" for f in failures)
+
     @pytest.mark.parametrize("flag,value,expected", [
         ("--rate-hz", "nan", "a finite number above 0"),
         ("--rate-hz", "inf", "a finite number above 0"),
@@ -586,6 +634,7 @@ class TestEvalForecast:
         (["--epochs", "0"], "max_epochs"),
         (["--batch-size", "0"], "batch_size"),
         (["--horizon", "50,50"], "--horizon"),
+        (["--models", "linear,linear"], "--models 'linear,linear': 'linear' is repeated"),
     ])
     def test_bad_number_exits_2_before_training(self, small_corpus, tmp_path, capsys,
                                                 monkeypatch, flags, name):
@@ -761,7 +810,7 @@ class TestGapPairFailures:
         assert self._gap(*self._write(tmp_path / "batch", ["good", bad]), out) == 1
         manifest = yaml.safe_load((out / "manifest.yaml").read_text())
         (failure,) = manifest["failures"]
-        assert failure.startswith(f"{bad}: pair '{bad}': {self.ERRORS[bad]}")
+        assert failure.startswith(f"pair '{bad}': {self.ERRORS[bad]}")
         assert manifest["outputs"] == ["gap_pairs.csv", "gap_summary.csv"]
         for name in manifest["outputs"]:
             assert filecmp.cmp(out / name, tmp_path / "want" / name, shallow=False)
@@ -773,13 +822,23 @@ class TestGapPairFailures:
         out = tmp_path / "out"
         assert self._gap(*self._write(tmp_path, sorted(self.ERRORS)), out) == 1
         manifest = yaml.safe_load((out / "manifest.yaml").read_text())
-        assert [f.partition(": ")[0] for f in manifest["failures"]] == sorted(self.ERRORS)
+        assert [f.partition(": ")[0] for f in manifest["failures"]] == [
+            f"pair {key!r}" for key in sorted(self.ERRORS)]
         assert manifest["outputs"] == []
         assert sorted(p.name for p in out.iterdir()) == ["manifest.yaml"]
         captured = capsys.readouterr()
         assert captured.out == "no gap summary: all 3 pairs failed\n"
         for failure in manifest["failures"]:
             assert failure in captured.err
+
+    def test_each_entry_names_its_pair_once(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert self._gap(*self._write(tmp_path, sorted(self.ERRORS)), out) == 1
+        failures = yaml.safe_load((out / "manifest.yaml").read_text())["failures"]
+        for key, failure in zip(sorted(self.ERRORS), failures):
+            # what precedes the error's own text (which may hold the key as a word)
+            assert failure[:failure.index(self.ERRORS[key])].count(key) == 1, failure
+        assert capsys.readouterr().err == "failures:\n" + "".join(f"  {f}\n" for f in failures)
 
 
 @pytest.fixture(scope="module")
@@ -968,6 +1027,33 @@ class TestModelPlaneReadsSerially:
         assert main(["eval-transfer", "--train-data", str(small_corpus),
                      "--eval-data", str(small_corpus), "--out", str(tmp_path),
                      "--models", "kinematic_zero,linear", "--epochs", "1"]) == 0
+
+
+class TestMissingInputDirectory:
+    """A missing input directory exits 1 naming it; an empty one is a directory like any."""
+
+    @pytest.mark.parametrize("argv", [
+        ["ingest", "--raw-dir", "{missing}", "--adapter", "voraus_ad"],
+        ["train-anomaly", "--data", "{missing}"],
+        ["eval-forecast", "--data", "{missing}"],
+        ["eval-transfer", "--train-data", "{missing}", "--eval-data", "{empty}"],
+        ["gap", "--real-dir", "{empty}", "--sim-dir", "{missing}"],
+    ], ids=lambda argv: argv[0])
+    def test_exits_1_naming_it(self, tmp_path, capsys, argv):
+        missing, empty, out = tmp_path / "missing", tmp_path / "empty", tmp_path / "out"
+        empty.mkdir()
+        argv = [a.format(missing=missing, empty=empty) for a in argv]
+        assert main([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {missing}: no such directory\n"
+        assert not out.exists()
+
+    def test_a_file_is_not_a_directory(self, tmp_path, capsys):
+        raw = tmp_path / "raw.csv"
+        raw.write_text("a,b\n1,2\n")
+        rc = main(["ingest", "--raw-dir", str(raw), "--adapter", "voraus_ad",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {raw}: no such directory\n"
 
 
 class TestReport:

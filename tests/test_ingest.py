@@ -742,6 +742,12 @@ class TestCanonicalFiles:
         with pytest.raises(SchemaViolation, match="rate_hz must be finite and positive"):
             read_canonical(csv_path)
 
+    def test_missing_directory_raises_naming_it(self, tmp_path):
+        missing = tmp_path / "nope"
+        with pytest.raises(FileNotFoundError) as err:
+            read_episode_dir(missing)
+        assert str(err.value) == f"{missing}: no such directory"
+
     def test_phase_rle_decode(self):
         phase = decode_phase_rle([("above_pick", 50), ("return", 50)], 100)
         assert len(phase) == 100

@@ -29,6 +29,7 @@ from sefc.synthgen import (
     build_phase_plan,
     generate_corpus,
     generate_episode,
+    load_generation_config,
     plan_trajectory,
     profiles_from_plan,
     sample_params,
@@ -656,6 +657,26 @@ class TestCorpus:
     def test_empty_fault_mix(self):
         eps = generate_corpus(3, {}, seed0=0, noise=False)
         assert len(eps) == 3 and all(e.healthy for e in eps)
+
+    def test_non_injectable_fault_raises_before_any_episode(self, monkeypatch):
+        def no_generation(*args, **kwargs):
+            raise AssertionError("an episode was generated")
+
+        monkeypatch.setattr(synthgen, "generate_episode", no_generation)
+        with pytest.raises(UnsupportedFault) as err:
+            generate_corpus(1, {"missing_screw": 1}, 0)
+        assert err.value.fault_type == "missing_screw"
+
+    def test_first_unsupported_fault_in_sorted_order_is_named(self):
+        with pytest.raises(UnsupportedFault) as err:
+            synthgen.corpus_plan(0, {"nonsense": 1, "unstable_platform": 1, "missing_screw": 0}, 0)
+        assert err.value.fault_type == "missing_screw"
+
+    def test_no_config_file_and_an_empty_one_read_the_same_defaults(self, tmp_path):
+        empty = tmp_path / "gen.yaml"
+        empty.write_text("")
+        defaults = {"config": RandomizationConfig(), "n_healthy": 10, "fault_mix": {}, "seed": 0}
+        assert load_generation_config(None) == load_generation_config(empty) == defaults
 
     def test_twin_property(self, twin_pairs):
         for faulty, twin in twin_pairs:
