@@ -23,6 +23,5 @@ from .schema import (  # noqa: F401
     apply_adapter,
     builtin_adapter,
     load_adapter,
-    select_signals,
     validate_adapter,
 )

@@ -416,7 +416,7 @@ def cmd_gap(args: argparse.Namespace, out: Path) -> _Done:
 
 @_command
 def cmd_report(args: argparse.Namespace, out: Path) -> _Done:
-    in_dir = Path(args.in_dir)
+    in_dir = ingest.existing_dir(args.in_dir)
     present = [(section, in_dir / name) for section, name in _REPORT_FILES.items()
                if (in_dir / name).exists()]
     merged = write_csv(

@@ -552,12 +552,17 @@ def read_canonical(csv_path: Union[str, Path]) -> Episode:
         raise SchemaViolation(f"{csv_path}: {exc}") from None
 
 
-def episode_files(directory: Union[str, Path]) -> list[Path]:
-    """The ``*.csv`` files under a directory, sorted by filename; a missing
-    directory raises FileNotFoundError naming it."""
+def existing_dir(directory: Union[str, Path]) -> Path:
+    """*directory* as a Path; one that is not a directory raises
+    FileNotFoundError naming it."""
     if not Path(directory).is_dir():
         raise FileNotFoundError(f"{directory}: no such directory")
-    return sorted(Path(directory).glob("*.csv"))
+    return Path(directory)
+
+
+def episode_files(directory: Union[str, Path]) -> list[Path]:
+    """The ``*.csv`` files under an ``existing_dir``, sorted by filename."""
+    return sorted(existing_dir(directory).glob("*.csv"))
 
 
 def read_episode_dir(directory: Union[str, Path]) -> list[Episode]:

@@ -11,6 +11,7 @@ applied mechanically.
 
 from __future__ import annotations
 
+import contextlib
 import re
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -381,7 +382,8 @@ def apply_adapter(
     Deterministic: identical inputs yield bit-identical episodes.
 
     Raises:
-        MissingRawColumn: a mapped column is absent and not allow-missing.
+        MissingRawColumn: a mapped column is absent and not allow-missing,
+            or ``meta.phase_column`` names an absent column.
         NonNumericColumn: a Setpoint/Effort/Feedback column fails to parse.
         SchemaViolation: the adapter spec itself is invalid.
     """
@@ -408,12 +410,14 @@ def apply_adapter(
         raise SchemaViolation("adapter maps no columns present in the table")
 
     phase: np.ndarray
-    if meta.phase_column is not None and meta.phase_column in raw_table:
+    if meta.phase_column is None:
+        phase = np.full(n_rows, "unknown")
+    elif meta.phase_column in raw_table:
         phase = np.asarray(
             [("unknown" if v is None else str(v)) for v in raw_table[meta.phase_column]]
         )
     else:
-        phase = np.full(n_rows, "unknown")
+        raise MissingRawColumn(meta.phase_column)
 
     t = np.arange(n_rows, dtype=np.float64) / spec.native_rate_hz
     return Episode(
@@ -429,41 +433,6 @@ def apply_adapter(
         fault=meta.fault,
         healthy=meta.fault is None,
     )
-
-
-# ---------------------------------------------------------------------------
-# role-based selection
-# ---------------------------------------------------------------------------
-
-def select_signals(
-    ep: Episode,
-    role: SignalRole,
-    name_prefix: Union[str, Sequence[str], None] = None,
-) -> tuple[np.ndarray, list[ChannelDescriptor]]:
-    """Select channels by role and optional canonical-name prefix(es).
-
-    With multiple prefixes the result is ordered by (prefix group, axis);
-    without prefixes, episode column order is kept.  k may be 0.
-    """
-    if name_prefix is None:
-        idx = [i for i, d in enumerate(ep.descriptors) if d.role == role]
-        descs = [ep.descriptors[i] for i in idx]
-        return ep.channels[:, idx] if idx else np.empty((ep.n_steps, 0)), descs
-
-    prefixes = [name_prefix] if isinstance(name_prefix, str) else list(name_prefix)
-    picked: list[tuple[int, float, str, int]] = []
-    for i, d in enumerate(ep.descriptors):
-        if d.role != role:
-            continue
-        for g, pre in enumerate(prefixes):
-            if d.canonical_name.startswith(pre):
-                ax = float(d.axis) if d.axis is not None else float("inf")
-                picked.append((g, ax, d.canonical_name, i))
-                break
-    picked.sort()
-    idx = [p[3] for p in picked]
-    descs = [ep.descriptors[i] for i in idx]
-    return ep.channels[:, idx] if idx else np.empty((ep.n_steps, 0)), descs
 
 
 # ---------------------------------------------------------------------------
@@ -530,30 +499,53 @@ def _signal_from_row(row: Mapping) -> SignalSpec:
     )
 
 
-def adapter_from_dict(doc: Mapping) -> AdapterSpec:
+@contextlib.contextmanager
+def _reading(key: str):
+    """Turn a malformed value met under *key* into SchemaViolation naming it."""
     try:
-        raw_signals = doc["signals"]
-    except KeyError:
-        raise SchemaViolation("adapter config has no 'signals' section") from None
+        yield
+    except SchemaViolation as exc:
+        raise SchemaViolation(f"{key}: {exc}") from None
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise SchemaViolation(f"{key}: {type(exc).__name__}: {exc}") from None
+
+
+def adapter_from_dict(doc: Mapping) -> AdapterSpec:
+    """The spec a parsed adapter document describes; a missing or malformed
+    value raises SchemaViolation naming its key (a signal row by its index)."""
+    if "signals" not in doc:
+        raise SchemaViolation("adapter config has no 'signals' section")
     signals = []
-    for record in raw_signals:
-        for row in expand_signal_rows(record):
-            signals.append(_signal_from_row(row))
+    with _reading("signals"):
+        records = list(doc["signals"])
+    for i, record in enumerate(records):
+        with _reading(f"signals[{i}]"):
+            signals.extend(_signal_from_row(row) for row in expand_signal_rows(record))
+    with _reading("source_id"):
+        source_id = str(doc["source_id"])
+    with _reading("native_rate_hz"):
+        native_rate_hz = float(doc["native_rate_hz"])
+    with _reading("absent_channels"):
+        absent_channels = tuple(str(c) for c in doc.get("absent_channels", []) or ())
     return AdapterSpec(
-        source_id=str(doc["source_id"]),
-        native_rate_hz=float(doc["native_rate_hz"]),
+        source_id=source_id,
+        native_rate_hz=native_rate_hz,
         signals=tuple(signals),
-        absent_channels=tuple(str(c) for c in doc.get("absent_channels", []) or ()),
+        absent_channels=absent_channels,
         notes=str(doc.get("notes", "")),
     )
 
 
 def load_adapter(path: Union[str, Path]) -> AdapterSpec:
-    """Load an adapter spec from a YAML config file."""
+    """Load an adapter spec from a YAML config file; a malformed spec raises
+    SchemaViolation naming the file."""
     doc = load_yaml(Path(path).read_text(encoding="utf-8"), path)
     if not isinstance(doc, dict):
         raise SchemaViolation(f"{path}: not a mapping")
-    return adapter_from_dict(doc)
+    try:
+        return adapter_from_dict(doc)
+    except SchemaViolation as exc:
+        raise SchemaViolation(f"{path}: {exc}") from None
 
 
 BUILTIN_ADAPTER_IDS = (

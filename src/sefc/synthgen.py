@@ -26,8 +26,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-import numbers
-import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Optional, Union
@@ -131,11 +129,7 @@ class RandomizationConfig:
 
 class _Magnitude(NamedTuple):
     key: str
-    draw: Callable                     # (rng, runs) -> default; runs[phase] = (start, stop)
-    steps: Optional[Callable] = None   # (n_steps, runs) -> closed integer range (lo, hi)
-    most: Optional[Callable] = None    # float: (traj) -> largest value
-    below: Optional[Callable] = None   # float: (traj) -> bound the value stays under
-    identity: Optional[float] = None   # float: the value that leaves the plant healthy
+    draw: Callable   # (rng, runs) -> value; runs[phase] = (start, stop)
 
 
 @dataclass(frozen=True)
@@ -156,10 +150,8 @@ def _cat(fault_type, description, tasks, magnitudes=None):
 
 #: Full fault taxonomy (27 types). Only the injectable subset has a
 #: signal-level analogue in the generator; the rest is carried as metadata.
-#: An injectable type declares its magnitudes.  An integer range leaves out
-#: every value that crashes the plant or matches the healthy twin; a
-#: magnitude without a range is a positive finite float, at most its declared
-#: largest value, under its declared bound and never its identity value.
+#: An injectable type declares its magnitudes, each drawn from the fault
+#: substream over the episode's phase runs.
 FAULT_CATALOG: tuple[FaultCatalogEntry, ...] = (
     _cat("damaged_screw_thread", "screw thread damaged, no engagement", ("screwdriving",)),
     _cat("missing_screw", "tightening attempted with no screw", ("screwdriving",)),
@@ -168,39 +160,32 @@ FAULT_CATALOG: tuple[FaultCatalogEntry, ...] = (
     _cat("gripper_activation_failure", "gripper never activates, payload never picked",
          ("pick_and_place",), ()),
     _cat("gripper_release_mid_motion", "payload released mid-trajectory", ("pick_and_place",),
-         (_Magnitude("onset_step", lambda rng, runs: int(rng.integers(*runs["transfer"])),
-                     lambda n, runs: (runs["lift"][0], runs["release"][0] - 1)),)),
+         (_Magnitude("onset_step", lambda rng, runs: int(rng.integers(*runs["transfer"]))),)),
     _cat("additional_axis_payload", "dead weight bolted to one link",
          ("pick_and_place", "screwdriving"),
-         (_Magnitude("joint", lambda rng, runs: int(rng.integers(1, 4)),
-                     lambda *_: (1, N_JOINTS - 1)),   # joint 0 has no gravity moment arm
+         (_Magnitude("joint", lambda rng, runs: int(rng.integers(1, 4))),   # joint 0: no moment arm
           _Magnitude("weight_kg", lambda rng, runs: float(rng.uniform(0.4, 1.2))))),
     _cat("collision_foam_spike", "soft foam block in the TCP path",
          ("pick_and_place", "screwdriving", "peg_in_hole"),
          (_Magnitude("onset_step", lambda rng, runs: int(rng.integers(runs["transfer"][0],
-                                                                      runs["transfer"][1] - 15)),
-                     lambda n, runs: (0, n - 2)),   # a pulse cut to one step is sin(0) = 0
-          _Magnitude("duration_s", lambda *_: 0.2,   # at most the episode length
-                     most=lambda traj: traj.n_steps / traj.rate_hz),
+                                                                      runs["transfer"][1] - 15))),
+          _Magnitude("duration_s", lambda *_: 0.2),
           _Magnitude("peak_nm", lambda *_: 0.3),
-          _Magnitude("n_joints", lambda *_: 3, lambda *_: (1, N_JOINTS)))),
+          _Magnitude("n_joints", lambda *_: 3))),
     _cat("unexpected_payload_weight", "transported box heavier/lighter than nominal",
          ("pick_and_place",),
-         (_Magnitude("scale", lambda rng, runs: float(rng.uniform(1.5, 3.0)), identity=1.0),)),
+         (_Magnitude("scale", lambda rng, runs: float(rng.uniform(1.5, 3.0))),)),
     _cat("invalid_gripping_position", "gripper closure lags the lift motion", ("pick_and_place",),
-         (_Magnitude("delay_steps", lambda rng, runs: int(rng.integers(10, 41)),
-                     lambda n, runs: (1, n - 1)),)),
+         (_Magnitude("delay_steps", lambda rng, runs: int(rng.integers(10, 41))),)),
     _cat("unstable_platform", "base instability adds low-frequency vibration", ("pick_and_place",),
-         (_Magnitude("freq_hz", lambda *_: 3.0,   # at rate_hz / 2 it samples sin(pi k)
-                     below=lambda traj: traj.rate_hz / 2),
+         (_Magnitude("freq_hz", lambda *_: 3.0),
           _Magnitude("amplitude_rad", lambda *_: 0.005))),
     _cat("joint_position_limit_violation", "waypoint beyond soft joint limit", ("pick_and_place",)),
     _cat("tcp_frame_misconfiguration", "TCP frame or mounting angle misconfigured",
          ("pick_and_place", "screwdriving", "peg_in_hole")),
     _cat("payload_weight_misconfiguration", "configured payload mass wrong while tool attached",
          ("pick_and_place", "screwdriving"),
-         (_Magnitude("configured_scale", lambda rng, runs: float(rng.uniform(2.0, 4.0)),
-                     identity=1.0),)),
+         (_Magnitude("configured_scale", lambda rng, runs: float(rng.uniform(2.0, 4.0))),)),
     _cat("external_arm_disturbance", "continuous external force on the TCP",
          ("pick_and_place", "screwdriving", "peg_in_hole")),
     _cat("payload_cog_misconfiguration", "payload CoG offset wrong in controller",
@@ -226,14 +211,6 @@ INJECTABLE_FAULTS = frozenset(c.fault_type for c in FAULT_CATALOG if c.injectabl
 
 
 @dataclass(frozen=True)
-class FaultDirective:
-    """A fault type plus its injection magnitudes and onset."""
-
-    fault_type: str
-    params: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
 class EpisodeParams:
     """Concrete per-episode draw, reproducible from the seed."""
 
@@ -244,22 +221,21 @@ class EpisodeParams:
     kp_grip: float
     cube_dims_m: tuple[float, float, float]
     spawn_offset_m: tuple[float, float]
-    fault: Optional[FaultDirective] = None
+    fault: Optional[str] = None
     config: RandomizationConfig = field(default_factory=RandomizationConfig)
 
 
 def sample_params(
     seed: int,
     config: RandomizationConfig = RandomizationConfig(),
-    fault: Optional[FaultDirective] = None,
+    fault: Optional[str] = None,
     episode_id: Optional[str] = None,
 ) -> EpisodeParams:
     """Draw one episode's randomization values; deterministic in the seed.
 
-    Base draws use a substream untouched by the fault directive, so the
-    healthy twin (same seed, fault=None) gets identical values.  A fault
-    directive's missing magnitudes are drawn on a separate substream, and
-    all of them are checked against the nominal plan's steps.
+    Base draws use a substream untouched by the fault, so the healthy twin
+    (same seed, fault=None) gets identical values.  The fault's magnitudes
+    are drawn by ``simulate_plant`` on a separate substream.
     """
     errors = config.validate()
     if errors:
@@ -277,10 +253,6 @@ def sample_params(
     half_x, half_y = config.spawn_box_m[0] / 2.0, config.spawn_box_m[1] / 2.0
     offset = (float(rng.uniform(-half_x, half_x)), float(rng.uniform(-half_y, half_y)))
 
-    if fault is not None:
-        nominal = profiles_from_plan(build_phase_plan(), 1.0 / config.sim_dt_s)
-        fault = _complete_fault(fault, nominal, np.random.default_rng([seed, _STREAM_FAULT]))
-
     return EpisodeParams(
         seed=seed,
         episode_id=episode_id or f"ep_{seed}",
@@ -294,41 +266,32 @@ def sample_params(
     )
 
 
-def _complete_fault(directive: FaultDirective, traj: TrajectoryPlan,
-                    rng: Optional[np.random.Generator]) -> FaultDirective:
-    """*directive* with its magnitudes checked against *traj*; with *rng* every
-    default is drawn first, in table order, and the directive's values replace it."""
-    fault = directive.fault_type
+def _fault_magnitudes(fault: str, traj: TrajectoryPlan, seed: int) -> dict:
+    """*fault*'s magnitudes, each drawn in table order from the seed's fault
+    substream over *traj*'s phase runs; a type without an injection raises.
+
+    A draw that *traj* cannot hold raises SchemaViolation naming the fault
+    and the key, so a coarse ``sim_dt_s`` never writes a mislabelled episode:
+    the phase a draw reads must be long enough for its range, an integer
+    magnitude (a step, a step count or a joint) lies in [1, n_steps) and a
+    frequency (``*_hz``) stays below half the rate, where sampling aliases it.
+    """
     magnitudes = next((c.magnitudes for c in FAULT_CATALOG if c.fault_type == fault), None)
     if magnitudes is None:
         raise UnsupportedFault(fault)
-    n, runs = traj.n_steps, traj.phase_runs()
-    params = {} if rng is None else {m.key: m.draw(rng, runs) for m in magnitudes}
-    params.update(directive.params)
-    for key in params.keys() - {m.key for m in magnitudes}:
-        raise SchemaViolation(f"{fault}: unknown magnitude {key!r}")
+    rng, runs = np.random.default_rng([seed, _STREAM_FAULT]), traj.phase_runs()
+    drawn = {}
     for m in magnitudes:
-        if m.key not in params:
-            raise SchemaViolation(f"{fault}: magnitude {m.key!r} is missing")
-        value = params[m.key]
-        if m.steps is None:
-            hi = sys.float_info.max if m.most is None else m.most(traj)
-            rule = "a positive finite number" if m.most is None else f"a number in (0, {hi:g}]"
-            valid = isinstance(value, numbers.Real) and 0 < value <= hi and value != m.identity
-            if m.below is not None:
-                bound = m.below(traj)
-                rule += f" below {bound:g}"
-                valid = valid and value < bound
-            if m.identity is not None:
-                rule += f" other than {m.identity:g}"
-        else:
-            lo, hi = m.steps(n, runs)
-            rule = f"an integer in [{lo}, {hi}]"
-            valid = isinstance(value, numbers.Integral) and lo <= value <= hi
-        if isinstance(value, bool) or not valid:
-            raise SchemaViolation(f"{fault}: {m.key} must be {rule}, got {value!r}")
-        params[m.key] = float(value) if m.steps is None else int(value)
-    return FaultDirective(fault, params)
+        try:
+            value = m.draw(rng, runs)
+        except (KeyError, ValueError):   # the phase is missing or shorter than the range
+            value = None
+        if (value is None or isinstance(value, int) and not 0 < value < traj.n_steps
+                or m.key.endswith("_hz") and not value < traj.rate_hz / 2):
+            raise SchemaViolation(f"{fault}: {m.key} has no valid draw over "
+                                  f"{traj.n_steps} steps at {traj.rate_hz:g} Hz")
+        drawn[m.key] = value
+    return drawn
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +356,7 @@ def two_link_fk(q0: np.ndarray, q1: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return x, y
 
 
-def build_phase_plan(spawn_offset_m: tuple[float, float] = (0.0, 0.0)) -> PhasePlan:
+def build_phase_plan(spawn_offset_m: tuple[float, float]) -> PhasePlan:
     """Nominal 10-phase plan; the pick waypoints follow the spawn offset."""
     pick_x = PICK_XY_M[0] + spawn_offset_m[0]
     pick_y = PICK_XY_M[1] + spawn_offset_m[1]
@@ -640,23 +603,23 @@ def _add_fault_term(ftype: str, block: np.ndarray, term: np.ndarray) -> None:
 
 
 def simulate_plant(params: EpisodeParams, traj: Optional[TrajectoryPlan] = None) -> Episode:
-    """Simulate a noiseless episode with the fault directive in *params* applied.
+    """Simulate a noiseless episode with the fault in *params* applied.
 
-    Most faults change plant or controller terms; the platform sinusoid
-    and the foam pulse are added to the joint feedback and effort after
-    the TCP and object channels are computed, so those stay unperturbed.
-    The joint-position and effort bounds are checked after them, and an
-    additive fault that changes nothing is refused.
-    *traj* defaults to ``plan_trajectory(params)``; the directive must give
-    every magnitude, within *traj*'s steps.
+    The fault's magnitudes are ``_fault_magnitudes`` over *traj*, which
+    defaults to ``plan_trajectory(params)``.  Most faults change plant or
+    controller terms; the platform sinusoid and the foam pulse are added to
+    the joint feedback and effort after the TCP and object channels are
+    computed, so those stay unperturbed.  The joint-position and effort
+    bounds are checked after them, and an additive fault that changes
+    nothing is refused.
     """
     if traj is None:
         traj = plan_trajectory(params)
     dt = params.config.sim_dt_s
     n = traj.n_steps
     runs = traj.phase_runs()
-    ftype = params.fault.fault_type if params.fault is not None else None
-    fp = _complete_fault(params.fault, traj, None).params if params.fault is not None else {}
+    ftype = params.fault
+    fp = {} if ftype is None else _fault_magnitudes(ftype, traj, params.seed)
 
     # the gripper carries the payload over [attach, detach), from the lift to
     # the release, and its feedback tracks a command that faults may alter
@@ -671,7 +634,7 @@ def simulate_plant(params: EpisodeParams, traj: Optional[TrajectoryPlan] = None)
         attach = min(attach + delay, detach)
         grip_cmd = np.concatenate([np.full(delay, grip_cmd[0]), grip_cmd[:-delay]])
     elif ftype == "gripper_release_mid_motion":
-        detach = fp["onset_step"]   # its range keeps it in [attach, release)
+        detach = fp["onset_step"]   # drawn in the transfer phase, so in [attach, release)
         grip_cmd = np.concatenate([grip_cmd[:detach], np.full(n - detach, GRIPPER_OPEN_RAD)])
     elif ftype == "unexpected_payload_weight":
         true_mass = params.mass_kg * fp["scale"]
@@ -732,14 +695,18 @@ def simulate_plant(params: EpisodeParams, traj: Optional[TrajectoryPlan] = None)
         _add_fault_term(ftype, q_fb, sway[:, None])
     if ftype == "collision_foam_spike":
         onset = fp["onset_step"]
-        n_pulse = max(2, round(fp["duration_s"] / dt))
+        n_pulse = round(fp["duration_s"] / dt)
+        if n_pulse < 3:   # a half-sine over fewer steps samples only its zero ends
+            raise SchemaViolation(f"{ftype}: duration_s spans {n_pulse} steps, fewer than 3")
         end = min(onset + n_pulse, n)
         pulse = fp["peak_nm"] * np.sin(math.pi * np.arange(end - onset) / (n_pulse - 1))
         _add_fault_term(ftype, effort[onset:end, :fp["n_joints"]], pulse[:, None])
+    episode = f"{params.episode_id} ({ftype or 'healthy'})"
     if not np.abs(q_fb).max() <= _Q_BOUND_RAD:
-        raise NumericalInstability(f"{ftype}: joint feedback beyond |q| <= {_Q_BOUND_RAD:.4g} rad")
+        raise NumericalInstability(
+            f"{episode}: joint feedback beyond |q| <= {_Q_BOUND_RAD:.4g} rad")
     if not np.abs(effort).max() <= _EFFORT_BOUND_NM:
-        raise NumericalInstability(f"{ftype}: effort beyond |tau| <= {_EFFORT_BOUND_NM:g} Nm")
+        raise NumericalInstability(f"{episode}: effort beyond |tau| <= {_EFFORT_BOUND_NM:g} Nm")
 
     blocks = {
         "setpoint_pos": traj.setpoint_pos, "setpoint_vel": traj.setpoint_vel,
@@ -799,7 +766,7 @@ def add_sensor_noise(ep: Episode, params: EpisodeParams) -> Episode:
 def generate_episode(
     seed: int,
     config: RandomizationConfig = RandomizationConfig(),
-    fault: Optional[FaultDirective] = None,
+    fault: Optional[str] = None,
     episode_id: Optional[str] = None,
     noise: bool = True,
 ) -> Episode:
@@ -812,7 +779,7 @@ def generate_episode(
 
 def corpus_plan(
     n_healthy: int, fault_mix: Mapping[str, int], seed0: int
-) -> list[tuple[int, Optional[FaultDirective], str]]:
+) -> list[tuple[int, Optional[str], str]]:
     """``(seed, fault, episode_id)`` of each episode of a corpus, in corpus order.
 
     Healthy episodes come first, then each fault type of *fault_mix* in
@@ -830,7 +797,7 @@ def corpus_plan(
     for fault_type in sorted(fault_mix):
         for _ in range(fault_mix[fault_type]):
             primary_id = f"ep_{idx:05d}"
-            plan.append((seed0 + idx, FaultDirective(fault_type), primary_id))
+            plan.append((seed0 + idx, fault_type, primary_id))
             plan.append((seed0 + idx, None, f"{primary_id}_twin"))
             idx += 1
     return plan

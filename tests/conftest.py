@@ -93,8 +93,8 @@ def twin_pairs() -> list[tuple[Episode, Episode]]:
     pairs = []
     for k in range(5):
         seed = 9000 + k
-        fault = synthgen.FaultDirective("additional_axis_payload")
-        faulty = synthgen.generate_episode(seed, fault=fault, episode_id=f"tw{k}")
+        faulty = synthgen.generate_episode(seed, fault="additional_axis_payload",
+                                           episode_id=f"tw{k}")
         twin = synthgen.generate_episode(seed, episode_id=f"tw{k}_twin")
         pairs.append((faulty, twin))
     return pairs

@@ -22,7 +22,7 @@ from sefc.errors import ExcessiveMissing
 from sefc.forecast import Forecaster, euler_rollout, mc_mae
 from sefc.gap import batch_summary, pair_metrics, phase_align, wasserstein_1d
 from sefc.nnkit import DenseNet, SeqNet, TCNNet, TrainConfig
-from sefc.schema import SignalRole, apply_adapter, builtin_adapter, select_signals
+from sefc.schema import SignalRole, apply_adapter, builtin_adapter
 
 
 def report(criterion: int, detail: str) -> None:
@@ -44,11 +44,14 @@ def test_criterion_01_adapter_fidelity():
     table = {s.raw_name: rng.normal(size=8) for s in spec.signals}
     from sefc.schema import EpisodeMeta
     ep = apply_adapter(table, spec, EpisodeMeta("e", "arm", "pick_and_place"))
-    x, xd = select_signals(ep, SignalRole.SETPOINT,
-                           ("setpoint_pos", "setpoint_vel", "setpoint_acc"))
-    y, yd = select_signals(ep, SignalRole.EFFORT, "effort_motor_torque")
-    assert tuple(d.canonical_name for d in xd) == ANOMALY_INPUT_CHANNELS
-    assert tuple(d.canonical_name for d in yd) == ANOMALY_OUTPUT_CHANNELS
+    setpoints = tuple(d.canonical_name for d in ep.descriptors
+                      if d.role == SignalRole.SETPOINT and d.canonical_name.startswith(
+                          ("setpoint_pos_", "setpoint_vel_", "setpoint_acc_")))
+    efforts = tuple(d.canonical_name for d in ep.descriptors
+                    if d.role == SignalRole.EFFORT
+                    and d.canonical_name.startswith("effort_motor_torque_"))
+    assert setpoints == ANOMALY_INPUT_CHANNELS
+    assert efforts == ANOMALY_OUTPUT_CHANNELS
     n_rows = sum(len(v) for v in EXPECTED_BY_SOURCE.values())
     report(1, f"6 adapters, {n_rows} transcribed rows exact; voraus 18+6 signal set")
 

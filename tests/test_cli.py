@@ -160,6 +160,31 @@ class TestGenerate:
         assert manifest["seed"] == 3
         assert manifest["outputs"] == [f"ep_{i:05d}.csv" for i in range(10)]
 
+    def test_plant_bound_error_names_the_episode(self, tmp_path, capsys):
+        config = tmp_path / "gen.yaml"
+        config.write_text(yaml.safe_dump({"randomization": {"mass_kg_range": [1000.0, 1000.0]}}))
+        rc = main(["generate", "--out", str(tmp_path / "o"), "--config", str(config)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "error: ep_00000 (healthy): effort beyond |tau| <= 1000 Nm\n"
+        assert "None" not in err
+
+    @pytest.mark.parametrize("sim_dt_s,fault,key", [
+        (0.2, "unstable_platform", "freq_hz"),            # 3 Hz sampled at 5 Hz aliases
+        (1 / 6, "unstable_platform", "freq_hz"),          # at 6 Hz it samples sin(pi k)
+        (0.25, "invalid_gripping_position", "delay_steps"),   # seed 0 draws past 35 steps
+        (0.1, "collision_foam_spike", "onset_step"),      # transfer too short for the range
+        (0.09, "collision_foam_spike", "duration_s"),     # the pulse samples only zeros
+    ])
+    def test_coarse_sim_dt_exits_2_naming_fault_and_key(self, tmp_path, capsys,
+                                                        sim_dt_s, fault, key):
+        config = tmp_path / "gen.yaml"
+        config.write_text(yaml.safe_dump({"randomization": {"sim_dt_s": sim_dt_s}}))
+        rc = main(["generate", "--out", str(tmp_path / "o"), "--config", str(config),
+                   "--seed", "0", "--n-healthy", "0", "--fault-mix", f"{fault}=1"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {fault}: {key} ")
+
     def test_repeated_fault_mix_entry_exits_2(self, tmp_path, capsys):
         out = tmp_path / "o"
         rc = main(["generate", "--out", str(out), "--seed", "0", "--n-healthy", "1",
@@ -352,6 +377,47 @@ class TestIngest:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {adapter}: malformed YAML")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("doc,where,detail", [
+        ("native_rate_hz: 100\nsignals: [{raw: q0, canonical: feedback_pos_0, role: feedback}]\n",
+         "source_id", "'source_id'"),
+        ("source_id: lab\nnative_rate_hz: 100\nsignals: [{canonical: feedback_pos_0}]\n",
+         "signals[0]", "'raw'"),
+        ("source_id: lab\nnative_rate_hz: 100\n"
+         "signals: [{raw: 'q{j}', canonical: 'feedback_pos_{i}', expand: {i: 0..5}}]\n",
+         "signals[0]", "'j'"),
+        ("source_id: lab\nnative_rate_hz: fast\nsignals: []\n", "native_rate_hz", "'fast'"),
+        ("source_id: lab\nnative_rate_hz: 100\nsignals: null\n", "signals", "NoneType"),
+        ("source_id: lab\nnative_rate_hz: 100\nsignals: [{raw: q0, canonical: c, axis: x}]\n",
+         "signals[0]", "'x'"),
+        ("source_id: lab\nnative_rate_hz: 100\n"
+         "signals: [{raw: q0, canonical: c}, {raw: q1, canonical: d, expand: 5}]\n",
+         "signals[1]", "'int'"),
+    ], ids=["no_source_id", "row_without_raw", "unbound_expand_variable", "rate_not_a_number",
+            "signals_null", "axis_not_an_integer", "expand_not_a_mapping"])
+    def test_malformed_adapter_exits_2_naming_file_and_key(self, tmp_path, capsys,
+                                                           doc, where, detail):
+        adapter = tmp_path / "bad.yaml"
+        adapter.write_text(doc)
+        rc = main(["ingest", "--raw-dir", str(tmp_path), "--adapter", str(adapter),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {adapter}: {where}: ") and detail in err
+        assert "Traceback" not in err
+
+    def test_absent_phase_column_fails_the_file(self, tmp_path, capsys):
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        (raw / "sample01.csv").write_text((FIXTURES / "voraus_sample.csv").read_text())
+        out = tmp_path / "out"
+        rc = main(["ingest", "--raw-dir", str(raw), "--adapter", "voraus_ad",
+                   "--out", str(out), "--phase-column", "phse"])
+        assert rc == 1
+        manifest = yaml.safe_load((out / "manifest.yaml").read_text())
+        assert manifest["outputs"] == []
+        assert manifest["failures"] == [
+            "sample01.csv: mapped raw column not found in table: 'phse'"]
 
     def test_manifest_records_failures(self, tmp_path, capsys):
         raw = tmp_path / "raw"
@@ -1038,6 +1104,7 @@ class TestMissingInputDirectory:
         ["eval-forecast", "--data", "{missing}"],
         ["eval-transfer", "--train-data", "{missing}", "--eval-data", "{empty}"],
         ["gap", "--real-dir", "{empty}", "--sim-dir", "{missing}"],
+        ["report", "--in", "{missing}"],
     ], ids=lambda argv: argv[0])
     def test_exits_1_naming_it(self, tmp_path, capsys, argv):
         missing, empty, out = tmp_path / "missing", tmp_path / "empty", tmp_path / "out"

@@ -941,8 +941,7 @@ class TestSidecarChannelBlock:
         (3, None), (19, "additional_axis_payload"), (55, "gripper_release_mid_motion"),
     ])
     def test_synthetic_sidecars(self, tmp_path, monkeypatch, seed, fault):
-        directive = fault and synthgen.FaultDirective(fault)
-        ep = synthgen.generate_episode(seed, fault=directive, episode_id=f"s{seed}")
+        ep = synthgen.generate_episode(seed, fault=fault, episode_id=f"s{seed}")
         csv_path, _ = write_canonical(ep, tmp_path)
         got = self.assert_reads_as_whole_document(csv_path, monkeypatch, split=True)
         assert got[7] == ep.descriptors and got[9] == ep.phase.tolist()

@@ -18,7 +18,6 @@ from sefc.schema import (
     builtin_adapter,
     expand_signal_rows,
     phase_runs,
-    select_signals,
     validate_adapter,
     _coerce_cell,
 )
@@ -199,44 +198,11 @@ class TestApplyAdapter:
         ep = apply_adapter(raw_table_for(spec, 5), spec, META)
         assert set(ep.phase) == {"unknown"}
 
-
-@pytest.fixture(scope="module")
-def voraus_episode():
-    spec = builtin_adapter("voraus_ad")
-    return apply_adapter(raw_table_for(spec, 20), spec, META)
-
-
-class TestSelectSignals:
-    def test_voraus_18_setpoint_channels(self, voraus_episode):
-        m, descs = select_signals(
-            voraus_episode, SignalRole.SETPOINT,
-            ("setpoint_pos", "setpoint_vel", "setpoint_acc"),
-        )
-        assert m.shape == (20, 18)
-        assert [d.canonical_name for d in descs[:6]] == [
-            f"setpoint_pos_{i}" for i in range(6)
-        ]
-
-    def test_voraus_6_effort_channels(self, voraus_episode):
-        m, descs = select_signals(
-            voraus_episode, SignalRole.EFFORT, "effort_motor_torque"
-        )
-        assert m.shape == (20, 6)
-        assert [d.axis for d in descs] == [0, 1, 2, 3, 4, 5]
-
-    def test_empty_selection(self, voraus_episode):
-        m, descs = select_signals(voraus_episode, SignalRole.AUXILIARY)
-        assert m.shape == (20, 0) and descs == []
-
-    def test_role_partition_covers_all_channels_once(self):
-        for source_id in BUILTIN_ADAPTER_IDS:
-            spec = builtin_adapter(source_id)
-            ep = apply_adapter(raw_table_for(spec, 6), spec, META)
-            names = []
-            for role in SignalRole:
-                _, descs = select_signals(ep, role)
-                names.extend(d.canonical_name for d in descs)
-            assert sorted(names) == sorted(ep.channel_names), source_id
+    def test_absent_phase_column_raises(self):
+        spec = builtin_adapter("voraus_ad")
+        meta = EpisodeMeta("e", "ur5", "pick_and_place", phase_column="phse")
+        with pytest.raises(MissingRawColumn, match="phse"):
+            apply_adapter(raw_table_for(spec, 5), spec, meta)
 
 
 class TestEpisodeInvariants:

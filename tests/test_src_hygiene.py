@@ -1,17 +1,22 @@
 """No name left behind: every import and every private module-level name of a
-``sefc`` module is read in that module.
+``sefc`` module is read in that module, and every public module-level function
+and class is read somewhere in ``src/sefc`` or ``bench/``.
 
-A deletion that leaves an unused import or a private constant behind fails
-here.  Package ``__init__`` modules re-export names and are not checked.
+A deletion that leaves an unused import, a private constant or a function only
+tests call behind fails here.  Package ``__init__`` modules re-export names and
+are neither checked nor counted as readers.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "sefc"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "sefc"
 MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
+BENCH = sorted((ROOT / "bench").glob("*.py"))
 
 
 def _tree(path: Path) -> ast.Module:
@@ -63,3 +68,35 @@ def test_every_private_module_name_is_read(path):
     tree = _tree(path)
     unread = _private_module_names(tree) - _read_names(tree)
     assert not unread, f"{path.name}: never read: {sorted(unread)}"
+
+
+def _tracer_target_words(tree: ast.Module) -> set[str]:
+    """The module, class and attribute names of every ``Target``/``_nn`` string argument."""
+    return {word for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("Target", "_nn")
+            for arg in node.args if isinstance(arg, ast.Constant) and isinstance(arg.value, str)
+            for word in re.split(r"[.:]", arg.value)}
+
+
+def _outside_reads(path: Path) -> set[str]:
+    """Names *path* reads: loaded names, attributes, imported names and, in
+    ``bench/tracer.py``, the names spelled in its wrap targets."""
+    tree = _tree(path)
+    read = _read_names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read |= {a.name for a in node.names}
+    if path.name == "tracer.py":
+        read |= _tracer_target_words(tree)
+    return read
+
+
+def test_every_public_def_has_a_reader():
+    read = set().union(*map(_outside_reads, MODULES + BENCH))
+    unread = [f"{path.relative_to(SRC)}: {node.name}" for path in MODULES
+              for node in _tree(path).body
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+              and not node.name.startswith("_") and node.name not in read]
+    assert not unread, f"read only by tests, or by nothing: {unread}"

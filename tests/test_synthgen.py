@@ -23,7 +23,6 @@ from sefc.synthgen import (
     K_TRACK,
     PHASE_NAMES,
     EpisodeParams,
-    FaultDirective,
     PhasePlan,
     RandomizationConfig,
     build_phase_plan,
@@ -132,8 +131,8 @@ class TestSampleParams:
             assert abs(p.spawn_offset_m[1]) <= cfg.spawn_box_m[1] / 2
 
     def test_same_seed_identical(self):
-        a = sample_params(42, fault=FaultDirective("collision_foam_spike"))
-        b = sample_params(42, fault=FaultDirective("collision_foam_spike"))
+        a = sample_params(42, fault="collision_foam_spike")
+        b = sample_params(42, fault="collision_foam_spike")
         assert a == b
 
     def test_friction_monte_carlo(self):
@@ -143,7 +142,7 @@ class TestSampleParams:
         assert abs(draws.mean() - 0.40) < 0.01
 
     def test_twin_base_draws_unaffected_by_fault(self):
-        faulty = sample_params(7, fault=FaultDirective("additional_axis_payload"))
+        faulty = sample_params(7, fault="additional_axis_payload")
         twin = sample_params(7)
         assert dataclasses.replace(faulty, fault=None) == twin
         assert faulty.mass_kg == twin.mass_kg
@@ -155,13 +154,7 @@ class TestSampleParams:
 
     def test_unsupported_fault(self):
         with pytest.raises(UnsupportedFault):
-            sample_params(0, fault=FaultDirective("damaged_screw_thread"))
-
-    def test_onset_step_bounds_checked(self):
-        with pytest.raises(SchemaViolation, match="onset_step"):
-            sample_params(0, fault=FaultDirective(
-                "collision_foam_spike", {"onset_step": 10_000}
-            ))
+            generate_episode(0, fault="damaged_screw_thread")
 
 
 class TestConfigFields:
@@ -292,12 +285,10 @@ class TestPlant:
         assert abs(q[-1] - A) <= 0.01 * A   # settled within 1 percent
 
     def test_numerical_instability_guard(self):
-        params = sample_params(
-            8, fault=FaultDirective("payload_weight_misconfiguration",
-                                    {"configured_scale": 1e7}),
-        )
-        with pytest.raises(NumericalInstability):
-            simulate_plant(params)
+        # a config's mass range reaches the tracking law's per-step guard
+        cfg = RandomizationConfig(mass_kg_range=(1e5, 1e5))
+        with pytest.raises(NumericalInstability, match="at step 181"):
+            generate_episode(8, cfg, fault="payload_weight_misconfiguration", noise=False)
 
     def test_phase_partition_ten_contiguous_runs(self, noiseless_episode):
         runs = encode_phase_rle(noiseless_episode.phase)
@@ -328,12 +319,12 @@ class TestFaults:
 
     def test_additional_axis_payload_closed_form(self):
         seed = 77
-        params = sample_params(seed, fault=FaultDirective("additional_axis_payload"))
+        magnitudes = _drawn("additional_axis_payload", seed)
         healthy = generate_episode(seed, noise=False, episode_id="h")
-        faulty = generate_episode(seed, fault=FaultDirective("additional_axis_payload"),
+        faulty = generate_episode(seed, fault="additional_axis_payload",
                                   noise=False, episode_id="f")
-        j = params.fault.params["joint"]
-        w = params.fault.params["weight_kg"]
+        j = magnitudes["joint"]
+        w = magnitudes["weight_kg"]
         expected = w * GRAVITY * GRAVITY_ARM_M[j] * np.cos(
             healthy.channel(f"feedback_pos_{j}")
         )
@@ -352,19 +343,15 @@ class TestFaults:
     def test_out_of_subset_fault(self):
         params = sample_params(1234)
         params = EpisodeParams(
-            **{**params.__dict__, "fault": FaultDirective("damaged_screw_thread")}
+            **{**params.__dict__, "fault": "damaged_screw_thread"}
         )
         with pytest.raises(UnsupportedFault):
             simulate_plant(params)
 
     def test_unstable_platform_adds_exact_sinusoid(self):
         seed = 31
-        fp = {"freq_hz": 3.0, "amplitude_rad": 0.005}
         healthy = generate_episode(seed, noise=False, episode_id="h")
-        faulty = generate_episode(
-            seed, fault=FaultDirective("unstable_platform", fp),
-            noise=False, episode_id="f",
-        )
+        faulty = generate_episode(seed, fault="unstable_platform", noise=False, episode_id="f")
         wobble = 0.005 * np.sin(2 * np.pi * 3.0 * healthy.t)
         for i in range(6):
             diff = faulty.channel(f"feedback_pos_{i}") - healthy.channel(f"feedback_pos_{i}")
@@ -374,8 +361,8 @@ class TestFaults:
 
     def test_gripper_release_drops_payload(self):
         seed = 55
-        params = sample_params(seed, fault=FaultDirective("gripper_release_mid_motion"))
-        onset = params.fault.params["onset_step"]
+        params = sample_params(seed, fault="gripper_release_mid_motion")
+        onset = _drawn("gripper_release_mid_motion", seed)["onset_step"]
         healthy = generate_episode(seed, noise=False, episode_id="h")
         faulty = generate_episode(seed, fault=params.fault, noise=False, episode_id="f")
         attached = faulty.channel("ctx_gripper_attached")
@@ -395,139 +382,98 @@ class TestFaults:
 
     def test_gripper_activation_failure_never_attaches(self):
         ep = generate_episode(
-            66, fault=FaultDirective("gripper_activation_failure"),
+            66, fault="gripper_activation_failure",
             noise=False, episode_id="f",
         )
         assert np.all(ep.channel("ctx_gripper_attached") == 0.0)
         assert np.abs(ep.channel("feedback_gripper_pos")).max() <= 1e-12
 
 
-def _declared_magnitudes(integer: bool):
-    """(fault, magnitude) for every integer (or every float) magnitude in the table."""
-    return [pytest.param(c.fault_type, m, id=f"{c.fault_type}-{m.key}")
+def _drawn(fault, seed):
+    """The magnitudes `simulate_plant` draws for *fault* in the episode of *seed*."""
+    return synthgen._fault_magnitudes(fault, plan_trajectory(sample_params(seed)), seed)
+
+
+def _drawn_keys(integer: bool):
+    """(fault, key) for every magnitude the episode of seed 19 draws as an int (or a float)."""
+    return [pytest.param(c.fault_type, key, id=f"{c.fault_type}-{key}")
             for c in FAULT_CATALOG if c.injectable
-            for m in c.magnitudes if (m.steps is not None) == integer]
+            for key, value in _drawn(c.fault_type, 19).items() if isinstance(value, int) == integer]
+
+
+@pytest.fixture
+def set_magnitudes(monkeypatch):
+    """Replace drawn magnitudes by the given values, through the one seam that draws them."""
+    draw = synthgen._fault_magnitudes
+
+    def set_(changes):
+        monkeypatch.setattr(synthgen, "_fault_magnitudes",
+                            lambda fault, traj, seed: {**draw(fault, traj, seed), **changes})
+    return set_
 
 
 class TestFaultMagnitudes:
-    @pytest.mark.parametrize("fault,params,key", [
-        ("unstable_platform", {"amplitude": 0.5}, "amplitude"),
-        ("unstable_platform", {"amplitude_rad": "x"}, "amplitude_rad"),
-        ("collision_foam_spike", {"n_joints": 0}, "n_joints"),
-        ("additional_axis_payload", {"joint": -1}, "joint"),
-        ("additional_axis_payload", {"joint": 0}, "joint"),
-        ("additional_axis_payload", {"joint": 9}, "joint"),
-        ("invalid_gripping_position", {"delay_steps": -5}, "delay_steps"),
-        ("invalid_gripping_position", {"delay_steps": 2.5}, "delay_steps"),
-        ("invalid_gripping_position", {"delay_steps": 10_000}, "delay_steps"),
-        ("gripper_release_mid_motion", {"onset_step": 3.7}, "onset_step"),
-        ("gripper_release_mid_motion", {"onset_step": 500}, "onset_step"),
-        ("collision_foam_spike", {"duration_s": float("nan")}, "duration_s"),
-        ("unexpected_payload_weight", {"scale": True}, "scale"),
-        ("gripper_activation_failure", {"foo": 1}, "foo"),
-    ])
-    def test_bad_magnitude_names_fault_and_key(self, fault, params, key):
-        with pytest.raises(SchemaViolation) as err:
-            sample_params(19, fault=FaultDirective(fault, params))
-        assert fault in str(err.value) and key in str(err.value)
+    def test_draw_reads_the_seed_and_phase_runs_only(self):
+        # the spawn offset moves waypoints, never the phase runs the draws read
+        nominal = profiles_from_plan(build_phase_plan((0.0, 0.0)), 60.0)
+        for c in FAULT_CATALOG:
+            if c.injectable:
+                drawn = _drawn(c.fault_type, 7)
+                assert list(drawn) == [m.key for m in c.magnitudes]
+                assert synthgen._fault_magnitudes(c.fault_type, nominal, 7) == drawn
+        assert _drawn("additional_axis_payload", 7) == {"joint": 1, "weight_kg": 0.7561224991740392}
 
-    @pytest.mark.parametrize("fault,params,key", [
-        ("unexpected_payload_weight", {"scale": 1.0}, "scale"),
-        ("payload_weight_misconfiguration", {"configured_scale": 1.0}, "configured_scale"),
-        ("collision_foam_spike", {"duration_s": 1e308}, "duration_s"),
-    ])
-    def test_float_rule_names_fault_and_key(self, fault, params, key):
-        # an identity scale leaves the episode equal to its twin; a huge duration overflows
-        with pytest.raises(SchemaViolation) as err:
-            generate_episode(19, fault=FaultDirective(fault, params), noise=False)
-        assert fault in str(err.value) and key in str(err.value)
+    @pytest.mark.parametrize("fault,key", _drawn_keys(integer=False))
+    def test_every_float_magnitude_changes_episode(self, set_magnitudes, fault, key):
+        default = generate_episode(19, fault=fault, episode_id="ep", noise=False)
+        set_magnitudes({key: _drawn(fault, 19)[key] * 1.25})
+        ep = generate_episode(19, fault=fault, episode_id="ep", noise=False)
+        assert not np.array_equal(ep.channels, default.channels), f"{key} has no effect"
 
-    def test_duration_bound_is_the_episode_length(self):
-        traj = plan_trajectory(sample_params(19))
-        longest = traj.n_steps / traj.rate_hz
-        ep = generate_episode(19, fault=FaultDirective("collision_foam_spike",
-                                                       {"duration_s": longest}), noise=False)
-        assert ep.fault == "collision_foam_spike"
-        beyond = FaultDirective("collision_foam_spike", {"duration_s": math.nextafter(longest, 1e9)})
-        with pytest.raises(SchemaViolation, match="collision_foam_spike: duration_s"):
-            sample_params(19, fault=beyond)
-
-    @pytest.mark.parametrize("freq_hz", [30.0, 60.0, 90.0])
-    def test_platform_frequency_stays_below_nyquist(self, freq_hz):
-        # a multiple of half the 60 Hz rate samples sin(pi k) and leaves the twin
-        with pytest.raises(SchemaViolation, match="unstable_platform: freq_hz"):
-            generate_episode(19, fault=FaultDirective("unstable_platform",
-                                                      {"freq_hz": freq_hz}), noise=False)
-
-    def test_platform_frequency_just_below_nyquist_changes_episode(self):
-        healthy = generate_episode(19, episode_id="ep", noise=False)
-        ep = generate_episode(19, fault=FaultDirective("unstable_platform", {"freq_hz": 29.0}),
-                              episode_id="ep", noise=False)
-        assert np.abs(ep.channels - healthy.channels).max() > 1e-4
+    @pytest.mark.parametrize("fault,key", _drawn_keys(integer=True))
+    def test_int_magnitude_changes_episode(self, set_magnitudes, fault, key):
+        default = generate_episode(19, fault=fault, episode_id="ep", noise=False)
+        set_magnitudes({key: _drawn(fault, 19)[key] + 1})
+        ep = generate_episode(19, fault=fault, episode_id="ep", noise=False)
+        assert not np.array_equal(ep.channels, default.channels), f"{key} has no effect"
 
     @pytest.mark.parametrize("fault,params", [
         ("unstable_platform", {"amplitude_rad": 1e308}),
         ("unstable_platform", {"amplitude_rad": 100.0}),
         ("additional_axis_payload", {"weight_kg": 1e308}),
     ])
-    def test_additive_fault_keeps_plant_bounds(self, fault, params):
+    def test_additive_fault_keeps_plant_bounds(self, set_magnitudes, fault, params):
         # the additive faults act after the tracking law, whose state guard never sees them
-        with pytest.raises(NumericalInstability, match=fault):
-            generate_episode(19, fault=FaultDirective(fault, params), noise=False)
-
-    def test_simulate_plant_checks_hand_built_directive(self):
-        params = dataclasses.replace(sample_params(1),
-                                     fault=FaultDirective("unstable_platform"))
-        with pytest.raises(SchemaViolation, match="unstable_platform.*freq_hz"):
-            simulate_plant(params)
-
-    @pytest.mark.parametrize("fault,magnitude", _declared_magnitudes(integer=True))
-    def test_integer_range_ends_change_episode_and_beyond_raise(self, fault, magnitude):
-        healthy = generate_episode(19, episode_id="ep", noise=False)
-        traj = plan_trajectory(sample_params(19))
-        lo, hi = magnitude.steps(traj.n_steps, traj.phase_runs())
-        ends = [generate_episode(19, fault=FaultDirective(fault, {magnitude.key: value}),
-                                 episode_id="ep", noise=False).channels for value in (lo, hi)]
-        assert not np.array_equal(ends[0], healthy.channels), lo
-        assert not np.array_equal(ends[1], healthy.channels), hi
-        assert not np.array_equal(ends[0], ends[1]), f"{magnitude.key} has no effect"
-        for value in (lo - 1, hi + 1):
-            with pytest.raises(SchemaViolation, match=f"{fault}: {magnitude.key}"):
-                sample_params(19, fault=FaultDirective(fault, {magnitude.key: value}))
-
-    @pytest.mark.parametrize("fault,magnitude", _declared_magnitudes(integer=False))
-    def test_every_float_magnitude_changes_episode(self, fault, magnitude):
-        default = generate_episode(19, fault=FaultDirective(fault), episode_id="ep", noise=False)
-        value = sample_params(19, fault=FaultDirective(fault)).fault.params[magnitude.key]
-        ep = generate_episode(19, fault=FaultDirective(fault, {magnitude.key: value * 1.25}),
-                              episode_id="ep", noise=False)
-        assert not np.array_equal(ep.channels, default.channels)
+        set_magnitudes(params)
+        with pytest.raises(NumericalInstability, match=rf"ep_19 \({fault}\)"):
+            generate_episode(19, fault=fault, noise=False)
 
     @pytest.mark.parametrize("fault,params", [
         ("collision_foam_spike", {"peak_nm": 1.7e308}),
         ("additional_axis_payload", {"weight_kg": 1e300}),
     ])
-    def test_huge_finite_effort_raises(self, fault, params):
+    def test_huge_finite_effort_raises(self, set_magnitudes, fault, params):
         # finite but absurd efforts: only a declared effort bound catches them
-        with pytest.raises(NumericalInstability, match=f"{fault}: effort"):
-            generate_episode(19, fault=FaultDirective(fault, params), noise=False)
+        set_magnitudes(params)
+        with pytest.raises(NumericalInstability, match=rf"\({fault}\): effort"):
+            generate_episode(19, fault=fault, noise=False)
 
-    def test_effort_up_to_its_bound_is_kept(self):
-        ep = generate_episode(19, fault=FaultDirective("collision_foam_spike", {"peak_nm": 900.0}),
-                              noise=False)
+    def test_effort_up_to_its_bound_is_kept(self, set_magnitudes):
+        set_magnitudes({"peak_nm": 900.0})
+        ep = generate_episode(19, fault="collision_foam_spike", noise=False)
         effort = ep.columns([f"effort_motor_torque_{j}" for j in range(6)])
         assert 800.0 < np.abs(effort).max() <= synthgen._EFFORT_BOUND_NM
 
-    def test_pulse_that_changes_no_effort_raises(self):
+    def test_pulse_that_changes_no_effort_raises(self, set_magnitudes):
         # a subnormal peak adds nothing to efforts of order 1: the twin, labelled faulty
+        set_magnitudes({"peak_nm": 1e-320})
         with pytest.raises(SchemaViolation, match="collision_foam_spike"):
-            generate_episode(19, fault=FaultDirective("collision_foam_spike", {"peak_nm": 1e-320}),
-                             noise=False)
+            generate_episode(19, fault="collision_foam_spike", noise=False)
 
 
 # sha256 over the channel names, the phase labels, t and the channels (as
-# little-endian float64) of `generate_episode(19, FaultDirective(fault),
-# episode_id="ep", noise=noise)` with the default fault magnitudes, recorded
+# little-endian float64) of `generate_episode(19, fault=fault,
+# episode_id="ep", noise=noise)` with the drawn fault magnitudes, recorded
 # when each fault was still applied by a second simulate entry point.  Any
 # change to the plant, a fault's injection or the sensor noise moves them.
 GOLDEN_EPISODES = {
@@ -567,8 +513,7 @@ def test_golden_digests_cover_every_injectable_fault():
 
 @pytest.mark.parametrize("fault,noise", sorted(GOLDEN_EPISODES, key=str))
 def test_generate_episode_digest(fault, noise):
-    directive = None if fault is None else FaultDirective(fault)
-    ep = generate_episode(19, fault=directive, episode_id="ep", noise=noise)
+    ep = generate_episode(19, fault=fault, episode_id="ep", noise=noise)
     assert _episode_digest(ep) == GOLDEN_EPISODES[fault, noise]
 
 
@@ -688,9 +633,7 @@ class TestCorpus:
                     )
             # noise draws are identical on channels the fault does not touch
             seed = 9000 + int(faulty.episode_id[2:])
-            j = sample_params(
-                seed, fault=FaultDirective("additional_axis_payload")
-            ).fault.params["joint"]
+            j = _drawn("additional_axis_payload", seed)["joint"]
             for i in range(6):
                 if i == j:
                     continue
