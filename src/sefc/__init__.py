@@ -23,5 +23,4 @@ from .schema import (  # noqa: F401
     apply_adapter,
     builtin_adapter,
     load_adapter,
-    validate_adapter,
 )

@@ -25,7 +25,8 @@ from . import __version__, anomaly, forecast, gap, ingest, synthgen
 from .codec import dump_yaml, write_csv
 from .errors import SchemaViolation, SefcError, UnsupportedFault
 from .nnkit import TrainConfig
-from .schema import BUILTIN_ADAPTER_IDS, EpisodeMeta, apply_adapter, builtin_adapter, load_adapter
+from .schema import (BUILTIN_ADAPTER_IDS, TASKS, EpisodeMeta, apply_adapter, builtin_adapter,
+                     load_adapter)
 
 #: The report file of each section that ``sefc report`` merges, in order.
 _REPORT_FILES = {
@@ -249,6 +250,12 @@ def cmd_ingest(args: argparse.Namespace, out: Path) -> _Done:
             f"unknown adapter {adapter_arg!r}: expected a built-in adapter id or an "
             f"adapter YAML file; built-ins: {', '.join(BUILTIN_ADAPTER_IDS)}"
         )
+    allow_missing = args.allow_missing.split(",") if args.allow_missing else ()
+    raw_names = {sig.raw_name for sig in adapter.signals}
+    for name in allow_missing:
+        if name not in raw_names:
+            raise SchemaViolation(f"--allow-missing: {name!r} is not a raw column of "
+                                  f"adapter {adapter.source_id!r}")
 
     dialect = ingest.CsvDialect(
         delimiter=args.dialect_delimiter,
@@ -267,8 +274,7 @@ def cmd_ingest(args: argparse.Namespace, out: Path) -> _Done:
                 task=args.task,
                 phase_column=args.phase_column,
             )
-            ep = apply_adapter(table, adapter, meta,
-                               allow_missing=args.allow_missing.split(",") if args.allow_missing else ())
+            ep = apply_adapter(table, adapter, meta, allow_missing)
             ep = ingest.fill_gaps(ep, args.max_missing_fraction)
             if abs(ep.rate_hz - args.rate_hz) > 1e-12:
                 ep = ingest.resample(ep, args.rate_hz)
@@ -462,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--adapter", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--rate-hz", type=float, default=100.0)
-    p.add_argument("--task", default="pick_and_place")
+    p.add_argument("--task", choices=TASKS, default="pick_and_place")
     p.add_argument("--embodiment", default=None)
     p.add_argument("--phase-column", default=None)
     p.add_argument("--allow-missing", default=None, help="comma-separated raw names")

@@ -46,9 +46,20 @@ DEFAULT_NA_TOKENS = ("", "NA", "N/A", "NaN", "nan", "null", "NULL")
 
 @dataclass(frozen=True)
 class CsvDialect:
+    """How a raw CSV writes its cells: the field delimiter, the decimal mark
+    and the tokens read as missing.  The delimiter and the decimal mark must
+    be one character each; any other value raises SchemaViolation when the
+    dialect is built."""
+
     delimiter: str = ","
     decimal: str = "."
     na_tokens: tuple[str, ...] = DEFAULT_NA_TOKENS
+
+    def __post_init__(self):
+        for name in ("delimiter", "decimal"):
+            value = getattr(self, name)
+            if len(value) != 1:
+                raise SchemaViolation(f"CSV dialect {name} must be one character, got {value!r}")
 
 
 # Bytes a plain file may hold besides its delimiter, once its \r\n line ends
@@ -106,12 +117,12 @@ def parse_raw_csv(
 
 
 def _plain_dialect(dialect: CsvDialect) -> bool:
-    d, dec = dialect.delimiter, dialect.decimal
-    if len(d) != 1 or not d.isascii() or d in '"\r\n':
+    d = dialect.delimiter
+    if not d.isascii() or d in '"\r\n':
         return False
     # The decimal mark is rewritten across each block once NA cells read
     # "nan", so it must not be the delimiter, a line end or a letter of "nan".
-    return len(dec) == 1 and dec not in d + "\nnan"
+    return dialect.decimal not in d + "\nnan"
 
 
 def _blocks(raw: bytes) -> Iterator[bytes]:
@@ -490,8 +501,9 @@ def _load_sidecar(sidecar: Path) -> tuple[object, Optional[tuple[ChannelDescript
 def read_canonical(csv_path: Union[str, Path]) -> Episode:
     """Read a canonical episode and its sidecar, validating all invariants.
 
-    Raises SchemaViolation when the data file and sidecar disagree or the
-    decoded episode breaks an invariant.
+    Raises SchemaViolation when the data file and sidecar disagree, the
+    sidecar's ``healthy`` is not a bool or its ``fault`` neither a string nor
+    null, or the decoded episode breaks an invariant.
     """
     csv_path = Path(csv_path)
     sidecar = sidecar_path_for(csv_path)
@@ -508,11 +520,14 @@ def read_canonical(csv_path: Union[str, Path]) -> Episode:
         task = str(meta["task"])
         rate_hz = float(meta["rate_hz"])
         fault = meta.get("fault")
-        fault = None if fault is None else str(fault)
-        healthy = bool(meta["healthy"])
+        healthy = meta["healthy"]
         rle = meta["phase_rle"]
     except (KeyError, ValueError, TypeError) as exc:
         raise SchemaViolation(f"{sidecar}: {exc!r}") from exc
+    if not isinstance(healthy, bool):
+        raise SchemaViolation(f"{sidecar}: healthy must be true or false, got {healthy!r}")
+    if not (fault is None or isinstance(fault, str)):
+        raise SchemaViolation(f"{sidecar}: fault must be a string or null, got {fault!r}")
 
     with open(csv_path, "r", encoding="utf-8") as fh:
         header_line = fh.readline()

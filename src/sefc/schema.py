@@ -6,7 +6,9 @@ outcome), Context (environmental/static state) -- or one of three carrier
 roles (Metadata, Auxiliary, RawLabel) that are stored but never fed to
 models by default.  Adapters are declarative: each source ships a config
 file mapping its raw column names onto canonical names, and the mapping is
-applied mechanically.
+applied mechanically.  Each spec type checks its own invariants when it is
+built and raises SchemaViolation, so an invalid adapter fails once, where it
+is loaded, and ``apply_adapter`` never checks it again.
 """
 
 from __future__ import annotations
@@ -64,13 +66,54 @@ class SignalSpec:
 
 @dataclass(frozen=True)
 class AdapterSpec:
-    """Declarative mapping for one data source."""
+    """Declarative mapping for one data source.
+
+    Checked at construction: a spec with problems raises SchemaViolation
+    reading ``adapter '<source_id>' invalid:`` followed by one
+    ``[code] message`` line per problem -- a raw or canonical name mapped
+    twice (``duplicate-raw``, ``duplicate-canonical``), a canonical name that
+    is not lowercase snake case (``bad-canonical-name``), a negative axis
+    (``bad-axis``) or a name not ending in ``_<axis>``
+    (``malformed-axis-suffix``), a signal without a role or unit
+    (``missing-role``, ``missing-unit``), a ``native_rate_hz`` that is not
+    finite and positive (``bad-rate``), and an absent channel that is also
+    mapped (``absent-overlap``).
+    """
 
     source_id: str
     native_rate_hz: float
     signals: tuple[SignalSpec, ...]
     absent_channels: tuple[str, ...] = ()
     notes: str = ""
+
+    def __post_init__(self):
+        problems: list[str] = []
+        seen_raw: set[str] = set()
+        seen_canon: set[str] = set()
+        for sig in self.signals:
+            name = sig.canonical_name
+            if sig.raw_name in seen_raw:
+                problems.append(f"[duplicate-raw] raw name {sig.raw_name!r} mapped twice")
+            seen_raw.add(sig.raw_name)
+            if name in seen_canon:
+                problems.append(f"[duplicate-canonical] canonical name {name!r} assigned twice")
+            seen_canon.add(name)
+            if not _SNAKE_RE.match(name):
+                problems.append(f"[bad-canonical-name] {name!r} is not lowercase snake case")
+            if sig.axis is not None and sig.axis < 0:
+                problems.append(f"[bad-axis] {name!r}: axis must be >= 0")
+            elif sig.axis is not None and not name.endswith(f"_{sig.axis}"):
+                problems.append(f"[malformed-axis-suffix] {name!r} does not end in _{sig.axis}")
+            if sig.role is None:
+                problems.append(f"[missing-role] {sig.raw_name!r} has no role")
+            if not sig.unit:
+                problems.append(f"[missing-unit] {sig.raw_name!r} has no unit")
+        if not 0 < self.native_rate_hz < np.inf:
+            problems.append("[bad-rate] native_rate_hz must be finite and positive")
+        for name in sorted(set(self.absent_channels) & seen_canon):
+            problems.append(f"[absent-overlap] {name!r} both mapped and declared absent")
+        if problems:
+            raise SchemaViolation("\n".join([f"adapter {self.source_id!r} invalid:", *problems]))
 
 
 @dataclass(frozen=True)
@@ -84,29 +127,7 @@ class ChannelDescriptor:
 
     @classmethod
     def from_signal(cls, sig: SignalSpec) -> "ChannelDescriptor":
-        if sig.role is None:
-            raise SchemaViolation(f"signal {sig.raw_name!r} has no role")
         return cls(sig.canonical_name, sig.role, sig.unit, sig.axis)
-
-
-@dataclass(frozen=True)
-class ValidationFinding:
-    code: str
-    message: str
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    findings: tuple[ValidationFinding, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.findings
-
-    def __str__(self) -> str:
-        if self.ok:
-            return "valid"
-        return "\n".join(f"[{f.code}] {f.message}" for f in self.findings)
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,80 +263,6 @@ class EpisodeMeta:
 
 
 # ---------------------------------------------------------------------------
-# adapter validation
-# ---------------------------------------------------------------------------
-
-def validate_adapter(spec: AdapterSpec) -> ValidationReport:
-    """Check an adapter spec for structural problems.
-
-    Never raises: returns a report listing duplicate raw/canonical names,
-    malformed axis suffixes, non-snake-case canonical names, missing
-    roles/units, and absent-channel overlaps.  The adapter is valid iff
-    the report is empty.
-    """
-    findings: list[ValidationFinding] = []
-
-    seen_raw: set[str] = set()
-    seen_canon: set[str] = set()
-    for sig in spec.signals:
-        if sig.raw_name in seen_raw:
-            findings.append(
-                ValidationFinding("duplicate-raw", f"raw name {sig.raw_name!r} mapped twice")
-            )
-        seen_raw.add(sig.raw_name)
-        if sig.canonical_name in seen_canon:
-            findings.append(
-                ValidationFinding(
-                    "duplicate-canonical",
-                    f"canonical name {sig.canonical_name!r} assigned twice",
-                )
-            )
-        seen_canon.add(sig.canonical_name)
-
-        if not _SNAKE_RE.match(sig.canonical_name):
-            findings.append(
-                ValidationFinding(
-                    "bad-canonical-name",
-                    f"{sig.canonical_name!r} is not lowercase snake case",
-                )
-            )
-        if sig.axis is not None:
-            if sig.axis < 0:
-                findings.append(
-                    ValidationFinding("bad-axis", f"{sig.canonical_name!r}: axis must be >= 0")
-                )
-            elif not sig.canonical_name.endswith(f"_{sig.axis}"):
-                findings.append(
-                    ValidationFinding(
-                        "malformed-axis-suffix",
-                        f"{sig.canonical_name!r} does not end in _{sig.axis}",
-                    )
-                )
-        if sig.role is None:
-            findings.append(
-                ValidationFinding("missing-role", f"{sig.raw_name!r} has no role")
-            )
-        if not sig.unit:
-            findings.append(
-                ValidationFinding("missing-unit", f"{sig.raw_name!r} has no unit")
-            )
-
-    if not 0 < spec.native_rate_hz < np.inf:
-        findings.append(
-            ValidationFinding("bad-rate", "native_rate_hz must be finite and positive"))
-
-    overlap = set(spec.absent_channels) & seen_canon
-    for name in sorted(overlap):
-        findings.append(
-            ValidationFinding(
-                "absent-overlap", f"{name!r} both mapped and declared absent"
-            )
-        )
-
-    return ValidationReport(tuple(findings))
-
-
-# ---------------------------------------------------------------------------
 # applying adapters to raw tables
 # ---------------------------------------------------------------------------
 
@@ -385,12 +332,7 @@ def apply_adapter(
         MissingRawColumn: a mapped column is absent and not allow-missing,
             or ``meta.phase_column`` names an absent column.
         NonNumericColumn: a Setpoint/Effort/Feedback column fails to parse.
-        SchemaViolation: the adapter spec itself is invalid.
     """
-    report = validate_adapter(spec)
-    if not report.ok:
-        raise SchemaViolation(f"adapter {spec.source_id!r} invalid:\n{report}")
-
     allow = set(allow_missing)
     cols: list[np.ndarray] = []
     descs: list[ChannelDescriptor] = []

@@ -93,7 +93,13 @@ _STREAM_FAULT = 2
 
 @dataclass(frozen=True)
 class RandomizationConfig:
-    """Domain-randomization ranges and the sensor-noise table."""
+    """Domain-randomization ranges and the sensor-noise table.
+
+    Checked at construction: every ``*_range`` needs lo <= hi, every
+    ``sigma_*`` and both ``spawn_box_m`` sides must be >= 0 and ``sim_dt_s``
+    must be positive.  The first field that breaks its rule raises
+    SchemaViolation reading ``<field>: <rule>``.
+    """
 
     mass_kg_range: tuple[float, float] = (0.10, 0.30)
     friction_range: tuple[float, float] = (0.30, 0.50)
@@ -109,22 +115,16 @@ class RandomizationConfig:
     cube_depth_m_range: tuple[float, float] = (0.03, 0.07)
     cube_height_m_range: tuple[float, float] = (0.03, 0.07)
 
-    def validate(self) -> list[str]:
-        """Return field-naming error messages (empty when valid).
-
-        Every ``*_range`` needs lo <= hi and every ``sigma_*`` must be >= 0.
-        """
-        errors = []
+    def __post_init__(self):
         for name, value in vars(self).items():
             if name.endswith("_range") and value[0] > value[1]:
-                errors.append(f"{name}: lo {value[0]} > hi {value[1]}")
+                raise SchemaViolation(f"{name}: lo {value[0]} > hi {value[1]}")
             elif name.startswith("sigma_") and value < 0:
-                errors.append(f"{name}: must be >= 0")
+                raise SchemaViolation(f"{name}: must be >= 0")
         if self.sim_dt_s <= 0:
-            errors.append("sim_dt_s: must be positive")
+            raise SchemaViolation("sim_dt_s: must be positive")
         if min(self.spawn_box_m) < 0:
-            errors.append("spawn_box_m: must be >= 0")
-        return errors
+            raise SchemaViolation("spawn_box_m: must be >= 0")
 
 
 class _Magnitude(NamedTuple):
@@ -237,10 +237,6 @@ def sample_params(
     (same seed, fault=None) gets identical values.  The fault's magnitudes
     are drawn by ``simulate_plant`` on a separate substream.
     """
-    errors = config.validate()
-    if errors:
-        raise SchemaViolation("; ".join(errors))
-
     rng = np.random.default_rng([seed, _STREAM_DRAWS])
     mass = float(rng.uniform(*config.mass_kg_range))
     friction = float(rng.uniform(*config.friction_range))
@@ -426,7 +422,8 @@ def profiles_from_plan(plan: PhasePlan, rate_hz: float = 60.0) -> TrajectoryPlan
     Positions are the closed-form trapezoids sampled on the grid;
     setpoint_vel is defined as the exact forward difference of
     setpoint_pos (and setpoint_acc of setpoint_vel), so discrete
-    consistency is exact by construction.
+    consistency is exact by construction.  A phase too short to hold a step
+    at this rate raises SchemaViolation naming the phase and ``sim_dt_s``.
     """
     dt = 1.0 / rate_hz
     total = sum(d for _, d, _ in plan.phases)
@@ -446,6 +443,8 @@ def profiles_from_plan(plan: PhasePlan, rate_hz: float = 60.0) -> TrajectoryPlan
         hi = phase_start + duration - 1e-9
         is_last = phase_idx == len(plan.phases) - 1
         mask = (t >= lo) if is_last else (t >= lo) & (t < hi)
+        if not mask.any():
+            raise SchemaViolation(f"phase {name!r} gets no step at sim_dt_s {dt:g}")
         tau = t[mask] - phase_start
         for j in range(N_JOINTS):
             _check_feasible(name, duration, float(wp[j] - prev_wp[j]))
@@ -839,10 +838,10 @@ def load_generation_config(path: Optional[Union[str, Path]]) -> dict:
             overrides[key] = tuple(_finite_float(v, where) for v in value)
         else:
             raise SchemaViolation(f"{where} must be a list of {len(default)} numbers, got {value!r}")
-    config = RandomizationConfig(**overrides)
-    errors = config.validate()
-    if errors:
-        raise SchemaViolation(f"{path}: " + "; ".join(f"randomization.{e}" for e in errors))
+    try:
+        config = RandomizationConfig(**overrides)
+    except SchemaViolation as exc:
+        raise SchemaViolation(f"{path}: randomization.{exc}") from None
     fault_mix = doc.get("fault_mix") or {}
     if not isinstance(fault_mix, dict):
         raise SchemaViolation(f"{path}: fault_mix must be a mapping of fault type to count")

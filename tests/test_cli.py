@@ -17,7 +17,7 @@ from sefc import synthgen
 from sefc.cli import main
 from sefc.errors import NumericalInstability, SchemaViolation
 from sefc.gap import JOINT_CHANNELS, TCP_POS_CHANNELS, TCP_ROT_CHANNELS
-from sefc.schema import SignalRole
+from sefc.schema import SignalRole, phase_runs
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -184,6 +184,29 @@ class TestGenerate:
                    "--seed", "0", "--n-healthy", "0", "--fault-mix", f"{fault}=1"])
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"error: {fault}: {key} ")
+
+    @pytest.mark.parametrize("sim_dt_s,phase", [(0.6, "grasp"), (1.0, "grasp")])
+    def test_phase_without_a_step_exits_2_naming_phase(self, tmp_path, capsys, sim_dt_s, phase):
+        config = tmp_path / "gen.yaml"
+        config.write_text(yaml.safe_dump({"randomization": {"sim_dt_s": sim_dt_s}}))
+        out = tmp_path / "o"
+        rc = main(["generate", "--out", str(out), "--config", str(config), "--n-healthy", "1"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: phase {phase!r} gets no step at sim_dt_s {sim_dt_s:g}\n")
+        assert not (out / "episodes").exists()
+
+    @pytest.mark.parametrize("sim_dt_s", [0.3, 0.5])
+    def test_coarse_sim_dt_with_a_step_per_phase_generates(self, tmp_path, sim_dt_s):
+        config = tmp_path / "gen.yaml"
+        config.write_text(yaml.safe_dump({"randomization": {"sim_dt_s": sim_dt_s}}))
+        out = tmp_path / "o"
+        assert main(["generate", "--out", str(out), "--config", str(config),
+                     "--n-healthy", "1"]) == 0
+        from sefc import ingest
+
+        ep = ingest.read_canonical(out / "episodes" / "ep_00000.csv")
+        assert {label for label, _, _ in phase_runs(ep.phase)} == set(synthgen.PHASE_NAMES)
 
     def test_repeated_fault_mix_entry_exits_2(self, tmp_path, capsys):
         out = tmp_path / "o"
@@ -512,6 +535,49 @@ class TestIngest:
         assert rc == 2
         assert capsys.readouterr().err == f"error: {flag} {float(value)!r}: expected {expected}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("adapter_edit,flags,message", [
+        (("native_rate_hz: 500.0", "native_rate_hz: .nan"), [],
+         "adapter 'voraus_ad' invalid:\n[bad-rate] native_rate_hz must be finite and positive\n"),
+        (("unit: V, notes: global", "notes: global"), [],
+         "adapter 'voraus_ad' invalid:\n[missing-unit] 'robot_voltage' has no unit\n"),
+        (None, ["--task", "bogus"], "argument --task: invalid choice: 'bogus'"),
+        (None, ["--dialect-delimiter", ""], "CSV dialect delimiter must be one character, got ''\n"),
+        (None, ["--dialect-decimal", ""], "CSV dialect decimal must be one character, got ''\n"),
+        (None, ["--allow-missing", "not_a_column"],
+         "--allow-missing: 'not_a_column' is not a raw column of adapter 'voraus_ad'\n"),
+    ], ids=["nan_rate", "row_without_unit", "unknown_task", "empty_delimiter", "empty_decimal",
+            "allow_missing_not_a_column"])
+    def test_configuration_error_exits_2_once_before_reading(self, tmp_path, capsys, monkeypatch,
+                                                              adapter_edit, flags, message):
+        from sefc import ingest
+
+        parsed = []
+        real_parse = ingest.parse_raw_csv
+        monkeypatch.setattr(ingest, "parse_raw_csv",
+                            lambda *a, **kw: parsed.append(a) or real_parse(*a, **kw))
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        for name in ("a.csv", "b.csv"):
+            (raw / name).write_text((FIXTURES / "voraus_sample.csv").read_text())
+        adapter, where = "voraus_ad", ""
+        if adapter_edit:
+            text = (Path(ingest.__file__).parent / "adapters" / "voraus_ad.yaml").read_text()
+            assert text.count(adapter_edit[0]) == 1
+            adapter = tmp_path / "adapter.yaml"
+            adapter.write_text(text.replace(*adapter_edit))
+            where = f"{adapter}: "
+        out = tmp_path / "out"
+        try:
+            rc = main(["ingest", "--raw-dir", str(raw), "--adapter", str(adapter),
+                       "--out", str(out), *flags])
+        except SystemExit as exc:   # argparse refuses a choice itself
+            rc = exc.code
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("error:") == 1 and f"error: {where}{message}" in err
+        assert parsed == []
+        assert not (out / "episodes").exists()
 
 
 class TestTrainAndScore:

@@ -883,6 +883,19 @@ class TestCanonicalReadErrors:
         with pytest.raises(SchemaViolation, match=f"^{re.escape(str(sidecar))}: "):
             read_canonical(csv_path)
 
+    @pytest.mark.parametrize("labels, key", [
+        ({"healthy": 0, "fault": 3}, "healthy"),
+        ({"healthy": False, "fault": 3}, "fault"),
+        ({"healthy": False, "fault": ["collision"]}, "fault"),
+        ({"healthy": 0, "fault": "collision"}, "healthy"),
+        ({"healthy": "yes"}, "healthy"),
+    ], ids=["int_labels", "int_fault", "list_fault", "int_healthy", "string_healthy"])
+    def test_mistyped_label_names_sidecar_and_key(self, written, labels, key):
+        _, csv_path = written
+        sidecar = self._edit_sidecar(csv_path, lambda meta: meta.update(labels))
+        with pytest.raises(SchemaViolation, match=f"^{re.escape(str(sidecar))}: {key} must be "):
+            read_canonical(csv_path)
+
     def test_duplicate_channel_name(self, written):
         _, csv_path = written
         self._edit_sidecar(csv_path, lambda meta: meta["channels"][2].update(name="b"))

@@ -18,7 +18,6 @@ from sefc.schema import (
     builtin_adapter,
     expand_signal_rows,
     phase_runs,
-    validate_adapter,
     _coerce_cell,
 )
 from sefc.ingest import encode_phase_rle
@@ -48,56 +47,66 @@ class TestSignalRole:
 class TestValidateAdapter:
     def test_builtin_adapters_are_valid(self):
         for source_id in BUILTIN_ADAPTER_IDS:
-            report = validate_adapter(builtin_adapter(source_id))
-            assert report.ok, f"{source_id}: {report}"
+            assert builtin_adapter(source_id).source_id == source_id
 
     def test_duplicate_canonical_name(self):
-        spec = AdapterSpec("x", 10.0, (
-            sig("a", "setpoint_pos_0", axis=0),
-            sig("b", "setpoint_pos_0", axis=0),
-        ))
-        report = validate_adapter(spec)
-        assert [f.code for f in report.findings] == ["duplicate-canonical"]
+        with pytest.raises(SchemaViolation, match=r"\[duplicate-canonical\]"):
+            AdapterSpec("x", 10.0, (
+                sig("a", "setpoint_pos_0", axis=0),
+                sig("b", "setpoint_pos_0", axis=0),
+            ))
 
     def test_duplicate_raw_name(self):
-        spec = AdapterSpec("x", 10.0, (
-            sig("a", "setpoint_pos_0", axis=0),
-            sig("a", "setpoint_pos_1", axis=1),
-        ))
-        assert [f.code for f in validate_adapter(spec).findings] == ["duplicate-raw"]
+        with pytest.raises(SchemaViolation, match=r"\[duplicate-raw\]"):
+            AdapterSpec("x", 10.0, (
+                sig("a", "setpoint_pos_0", axis=0),
+                sig("a", "setpoint_pos_1", axis=1),
+            ))
 
     def test_malformed_axis_suffix(self):
-        spec = AdapterSpec("x", 10.0, (
-            sig("a", "feedback_pos_x", role=SignalRole.FEEDBACK, axis=0),
-        ))
-        assert [f.code for f in validate_adapter(spec).findings] == [
-            "malformed-axis-suffix"
-        ]
+        with pytest.raises(SchemaViolation, match=r"\[malformed-axis-suffix\]"):
+            AdapterSpec("x", 10.0, (
+                sig("a", "feedback_pos_x", role=SignalRole.FEEDBACK, axis=0),
+            ))
+
+    def test_negative_axis(self):
+        with pytest.raises(SchemaViolation, match=r"\[bad-axis\]"):
+            AdapterSpec("x", 10.0, (sig("a", "setpoint_pos_0", axis=-1),))
+
+    def test_bad_canonical_name(self):
+        with pytest.raises(SchemaViolation, match=r"\[bad-canonical-name\]"):
+            AdapterSpec("x", 10.0, (sig("a", "Setpoint Pos"),))
 
     def test_missing_role_and_unit(self):
-        spec = AdapterSpec("x", 10.0, (
-            SignalSpec("a", "ctx_thing", None, ""),
-        ))
-        codes = {f.code for f in validate_adapter(spec).findings}
-        assert codes == {"missing-role", "missing-unit"}
+        with pytest.raises(SchemaViolation, match=r"\[missing-role\].*\n\[missing-unit\]"):
+            AdapterSpec("x", 10.0, (SignalSpec("a", "ctx_thing", None, ""),))
 
     def test_absent_channel_overlap(self):
-        spec = AdapterSpec("x", 10.0, (sig("a", "setpoint_pos_0", axis=0),),
-                           absent_channels=("setpoint_pos_0",))
-        assert [f.code for f in validate_adapter(spec).findings] == ["absent-overlap"]
+        with pytest.raises(SchemaViolation, match=r"\[absent-overlap\]"):
+            AdapterSpec("x", 10.0, (sig("a", "setpoint_pos_0", axis=0),),
+                        absent_channels=("setpoint_pos_0",))
 
     @pytest.mark.parametrize("rate", [np.nan, np.inf, 0.0])
     def test_native_rate_must_be_finite_and_positive(self, rate):
-        spec = AdapterSpec("x", rate, (sig("a", "setpoint_pos_0", axis=0),))
-        assert [f.code for f in validate_adapter(spec).findings] == ["bad-rate"]
+        with pytest.raises(SchemaViolation, match=r"\[bad-rate\]"):
+            AdapterSpec("x", rate, (sig("a", "setpoint_pos_0", axis=0),))
 
-    def test_validation_reports_instead_of_raising(self):
-        spec = AdapterSpec("x", -5.0, (
-            sig("a", "Bad Name!", axis=3),
-            sig("a", "Bad Name!", axis=3),
-        ))
-        report = validate_adapter(spec)
-        assert not report.ok and len(report.findings) >= 4
+    def test_every_problem_is_one_line(self):
+        with pytest.raises(SchemaViolation) as info:
+            AdapterSpec("x", -5.0, (
+                sig("a", "Bad Name!", axis=3),
+                sig("a", "Bad Name!", axis=3),
+            ))
+        assert str(info.value).splitlines() == [
+            "adapter 'x' invalid:",
+            "[bad-canonical-name] 'Bad Name!' is not lowercase snake case",
+            "[malformed-axis-suffix] 'Bad Name!' does not end in _3",
+            "[duplicate-raw] raw name 'a' mapped twice",
+            "[duplicate-canonical] canonical name 'Bad Name!' assigned twice",
+            "[bad-canonical-name] 'Bad Name!' is not lowercase snake case",
+            "[malformed-axis-suffix] 'Bad Name!' does not end in _3",
+            "[bad-rate] native_rate_hz must be finite and positive",
+        ]
 
 
 class TestApplyAdapter:

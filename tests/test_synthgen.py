@@ -148,9 +148,8 @@ class TestSampleParams:
         assert faulty.mass_kg == twin.mass_kg
 
     def test_invalid_range_names_field(self):
-        cfg = RandomizationConfig(mass_kg_range=(0.5, 0.1))
         with pytest.raises(SchemaViolation, match="mass_kg_range"):
-            sample_params(0, cfg)
+            RandomizationConfig(mass_kg_range=(0.5, 0.1))
 
     def test_unsupported_fault(self):
         with pytest.raises(UnsupportedFault):
