@@ -268,12 +268,7 @@ def cmd_ingest(args: argparse.Namespace, out: Path) -> _Done:
     for path in files:
         try:
             table = ingest.parse_raw_csv(path, dialect)
-            meta = EpisodeMeta(
-                episode_id=path.stem,
-                embodiment=args.embodiment or adapter.source_id,
-                task=args.task,
-                phase_column=args.phase_column,
-            )
+            meta = EpisodeMeta(path.stem, args.embodiment or adapter.source_id, args.task)
             ep = apply_adapter(table, adapter, meta, allow_missing)
             ep = ingest.fill_gaps(ep, args.max_missing_fraction)
             if abs(ep.rate_hz - args.rate_hz) > 1e-12:
@@ -470,7 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rate-hz", type=float, default=100.0)
     p.add_argument("--task", choices=TASKS, default="pick_and_place")
     p.add_argument("--embodiment", default=None)
-    p.add_argument("--phase-column", default=None)
     p.add_argument("--allow-missing", default=None, help="comma-separated raw names")
     p.add_argument("--max-missing-fraction", type=float, default=0.001)
     p.add_argument("--dialect-delimiter", default=",")

@@ -48,8 +48,8 @@ DEFAULT_NA_TOKENS = ("", "NA", "N/A", "NaN", "nan", "null", "NULL")
 class CsvDialect:
     """How a raw CSV writes its cells: the field delimiter, the decimal mark
     and the tokens read as missing.  The delimiter and the decimal mark must
-    be one character each; any other value raises SchemaViolation when the
-    dialect is built."""
+    be two different characters, neither the quote character nor a line
+    end; any other value raises SchemaViolation when the dialect is built."""
 
     delimiter: str = ","
     decimal: str = "."
@@ -60,6 +60,12 @@ class CsvDialect:
             value = getattr(self, name)
             if len(value) != 1:
                 raise SchemaViolation(f"CSV dialect {name} must be one character, got {value!r}")
+            if value in '"\r\n':
+                raise SchemaViolation(
+                    f"CSV dialect {name} must not be a quote or a line end, got {value!r}")
+        if self.decimal == self.delimiter:
+            raise SchemaViolation(
+                f"CSV dialect decimal must differ from the delimiter, got {self.decimal!r} for both")
 
 
 # Bytes a plain file may hold besides its delimiter, once its \r\n line ends
@@ -117,12 +123,9 @@ def parse_raw_csv(
 
 
 def _plain_dialect(dialect: CsvDialect) -> bool:
-    d = dialect.delimiter
-    if not d.isascii() or d in '"\r\n':
-        return False
     # The decimal mark is rewritten across each block once NA cells read
-    # "nan", so it must not be the delimiter, a line end or a letter of "nan".
-    return dialect.decimal not in d + "\nnan"
+    # "nan", so it must not be a letter of "nan".
+    return dialect.delimiter.isascii() and dialect.decimal not in "nan"
 
 
 def _blocks(raw: bytes) -> Iterator[bytes]:
@@ -409,7 +412,7 @@ def write_canonical(ep: Episode, out_dir: Union[str, Path]) -> tuple[Path, Path]
         "task": ep.task,
         "rate_hz": float(ep.rate_hz),
         "fault": ep.fault,
-        "healthy": bool(ep.healthy),
+        "healthy": ep.healthy,
         "phase_rle": encode_phase_rle(ep.phase),
     }
     sidecar.write_text(dump_yaml(meta) + _channels_yaml(ep.descriptors), encoding="utf-8")
@@ -502,8 +505,9 @@ def read_canonical(csv_path: Union[str, Path]) -> Episode:
     """Read a canonical episode and its sidecar, validating all invariants.
 
     Raises SchemaViolation when the data file and sidecar disagree, the
-    sidecar's ``healthy`` is not a bool or its ``fault`` neither a string nor
-    null, or the decoded episode breaks an invariant.
+    sidecar's ``healthy`` is not a bool, its ``fault`` neither a string nor
+    null, or the two disagree (``healthy`` must read ``fault is None``), or
+    the decoded episode breaks an invariant.
     """
     csv_path = Path(csv_path)
     sidecar = sidecar_path_for(csv_path)
@@ -528,6 +532,8 @@ def read_canonical(csv_path: Union[str, Path]) -> Episode:
         raise SchemaViolation(f"{sidecar}: healthy must be true or false, got {healthy!r}")
     if not (fault is None or isinstance(fault, str)):
         raise SchemaViolation(f"{sidecar}: fault must be a string or null, got {fault!r}")
+    if healthy != (fault is None):
+        raise SchemaViolation(f"{csv_path}: healthy flag inconsistent with fault field")
 
     with open(csv_path, "r", encoding="utf-8") as fh:
         header_line = fh.readline()
@@ -561,7 +567,6 @@ def read_canonical(csv_path: Union[str, Path]) -> Episode:
             descriptors=descs,
             phase=phase,
             fault=fault,
-            healthy=healthy,
         )
     except SchemaViolation as exc:
         raise SchemaViolation(f"{csv_path}: {exc}") from None

@@ -76,8 +76,9 @@ class AdapterSpec:
     (``bad-axis``) or a name not ending in ``_<axis>``
     (``malformed-axis-suffix``), a signal without a role or unit
     (``missing-role``, ``missing-unit``), a ``native_rate_hz`` that is not
-    finite and positive (``bad-rate``), and an absent channel that is also
-    mapped (``absent-overlap``).
+    finite and positive (``bad-rate``), an absent channel that is also
+    mapped (``absent-overlap``), and a mapped ``phase_column``
+    (``phase-mapped``): that raw column holds the phase labels, never a channel.
     """
 
     source_id: str
@@ -85,6 +86,7 @@ class AdapterSpec:
     signals: tuple[SignalSpec, ...]
     absent_channels: tuple[str, ...] = ()
     notes: str = ""
+    phase_column: Optional[str] = None
 
     def __post_init__(self):
         problems: list[str] = []
@@ -112,6 +114,8 @@ class AdapterSpec:
             problems.append("[bad-rate] native_rate_hz must be finite and positive")
         for name in sorted(set(self.absent_channels) & seen_canon):
             problems.append(f"[absent-overlap] {name!r} both mapped and declared absent")
+        if self.phase_column in seen_raw:
+            problems.append(f"[phase-mapped] phase column {self.phase_column!r} is also mapped")
         if problems:
             raise SchemaViolation("\n".join([f"adapter {self.source_id!r} invalid:", *problems]))
 
@@ -136,10 +140,10 @@ class Episode:
 
     Invariants are checked at construction: a finite positive ``rate_hz``,
     at least two finite timestamps, matching channel/descriptor counts,
-    unique channel names, uniform time base within 1e-9 s of
-    ``1/rate_hz``, and ``healthy`` consistent with
-    ``fault``.  Arrays are made read-only; episodes are safe to share
-    across threads.
+    unique channel names, and uniform time base within 1e-9 s of
+    ``1/rate_hz``.  ``fault`` is the one label of health: ``healthy`` reads
+    ``fault is None``.  Arrays are made read-only; episodes are safe to
+    share across threads.
     """
 
     episode_id: str
@@ -152,7 +156,6 @@ class Episode:
     descriptors: tuple[ChannelDescriptor, ...]
     phase: np.ndarray
     fault: Optional[str] = None
-    healthy: bool = True
 
     def __post_init__(self):
         t = np.asarray(self.t, dtype=np.float64)
@@ -193,13 +196,15 @@ class Episode:
             raise SchemaViolation("timestamps must be strictly increasing")
         if np.abs(dt - 1.0 / self.rate_hz).max() > 1e-9:
             raise SchemaViolation("time base is not uniform at 1/rate_hz within 1e-9 s")
-        if self.healthy != (self.fault is None):
-            raise SchemaViolation("healthy flag inconsistent with fault field")
 
         for arr in (t, channels):
             arr.setflags(write=False)
 
     # -- convenience accessors ------------------------------------------
+
+    @property
+    def healthy(self) -> bool:
+        return self.fault is None
 
     @property
     def n_steps(self) -> int:
@@ -253,13 +258,11 @@ def phase_runs(phase: Iterable) -> list[tuple[str, int, int]]:
 
 @dataclass(frozen=True)
 class EpisodeMeta:
-    """Caller-supplied metadata attached when adapting a raw table."""
+    """Caller-supplied names for an adapted table; its phase labels are the adapter's."""
 
     episode_id: str
     embodiment: str
     task: str
-    fault: Optional[str] = None
-    phase_column: Optional[str] = None
 
 
 # ---------------------------------------------------------------------------
@@ -324,13 +327,15 @@ def apply_adapter(
     """Map a raw named-column table into a canonical episode.
 
     Output channels are exactly the mapped columns in spec order, renamed
-    to canonical names; unmapped raw columns are dropped.  Raw columns in
+    to canonical names; unmapped raw columns are dropped.  The phase labels
+    are the cells of ``spec.phase_column`` as text, or ``unknown`` when the
+    spec declares none; the episode has no fault.  Raw columns in
     *allow_missing* may be absent (they are then omitted from the output).
     Deterministic: identical inputs yield bit-identical episodes.
 
     Raises:
         MissingRawColumn: a mapped column is absent and not allow-missing,
-            or ``meta.phase_column`` names an absent column.
+            or ``spec.phase_column`` names an absent column.
         NonNumericColumn: a Setpoint/Effort/Feedback column fails to parse.
     """
     allow = set(allow_missing)
@@ -351,15 +356,12 @@ def apply_adapter(
     if n_rows is None:
         raise SchemaViolation("adapter maps no columns present in the table")
 
-    phase: np.ndarray
-    if meta.phase_column is None:
+    if spec.phase_column is None:
         phase = np.full(n_rows, "unknown")
-    elif meta.phase_column in raw_table:
-        phase = np.asarray(
-            [("unknown" if v is None else str(v)) for v in raw_table[meta.phase_column]]
-        )
+    elif spec.phase_column in raw_table:
+        phase = np.asarray(["unknown" if v is None else str(v) for v in raw_table[spec.phase_column]])
     else:
-        raise MissingRawColumn(meta.phase_column)
+        raise MissingRawColumn(spec.phase_column)
 
     t = np.arange(n_rows, dtype=np.float64) / spec.native_rate_hz
     return Episode(
@@ -372,8 +374,6 @@ def apply_adapter(
         channels=np.column_stack(cols),
         descriptors=tuple(descs),
         phase=phase,
-        fault=meta.fault,
-        healthy=meta.fault is None,
     )
 
 
@@ -469,12 +469,17 @@ def adapter_from_dict(doc: Mapping) -> AdapterSpec:
         native_rate_hz = float(doc["native_rate_hz"])
     with _reading("absent_channels"):
         absent_channels = tuple(str(c) for c in doc.get("absent_channels", []) or ())
+    with _reading("phase_column"):
+        phase_column = doc.get("phase_column")
+        if not (phase_column is None or isinstance(phase_column, str)):
+            raise TypeError(f"expected a raw column name, got {phase_column!r}")
     return AdapterSpec(
         source_id=source_id,
         native_rate_hz=native_rate_hz,
         signals=tuple(signals),
         absent_channels=absent_channels,
         notes=str(doc.get("notes", "")),
+        phase_column=phase_column,
     )
 
 

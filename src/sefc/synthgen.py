@@ -732,7 +732,6 @@ def simulate_plant(params: EpisodeParams, traj: Optional[TrajectoryPlan] = None)
         descriptors=SYNTH_DESCRIPTORS,
         phase=traj.phase,
         fault=ftype,
-        healthy=ftype is None,
     )
 
 

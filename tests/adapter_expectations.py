@@ -115,7 +115,6 @@ CNC_EXPECTED += [
     ("M1_CURRENT_PROGRAM_NUMBER", "ctx_program_number", "context", "-"),
     ("M1_sequence_number", "ctx_sequence_number", "context", "-"),
     ("M1_CURRENT_FEEDRATE", "ctx_feedrate", "context", "mm/min"),
-    ("Machining_Process", "ctx_process_phase", "context", "enum"),
 ]
 
 UR3_EXPECTED = [("machine_id", "meta_machine_id", "metadata", "-")]
@@ -209,7 +208,6 @@ ISAAC_EXPECTED = [
     ("step", "meta_step", "metadata", "count"),
     ("time", "meta_time", "metadata", "s"),
     ("state_machine", "ctx_state_machine", "context", "enum"),
-    ("phase", "ctx_phase", "context", "str"),
 ]
 for i in range(6):
     ISAAC_EXPECTED += [
@@ -259,6 +257,9 @@ ISAAC_EXPECTED += [
     ("cube_depth_m", "ctx_cube_depth", "context", "m"),
     ("cube_height_m", "ctx_cube_height", "context", "m"),
 ]
+
+#: The raw column each source logs its phase labels in, where it has one.
+PHASE_COLUMN_EXPECTED = {"isaac_ur5": "phase", "umich_cnc": "Machining_Process"}
 
 EXPECTED_BY_SOURCE = {
     "voraus_ad": VORAUS_EXPECTED,

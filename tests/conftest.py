@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -37,7 +38,6 @@ def make_episode(
         descriptors=descs,
         phase=np.full(T, "unknown") if phase is None else np.asarray(phase),
         fault=fault,
-        healthy=fault is None,
     )
 
 
@@ -69,9 +69,10 @@ def raw_table_for(spec: AdapterSpec, n_rows: int = 12, seed: int = 0) -> dict:
 
 
 def channel_for_raw(spec: AdapterSpec, raw_name: str) -> ChannelDescriptor:
-    """The channel ``apply_adapter`` makes of raw column *raw_name* alone."""
+    """The channel ``apply_adapter`` makes of raw column *raw_name* alone
+    (the adapter's phase column, never a channel, is left out too)."""
     others = {s.raw_name for s in spec.signals} - {raw_name}
-    ep = apply_adapter({raw_name: np.zeros(2)}, spec,
+    ep = apply_adapter({raw_name: np.zeros(2)}, dataclasses.replace(spec, phase_column=None),
                        EpisodeMeta("e", "arm", "pick_and_place"), allow_missing=others)
     (desc,) = ep.descriptors
     return desc

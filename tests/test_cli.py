@@ -13,13 +13,15 @@ import numpy as np
 import pytest
 import yaml
 
+from adapter_expectations import PHASE_COLUMN_EXPECTED
 from sefc import synthgen
 from sefc.cli import main
 from sefc.errors import NumericalInstability, SchemaViolation
 from sefc.gap import JOINT_CHANNELS, TCP_POS_CHANNELS, TCP_ROT_CHANNELS
-from sefc.schema import SignalRole, phase_runs
+from sefc.schema import BUILTIN_ADAPTER_IDS, SignalRole, builtin_adapter, phase_runs
 
 FIXTURES = Path(__file__).parent / "fixtures"
+ADAPTERS = Path(synthgen.__file__).parent / "adapters"
 
 
 def _dir_contents_equal(a: Path, b: Path) -> bool:
@@ -416,8 +418,12 @@ class TestIngest:
         ("source_id: lab\nnative_rate_hz: 100\n"
          "signals: [{raw: q0, canonical: c}, {raw: q1, canonical: d, expand: 5}]\n",
          "signals[1]", "'int'"),
+        ("source_id: lab\nnative_rate_hz: 100\nphase_column: [a]\n"
+         "signals: [{raw: q0, canonical: c, role: context, unit: '-'}]\n",
+         "phase_column", "expected a raw column name, got ['a']"),
     ], ids=["no_source_id", "row_without_raw", "unbound_expand_variable", "rate_not_a_number",
-            "signals_null", "axis_not_an_integer", "expand_not_a_mapping"])
+            "signals_null", "axis_not_an_integer", "expand_not_a_mapping",
+            "phase_column_not_a_name"])
     def test_malformed_adapter_exits_2_naming_file_and_key(self, tmp_path, capsys,
                                                            doc, where, detail):
         adapter = tmp_path / "bad.yaml"
@@ -433,14 +439,45 @@ class TestIngest:
         raw = tmp_path / "raw"
         raw.mkdir()
         (raw / "sample01.csv").write_text((FIXTURES / "voraus_sample.csv").read_text())
+        adapter = tmp_path / "adapter.yaml"
+        adapter.write_text((ADAPTERS / "voraus_ad.yaml").read_text() + "phase_column: phse\n")
         out = tmp_path / "out"
-        rc = main(["ingest", "--raw-dir", str(raw), "--adapter", "voraus_ad",
-                   "--out", str(out), "--phase-column", "phse"])
+        rc = main(["ingest", "--raw-dir", str(raw), "--adapter", str(adapter),
+                   "--out", str(out)])
         assert rc == 1
         manifest = yaml.safe_load((out / "manifest.yaml").read_text())
         assert manifest["outputs"] == []
         assert manifest["failures"] == [
             "sample01.csv: mapped raw column not found in table: 'phse'"]
+
+    @pytest.mark.parametrize("source_id", BUILTIN_ADAPTER_IDS)
+    def test_builtin_adapter_ingests_text_phase_labels(self, tmp_path, source_id):
+        """Each built-in adapter ingests a raw file of its own columns, with
+        text labels in the phase column it declares, into a phase vector."""
+        spec = builtin_adapter(source_id)
+        phase_column = PHASE_COLUMN_EXPECTED.get(source_id)
+        names = [s.raw_name for s in spec.signals]
+        if phase_column and phase_column not in names:
+            names.append(phase_column)
+        labels = ["approach"] * 3 + ["cut"] * 4
+        rows = [[labels[k] if name == phase_column else f"{k + j / 100:g}"
+                 for j, name in enumerate(names)] for k in range(len(labels))]
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        (raw / "e1.csv").write_text("\n".join(",".join(r) for r in [names, *rows]) + "\n")
+        out = tmp_path / "out"
+        task = "machining" if source_id == "umich_cnc" else "pick_and_place"
+        rc = main(["ingest", "--raw-dir", str(raw), "--adapter", source_id, "--out", str(out),
+                   "--rate-hz", repr(spec.native_rate_hz), "--task", task])
+        assert rc == 0
+        sidecar = yaml.safe_load((out / "episodes" / "e1.meta.yaml").read_text())
+        want_rle = [["approach", 3], ["cut", 4]] if phase_column else [["unknown", 7]]
+        assert sidecar["phase_rle"] == want_rle
+        from sefc import ingest
+
+        ep = ingest.read_canonical(out / "episodes" / "e1.csv")
+        assert ep.channel_names == tuple(s.canonical_name for s in spec.signals)
+        assert not np.isnan(ep.channels).all(axis=0).any()
 
     def test_manifest_records_failures(self, tmp_path, capsys):
         raw = tmp_path / "raw"
@@ -544,10 +581,21 @@ class TestIngest:
         (None, ["--task", "bogus"], "argument --task: invalid choice: 'bogus'"),
         (None, ["--dialect-delimiter", ""], "CSV dialect delimiter must be one character, got ''\n"),
         (None, ["--dialect-decimal", ""], "CSV dialect decimal must be one character, got ''\n"),
+        (None, ["--dialect-delimiter", '"'],
+         "CSV dialect delimiter must not be a quote or a line end, got '\"'\n"),
+        (None, ["--dialect-delimiter", "\n"],
+         "CSV dialect delimiter must not be a quote or a line end, got '\\n'\n"),
+        (None, ["--dialect-decimal", "\r"],
+         "CSV dialect decimal must not be a quote or a line end, got '\\r'\n"),
+        (None, ["--dialect-delimiter", ";", "--dialect-decimal", ";"],
+         "CSV dialect decimal must differ from the delimiter, got ';' for both\n"),
+        (("source_id: voraus_ad\n", "source_id: voraus_ad\nphase_column: anomaly\n"), [],
+         "adapter 'voraus_ad' invalid:\n[phase-mapped] phase column 'anomaly' is also mapped\n"),
         (None, ["--allow-missing", "not_a_column"],
          "--allow-missing: 'not_a_column' is not a raw column of adapter 'voraus_ad'\n"),
     ], ids=["nan_rate", "row_without_unit", "unknown_task", "empty_delimiter", "empty_decimal",
-            "allow_missing_not_a_column"])
+            "quote_delimiter", "newline_delimiter", "cr_decimal", "decimal_is_delimiter",
+            "mapped_phase_column", "allow_missing_not_a_column"])
     def test_configuration_error_exits_2_once_before_reading(self, tmp_path, capsys, monkeypatch,
                                                               adapter_edit, flags, message):
         from sefc import ingest

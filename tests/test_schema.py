@@ -86,6 +86,10 @@ class TestValidateAdapter:
             AdapterSpec("x", 10.0, (sig("a", "setpoint_pos_0", axis=0),),
                         absent_channels=("setpoint_pos_0",))
 
+    def test_mapped_phase_column(self):
+        with pytest.raises(SchemaViolation, match=r"\[phase-mapped\] phase column 'a'"):
+            AdapterSpec("x", 10.0, (sig("a", "setpoint_pos_0", axis=0),), phase_column="a")
+
     @pytest.mark.parametrize("rate", [np.nan, np.inf, 0.0])
     def test_native_rate_must_be_finite_and_positive(self, rate):
         with pytest.raises(SchemaViolation, match=r"\[bad-rate\]"):
@@ -198,9 +202,9 @@ class TestApplyAdapter:
         spec = builtin_adapter("isaac_ur5")
         table = raw_table_for(spec, n_rows=4)
         table["phase"] = np.asarray(["a", "a", "b", "b"], dtype=object)
-        meta = EpisodeMeta("e", "ur5", "pick_and_place", phase_column="phase")
-        ep = apply_adapter(table, spec, meta)
+        ep = apply_adapter(table, spec, META)
         assert list(ep.phase) == ["a", "a", "b", "b"]
+        assert not ep.has_channel("ctx_phase")
 
     def test_default_phase_unknown(self):
         spec = builtin_adapter("voraus_ad")
@@ -208,10 +212,9 @@ class TestApplyAdapter:
         assert set(ep.phase) == {"unknown"}
 
     def test_absent_phase_column_raises(self):
-        spec = builtin_adapter("voraus_ad")
-        meta = EpisodeMeta("e", "ur5", "pick_and_place", phase_column="phse")
+        spec = dataclasses.replace(builtin_adapter("voraus_ad"), phase_column="phse")
         with pytest.raises(MissingRawColumn, match="phse"):
-            apply_adapter(raw_table_for(spec, 5), spec, meta)
+            apply_adapter(raw_table_for(spec, 5), spec, META)
 
 
 class TestEpisodeInvariants:
@@ -224,7 +227,7 @@ class TestEpisodeInvariants:
                 sig("a", "setpoint_pos_0", axis=0),
                 sig("b", "feedback_pos_0", SignalRole.FEEDBACK, axis=0),
             ),
-            phase=np.full(T, "unknown"), fault=None, healthy=True,
+            phase=np.full(T, "unknown"), fault=None,
         )
         from sefc.schema import ChannelDescriptor
         base["descriptors"] = (
@@ -241,10 +244,6 @@ class TestEpisodeInvariants:
         with pytest.raises(SchemaViolation):
             Episode(**self._args(t=np.array([0.0]), channels=np.zeros((1, 2)),
                                  phase=np.array(["u"])))
-
-    def test_healthy_fault_consistency(self):
-        with pytest.raises(SchemaViolation):
-            Episode(**self._args(fault="collision_foam_spike", healthy=True))
 
     def test_non_uniform_time_base(self):
         t = np.array([0.0, 0.1, 0.2, 0.31, 0.4])
