@@ -8,6 +8,7 @@ Subsystems:
   anomaly   -- setpoint->effort anomaly scoring, AUROC, bootstrap CIs
   forecast  -- acceleration forecasting, Euler rollouts, transfer metrics
   gap       -- phase-aware sim-to-real gap metrics
+  parallel  -- one process per CPU (generate, gap, raw CSV blocks)
   cli       -- batch command-line surface
 """
 

@@ -12,8 +12,6 @@ import argparse
 import functools
 import logging
 import os
-import pickle
-import signal
 import sys
 import time
 from pathlib import Path
@@ -25,6 +23,7 @@ from . import __version__, anomaly, forecast, gap, ingest, synthgen
 from .codec import dump_yaml, write_csv
 from .errors import SchemaViolation, SefcError, UnsupportedFault
 from .nnkit import TrainConfig
+from .parallel import fork_map
 from .schema import (BUILTIN_ADAPTER_IDS, TASKS, EpisodeMeta, apply_adapter, builtin_adapter,
                      load_adapter)
 
@@ -156,82 +155,8 @@ def cmd_generate(args: argparse.Namespace, out: Path) -> _Done:
         ep = synthgen.generate_episode(ep_seed, config, fault, episode_id, noise)
         return ingest.write_canonical(ep, ep_dir)[0].name
 
-    written = _fork_map(generate_and_write, plan)
+    written = fork_map(generate_and_write, plan)
     return _Done([], sorted(written), f"generated {len(written)} episodes -> {ep_dir}")
-
-
-def _fork_map(fn, items: list) -> list:
-    """``[fn(item) for item in items]`` on every CPU of this process's affinity mask.
-
-    With ``n`` CPUs (at most one per item), this process maps the share
-    ``items[0::n]`` and ``n - 1`` children forked from it map the shares
-    ``items[w::n]``.  A child sends back its results, or those before the
-    first exception of its share and that exception, as one pickle through
-    a pipe.  The exception first in item order is raised, as in the serial
-    loop; only side effects of items after it may differ.  Every child is
-    reaped before this returns or raises, and one still running when this
-    process raises or is interrupted is killed first.
-    """
-    n = 1
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        n = min(len(os.sched_getaffinity(0)), len(items))
-    if n <= 1:
-        return [fn(item) for item in items]
-    children = {}   # pid -> read end of its pipe, for each child not yet reaped
-    try:
-        for w in range(1, n):
-            r, wr = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                status = 1
-                try:
-                    os.close(r)
-                    payload = pickle.dumps(_map_share(fn, items[w::n]))
-                    with open(wr, "wb") as fh:
-                        fh.write(payload)
-                    status = 0
-                finally:
-                    os._exit(status)
-            os.close(wr)
-            children[pid] = open(r, "rb")
-        shares = [_map_share(fn, items[0::n])]
-        lost = []
-        for pid, fh in list(children.items()):
-            with fh:
-                payload = fh.read()
-            status = os.waitpid(pid, 0)[1]
-            del children[pid]
-            if payload:
-                shares.append(pickle.loads(payload))
-            else:
-                lost.append(f"worker process {pid} exited with status "
-                            f"{os.waitstatus_to_exitcode(status)} without sending its results")
-    finally:
-        for pid, fh in children.items():
-            fh.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    if lost:
-        raise SefcError(lost[0])
-    errors = [(w + n * len(results), exc) for w, (results, exc) in enumerate(shares)
-              if exc is not None]
-    if errors:
-        raise min(errors, key=lambda error: error[0])[1]
-    mapped = [None] * len(items)
-    for w, (results, _) in enumerate(shares):
-        mapped[w::n] = results
-    return mapped
-
-
-def _map_share(fn, share: list) -> tuple[list, Optional[Exception]]:
-    """*fn* over *share* up to its first exception, and that exception or None."""
-    results = []
-    try:
-        for item in share:
-            results.append(fn(item))
-    except Exception as exc:
-        return results, exc
-    return results, None
 
 
 @_command
@@ -262,12 +187,13 @@ def cmd_ingest(args: argparse.Namespace, out: Path) -> _Done:
         decimal=args.dialect_decimal,
         na_tokens=tuple(args.dialect_na.split("|")) if args.dialect_na else ingest.DEFAULT_NA_TOKENS,
     )
+    text_columns = {adapter.phase_column} - {None}
     files = ingest.episode_files(args.raw_dir)
     ep_dir = out / "episodes"
     written, failures = [], []
     for path in files:
         try:
-            table = ingest.parse_raw_csv(path, dialect)
+            table = ingest.parse_raw_csv(path, dialect, text_columns)
             meta = EpisodeMeta(path.stem, args.embodiment or adapter.source_id, args.task)
             ep = apply_adapter(table, adapter, meta, allow_missing)
             ep = ingest.fill_gaps(ep, args.max_missing_fraction)
@@ -384,7 +310,7 @@ def cmd_eval_transfer(args: argparse.Namespace, out: Path) -> _Done:
 def cmd_gap(args: argparse.Namespace, out: Path) -> _Done:
     real_files = ingest.episode_files(args.real_dir)
     sim_files = ingest.episode_files(args.sim_dir)
-    episodes = _fork_map(ingest.read_canonical, real_files + sim_files)
+    episodes = fork_map(ingest.read_canonical, real_files + sim_files)
     real, sim = episodes[:len(real_files)], episodes[len(real_files):]
     pairs, unpaired = ingest.pair_episodes(real, sim)
     per_pair, phases_skipped, failures = [], {}, []

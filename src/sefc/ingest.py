@@ -1,9 +1,11 @@
 """Raw table parsing, resampling, gap filling, and canonical episode files.
 
 A well-formed plain raw CSV is parsed in one pass, a block of whole lines
-at a time, into one preallocated float64 array, so parse memory follows the
-parsed table, not copies of the file's text; any other raw file goes through
-``csv.reader``, which alone reports raw-table errors.
+at a time, with the blocks mapped over every CPU by ``parallel.fork_map``:
+each block writes its numeric rows straight into one float64 table,
+allocated once in an anonymous shared mapping, so parse memory follows the
+parsed table, not copies of the file's text.  Any other raw file goes
+through ``csv.reader``, which alone reports raw-table errors.
 
 The canonical on-disk form of an episode is a UTF-8 CSV (header line
 ``t_s,<channel>,...``, then one line per step with every cell formatted as
@@ -23,10 +25,11 @@ from __future__ import annotations
 
 import csv
 import functools
+import mmap
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Collection, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -39,6 +42,7 @@ from .errors import (
     RaggedRow,
     SchemaViolation,
 )
+from .parallel import fork_map
 from .schema import MODELING_ROLES, ChannelDescriptor, Episode, SignalRole, phase_runs
 
 DEFAULT_NA_TOKENS = ("", "NA", "N/A", "NaN", "nan", "null", "NULL")
@@ -73,41 +77,52 @@ class CsvDialect:
 # \n line end.
 _PLAIN_BYTES = bytes(range(0x21, 0x7F)).replace(b'"', b"") + b"\n"
 _NAN = np.frombuffer(b"nan", dtype=np.uint8)
-# Bytes of a plain file parsed at a time: enough lines per ``np.loadtxt``
-# call to amortize it, few enough that the per-block text copies stay small
-# next to the table.
+# Bytes of a plain file parsed at a time, one ``fork_map`` item: enough
+# lines per ``np.loadtxt`` call to amortize it, few enough that the
+# per-block text copies stay small next to the table.
 _BLOCK_BYTES = 1 << 18
+# The first non-blank line from an offset, in group 1 (with the \r of a
+# \r\n line end), and its line end.
+_LINE = re.compile(rb"(?:\r?\n)*([^\n]*)\n?")
 
 
 def parse_raw_csv(
-    path: Union[str, Path], dialect: CsvDialect = CsvDialect()
+    path: Union[str, Path], dialect: CsvDialect = CsvDialect(),
+    text_columns: Collection[str] = (),
 ) -> dict[str, np.ndarray]:
     """Parse a raw per-episode CSV into named columns.
 
     Numeric columns come back as float64 arrays with NaN at NA tokens;
-    columns with any non-numeric cell come back as object arrays of
-    ``str | None``.  Cells are stripped of surrounding whitespace before
-    the NA check; the decimal mark is rewritten to ``.`` before ``float()``.
-    In an object column a cell that reads as a number once its decimal mark
+    columns with any non-numeric cell, and the columns named in
+    *text_columns*, come back as object arrays of ``str | None``, None at
+    NA tokens.  Cells are stripped of surrounding whitespace before the NA
+    check; the decimal mark is rewritten to ``.`` before ``float()``.  In
+    an object column a cell that reads as a number once its decimal mark
     is ``.`` holds that rewritten text.  Blank lines are skipped.
 
     A plain file (ASCII only, no quote character, no ``\\r`` outside a
     ``\\r\\n`` line end, no whitespace other than the delimiter and no line
     longer than ``csv.field_size_limit()``) is parsed in one pass over
-    blocks of whole lines: per block, one ``np.loadtxt`` call over every
-    numeric column, with NA cells rewritten to ``nan`` first, written into
-    one preallocated float64 array, and one over the string columns, which
-    are the columns whose first data cell is neither NA nor a number.  Its
-    parse memory is the file's bytes, the table and one block's copies.
-    The pass declines any file it cannot parse exactly: one that is not
-    plain, has no header, fewer than 2 data rows, a repeated header name or
-    a row whose field count differs from the header's, or a cell
-    ``np.loadtxt`` rejects in any block (a text cell further down a
-    numeric-looking column, or a number only ``float()`` reads, such as
-    ``1_000``).  That file goes through ``csv.reader`` cell by cell, which
-    parses it or raises the error below, so every raw table gets the same
-    errors.  Both paths give the same keys, dtypes, float64 bits and string
-    cells.
+    blocks of whole lines.  This process reads the file, its header and its
+    first data row, which decides the string columns: those named in
+    *text_columns* and those whose first data cell is neither NA nor a
+    number.  It then allocates the float64 table once, in an anonymous
+    shared mapping with a slot per line, and maps the blocks over every CPU
+    with ``parallel.fork_map``.  Per block, ``\\r\\n`` line ends are read as
+    ``\\n``, NA cells are rewritten to ``nan`` and one ``np.loadtxt`` call
+    over every numeric column writes the block's rows into the table at the
+    slot of its first line; a second one reads the string columns, whose
+    cells are all a block sends back.  Blank lines leave gaps between the
+    blocks' rows, which this process closes in place.  Parse memory is the
+    file's bytes, the table and one block's copies per process.  The pass
+    declines any file it cannot parse exactly: one that is not plain, has no
+    header, fewer than 2 data rows, a repeated header name or a row whose
+    field count differs from the header's, or a cell ``np.loadtxt`` rejects
+    in any block (a text cell further down a numeric-looking column, or a
+    number only ``float()`` reads, such as ``1_000``).  That file goes
+    through ``csv.reader`` cell by cell, which parses it or raises the error
+    below, so every raw table gets the same errors.  Both paths give the
+    same keys, dtypes, float64 bits and string cells, at any CPU count.
 
     Raises:
         EmptyFile: no header or fewer than 2 data rows.
@@ -116,10 +131,11 @@ def parse_raw_csv(
         SchemaViolation: two header columns share a name, the file is not
             UTF-8, or ``csv.reader`` rejects a line (such as a cell over
             ``csv.field_size_limit()``).
+        SefcError: a worker process exited without sending its blocks.
     """
     path = Path(path)
-    table = _parse_plain(path, dialect)
-    return _parse_with_csv_reader(path, dialect) if table is None else table
+    table = _parse_plain(path, dialect, text_columns)
+    return _parse_with_csv_reader(path, dialect, text_columns) if table is None else table
 
 
 def _plain_dialect(dialect: CsvDialect) -> bool:
@@ -128,18 +144,31 @@ def _plain_dialect(dialect: CsvDialect) -> bool:
     return dialect.delimiter.isascii() and dialect.decimal not in "nan"
 
 
-def _blocks(raw: bytes) -> Iterator[bytes]:
-    """*raw* in slices of whole lines, each about ``_BLOCK_BYTES`` long."""
-    start = 0
+class _Decline(Exception):
+    """A block the one-pass parse cannot read exactly; its file goes to ``csv.reader``."""
+
+
+def _blocks(raw: bytes, start: int = 0) -> Iterator[tuple[int, int]]:
+    """The bounds of *raw* from *start* in runs of whole lines, each about
+    ``_BLOCK_BYTES`` long."""
     while start < len(raw):
         stop = raw.find(b"\n", start + _BLOCK_BYTES - 1) + 1 or len(raw)
-        yield raw[start:stop]
+        yield start, stop
         start = stop
 
 
-def _parse_plain(path: Path, dialect: CsvDialect) -> Optional[dict[str, np.ndarray]]:
-    """The table of a well-formed plain file, read in one pass over blocks of
-    lines; None for any other file, which ``csv.reader`` then parses or
+def _shared_table(rows: int, cols: int) -> np.ndarray:
+    """A float64 array in an anonymous shared mapping: what a child forked
+    after this call writes to it, this process reads."""
+    if rows * cols == 0:
+        return np.empty((rows, cols))
+    return np.frombuffer(mmap.mmap(-1, 8 * rows * cols), dtype=np.float64).reshape(rows, cols)
+
+
+def _parse_plain(path: Path, dialect: CsvDialect,
+                 text_columns: Collection[str]) -> Optional[dict[str, np.ndarray]]:
+    """The table of a well-formed plain file, its blocks of lines parsed on
+    every CPU; None for any other file, which ``csv.reader`` then parses or
     diagnoses.
     """
     if not _plain_dialect(dialect):
@@ -148,57 +177,72 @@ def _parse_plain(path: Path, dialect: CsvDialect) -> Optional[dict[str, np.ndarr
     plain = _PLAIN_BYTES + d.encode()
     limit = csv.field_size_limit()
     na = set(dialect.na_tokens)
-    # One copy at most, and none for a file without \r\n; a bare \r stays and
-    # sends the file to csv.reader, which also ends a line there.
-    raw = path.read_bytes().replace(b"\r\n", b"\n")
-    header: Optional[list[str]] = None
-    values: Optional[np.ndarray] = None
-    text_blocks = []
-    rows = 0
-    for block in _blocks(raw):
+    raw = path.read_bytes()
+    head = _LINE.match(raw)
+    first = _LINE.match(raw, head.end())
+    lines = [m[1].removesuffix(b"\r") for m in (head, first)]
+    # csv.reader refuses a cell over the field limit; no cell is longer
+    # than its line, so a longer line goes to csv.reader and fails the same way.
+    if not lines[1] or any(line.translate(None, plain) or len(line) > limit for line in lines):
+        return None
+    header, cells = (line.decode("ascii").split(d) for line in lines)
+    if len(cells) != len(header) or len(set(header)) < len(header):
+        return None
+    text_cols = [j for j, (name, cell) in enumerate(zip(header, cells))
+                 if name in text_columns
+                 or cell not in na and not _is_number(cell.replace(dialect.decimal, "."))]
+    num_cols = [j for j in range(len(header)) if j not in text_cols]
+    blocks, slot = [], 0   # (start, stop, slot of its first line) of each block of the body
+    for start, stop in _blocks(raw, head.end()):
+        blocks.append((start, stop, slot))
+        slot += raw.count(b"\n", start, stop)
+    values = _shared_table(len(num_cols), slot + 1)
+
+    def parse_block(bounds) -> tuple[int, Optional[np.ndarray]]:
+        """Write a block's numeric rows from its slot on; its row count and string cells."""
+        start, stop, slot = bounds
+        block = raw[start:stop]
+        if b"\r" in block:
+            # A bare \r stays and declines the file: csv.reader also ends a line there.
+            block = block.replace(b"\r\n", b"\n")
         if block.translate(None, plain):
-            return None
+            raise _Decline
         body = [line for line in block.decode("ascii").split("\n") if line]
         del block
-        # csv.reader refuses a cell over the field limit; no cell is longer
-        # than its line, so a longer line goes to csv.reader and fails the same way.
-        if max(map(len, body), default=0) > limit:
-            return None
-        if header is None and body:
-            header = body.pop(0).split(d)
-            if len(set(header)) < len(header):
-                return None
         if not body:
-            continue
-        if any(line.count(d) != len(header) - 1 for line in body):
-            return None
-        if values is None:
-            text_cols = [
-                j for j, cell in enumerate(body[0].split(d))
-                if cell not in na and not _is_number(cell.replace(dialect.decimal, "."))
-            ]
-            num_cols = [j for j in range(len(header)) if j not in text_cols]
-            # a slot per line of the file; the table keeps the first *rows*
-            values = np.empty((len(num_cols), raw.count(b"\n") + 1), dtype=np.float64)
+            return 0, None
+        if max(map(len, body)) > limit or any(line.count(d) != len(header) - 1 for line in body):
+            raise _Decline
         if num_cols:
             try:
-                values[:, rows:rows + len(body)] = np.loadtxt(
+                values[:, slot:slot + len(body)] = np.loadtxt(
                     _numeric_lines(body, dialect), dtype=np.float64, delimiter=d,
                     comments=None, usecols=num_cols, ndmin=2).T
             except ValueError:
-                return None
+                raise _Decline from None
+        strings = None
         if text_cols:
-            text_blocks.append(np.loadtxt(body, dtype=object, delimiter=d, comments=None,
-                                          usecols=text_cols, ndmin=2))
-        rows += len(body)
-    if header is None or rows < 2:
+            strings = np.loadtxt(body, dtype=object, delimiter=d, comments=None,
+                                 usecols=text_cols, ndmin=2)
+        return len(body), strings
+
+    try:
+        parsed = fork_map(parse_block, blocks)
+    except _Decline:
+        return None
+    rows = 0
+    for (_, _, slot), (n, _) in zip(blocks, parsed):
+        if slot != rows:   # blank lines came before this block's rows
+            values[:, rows:rows + n] = values[:, slot:slot + n]
+        rows += n
+    if rows < 2:
         return None
     table = dict(zip((header[j] for j in num_cols), values[:, :rows]))
     if text_cols:
-        cells = np.concatenate(text_blocks)
+        strings = np.concatenate([s for _, s in parsed if s is not None])
         for k, j in enumerate(text_cols):
-            table[header[j]] = _parse_column(
-                [None if c in na else c for c in cells[:, k]], dialect.decimal)
+            table[header[j]] = _parse_column([None if c in na else c for c in strings[:, k]],
+                                             dialect.decimal, header[j] in text_columns)
     return {name: table[name] for name in header}
 
 
@@ -238,7 +282,8 @@ def _numeric_lines(body: list[str], dialect: CsvDialect) -> list[str]:
     return text.split("\n")
 
 
-def _parse_with_csv_reader(path: Path, dialect: CsvDialect) -> dict[str, np.ndarray]:
+def _parse_with_csv_reader(path: Path, dialect: CsvDialect,
+                           text_columns: Collection[str] = ()) -> dict[str, np.ndarray]:
     """The table of any file, cell by cell through ``csv.reader``."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh, delimiter=dialect.delimiter)
@@ -268,22 +313,24 @@ def _parse_with_csv_reader(path: Path, dialect: CsvDialect) -> dict[str, np.ndar
     table: dict[str, np.ndarray] = {}
     for j, name in enumerate(names):
         cells = [row[j].strip() for _, row in data]
-        table[name] = _parse_column([None if v in na else v for v in cells], dialect.decimal)
+        table[name] = _parse_column([None if v in na else v for v in cells], dialect.decimal,
+                                    name in text_columns)
     return table
 
 
-def _parse_column(cells: Sequence[Optional[str]], decimal: str) -> np.ndarray:
-    values = np.empty(len(cells), dtype=np.float64)
-    for i, cell in enumerate(cells):
-        if cell is None:
-            values[i] = np.nan
-            continue
-        s = cell if decimal == "." else cell.replace(decimal, ".")
+def _parse_column(cells: Sequence[Optional[str]], decimal: str, text: bool = False) -> np.ndarray:
+    """*cells* as float64, NaN at None; as objects, each through ``_point_decimal``,
+    when *text* or when a cell is not a number."""
+    if not text:
+        values = np.empty(len(cells), dtype=np.float64)
         try:
-            values[i] = float(s)
+            for i, cell in enumerate(cells):
+                values[i] = np.nan if cell is None else float(
+                    cell if decimal == "." else cell.replace(decimal, "."))
+            return values
         except ValueError:
-            return np.asarray([_point_decimal(c, decimal) for c in cells], dtype=object)
-    return values
+            pass
+    return np.asarray([_point_decimal(c, decimal) for c in cells], dtype=object)
 
 
 def _point_decimal(cell: Optional[str], decimal: str) -> Optional[str]:

@@ -1,4 +1,5 @@
 import dataclasses
+import os
 import tracemalloc
 
 import numpy as np
@@ -50,6 +51,19 @@ def traced_peak_mb(fn, *args) -> float:
         return tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
+
+
+@pytest.fixture
+def no_child_left():
+    """Fail a test that leaves a child process of this one behind."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def cpus(monkeypatch, k):
+    """Make this process's affinity mask hold *k* CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
 
 
 def reference_checkpoint(model, extra: dict | None = None) -> str:

@@ -14,6 +14,7 @@ import pytest
 import yaml
 
 from adapter_expectations import PHASE_COLUMN_EXPECTED
+from conftest import cpus
 from sefc import synthgen
 from sefc.cli import main
 from sefc.errors import NumericalInstability, SchemaViolation
@@ -244,19 +245,6 @@ _GENERATE = ["generate", "--seed", "3", "--n-healthy", "3", "--fault-mix", "unst
 _IDS = ["ep_00000", "ep_00001", "ep_00002", "ep_00003", "ep_00003_twin"]
 
 
-@pytest.fixture
-def no_child_left():
-    """Fail a test that leaves a child process of this one behind."""
-    yield
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def _cpus(monkeypatch, k):
-    """Make this process's affinity mask hold *k* CPUs."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
-
-
 @pytest.mark.usefixtures("no_child_left")
 class TestGenerateOnEveryCore:
     """``generate`` maps its episodes over one process per CPU of its affinity mask."""
@@ -281,7 +269,7 @@ class TestGenerateOnEveryCore:
 
     def test_bytes_do_not_depend_on_cpu_count(self, tmp_path, monkeypatch):
         for k in (1, 2, 3):
-            _cpus(monkeypatch, k)
+            cpus(monkeypatch, k)
             self._pids(monkeypatch, tmp_path / f"pids{k}")
             assert main([*_GENERATE, "--out", str(tmp_path / str(k))]) == 0
             pids = (tmp_path / f"pids{k}").read_text().split()
@@ -316,7 +304,7 @@ class TestGenerateOnEveryCore:
         self._patch_generate(monkeypatch, fail)
         errs = []
         for k in (1, 2):
-            _cpus(monkeypatch, k)
+            cpus(monkeypatch, k)
             assert main([*_GENERATE, "--out", str(tmp_path / str(k))]) == rc
             errs.append(capsys.readouterr().err)
         assert errs == [f"error: {message}\n"] * 2
@@ -328,7 +316,7 @@ class TestGenerateOnEveryCore:
             if os.getpid() != parent:
                 os._exit(3)
 
-        _cpus(monkeypatch, 2)
+        cpus(monkeypatch, 2)
         self._patch_generate(monkeypatch, die_in_child)
         assert main([*_GENERATE, "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
@@ -343,7 +331,7 @@ class TestGenerateOnEveryCore:
                 time.sleep(60)
             raise KeyboardInterrupt
 
-        _cpus(monkeypatch, 3)
+        cpus(monkeypatch, 3)
         self._patch_generate(monkeypatch, stall_in_child_interrupt_here)
         t0 = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
@@ -478,6 +466,25 @@ class TestIngest:
         ep = ingest.read_canonical(out / "episodes" / "e1.csv")
         assert ep.channel_names == tuple(s.canonical_name for s in spec.signals)
         assert not np.isnan(ep.channels).all(axis=0).any()
+
+    # A quoted signal cell sends the file through csv.reader.
+    @pytest.mark.parametrize("quote", ["", '"'], ids=["plain", "csv_reader"])
+    def test_numeric_phase_labels_keep_their_text(self, tmp_path, quote):
+        spec = builtin_adapter("umich_cnc")
+        names = [s.raw_name for s in spec.signals] + ["Machining_Process"]
+        labels = ["1", "1", "NA", "2", "2", "2"]
+        rows = [[labels[k] if name == "Machining_Process" else f"{k + j / 100:g}"
+                 for j, name in enumerate(names)] for k in range(len(labels))]
+        rows[0][0] = f"{quote}{rows[0][0]}{quote}"
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        (raw / "e1.csv").write_text("\n".join(",".join(r) for r in [names, *rows]) + "\n")
+        out = tmp_path / "out"
+        assert main(["ingest", "--raw-dir", str(raw), "--adapter", "umich_cnc",
+                     "--out", str(out), "--rate-hz", repr(spec.native_rate_hz),
+                     "--task", "machining"]) == 0
+        sidecar = yaml.safe_load((out / "episodes" / "e1.meta.yaml").read_text())
+        assert sidecar["phase_rle"] == [["1", 2], ["unknown", 1], ["2", 3]]
 
     def test_manifest_records_failures(self, tmp_path, capsys):
         raw = tmp_path / "raw"
@@ -1115,7 +1122,7 @@ class TestGapOnEveryCore:
     def test_reports_do_not_depend_on_cpu_count(self, gap_dirs, tmp_path, monkeypatch):
         real, sim = gap_dirs
         for k in (1, 2, 3):
-            _cpus(monkeypatch, k)
+            cpus(monkeypatch, k)
             log = tmp_path / f"pids{k}"
 
             def note(path, log=log):
@@ -1143,7 +1150,7 @@ class TestGapOnEveryCore:
         broken = self._break(sim, tmp_path / "sim", "ep_00009_sim")   # read by the child
         results = []
         for k in (1, 2):
-            _cpus(monkeypatch, k)
+            cpus(monkeypatch, k)
             rc = self._gap(real, tmp_path / "sim", tmp_path / str(k))
             results.append((rc, capsys.readouterr().err))
         assert results == [(2, f"error: {broken}: data columns do not match "
@@ -1160,7 +1167,7 @@ class TestGapOnEveryCore:
         real, sim = gap_dirs
         broken = self._break(real, tmp_path / "real", real_stem)
         self._break(sim, tmp_path / "sim", sim_stem)
-        _cpus(monkeypatch, k)
+        cpus(monkeypatch, k)
         assert self._gap(tmp_path / "real", tmp_path / "sim", tmp_path / "o") == 2
         assert capsys.readouterr().err == (f"error: {broken}: data columns do not match "
                                            "sidecar channel list\n")
@@ -1173,7 +1180,7 @@ class TestGapOnEveryCore:
                 time.sleep(60)
             raise KeyboardInterrupt
 
-        _cpus(monkeypatch, 3)
+        cpus(monkeypatch, 3)
         self._patch_read(monkeypatch, stall_in_child_interrupt_here)
         t0 = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
@@ -1189,7 +1196,7 @@ class TestModelPlaneReadsSerially:
         def fork():
             raise AssertionError("a model-plane command forked")
 
-        _cpus(monkeypatch, 2)
+        cpus(monkeypatch, 2)
         monkeypatch.setattr(os, "fork", fork)
 
     def test_train_anomaly_then_score(self, small_corpus, healthy_corpus, tmp_path, no_fork):

@@ -2,7 +2,9 @@ import csv
 import dataclasses
 import importlib
 import json
+import os
 import re
+import time
 import tracemalloc
 from pathlib import Path
 from typing import Optional, Sequence
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_episode
+from conftest import cpus, make_episode
 from sefc import ingest, synthgen
 from sefc.codec import dump_yaml, load_yaml
 from sefc.errors import (
@@ -469,6 +471,7 @@ class TestParseBlocks:
         p.write_bytes(text.encode())
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ingest, "_BLOCK_BYTES", block_bytes)
+            cpus(mp, data.draw(st.integers(1, 3)))   # blocks parsed by this process and children
             try:
                 want = reference_table(p, dialect)
             except (EmptyFile, RaggedRow) as exc:
@@ -476,8 +479,10 @@ class TestParseBlocks:
                     parse_raw_csv(p, dialect)
                 if isinstance(exc, RaggedRow):
                     assert (exc.line, got.value.line) == (old_line, ragged_line)
-                return
-            assert_same_table(parse_raw_csv(p, dialect), want)
+            else:
+                assert_same_table(parse_raw_csv(p, dialect), want)
+        with pytest.raises(ChildProcessError):   # every child was reaped
+            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("block_bytes", [1, 5, 9])
     def test_ragged_row_in_later_block_after_blank_lines(self, tmp_path, monkeypatch,
@@ -599,6 +604,188 @@ class TestParseBlocks:
         numeric = [c for c in table.values() if c.dtype == np.float64]
         rows = len(numeric[0])
         assert peak <= 1.5 * (p.stat().st_size + 8 * rows * len(numeric))
+
+
+    @pytest.mark.parametrize("newline", ["lf", "crlf"])
+    @pytest.mark.parametrize("semicolon,dialect", [(False, COMMA), (True, SEMICOLON)])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_parse_memory_counts_the_shared_table(self, tmp_path, monkeypatch, semicolon,
+                                                  dialect, newline, k):
+        # The table lives in a shared mapping that tracemalloc does not see:
+        # the traced peak plus the table stays within the bound above.
+        p = tmp_path / "rec.csv"
+        _bench_inputs(monkeypatch).write_raw_voraus(p, seed=3, semicolon=semicolon)
+        _rewrite_line_ends(p, newline)
+        monkeypatch.setattr(csv, "reader", _no_csv_reader)
+        cpus(monkeypatch, k)
+        parse_raw_csv(p, dialect)
+        tracemalloc.start()
+        try:
+            table = parse_raw_csv(p, dialect)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        numeric = [c for c in table.values() if c.dtype == np.float64]
+        rows = len(numeric[0])
+        assert peak + sum(c.nbytes for c in numeric) <= 1.5 * (p.stat().st_size
+                                                               + 8 * rows * len(numeric))
+
+
+@pytest.mark.usefixtures("no_child_left")
+class TestParseOnEveryCore:
+    """A plain file's blocks are parsed with one process per CPU of the
+    affinity mask, each writing into one shared table: neither the table nor
+    any error depends on the CPU count."""
+
+    @staticmethod
+    def _patch_blocks(monkeypatch, before):
+        """Make the numeric parse of each block call ``before()`` first."""
+        real = ingest._numeric_lines
+
+        def patched(body, dialect):
+            before()
+            return real(body, dialect)
+
+        monkeypatch.setattr(ingest, "_numeric_lines", patched)
+
+    @pytest.mark.parametrize("newline", ["lf", "crlf", "mixed"])
+    @pytest.mark.parametrize("semicolon,dialect", [(False, COMMA), (True, SEMICOLON)])
+    def test_tables_do_not_depend_on_cpu_count(self, tmp_path, monkeypatch, semicolon, dialect,
+                                               newline):
+        p = tmp_path / "rec.csv"
+        _bench_inputs(monkeypatch).write_raw_voraus(p, seed=3, semicolon=semicolon)
+        lines = p.read_bytes().split(b"\n")
+        for at in (1900, 700, 1):   # blank lines after the header and between rows
+            lines[at:at] = [b""] * 3
+        p.write_bytes(b"\n".join(lines))
+        _rewrite_line_ends(p, newline)
+        want = ingest._parse_with_csv_reader(p, dialect)
+        monkeypatch.setattr(csv, "reader", _no_csv_reader)
+        blocks = []
+        for k in (1, 2, 3):
+            cpus(monkeypatch, k)
+            log = tmp_path / f"pids{k}"
+
+            def note(log=log):
+                with open(log, "a") as fh:
+                    fh.write(f"{os.getpid()}\n")
+
+            self._patch_blocks(monkeypatch, note)
+            assert_same_table(parse_raw_csv(p, dialect), want)
+            pids = log.read_text().split()
+            assert len(set(pids)) == k and str(os.getpid()) in pids
+            blocks.append(len(pids))
+        assert blocks[0] > 3 and blocks == blocks[:1] * 3
+
+    def test_file_of_one_block_does_not_fork(self, tmp_path, monkeypatch):
+        def fork():
+            raise AssertionError("a one-block file forked")
+
+        cpus(monkeypatch, 2)
+        monkeypatch.setattr(os, "fork", fork)
+        p = tmp_path / "f.csv"
+        p.write_text("a,b\n1,2\n3,4\n")
+        assert parse_raw_csv(p)["b"].tolist() == [2.0, 4.0]
+
+    @pytest.mark.parametrize("text,error,message", [
+        ("x,y\n1,2\n3,4\n\n5,6\n7\n8,9\n", RaggedRow, "line 6: expected 2 fields, got 1"),
+        ("x,y\n\n1,2\n\n\n", EmptyFile, "needs at least 2 data rows, got 1"),
+        ("time,x\n0,1\n1,2\n\n2," + "9" * 200_000 + "\n3,4\n", SchemaViolation,
+         "line 5: field larger than field limit (131072)"),
+    ], ids=["ragged_row", "one_data_row", "cell_over_field_limit"])
+    def test_errors_do_not_depend_on_cpu_count(self, tmp_path, monkeypatch, text, error,
+                                               message):
+        monkeypatch.setattr(ingest, "_BLOCK_BYTES", 4)
+        p = tmp_path / "f.csv"
+        p.write_text(text)
+        calls = _csv_reader_spy(monkeypatch)
+        for k in (1, 2, 3):
+            cpus(monkeypatch, k)
+            with pytest.raises(error) as exc:
+                parse_raw_csv(p)
+            assert str(exc.value).endswith(message)
+        assert len(calls) == 3
+
+    def test_text_cell_in_later_block_falls_back_at_every_cpu_count(self, tmp_path,
+                                                                    monkeypatch):
+        monkeypatch.setattr(ingest, "_BLOCK_BYTES", 8)
+        p = tmp_path / "f.csv"
+        p.write_text("a,b,tag\n1,2,x\n3,4,y\n5,6,z\n7,idle,w\n9,10,v\n")
+        want = reference_table(p)
+        calls = _csv_reader_spy(monkeypatch)
+        for k in (1, 2, 3):
+            cpus(monkeypatch, k)
+            assert_same_table(parse_raw_csv(p), want)
+        assert len(calls) == 3
+
+    def test_child_without_result_is_one_failure_line(self, tmp_path, monkeypatch, capsys):
+        from sefc.cli import main
+
+        parent = os.getpid()
+
+        def die_in_child():
+            if os.getpid() != parent:
+                os._exit(3)
+
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        _bench_inputs(monkeypatch).write_raw_voraus(raw / "rec.csv", seed=3, semicolon=False)
+        cpus(monkeypatch, 2)
+        self._patch_blocks(monkeypatch, die_in_child)
+        assert main(["ingest", "--raw-dir", str(raw), "--adapter", "voraus_ad",
+                     "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("failures:\n  rec.csv: worker process ") and err.count("\n") == 2
+        assert "status 3" in err
+
+    def test_interrupt_kills_and_reaps_every_child(self, tmp_path, monkeypatch):
+        parent = os.getpid()
+
+        def stall_in_child_interrupt_here():
+            if os.getpid() != parent:
+                time.sleep(60)
+            raise KeyboardInterrupt
+
+        p = tmp_path / "rec.csv"
+        _bench_inputs(monkeypatch).write_raw_voraus(p, seed=3, semicolon=False)
+        cpus(monkeypatch, 3)
+        self._patch_blocks(monkeypatch, stall_in_child_interrupt_here)
+        t0 = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            parse_raw_csv(p)
+        assert time.monotonic() - t0 < 30
+
+
+class TestTextColumns:
+    """A column the caller names as text keeps its cells as ``str | None``,
+    on the block path and through ``csv.reader`` alike."""
+
+    @pytest.mark.parametrize("quote", ["", '"'], ids=["plain", "csv_reader"])
+    @pytest.mark.parametrize("dialect", [COMMA, SEMICOLON], ids=["comma", "semicolon"])
+    def test_numeric_cells_stay_text(self, tmp_path, monkeypatch, dialect, quote):
+        d, dec = dialect.delimiter, dialect.decimal
+        rows = [["t", "phase", "x"], [f"{quote}0{quote}", "1", "5"], ["1", "1", "6"],
+                ["2", "NA", "7"], ["3", f"2{dec}5", ""], ["4", "02", "9"]]
+        p = tmp_path / "f.csv"
+        p.write_text("\n".join(d.join(r) for r in rows) + "\n")
+        calls = _csv_reader_spy(monkeypatch)
+        table = parse_raw_csv(p, dialect, {"phase", "absent"})
+        assert table["phase"].dtype == object
+        assert table["phase"].tolist() == ["1", "1", None, "2.5", "02"]
+        assert table["x"].dtype == np.float64 and np.isnan(table["x"][3])
+        assert len(calls) == (1 if quote else 0)
+
+    @pytest.mark.parametrize("block_bytes", [1, 7, 1 << 18])
+    def test_named_column_matches_an_unnamed_text_column(self, tmp_path, monkeypatch,
+                                                         block_bytes):
+        monkeypatch.setattr(ingest, "_BLOCK_BYTES", block_bytes)
+        p = tmp_path / "f.csv"
+        p.write_text("a,b\n1,x\n2,3\n\n,4\n")
+        text = parse_raw_csv(p)
+        p.write_text("a,b\n1,1\n2,3\n\n,4\n")
+        named = parse_raw_csv(p, COMMA, ["b"])
+        assert named["b"].tolist() == ["1", "3", "4"] and text["b"].tolist() == ["x", "3", "4"]
+        assert named["a"].view(np.uint64).tolist() == text["a"].view(np.uint64).tolist()
 
 
 class TestResample:
