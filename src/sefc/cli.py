@@ -103,6 +103,13 @@ def _finite_positive(flag: str, value: float) -> None:
         raise SchemaViolation(f"{flag} {value!r}: expected a finite number above 0")
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value, refused by argparse (exit 2) unless a non-negative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _model_kinds(models: str) -> list[str]:
     """The ``--models`` list; every kind must be one of ``forecast.MODEL_KINDS``, once."""
     kinds = [k.strip() for k in models.split(",")]
@@ -378,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="generate a synthetic corpus")
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None, help="generation config YAML")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--n-healthy", type=int, default=None)
     p.add_argument("--fault-mix", default=None, help="e.g. additional_axis_payload=20")
     p.add_argument("--no-noise", action="store_true")
@@ -401,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-anomaly", help="train the setpoint->effort regressor")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     _add_train_flags(p, epochs=60, lr=5e-4, batch_size=4096, patience=30)
     p.set_defaults(func=cmd_train_anomaly)
 
@@ -409,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("eval-forecast", help="rollout evaluation of the forecaster zoo")
@@ -419,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", default="50,100,200")
     p.add_argument("--start", type=int, default=10)
     p.add_argument("--threshold", type=float, default=0.01)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     _add_train_flags(p, epochs=30, lr=1e-4, batch_size=1024, patience=30)
     p.set_defaults(func=cmd_eval_forecast)
 
@@ -429,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--models", default="kinematic_zero,tcn_transformer")
     p.add_argument("--channel-set", choices=("effort", "accel"), default="effort")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     _add_train_flags(p, epochs=30, lr=1e-4, batch_size=1024, patience=30)
     p.set_defaults(func=cmd_eval_transfer)
 

@@ -30,7 +30,7 @@ class TrainConfig:
             raise ValueError(f"lr0 must be finite and positive, got {self.lr0!r}")
         if not 0 <= self.weight_decay < np.inf:
             raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay!r}")
-        for name, least in (("batch_size", 1), ("max_epochs", 1), ("patience", 0)):
+        for name, least in (("batch_size", 1), ("max_epochs", 1), ("patience", 0), ("seed", 0)):
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")

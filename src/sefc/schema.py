@@ -1,4 +1,4 @@
-"""Signal taxonomy, adapter specifications, and canonical episodes.
+"""Signal and fault taxonomies, adapter specifications, and canonical episodes.
 
 Every raw telemetry column is assigned one of four modeling roles --
 Setpoint (commanded intent), Effort (actuation energy), Feedback (measured
@@ -9,6 +9,10 @@ file mapping its raw column names onto canonical names, and the mapping is
 applied mechanically.  Each spec type checks its own invariants when it is
 built and raises SchemaViolation, so an invalid adapter fails once, where it
 is loaded, and ``apply_adapter`` never checks it again.
+
+``FAULT_TYPES`` is the one fault taxonomy: the description and tasks of each
+of the 27 annotated fault types.  ``synthgen`` injects eight of them, and a
+canonical sidecar's ``fault`` is null or a type of its episode's task.
 """
 
 from __future__ import annotations
@@ -27,6 +31,43 @@ from .codec import load_yaml
 from .errors import MissingChannel, MissingRawColumn, NonNumericColumn, SchemaViolation
 
 TASKS = ("pick_and_place", "screwdriving", "peg_in_hole", "machining")
+
+_ALL_ARM_TASKS = ("pick_and_place", "screwdriving", "peg_in_hole")
+
+#: The fault taxonomy: each of the 27 types maps to its (description, tasks).
+FAULT_TYPES: dict[str, tuple[str, tuple[str, ...]]] = {
+    "damaged_screw_thread": ("screw thread damaged, no engagement", ("screwdriving",)),
+    "missing_screw": ("tightening attempted with no screw", ("screwdriving",)),
+    "damaged_plate_thread": ("threaded plate hole damaged", ("screwdriving",)),
+    "loosening_phase": ("counterclockwise loosening replaces tightening", ("screwdriving",)),
+    "gripper_activation_failure": ("gripper never activates, payload never picked",
+                                   ("pick_and_place",)),
+    "gripper_release_mid_motion": ("payload released mid-trajectory", ("pick_and_place",)),
+    "additional_axis_payload": ("dead weight bolted to one link",
+                                ("pick_and_place", "screwdriving")),
+    "collision_foam_spike": ("soft foam block in the TCP path", _ALL_ARM_TASKS),
+    "unexpected_payload_weight": ("transported box heavier/lighter than nominal",
+                                  ("pick_and_place",)),
+    "invalid_gripping_position": ("gripper closure lags the lift motion", ("pick_and_place",)),
+    "unstable_platform": ("base instability adds low-frequency vibration", ("pick_and_place",)),
+    "joint_position_limit_violation": ("waypoint beyond soft joint limit", ("pick_and_place",)),
+    "tcp_frame_misconfiguration": ("TCP frame or mounting angle misconfigured", _ALL_ARM_TASKS),
+    "payload_weight_misconfiguration": ("configured payload mass wrong while tool attached",
+                                        ("pick_and_place", "screwdriving")),
+    "external_arm_disturbance": ("continuous external force on the TCP", _ALL_ARM_TASKS),
+    "payload_cog_misconfiguration": ("payload CoG offset wrong in controller", _ALL_ARM_TASKS),
+    "collision_hanging_cable": ("loose cable drags along a link", _ALL_ARM_TASKS),
+    "collision_cardboard": ("cardboard carton in the trajectory", _ALL_ARM_TASKS),
+    "collision_rigid_object": ("rigid block triggers protective stop", _ALL_ARM_TASKS),
+    "peg_insertion_misalignment": ("peg approaches hole at an offset", ("peg_in_hole",)),
+    "hole_obstruction": ("debris in the hole blocks insertion", ("peg_in_hole",)),
+    "incorrect_insertion_depth": ("insertion ends at wrong Z depth", ("peg_in_hole",)),
+    "peg_surface_contamination": ("contaminated peg raises insertion friction", ("peg_in_hole",)),
+    "fixture_displacement": ("hole fixture shifted without reprogramming", ("peg_in_hole",)),
+    "self_collision": ("arm contacts its own body or mount", ("pick_and_place",)),
+    "missing_box": ("box absent from the pick position", ("pick_and_place",)),
+    "missing_peg": ("peg absent during insertion", ("peg_in_hole",)),
+}
 
 _SNAKE_RE = re.compile(r"^[a-z][a-z0-9_]*$")
 

@@ -20,6 +20,9 @@ logged as noiseless Context constants.
 
 Friction and cube-dimension draws are logged as Context channels but do not
 enter the declared plant (no contact model is invented for them).
+
+The fault types are those of ``schema.FAULT_TYPES``.  This module keeps only
+the magnitude table of the eight it can inject (``INJECTABLE_FAULTS``).
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .errors import (
     SchemaViolation,
     UnsupportedFault,
 )
-from .schema import ChannelDescriptor, Episode, SignalRole, phase_runs
+from .schema import FAULT_TYPES, ChannelDescriptor, Episode, SignalRole, phase_runs
 
 N_JOINTS = 6
 GRAVITY = 9.81
@@ -95,10 +98,10 @@ _STREAM_FAULT = 2
 class RandomizationConfig:
     """Domain-randomization ranges and the sensor-noise table.
 
-    Checked at construction: every ``*_range`` needs lo <= hi, every
-    ``sigma_*`` and both ``spawn_box_m`` sides must be >= 0 and ``sim_dt_s``
-    must be positive.  The first field that breaks its rule raises
-    SchemaViolation reading ``<field>: <rule>``.
+    Checked at construction: every value must be finite, every ``*_range``
+    needs lo <= hi, every ``sigma_*`` and both ``spawn_box_m`` sides must be
+    >= 0 and ``sim_dt_s`` must be positive.  The first field that breaks its
+    rule raises SchemaViolation reading ``<field> <rule>``.
     """
 
     mass_kg_range: tuple[float, float] = (0.10, 0.30)
@@ -117,97 +120,43 @@ class RandomizationConfig:
 
     def __post_init__(self):
         for name, value in vars(self).items():
+            if not np.isfinite(value).all():
+                raise SchemaViolation(f"{name} must be finite, got {value!r}")
             if name.endswith("_range") and value[0] > value[1]:
-                raise SchemaViolation(f"{name}: lo {value[0]} > hi {value[1]}")
+                raise SchemaViolation(f"{name} needs lo <= hi, got lo {value[0]} > hi {value[1]}")
             elif name.startswith("sigma_") and value < 0:
-                raise SchemaViolation(f"{name}: must be >= 0")
+                raise SchemaViolation(f"{name} must be >= 0, got {value!r}")
         if self.sim_dt_s <= 0:
-            raise SchemaViolation("sim_dt_s: must be positive")
+            raise SchemaViolation(f"sim_dt_s must be positive, got {self.sim_dt_s!r}")
         if min(self.spawn_box_m) < 0:
-            raise SchemaViolation("spawn_box_m: must be >= 0")
+            raise SchemaViolation(f"spawn_box_m must be >= 0, got {self.spawn_box_m!r}")
 
 
-class _Magnitude(NamedTuple):
-    key: str
-    draw: Callable   # (rng, runs) -> value; runs[phase] = (start, stop)
-
-
-@dataclass(frozen=True)
-class FaultCatalogEntry:
-    fault_type: str
-    description: str
-    tasks: tuple[str, ...]
-    magnitudes: Optional[tuple[_Magnitude, ...]]   # None: not injectable
-
-    @property
-    def injectable(self) -> bool:
-        return self.magnitudes is not None
-
-
-def _cat(fault_type, description, tasks, magnitudes=None):
-    return FaultCatalogEntry(fault_type, description, tasks, magnitudes)
-
-
-#: Full fault taxonomy (27 types). Only the injectable subset has a
-#: signal-level analogue in the generator; the rest is carried as metadata.
-#: An injectable type declares its magnitudes, each drawn from the fault
-#: substream over the episode's phase runs.
-FAULT_CATALOG: tuple[FaultCatalogEntry, ...] = (
-    _cat("damaged_screw_thread", "screw thread damaged, no engagement", ("screwdriving",)),
-    _cat("missing_screw", "tightening attempted with no screw", ("screwdriving",)),
-    _cat("damaged_plate_thread", "threaded plate hole damaged", ("screwdriving",)),
-    _cat("loosening_phase", "counterclockwise loosening replaces tightening", ("screwdriving",)),
-    _cat("gripper_activation_failure", "gripper never activates, payload never picked",
-         ("pick_and_place",), ()),
-    _cat("gripper_release_mid_motion", "payload released mid-trajectory", ("pick_and_place",),
-         (_Magnitude("onset_step", lambda rng, runs: int(rng.integers(*runs["transfer"]))),)),
-    _cat("additional_axis_payload", "dead weight bolted to one link",
-         ("pick_and_place", "screwdriving"),
-         (_Magnitude("joint", lambda rng, runs: int(rng.integers(1, 4))),   # joint 0: no moment arm
-          _Magnitude("weight_kg", lambda rng, runs: float(rng.uniform(0.4, 1.2))))),
-    _cat("collision_foam_spike", "soft foam block in the TCP path",
-         ("pick_and_place", "screwdriving", "peg_in_hole"),
-         (_Magnitude("onset_step", lambda rng, runs: int(rng.integers(runs["transfer"][0],
-                                                                      runs["transfer"][1] - 15))),
-          _Magnitude("duration_s", lambda *_: 0.2),
-          _Magnitude("peak_nm", lambda *_: 0.3),
-          _Magnitude("n_joints", lambda *_: 3))),
-    _cat("unexpected_payload_weight", "transported box heavier/lighter than nominal",
-         ("pick_and_place",),
-         (_Magnitude("scale", lambda rng, runs: float(rng.uniform(1.5, 3.0))),)),
-    _cat("invalid_gripping_position", "gripper closure lags the lift motion", ("pick_and_place",),
-         (_Magnitude("delay_steps", lambda rng, runs: int(rng.integers(10, 41))),)),
-    _cat("unstable_platform", "base instability adds low-frequency vibration", ("pick_and_place",),
-         (_Magnitude("freq_hz", lambda *_: 3.0),
-          _Magnitude("amplitude_rad", lambda *_: 0.005))),
-    _cat("joint_position_limit_violation", "waypoint beyond soft joint limit", ("pick_and_place",)),
-    _cat("tcp_frame_misconfiguration", "TCP frame or mounting angle misconfigured",
-         ("pick_and_place", "screwdriving", "peg_in_hole")),
-    _cat("payload_weight_misconfiguration", "configured payload mass wrong while tool attached",
-         ("pick_and_place", "screwdriving"),
-         (_Magnitude("configured_scale", lambda rng, runs: float(rng.uniform(2.0, 4.0))),)),
-    _cat("external_arm_disturbance", "continuous external force on the TCP",
-         ("pick_and_place", "screwdriving", "peg_in_hole")),
-    _cat("payload_cog_misconfiguration", "payload CoG offset wrong in controller",
-         ("pick_and_place", "screwdriving", "peg_in_hole")),
-    _cat("collision_hanging_cable", "loose cable drags along a link",
-         ("pick_and_place", "screwdriving", "peg_in_hole")),
-    _cat("collision_cardboard", "cardboard carton in the trajectory",
-         ("pick_and_place", "screwdriving", "peg_in_hole")),
-    _cat("collision_rigid_object", "rigid block triggers protective stop",
-         ("pick_and_place", "screwdriving", "peg_in_hole")),
-    _cat("peg_insertion_misalignment", "peg approaches hole at an offset", ("peg_in_hole",)),
-    _cat("hole_obstruction", "debris in the hole blocks insertion", ("peg_in_hole",)),
-    _cat("incorrect_insertion_depth", "insertion ends at wrong Z depth", ("peg_in_hole",)),
-    _cat("peg_surface_contamination", "contaminated peg raises insertion friction", ("peg_in_hole",)),
-    _cat("fixture_displacement", "hole fixture shifted without reprogramming", ("peg_in_hole",)),
-    _cat("self_collision", "arm contacts its own body or mount", ("pick_and_place",)),
-    _cat("missing_box", "box absent from the pick position", ("pick_and_place",)),
-    _cat("missing_peg", "peg absent during insertion", ("peg_in_hole",)),
-)
+#: The magnitudes of each injectable fault type, in draw order: each
+#: ``draw(rng, runs)`` reads the fault substream and the episode's phase
+#: runs, ``runs[phase] = (start, stop)``.
+_FAULT_MAGNITUDES: dict[str, dict[str, Callable]] = {
+    "gripper_activation_failure": {},
+    "gripper_release_mid_motion": {
+        "onset_step": lambda rng, runs: int(rng.integers(*runs["transfer"]))},
+    "additional_axis_payload": {
+        "joint": lambda rng, runs: int(rng.integers(1, 4)),   # joint 0: no moment arm
+        "weight_kg": lambda rng, runs: float(rng.uniform(0.4, 1.2))},
+    "collision_foam_spike": {
+        "onset_step": lambda rng, runs: int(rng.integers(runs["transfer"][0],
+                                                         runs["transfer"][1] - 15)),
+        "duration_s": lambda *_: 0.2,
+        "peak_nm": lambda *_: 0.3,
+        "n_joints": lambda *_: 3},
+    "unexpected_payload_weight": {"scale": lambda rng, runs: float(rng.uniform(1.5, 3.0))},
+    "invalid_gripping_position": {"delay_steps": lambda rng, runs: int(rng.integers(10, 41))},
+    "unstable_platform": {"freq_hz": lambda *_: 3.0, "amplitude_rad": lambda *_: 0.005},
+    "payload_weight_misconfiguration": {
+        "configured_scale": lambda rng, runs: float(rng.uniform(2.0, 4.0))},
+}
 
 #: Fault types with a signal-level injection under the declared plant.
-INJECTABLE_FAULTS = frozenset(c.fault_type for c in FAULT_CATALOG if c.injectable)
+INJECTABLE_FAULTS = frozenset(_FAULT_MAGNITUDES)
 
 
 @dataclass(frozen=True)
@@ -272,21 +221,20 @@ def _fault_magnitudes(fault: str, traj: TrajectoryPlan, seed: int) -> dict:
     magnitude (a step, a step count or a joint) lies in [1, n_steps) and a
     frequency (``*_hz``) stays below half the rate, where sampling aliases it.
     """
-    magnitudes = next((c.magnitudes for c in FAULT_CATALOG if c.fault_type == fault), None)
-    if magnitudes is None:
+    if fault not in _FAULT_MAGNITUDES:
         raise UnsupportedFault(fault)
     rng, runs = np.random.default_rng([seed, _STREAM_FAULT]), traj.phase_runs()
     drawn = {}
-    for m in magnitudes:
+    for key, draw in _FAULT_MAGNITUDES[fault].items():
         try:
-            value = m.draw(rng, runs)
+            value = draw(rng, runs)
         except (KeyError, ValueError):   # the phase is missing or shorter than the range
             value = None
         if (value is None or isinstance(value, int) and not 0 < value < traj.n_steps
-                or m.key.endswith("_hz") and not value < traj.rate_hz / 2):
-            raise SchemaViolation(f"{fault}: {m.key} has no valid draw over "
+                or key.endswith("_hz") and not value < traj.rate_hz / 2):
+            raise SchemaViolation(f"{fault}: {key} has no valid draw over "
                                   f"{traj.n_steps} steps at {traj.rate_hz:g} Hz")
-        drawn[m.key] = value
+        drawn[key] = value
     return drawn
 
 
@@ -364,21 +312,19 @@ def build_phase_plan(spawn_offset_m: tuple[float, float]) -> PhasePlan:
     high_pl = (1.0, -0.4, 0.5, 0.3)
     low_pl = (0.55, -0.2, 0.5, 0.3)
 
-    waypoints = (
-        ("approach", (q0p, q1p) + high),
-        ("above_pick", (q0p, q1p, 0.9) + high[1:]),
-        ("descend_pick", (q0p, q1p) + low),
-        ("grasp", (q0p, q1p) + low),
-        ("lift", (q0p, q1p) + high),
-        ("transfer", (q0l, q1l) + high_pl),
-        ("above_place", (q0l, q1l, 0.9) + high_pl[1:]),
-        ("descend_place", (q0l, q1l) + low_pl),
-        ("release", (q0l, q1l) + low_pl),
-        ("return", HOME_Q),
+    waypoints = (   # one per phase of PHASE_NAMES
+        (q0p, q1p) + high,
+        (q0p, q1p, 0.9) + high[1:],
+        (q0p, q1p) + low,
+        (q0p, q1p) + low,
+        (q0p, q1p) + high,
+        (q0l, q1l) + high_pl,
+        (q0l, q1l, 0.9) + high_pl[1:],
+        (q0l, q1l) + low_pl,
+        (q0l, q1l) + low_pl,
+        HOME_Q,
     )
-    phases = tuple(
-        (name, dur, wp) for (name, wp), dur in zip(waypoints, PHASE_DURATIONS_S)
-    )
+    phases = tuple(zip(PHASE_NAMES, PHASE_DURATIONS_S, waypoints, strict=True))
     return PhasePlan(phases=phases, start_q=HOME_Q)
 
 
@@ -783,12 +729,15 @@ def corpus_plan(
     Healthy episodes come first, then each fault type of *fault_mix* in
     sorted order.  Each faulty episode is followed by its healthy twin, which
     shares its seed (hence all randomization draws and noise) and carries the
-    primary id plus a ``_twin`` suffix.  A fault type without a signal-level
-    injection raises UnsupportedFault, the first such type in sorted order.
+    primary id plus a ``_twin`` suffix.  The first fault type in sorted order
+    without a signal-level injection raises: SchemaViolation when it is not
+    in ``schema.FAULT_TYPES``, UnsupportedFault when it is.
     """
     if n_healthy < 0 or any(c < 0 for c in fault_mix.values()):
         raise SchemaViolation("episode counts must be >= 0")
     for fault_type in sorted(fault_mix.keys() - INJECTABLE_FAULTS):
+        if fault_type not in FAULT_TYPES:
+            raise SchemaViolation(f"unknown fault type {fault_type!r}")
         raise UnsupportedFault(fault_type)
     plan = [(seed0 + idx, None, f"ep_{idx:05d}") for idx in range(n_healthy)]
     idx = n_healthy
@@ -832,9 +781,9 @@ def load_generation_config(path: Optional[Union[str, Path]]) -> dict:
             raise SchemaViolation(f"{path}: unknown randomization field {key!r}")
         where, default = f"{path}: randomization.{key}", defaults[key]
         if not isinstance(default, tuple):
-            overrides[key] = _finite_float(value, where)
+            overrides[key] = _float(value, where)
         elif isinstance(value, list) and len(value) == len(default):
-            overrides[key] = tuple(_finite_float(v, where) for v in value)
+            overrides[key] = tuple(_float(v, where) for v in value)
         else:
             raise SchemaViolation(f"{where} must be a list of {len(default)} numbers, got {value!r}")
     try:
@@ -860,9 +809,9 @@ def _non_negative_int(value, path: Union[str, Path], key: str) -> int:
     return value
 
 
-def _finite_float(value, where: str) -> float:
-    """*value* as a finite float; text counts, as YAML reads ``1e-3`` as a string."""
+def _float(value, where: str) -> float:
+    """*value* as a float; text counts, as YAML reads ``1e-3`` as a string."""
     with contextlib.suppress(TypeError, ValueError):
-        if type(value) is not bool and math.isfinite(number := float(value)):
-            return number
-    raise SchemaViolation(f"{where} must be a finite number, got {value!r}")
+        if type(value) is not bool:
+            return float(value)
+    raise SchemaViolation(f"{where} must be a number, got {value!r}")

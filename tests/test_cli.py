@@ -149,8 +149,7 @@ class TestGenerate:
         out = tmp_path / "o"
         rc = main(["generate", "--out", str(out), "--config", str(config)])
         assert rc == 2
-        assert capsys.readouterr().err == (
-            "error: fault type 'nonsense' has no signal-level injection\n")
+        assert capsys.readouterr().err == "error: unknown fault type 'nonsense'\n"
         assert not out.exists()
 
     def test_config_without_n_healthy_generates_ten_healthy(self, tmp_path, capsys):
@@ -1242,6 +1241,28 @@ class TestMissingInputDirectory:
                    "--out", str(tmp_path / "out")])
         assert rc == 1
         assert capsys.readouterr().err == f"error: {raw}: no such directory\n"
+
+
+class TestNegativeSeed:
+    """Every ``--seed`` refuses a negative value while the arguments are parsed."""
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--n-healthy", "1"],
+        ["train-anomaly", "--data", "{healthy}", "--epochs", "1"],
+        ["score", "--model", "{data}/none.ckpt", "--data", "{data}"],
+        ["eval-forecast", "--data", "{data}", "--epochs", "1"],
+        ["eval-transfer", "--train-data", "{data}", "--eval-data", "{data}", "--epochs", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_exits_2_naming_the_flag_and_writes_nothing(self, small_corpus, healthy_corpus,
+                                                        tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        argv = [a.format(data=small_corpus, healthy=healthy_corpus) for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(out), "--seed", "-1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --seed: expected a non-negative integer, got '-1'" in err
+        assert not out.exists()
 
 
 class TestReport:

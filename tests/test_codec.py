@@ -115,7 +115,8 @@ DESC = {"a": (SignalRole.SETPOINT, "rad", 0), "b": (SignalRole.FEEDBACK, "rad/s"
 
 def _episode(channels: np.ndarray):
     return make_episode({n: channels[:, j] for j, n in enumerate(DESC)}, DESC,
-                        phase=["p0"] * (len(channels) - 1) + ["p1"], fault="x")
+                        phase=["p0"] * (len(channels) - 1) + ["p1"],
+                        fault="unstable_platform")
 
 
 # --- float rows ---------------------------------------------------------------

@@ -1083,6 +1083,23 @@ class TestCanonicalReadErrors:
         with pytest.raises(SchemaViolation, match=f"^{re.escape(str(sidecar))}: {key} must be "):
             read_canonical(csv_path)
 
+    @pytest.mark.parametrize("labels", [
+        {"healthy": False, "fault": "not_a_fault"},
+        {"healthy": False, "fault": "missing_peg"},   # a peg_in_hole type
+    ], ids=["not_in_taxonomy", "other_task"])
+    def test_fault_outside_the_task_taxonomy_names_sidecar(self, written, labels):
+        _, csv_path = written
+        sidecar = self._edit_sidecar(csv_path, lambda meta: meta.update(labels))
+        with pytest.raises(SchemaViolation, match=(
+                f"^{re.escape(str(sidecar))}: fault must be null or a fault type of task "
+                f"'pick_and_place', got '{labels['fault']}'$")):
+            read_canonical(csv_path)
+
+    def test_fault_of_the_task_reads(self, written):
+        _, csv_path = written
+        self._edit_sidecar(csv_path, lambda meta: meta.update(healthy=False, fault="missing_box"))
+        assert read_canonical(csv_path).fault == "missing_box"
+
     def test_duplicate_channel_name(self, written):
         _, csv_path = written
         self._edit_sidecar(csv_path, lambda meta: meta["channels"][2].update(name="b"))

@@ -324,10 +324,15 @@ class TestTrain:
 
     @pytest.mark.parametrize("field,value", [
         ("batch_size", np.nan), ("max_epochs", np.inf), ("patience", np.nan), ("patience", 2.5),
+        ("seed", 2.5),
     ])
     def test_config_counts_must_be_integers(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
             TrainConfig(**{field: value})
+
+    def test_config_refuses_a_negative_seed(self):
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            TrainConfig(seed=-1)
 
     @pytest.mark.parametrize("field", ["max_epochs", "batch_size"])
     def test_config_needs_at_least_one(self, field):

@@ -1,4 +1,7 @@
 import dataclasses
+import hashlib
+import json
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +12,8 @@ from conftest import channel_for_raw, raw_table_for
 from sefc.errors import MissingChannel, MissingRawColumn, NonNumericColumn, SchemaViolation
 from sefc.schema import (
     BUILTIN_ADAPTER_IDS,
+    FAULT_TYPES,
+    TASKS,
     AdapterSpec,
     Episode,
     EpisodeMeta,
@@ -42,6 +47,22 @@ class TestSignalRole:
         assert carriers == {
             SignalRole.METADATA, SignalRole.AUXILIARY, SignalRole.RAW_LABEL
         }
+
+
+class TestFaultTypes:
+    def test_27_snake_case_types_of_known_tasks(self):
+        assert len(FAULT_TYPES) == 27
+        for name, (description, tasks) in FAULT_TYPES.items():
+            assert re.fullmatch(r"[a-z][a-z0-9_]*", name), name
+            assert description and tasks and set(tasks) <= set(TASKS), name
+
+    def test_names_descriptions_tasks_and_order_are_pinned(self):
+        # sha256 of [[name, description, [task, ...]], ...] in table order
+        rows = [[name, description, list(tasks)]
+                for name, (description, tasks) in FAULT_TYPES.items()]
+        assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
+            "cd6ded2490ad6d7df8ec235614693c04db1f34e81cb363eb977c76d8a2472078")
+        assert FAULT_TYPES["missing_peg"] == ("peg absent during insertion", ("peg_in_hole",))
 
 
 class TestValidateAdapter:

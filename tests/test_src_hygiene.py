@@ -1,10 +1,10 @@
 """No name left behind: every import and every private module-level name of a
-``sefc`` module is read in that module, and every public module-level function
-and class is read somewhere in ``src/sefc`` or ``bench/``.
+``sefc`` module is read in that module, and every public module-level function,
+class and constant is read somewhere in ``src/sefc`` or ``bench/``.
 
-A deletion that leaves an unused import, a private constant or a function only
-tests call behind fails here.  Package ``__init__`` modules re-export names and
-are neither checked nor counted as readers.
+A deletion that leaves an unused import, a private constant, or a function or
+constant only tests read behind fails here.  Package ``__init__`` modules
+re-export names and are neither checked nor counted as readers.
 """
 
 import ast
@@ -45,15 +45,26 @@ def _imported_names(tree: ast.Module) -> set[str]:
     return names
 
 
-def _private_module_names(tree: ast.Module) -> set[str]:
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+_CONSTANTS = (ast.Assign, ast.AnnAssign)
+
+
+def _module_names(tree: ast.Module, kinds: tuple[type, ...] = _DEFS + _CONSTANTS) -> set[str]:
+    """The names that the module-level statements of *kinds* in *tree* define."""
     names = set()
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        if not isinstance(node, kinds):
+            continue
+        if isinstance(node, _DEFS):
             names.add(node.name)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        else:
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
-    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+    return names
+
+
+def _private_module_names(tree: ast.Module) -> set[str]:
+    return {n for n in _module_names(tree) if n.startswith("_") and not n.startswith("__")}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
@@ -93,10 +104,18 @@ def _outside_reads(path: Path) -> set[str]:
     return read
 
 
-def test_every_public_def_has_a_reader():
+def _unread_public_names(kinds: tuple[type, ...]) -> list[str]:
     read = set().union(*map(_outside_reads, MODULES + BENCH))
-    unread = [f"{path.relative_to(SRC)}: {node.name}" for path in MODULES
-              for node in _tree(path).body
-              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-              and not node.name.startswith("_") and node.name not in read]
+    return [f"{path.relative_to(SRC)}: {name}" for path in MODULES
+            for name in sorted(_module_names(_tree(path), kinds))
+            if not name.startswith("_") and name not in read]
+
+
+def test_every_public_def_has_a_reader():
+    unread = _unread_public_names(_DEFS)
+    assert not unread, f"read only by tests, or by nothing: {unread}"
+
+
+def test_every_public_constant_has_a_reader():
+    unread = _unread_public_names(_CONSTANTS)
     assert not unread, f"read only by tests, or by nothing: {unread}"

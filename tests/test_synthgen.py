@@ -14,9 +14,8 @@ from sefc.errors import (
     UnsupportedFault,
 )
 from sefc.ingest import encode_phase_rle
-from sefc.schema import SignalRole
+from sefc.schema import FAULT_TYPES, SignalRole
 from sefc.synthgen import (
-    FAULT_CATALOG,
     GRAVITY,
     GRAVITY_ARM_M,
     INJECTABLE_FAULTS,
@@ -150,6 +149,14 @@ class TestSampleParams:
     def test_invalid_range_names_field(self):
         with pytest.raises(SchemaViolation, match="mass_kg_range"):
             RandomizationConfig(mass_kg_range=(0.5, 0.1))
+
+    @pytest.mark.parametrize("field,value", [
+        ("sim_dt_s", float("nan")), ("sigma_effort", float("inf")),
+        ("mass_kg_range", (0.1, float("inf"))), ("spawn_box_m", (float("nan"), 0.1)),
+    ])
+    def test_non_finite_value_names_field(self, field, value):
+        with pytest.raises(SchemaViolation, match=f"^{field} must be finite, got "):
+            RandomizationConfig(**{field: value})
 
     def test_unsupported_fault(self):
         with pytest.raises(UnsupportedFault):
@@ -310,11 +317,12 @@ class TestPlant:
 
 
 class TestFaults:
-    def test_catalog_has_27_types(self):
-        assert len(FAULT_CATALOG) == 27
-        assert len({c.fault_type for c in FAULT_CATALOG}) == 27
-        injectable = {c.fault_type for c in FAULT_CATALOG if c.injectable}
-        assert injectable == set(INJECTABLE_FAULTS)
+    def test_magnitude_table_covers_the_injectable_pick_and_place_types(self):
+        assert synthgen._FAULT_MAGNITUDES.keys() == INJECTABLE_FAULTS
+        assert len(INJECTABLE_FAULTS) == 8
+        for fault in INJECTABLE_FAULTS:
+            _, tasks = FAULT_TYPES[fault]
+            assert "pick_and_place" in tasks, fault
 
     def test_additional_axis_payload_closed_form(self):
         seed = 77
@@ -395,9 +403,9 @@ def _drawn(fault, seed):
 
 def _drawn_keys(integer: bool):
     """(fault, key) for every magnitude the episode of seed 19 draws as an int (or a float)."""
-    return [pytest.param(c.fault_type, key, id=f"{c.fault_type}-{key}")
-            for c in FAULT_CATALOG if c.injectable
-            for key, value in _drawn(c.fault_type, 19).items() if isinstance(value, int) == integer]
+    return [pytest.param(fault, key, id=f"{fault}-{key}")
+            for fault in synthgen._FAULT_MAGNITUDES
+            for key, value in _drawn(fault, 19).items() if isinstance(value, int) == integer]
 
 
 @pytest.fixture
@@ -415,11 +423,10 @@ class TestFaultMagnitudes:
     def test_draw_reads_the_seed_and_phase_runs_only(self):
         # the spawn offset moves waypoints, never the phase runs the draws read
         nominal = profiles_from_plan(build_phase_plan((0.0, 0.0)), 60.0)
-        for c in FAULT_CATALOG:
-            if c.injectable:
-                drawn = _drawn(c.fault_type, 7)
-                assert list(drawn) == [m.key for m in c.magnitudes]
-                assert synthgen._fault_magnitudes(c.fault_type, nominal, 7) == drawn
+        for fault, magnitudes in synthgen._FAULT_MAGNITUDES.items():
+            drawn = _drawn(fault, 7)
+            assert list(drawn) == list(magnitudes)
+            assert synthgen._fault_magnitudes(fault, nominal, 7) == drawn
         assert _drawn("additional_axis_payload", 7) == {"joint": 1, "weight_kg": 0.7561224991740392}
 
     @pytest.mark.parametrize("fault,key", _drawn_keys(integer=False))
