@@ -1,12 +1,15 @@
 """Setpoint->effort anomaly detection protocol.
 
 A dense regressor is trained on healthy episodes only to predict the six
-motor-torque channels from the 18 setpoint channels; the anomaly score of
-an episode is its mean absolute prediction error in standardized units.
-Per-channel standardization is fitted on the training split only and
-travels with the model checkpoint (stored data stays in raw units).
-The AUROC and its bootstrap rank scores with one numpy midrank helper,
-``_midranks``, so the protocol needs numpy alone.
+motor-torque channels (``ANOMALY_OUTPUT_CHANNELS``) from the 18 setpoint
+position, velocity and acceleration channels (``ANOMALY_INPUT_CHANNELS``);
+these channel sets are fixed.  The anomaly score of an episode is its mean
+absolute prediction error in standardized units.  Per-channel
+standardization is fitted on the training split only and travels with the
+model checkpoint (stored data stays in raw units).  The AUROC and its
+bootstrap rank scores with one numpy midrank helper, ``_midranks``, so the
+protocol needs numpy alone.  The report's confidence interval is always the
+95% percentile interval of 1000 stratified bootstrap resamples.
 """
 
 from __future__ import annotations
@@ -29,6 +32,10 @@ ANOMALY_INPUT_CHANNELS = tuple(
 ANOMALY_OUTPUT_CHANNELS = tuple(f"effort_motor_torque_{i}" for i in range(6))
 
 HEALTHY_LABEL = "healthy"
+
+#: The AUROC bootstrap: resample count and confidence level of its interval.
+_N_RESAMPLES = 1000
+_CI_LEVEL = 0.95
 
 
 @dataclass(frozen=True)
@@ -75,16 +82,13 @@ class ScoredEpisode:
         return self.label != HEALTHY_LABEL
 
 
-def build_regression_set(
-    episodes: Sequence[Episode],
-    input_channels: Sequence[str] = ANOMALY_INPUT_CHANNELS,
-    output_channels: Sequence[str] = ANOMALY_OUTPUT_CHANNELS,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pool per-timestep rows across episodes into (X, Y) matrices."""
+def build_regression_set(episodes: Sequence[Episode]) -> tuple[np.ndarray, np.ndarray]:
+    """Pool per-timestep rows across episodes into the ``ANOMALY_INPUT_CHANNELS``
+    and ``ANOMALY_OUTPUT_CHANNELS`` matrices (X, Y)."""
     if not episodes:
         raise EmptyDataset("no episodes")
-    return (np.vstack([ep.columns(input_channels) for ep in episodes]),
-            np.vstack([ep.columns(output_channels) for ep in episodes]))
+    return (np.vstack([ep.columns(ANOMALY_INPUT_CHANNELS) for ep in episodes]),
+            np.vstack([ep.columns(ANOMALY_OUTPUT_CHANNELS) for ep in episodes]))
 
 
 @dataclass
@@ -222,13 +226,9 @@ def _auroc_of(scored: Sequence[ScoredEpisode]) -> float:
     return auroc([(s.score, s.is_anomalous) for s in scored])
 
 
-def bootstrap_ci(
-    scored: Sequence[ScoredEpisode],
-    n_resamples: int = 1000,
-    level: float = 0.95,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """Percentile bootstrap CI of the AUROC over episode-level scores.
+def bootstrap_ci(scored: Sequence[ScoredEpisode], seed: int = 0) -> tuple[float, float]:
+    """Percentile ``_CI_LEVEL`` bootstrap CI of the AUROC over ``_N_RESAMPLES``
+    resamples of the episode-level scores.
 
     Resampling is stratified by label (healthy/anomalous sizes preserved),
     so no resample can lose a class; deterministic given the seed.
@@ -241,13 +241,13 @@ def bootstrap_ci(
     n_h, n_a = healthy.size, anom.size
     # one draw of every resample's indices, in the order of the per-resample
     # ``rng.choice`` calls it replaces: each row n_h healthy, then n_a anomalous
-    bounds = np.empty((n_resamples, n_h + n_a), dtype=np.int64)
+    bounds = np.empty((_N_RESAMPLES, n_h + n_a), dtype=np.int64)
     bounds[:, :n_h], bounds[:, n_h:] = n_h, n_a
     idx = rng.integers(0, bounds)
     draws = np.concatenate((healthy[idx[:, :n_h]], anom[idx[:, n_h:]]), axis=1)
     rank_sums = _midranks(draws)[:, n_h:].sum(axis=1)
     stats = _auroc_from_rank_sum(rank_sums, n_a, n_h)
-    alpha = (1.0 - level) / 2.0
+    alpha = (1.0 - _CI_LEVEL) / 2.0
     lo, hi = np.percentile(stats, [100.0 * alpha, 100.0 * (1.0 - alpha)])
     return float(lo), float(hi)
 
@@ -256,53 +256,40 @@ def bootstrap_ci(
 class CategoryRow:
     category: str
     n: int
-    auroc: Optional[float]     # None when the category has no episodes
+    auroc: Optional[float]     # None is written as an empty cell
 
 
 @dataclass(frozen=True)
 class AnomalyReport:
     rows: tuple[CategoryRow, ...]
-    mean_auroc: float          # unweighted mean over present categories
+    mean_auroc: float          # unweighted mean over the categories
     pooled_auroc: float        # all anomalies vs the shared healthy pool
     ci: tuple[float, float]
     ci_level: float
     n_healthy: int
 
 
-def per_category_report(
-    scored: Sequence[ScoredEpisode],
-    categories: Optional[Sequence[str]] = None,
-    n_resamples: int = 1000,
-    ci_level: float = 0.95,
-    seed: int = 0,
-) -> AnomalyReport:
-    """One AUROC per fault category against the shared healthy pool."""
+def per_category_report(scored: Sequence[ScoredEpisode], seed: int = 0) -> AnomalyReport:
+    """One AUROC per fault category present in *scored*, in sorted order,
+    against the shared healthy pool."""
     healthy = [s for s in scored if not s.is_anomalous]
     anomalous = [s for s in scored if s.is_anomalous]
     if not healthy or not anomalous:
         raise DegenerateLabels("need healthy and anomalous episodes for a report")
-    if categories is None:
-        categories = sorted({s.label for s in anomalous})
 
     rows: list[CategoryRow] = []
-    present: list[float] = []
-    for cat in categories:
+    for cat in sorted({s.label for s in anomalous}):
         cat_eps = [s for s in anomalous if s.label == cat]
-        if not cat_eps:
-            rows.append(CategoryRow(cat, 0, None))
-            continue
-        value = _auroc_of(healthy + cat_eps)
-        rows.append(CategoryRow(cat, len(cat_eps), value))
-        present.append(value)
+        rows.append(CategoryRow(cat, len(cat_eps), _auroc_of(healthy + cat_eps)))
 
     pooled = _auroc_of(scored)
-    ci = bootstrap_ci(scored, n_resamples=n_resamples, level=ci_level, seed=seed)
+    ci = bootstrap_ci(scored, seed=seed)
     return AnomalyReport(
         rows=tuple(rows),
-        mean_auroc=float(np.mean(present)),
+        mean_auroc=float(np.mean([r.auroc for r in rows])),
         pooled_auroc=pooled,
         ci=ci,
-        ci_level=ci_level,
+        ci_level=_CI_LEVEL,
         n_healthy=len(healthy),
     )
 

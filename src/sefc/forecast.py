@@ -1,11 +1,15 @@
 """Forward-dynamics forecasting, Euler rollouts, and transfer metrics.
 
 Models consume a 10-step context window of 36 features (feedback pos/vel/
-acc then setpoint pos/vel/acc, six joints each) and predict the next
-step's six target values.  Rollouts are closed loop: predicted feedback
-states replace the recorded feedback features while setpoint features keep
-replaying the recording, and position/velocity come from first-order Euler
-integration of the predicted accelerations.
+acc then setpoint pos/vel/acc, six joints each, ``FEATURE_BLOCKS``) and
+predict the next step's six target values: the feedback accelerations
+(``accel``) or the six motor torques of ``anomaly.ANOMALY_OUTPUT_CHANNELS``
+(``effort``).  Each model kind of ``MODEL_KINDS`` has one fixed
+architecture.  Rollouts are closed loop: predicted feedback states replace
+the recorded feedback features while setpoint features keep replaying the
+recording, and position/velocity come from first-order Euler integration
+of the predicted accelerations.  A rollout keeps only its predicted and
+recorded positions and its survival.
 """
 
 from __future__ import annotations
@@ -42,8 +46,6 @@ _FB_POS, _FB_VEL, _FB_ACC = (
     slice(i * N_JOINTS, (i + 1) * N_JOINTS)
     for i in map(FEATURE_BLOCKS.index, ("feedback_pos", "feedback_vel", "feedback_acc"))
 )
-
-MODEL_KINDS = ("linear", "flat_mlp", "tcn", "tcn_transformer", "kinematic_zero")
 
 
 def episode_features(ep: Episode) -> np.ndarray:
@@ -143,19 +145,18 @@ def _net_input(net: Model, z: np.ndarray) -> np.ndarray:
     return z.reshape(len(z), -1) if isinstance(net, DenseNet) else z
 
 
-def _build_net(kind: str, out_dim: int, seed: int) -> Model:
-    flat_in = WINDOW_STEPS * N_FEATURES
-    if kind == "linear":
-        return DenseNet([flat_in, out_dim], seed=seed)
-    if kind == "flat_mlp":
-        return DenseNet([flat_in, 128, 64, out_dim], seed=seed)
-    if kind == "tcn":
-        return TCNNet(N_FEATURES, hidden=64, kernel=3, dilations=(1, 2),
-                      out_dim=out_dim, seed=seed)
-    if kind == "tcn_transformer":
-        return SeqNet(N_FEATURES, hidden=64, kernel=3, tcn_dilations=(1, 2, 4),
-                      n_blocks=2, heads=4, ff_dim=128, out_dim=out_dim, seed=seed)
-    raise SchemaViolation(f"unknown model kind {kind!r}")
+_FLAT_IN = WINDOW_STEPS * N_FEATURES
+#: The trainable model kinds: kind -> constructor of (out_dim, seed).
+_NETS = {
+    "linear": lambda out_dim, seed: DenseNet([_FLAT_IN, out_dim], seed=seed),
+    "flat_mlp": lambda out_dim, seed: DenseNet([_FLAT_IN, 128, 64, out_dim], seed=seed),
+    "tcn": lambda out_dim, seed: TCNNet(N_FEATURES, hidden=64, kernel=3, dilations=(1, 2),
+                                        out_dim=out_dim, seed=seed),
+    "tcn_transformer": lambda out_dim, seed: SeqNet(
+        N_FEATURES, hidden=64, kernel=3, tcn_dilations=(1, 2, 4), n_blocks=2, heads=4,
+        ff_dim=128, out_dim=out_dim, seed=seed),
+}
+MODEL_KINDS = (*_NETS, "kinematic_zero")
 
 
 def train_forecaster(
@@ -182,7 +183,7 @@ def train_forecaster(
     x_std = Standardizer.fit(x_train.reshape(-1, N_FEATURES))
     y_std = Standardizer.fit(y_train)
     out_dim = y_train.shape[1]
-    net = _build_net(kind, out_dim, seed=config.seed)
+    net = _NETS[kind](out_dim, config.seed)
 
     # each raw window set is dropped once standardized, before training starts
     train_set = (_net_input(net, x_std.transform(x_train)), y_std.transform(y_train))
@@ -199,16 +200,8 @@ def train_forecaster(
 
 @dataclass(frozen=True)
 class RolloutResult:
-    episode_id: str
-    start: int
-    dt: float
-    threshold_rad: float
     pred_pos: np.ndarray     # H x 6
-    pred_vel: np.ndarray
-    pred_acc: np.ndarray
     truth_pos: np.ndarray
-    truth_vel: np.ndarray
-    truth_acc: np.ndarray
     first_violation: np.ndarray  # per joint, 1-based step; -1 when none
     survival_steps: float
 
@@ -249,44 +242,25 @@ def euler_rollout(
             f"start={start} + H={horizon} overruns episode of {ep.n_steps} steps"
         )
     dt = 1.0 / ep.rate_hz
-    feats = episode_features(ep)
-    truth_pos = feats[:, _FB_POS].copy()
-    truth_vel = feats[:, _FB_VEL].copy()
-    truth_acc = feats[:, _FB_ACC].copy()
-
-    work = feats.copy()
-    q = truth_pos[start].copy()
-    v = truth_vel[start].copy()
+    work = episode_features(ep)
+    sl = slice(start + 1, start + 1 + horizon)
+    truth_pos = work[sl, _FB_POS].copy()
+    q = work[start, _FB_POS].copy()
+    v = work[start, _FB_VEL].copy()
     pred_pos = np.empty((horizon, N_JOINTS))
-    pred_vel = np.empty((horizon, N_JOINTS))
-    pred_acc = np.empty((horizon, N_JOINTS))
     for k in range(horizon):
         t = start + k
         work[t, _FB_POS] = q
         work[t, _FB_VEL] = v
         a = np.asarray(model.predict_batch(work[t - WINDOW_STEPS:t][None]))[0]
         work[t, _FB_ACC] = a
-        v_next = v + a * dt
-        q_next = q + v * dt
-        pred_pos[k] = q_next
-        pred_vel[k] = v_next
-        pred_acc[k] = a
-        q, v = q_next, v_next
+        q, v = q + v * dt, v + a * dt
+        pred_pos[k] = q
 
-    sl = slice(start + 1, start + 1 + horizon)
-    err = np.abs(pred_pos - truth_pos[sl])
-    first, survival = _survival(err, threshold_rad)
+    first, survival = _survival(np.abs(pred_pos - truth_pos), threshold_rad)
     return RolloutResult(
-        episode_id=ep.episode_id,
-        start=start,
-        dt=dt,
-        threshold_rad=threshold_rad,
         pred_pos=pred_pos,
-        pred_vel=pred_vel,
-        pred_acc=pred_acc,
-        truth_pos=truth_pos[sl].copy(),
-        truth_vel=truth_vel[sl].copy(),
-        truth_acc=truth_acc[sl].copy(),
+        truth_pos=truth_pos,
         first_violation=first,
         survival_steps=survival,
     )
@@ -299,7 +273,6 @@ class HorizonRow:
     mse_std: float
     mae_scaled: float        # x 1e-2 rad
     mae_std: float
-    n_rollouts: int
 
 
 def horizon_metrics(
@@ -328,7 +301,6 @@ def horizon_metrics(
             mse_std=float(mses.std() * 1e4),
             mae_scaled=float(maes.mean() * 1e2),
             mae_std=float(maes.std() * 1e2),
-            n_rollouts=len(results),
         ))
     return rows
 

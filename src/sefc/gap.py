@@ -278,12 +278,6 @@ class GapSummary:
     rows: tuple[MetricSummary, ...]
     n_pairs: int
 
-    def row(self, metric: str) -> Optional[MetricSummary]:
-        for r in self.rows:
-            if r.metric == metric:
-                return r
-        return None
-
 
 def batch_summary(per_pair: Sequence[GapMetrics]) -> GapSummary:
     """Mean/median/p10/p90 of each metric over pairs (linear percentiles)."""

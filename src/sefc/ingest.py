@@ -43,7 +43,7 @@ from .errors import (
     SchemaViolation,
 )
 from .parallel import fork_map
-from .schema import (FAULT_TYPES, MODELING_ROLES, ChannelDescriptor, Episode, SignalRole,
+from .schema import (MODELING_ROLES, ChannelDescriptor, Episode, SignalRole, check_fault,
                      phase_runs)
 
 DEFAULT_NA_TOKENS = ("", "NA", "N/A", "NaN", "nan", "null", "NULL")
@@ -553,10 +553,9 @@ def read_canonical(csv_path: Union[str, Path]) -> Episode:
     """Read a canonical episode and its sidecar, validating all invariants.
 
     Raises SchemaViolation when the data file and sidecar disagree, the
-    sidecar's ``healthy`` is not a bool, its ``fault`` neither null nor a
-    ``schema.FAULT_TYPES`` type whose tasks include the sidecar's ``task``,
-    or the two disagree (``healthy`` must read ``fault is None``), or the
-    decoded episode breaks an invariant.
+    sidecar's ``healthy`` is not a bool, ``schema.check_fault`` refuses its
+    ``fault`` for its ``task``, or the two disagree (``healthy`` must read
+    ``fault is None``), or the decoded episode breaks an invariant.
     """
     csv_path = Path(csv_path)
     sidecar = sidecar_path_for(csv_path)
@@ -579,10 +578,10 @@ def read_canonical(csv_path: Union[str, Path]) -> Episode:
         raise SchemaViolation(f"{sidecar}: {exc!r}") from exc
     if not isinstance(healthy, bool):
         raise SchemaViolation(f"{sidecar}: healthy must be true or false, got {healthy!r}")
-    if fault is not None and not (isinstance(fault, str) and fault in FAULT_TYPES
-                                  and task in FAULT_TYPES[fault][1]):
-        raise SchemaViolation(
-            f"{sidecar}: fault must be null or a fault type of task {task!r}, got {fault!r}")
+    try:
+        check_fault(fault, task)
+    except SchemaViolation as exc:
+        raise SchemaViolation(f"{sidecar}: {exc}") from None
     if healthy != (fault is None):
         raise SchemaViolation(f"{csv_path}: healthy flag inconsistent with fault field")
 

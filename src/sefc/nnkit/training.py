@@ -14,12 +14,14 @@ from .optim import adam_step, cosine_lr, init_adam
 
 log = logging.getLogger(__name__)
 
+#: The L2 penalty of every optimizer step; ``adamw`` decouples it from the gradient.
+_WEIGHT_DECAY = 1e-5
+
 
 @dataclass(frozen=True)
 class TrainConfig:
     optimizer: str = "adam"          # adam | adamw
     lr0: float = 5e-4
-    weight_decay: float = 1e-5
     batch_size: int = 4096
     max_epochs: int = 500
     patience: int = 30
@@ -28,8 +30,6 @@ class TrainConfig:
     def __post_init__(self):
         if not 0 < self.lr0 < np.inf:
             raise ValueError(f"lr0 must be finite and positive, got {self.lr0!r}")
-        if not 0 <= self.weight_decay < np.inf:
-            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay!r}")
         for name, least in (("batch_size", 1), ("max_epochs", 1), ("patience", 0), ("seed", 0)):
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)):
@@ -94,7 +94,7 @@ def train(
             total += loss * len(idx)
             params = adam_step(
                 state, params, grads, lr,
-                weight_decay=config.weight_decay,
+                weight_decay=_WEIGHT_DECAY,
                 decoupled=config.optimizer == "adamw",
             )
             del grads  # not held through the next step's forward pass

@@ -28,7 +28,8 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .codec import load_yaml
-from .errors import MissingChannel, MissingRawColumn, NonNumericColumn, SchemaViolation
+from .errors import (DegenerateEpisode, MissingChannel, MissingRawColumn, NonNumericColumn,
+                     SchemaViolation)
 
 TASKS = ("pick_and_place", "screwdriving", "peg_in_hole", "machining")
 
@@ -68,6 +69,15 @@ FAULT_TYPES: dict[str, tuple[str, tuple[str, ...]]] = {
     "missing_box": ("box absent from the pick position", ("pick_and_place",)),
     "missing_peg": ("peg absent during insertion", ("peg_in_hole",)),
 }
+
+
+def check_fault(fault, task: str) -> None:
+    """Raise SchemaViolation unless *fault* is None or a ``FAULT_TYPES`` type of *task*."""
+    if fault is not None and not (isinstance(fault, str) and fault in FAULT_TYPES
+                                  and task in FAULT_TYPES[fault][1]):
+        raise SchemaViolation(
+            f"fault must be null or a fault type of task {task!r}, got {fault!r}")
+
 
 _SNAKE_RE = re.compile(r"^[a-z][a-z0-9_]*$")
 
@@ -181,10 +191,10 @@ class Episode:
 
     Invariants are checked at construction: a finite positive ``rate_hz``,
     at least two finite timestamps, matching channel/descriptor counts,
-    unique channel names, and uniform time base within 1e-9 s of
-    ``1/rate_hz``.  ``fault`` is the one label of health: ``healthy`` reads
-    ``fault is None``.  Arrays are made read-only; episodes are safe to
-    share across threads.
+    unique channel names, uniform time base within 1e-9 s of ``1/rate_hz``,
+    and a ``fault`` that ``check_fault`` accepts for the task.  ``fault`` is
+    the one label of health: ``healthy`` reads ``fault is None``.  Arrays
+    are made read-only; episodes are safe to share across threads.
     """
 
     episode_id: str
@@ -209,6 +219,7 @@ class Episode:
 
         if self.task not in TASKS:
             raise SchemaViolation(f"unknown task {self.task!r}")
+        check_fault(self.fault, self.task)
         if not 0 < self.rate_hz < np.inf:
             raise SchemaViolation(f"rate_hz must be finite and positive, got {self.rate_hz!r}")
         if t.ndim != 1 or t.shape[0] < 2:
@@ -271,13 +282,23 @@ class Episode:
     def columns(self, names: Sequence[str]) -> np.ndarray:
         """The named channels as a new C-ordered ``(T, len(names))`` array.
 
-        Raises MissingChannel naming the first absent name.
+        Raises MissingChannel naming the first absent name, and
+        DegenerateEpisode naming the episode, the channel and the first row
+        of a non-finite value in a channel of a ``MODELING_ROLES`` role.  A
+        carrier-role channel keeps its NaN.
         """
         try:
             idx = [self._index[n] for n in names]
         except KeyError as exc:
             raise MissingChannel(exc.args[0]) from None
-        return np.take(self.channels, idx, axis=1)
+        out = np.take(self.channels, idx, axis=1)
+        modeling = [k for k, i in enumerate(idx) if self.descriptors[i].role in MODELING_ROLES]
+        bad = np.argwhere(~np.isfinite(out)[:, modeling])
+        if bad.size:
+            row, col = bad[0][0], modeling[bad[0][1]]
+            raise DegenerateEpisode(f"episode {self.episode_id!r}: channel {names[col]!r} "
+                                    f"holds {out[row, col]} at row {row}")
+        return out
 
     def replace(self, **kwargs) -> "Episode":
         """Copy with some fields replaced (re-validates invariants)."""

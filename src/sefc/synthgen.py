@@ -263,7 +263,6 @@ class PhasePlan:
 class TrajectoryPlan:
     """A phase plan sampled onto the simulation grid."""
 
-    plan: PhasePlan
     t: np.ndarray
     phase: np.ndarray
     setpoint_pos: np.ndarray   # T x 6
@@ -415,7 +414,6 @@ def profiles_from_plan(plan: PhasePlan, rate_hz: float = 60.0) -> TrajectoryPlan
     acc[-1] = acc[-2]
 
     return TrajectoryPlan(
-        plan=plan,
         t=t,
         phase=np.asarray(phase, dtype=str),
         setpoint_pos=pos,
@@ -449,7 +447,6 @@ def _track_second_order(
     wn: float,
     dt: float,
     disturbance: Optional[np.ndarray] = None,
-    q0: Optional[float] = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Propagate the critically damped tracking law exactly per step.
 
@@ -470,7 +467,7 @@ def _track_second_order(
     q = [0.0] * n
     v = [0.0] * n
     a = [0.0] * n
-    q[0] = sp[0] if q0 is None else float(q0)
+    q[0] = sp[0]
     decay = math.exp(-wn * dt)
     for k in range(n - 1):
         d = dist[k]
@@ -547,19 +544,18 @@ def _add_fault_term(ftype: str, block: np.ndarray, term: np.ndarray) -> None:
     block[...] = total
 
 
-def simulate_plant(params: EpisodeParams, traj: Optional[TrajectoryPlan] = None) -> Episode:
+def simulate_plant(params: EpisodeParams) -> Episode:
     """Simulate a noiseless episode with the fault in *params* applied.
 
-    The fault's magnitudes are ``_fault_magnitudes`` over *traj*, which
-    defaults to ``plan_trajectory(params)``.  Most faults change plant or
+    The fault's magnitudes are ``_fault_magnitudes`` over
+    ``plan_trajectory(params)``.  Most faults change plant or
     controller terms; the platform sinusoid and the foam pulse are added to
     the joint feedback and effort after the TCP and object channels are
     computed, so those stay unperturbed.  The joint-position and effort
     bounds are checked after them, and an additive fault that changes
     nothing is refused.
     """
-    if traj is None:
-        traj = plan_trajectory(params)
+    traj = plan_trajectory(params)
     dt = params.config.sim_dt_s
     n = traj.n_steps
     runs = traj.phase_runs()
@@ -750,15 +746,10 @@ def corpus_plan(
     return plan
 
 
-def generate_corpus(
-    n_healthy: int,
-    fault_mix: Mapping[str, int],
-    seed0: int,
-    config: RandomizationConfig = RandomizationConfig(),
-    noise: bool = True,
-) -> list[Episode]:
-    """Generate the episodes of ``corpus_plan``: each faulty episode gets a healthy twin."""
-    return [generate_episode(seed, config, fault, episode_id, noise)
+def generate_corpus(n_healthy: int, fault_mix: Mapping[str, int], seed0: int) -> list[Episode]:
+    """Generate the noisy, default-randomization episodes of ``corpus_plan``:
+    each faulty episode gets a healthy twin."""
+    return [generate_episode(seed, fault=fault, episode_id=episode_id)
             for seed, fault, episode_id in corpus_plan(n_healthy, fault_mix, seed0)]
 
 

@@ -125,7 +125,7 @@ def small_anomaly_model():
         synthgen.generate_episode(7000 + k, episode_id=f"tr{k:03d}")
         for k in range(20)
     ]
-    config = TrainConfig(lr0=1e-3, weight_decay=1e-5, batch_size=2048,
+    config = TrainConfig(lr0=1e-3, batch_size=2048,
                          max_epochs=10, patience=10, seed=0)
     model, _ = anomaly.train_anomaly_model(episodes, config=config)
     return model

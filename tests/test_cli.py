@@ -1243,6 +1243,59 @@ class TestMissingInputDirectory:
         assert capsys.readouterr().err == f"error: {raw}: no such directory\n"
 
 
+class TestNonFiniteModelValue:
+    """A NaN in a model channel of a canonical episode fails ``train-anomaly``,
+    ``score`` and ``gap`` with exit 1 and an error naming the episode, the
+    channel and the first bad row; no loss, score or gap metric reads NaN."""
+
+    ERROR = "episode 'ep_00001': channel 'effort_motor_torque_2' holds nan at row 40"
+
+    @staticmethod
+    def _write(directory: Path, episode_ids) -> Path:
+        """Noiseless healthy episodes; ``ep_00001`` has one NaN effort value."""
+        from sefc import ingest
+
+        for k, episode_id in enumerate(episode_ids):
+            ep = synthgen.generate_episode(30 + k, episode_id=episode_id, noise=False)
+            if episode_id == "ep_00001":
+                channels = np.array(ep.channels)
+                channels[40, ep.channel_index("effort_motor_torque_2")] = np.nan
+                ep = ep.replace(channels=channels)
+            ingest.write_canonical(ep, directory)
+        return directory
+
+    def test_train_anomaly(self, tmp_path, capsys):
+        data = self._write(tmp_path / "data", ["ep_00000", "ep_00001", "ep_00002"])
+        out = tmp_path / "out"
+        assert main(["train-anomaly", "--data", str(data), "--out", str(out),
+                     "--epochs", "1"]) == 1
+        assert capsys.readouterr().err == f"error: {self.ERROR}\n"
+        assert not out.exists()
+
+    def test_score(self, healthy_corpus, tmp_path, capsys):
+        model = tmp_path / "model"
+        assert main(["train-anomaly", "--data", str(healthy_corpus), "--out", str(model),
+                     "--epochs", "1", "--batch-size", "1024"]) == 0
+        data = self._write(tmp_path / "data", ["ep_00000", "ep_00001"])
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main(["score", "--model", str(model / "anomaly_model.ckpt"), "--data", str(data),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {self.ERROR}\n"
+        assert not out.exists()
+
+    def test_gap(self, tmp_path, capsys):
+        real = self._write(tmp_path / "real", ["ep_00001"])
+        sim = self._write(tmp_path / "sim", ["ep_00001_sim"])
+        out = tmp_path / "out"
+        assert main(["gap", "--real-dir", str(real), "--sim-dir", str(sim),
+                     "--out", str(out)]) == 1
+        manifest = yaml.safe_load((out / "manifest.yaml").read_text())
+        assert manifest["failures"] == [self.ERROR]
+        assert manifest["outputs"] == []
+        assert self.ERROR in capsys.readouterr().err
+
+
 class TestNegativeSeed:
     """Every ``--seed`` refuses a negative value while the arguments are parsed."""
 

@@ -28,7 +28,7 @@ from hypothesis.extra.numpy import arrays
 from conftest import make_episode, reference_checkpoint
 from sefc import codec, ingest
 from sefc.cli import main
-from sefc.forecast import _build_net
+from sefc.forecast import _NETS
 from sefc.ingest import encode_phase_rle, read_canonical, write_canonical
 from sefc.nnkit import DenseNet, load_model, save_model
 from sefc.schema import EpisodeMeta, SignalRole, apply_adapter, builtin_adapter
@@ -237,7 +237,7 @@ class TestCheckpointBytes:
         assert np.array_equal(_bits(_load_text(tmp_path, model)), _bits(_parsed_cells(model)))
 
 
-# sha256 of the version-1 text checkpoint of `_build_net(kind, 6, seed=0)`,
+# sha256 of the version-1 text checkpoint of `_NETS[kind](6, seed=0)`,
 # recorded from `save_model` while TCNNet and SeqNet were separate classes
 # (numpy 2.4, x86-64) and now rendered by `reference_checkpoint`.  The spec,
 # the parameter order and the initial values of both sequence kinds must not
@@ -254,7 +254,7 @@ GOLDEN_CHECKPOINTS_V2 = {
 
 @pytest.mark.parametrize("kind", sorted(GOLDEN_CHECKPOINTS))
 def test_sequence_checkpoint_digests(tmp_path, kind):
-    net = _build_net(kind, 6, seed=0)
+    net = _NETS[kind](6, seed=0)
     text = tmp_path / "v1.ckpt"
     text.write_bytes(reference_checkpoint(net).encode("utf-8"))
     assert hashlib.sha256(text.read_bytes()).hexdigest() == GOLDEN_CHECKPOINTS[kind]

@@ -21,7 +21,7 @@ from sefc.forecast import (
     survival_curve,
     train_forecaster,
     transfer_eval,
-    _build_net,
+    _NETS,
 )
 from sefc.nnkit import TrainConfig, save_model
 from sefc.schema import SignalRole
@@ -66,6 +66,38 @@ class TrueAccelOracle:
         a = self.acc[self.step]
         self.step += 1
         return a[None]
+
+
+class EchoSetpoint:
+    """Echoes the setpoint-acc features of the last window row."""
+
+    def predict_batch(self, windows):
+        return windows[:, -1, 30:36]
+
+
+def reference_rollout(model, ep, start, horizon, threshold=0.01):
+    """The closed loop written out step by step: feedback rows from *start*
+    on are the loop's own states, then q <- q + v dt and v <- v + a dt.
+
+    Returns (pred_pos, truth_pos, first_violation, survival_steps)."""
+    feats = episode_features(ep)
+    work = feats.copy()
+    dt = 1.0 / ep.rate_hz
+    q, v = feats[start, 0:6].copy(), feats[start, 6:12].copy()
+    pred = np.empty((horizon, 6))
+    for k in range(horizon):
+        t = start + k
+        work[t, 0:6], work[t, 6:12] = q, v
+        a = np.asarray(model.predict_batch(work[t - 10:t][None]))[0]
+        work[t, 12:18] = a
+        q, v = q + v * dt, v + a * dt
+        pred[k] = q
+    truth = feats[start + 1:start + 1 + horizon, 0:6]
+    over = np.abs(pred - truth) > threshold
+    hit = over.any(axis=0)
+    first = np.where(hit, over.argmax(axis=0) + 1, -1)
+    survived = np.where(hit, over.argmax(axis=0), horizon)
+    return pred, truth, first, float(survived.astype(float).mean())
 
 
 class TestFeatures:
@@ -192,7 +224,7 @@ class TestPredict:
             eps.append(make_episode(channels, descs, episode_id=f"const{k:03d}"))
         model, _ = train_forecaster(
             eps, "tcn", target="accel",
-            config=TrainConfig(optimizer="adamw", lr0=1e-2, weight_decay=0.0,
+            config=TrainConfig(optimizer="adamw", lr0=1e-2,
                                batch_size=400, max_epochs=80, patience=80, seed=0),
         )
         for ep in eps[-36:]:  # the validation episodes, unseen constants
@@ -217,7 +249,7 @@ class TestRollout:
         q0 = np.column_stack([ep.channel(f"feedback_pos_{i}") for i in range(6)])[10]
         v0 = np.column_stack([ep.channel(f"feedback_vel_{i}") for i in range(6)])[10]
         ks = np.arange(1, 201)[:, None]
-        closed = q0[None] + v0[None] * ks * res.dt
+        closed = q0[None] + v0[None] * ks / ep.rate_hz
         assert np.abs(res.pred_pos - closed).max() <= 1e-12
 
     def test_oracle_accelerations_reproduce_truth(self):
@@ -235,27 +267,39 @@ class TestRollout:
             euler_rollout(Forecaster(kind="kinematic_zero"), ep, 5, 50)
 
     def test_setpoints_replayed_not_recirculated(self):
-        # a model that echoes the setpoint-acc feature of the last window row
+        # the echoed setpoint features stay recorded (zeros), so the loop
+        # integrates zero accelerations, as the zero baseline does
         ep = recurrence_episode()
-
-        class EchoSetpoint:
-            def predict_batch(self, windows):
-                return windows[:, -1, 30:36]
-
         res = euler_rollout(EchoSetpoint(), ep, 10, 50)
-        assert np.all(res.pred_acc == 0.0)  # setpoint features stay recorded (zeros)
+        zero = euler_rollout(Forecaster(kind="kinematic_zero"), ep, 10, 50)
+        assert res.pred_pos.tobytes() == zero.pred_pos.tobytes()
+
+    @pytest.mark.parametrize("kind", ["kinematic_zero", "echo", "tcn"])
+    def test_bits_equal_the_reference_loop(self, kind):
+        if kind == "kinematic_zero":
+            model = Forecaster(kind="kinematic_zero")
+        elif kind == "echo":
+            model = EchoSetpoint()
+        else:
+            train_eps = [recurrence_episode(seed=s, episode_id=f"tr{s}") for s in range(4)]
+            model, _ = train_forecaster(
+                train_eps, "tcn", config=TrainConfig(optimizer="adamw", lr0=1e-3,
+                                                     batch_size=256, max_epochs=1, patience=1))
+        ep = recurrence_episode(seed=7)
+        res = euler_rollout(model, ep, 10, 120, 0.002)
+        pred, truth, first, survival = reference_rollout(model, ep, 10, 120, 0.002)
+        assert res.pred_pos.tobytes() == pred.tobytes()
+        assert res.truth_pos.tobytes() == truth.tobytes()
+        assert res.first_violation.tolist() == first.tolist()
+        assert res.survival_steps == survival
 
 
 class TestHorizonMetrics:
     def _result(self, err_value, H=200):
         pred = np.zeros((H, 6))
         truth = pred - err_value
-        return RolloutResult(
-            episode_id="r", start=10, dt=0.01, threshold_rad=0.01,
-            pred_pos=pred, pred_vel=pred, pred_acc=pred,
-            truth_pos=truth, truth_vel=truth, truth_acc=truth,
-            first_violation=np.full(6, -1), survival_steps=float(H),
-        )
+        return RolloutResult(pred_pos=pred, truth_pos=truth,
+                             first_violation=np.full(6, -1), survival_steps=float(H))
 
     def test_zero_error(self):
         rows = horizon_metrics([self._result(0.0)], (50, 100, 200))
@@ -397,7 +441,7 @@ class TestTransfer:
                  "x_mean": [0.0] * 36, "x_stdev": [1.0] * 36,
                  "y_mean": [0.0] * 6, "y_stdev": [1.0] * 6}
         del extra[drop]
-        path = save_model(tmp_path / "f.ckpt", _build_net("linear", 6, seed=0), extra=extra)
+        path = save_model(tmp_path / "f.ckpt", _NETS["linear"](6, seed=0), extra=extra)
         with pytest.raises(SchemaViolation,
                            match=f"{re.escape(str(path))}: not a forecaster checkpoint"):
             Forecaster.load(path)
@@ -415,7 +459,7 @@ class TestTransfer:
                  "x_mean": [0.0] * 36, "x_stdev": [1.0] * 36,
                  "y_mean": [0.0] * 6, "y_stdev": [1.0] * 6}
         extra[key] = value
-        path = save_model(tmp_path / "f.ckpt", _build_net("linear", 6, seed=0), extra=extra)
+        path = save_model(tmp_path / "f.ckpt", _NETS["linear"](6, seed=0), extra=extra)
         with pytest.raises(SchemaViolation, match=f"{re.escape(str(path))}: {key} "):
             Forecaster.load(path)
 

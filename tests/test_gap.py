@@ -497,13 +497,13 @@ class TestBatchSummary:
         ]
 
     def test_singleton(self):
-        summary = batch_summary(self._metrics([4.2]))
-        row = summary.row("joint_rmse_deg")
+        row = batch_summary(self._metrics([4.2])).rows[0]
+        assert row.metric == "joint_rmse_deg"
         assert row.mean == row.median == row.p10 == row.p90 == 4.2
 
     def test_constructed_offsets_1_to_20(self):
-        summary = batch_summary(self._metrics(range(1, 21)))
-        row = summary.row("joint_rmse_deg")
+        row = batch_summary(self._metrics(range(1, 21))).rows[0]
+        assert row.metric == "joint_rmse_deg"
         assert row.mean == pytest.approx(10.5, abs=1e-12)
         assert row.median == pytest.approx(10.5, abs=1e-12)
         # linear interpolation between closest ranks

@@ -1253,8 +1253,7 @@ class TestPairing:
             pair_episodes(self._eps(["a"]), self._eps(["b", "b"]))
 
     def test_twin_suffix_default_key(self):
-        corpus = synthgen.generate_corpus(0, {"additional_axis_payload": 20},
-                                          seed0=500, noise=False)
+        corpus = synthgen.generate_corpus(0, {"additional_axis_payload": 20}, seed0=500)
         primaries = [e for e in corpus if not e.episode_id.endswith("_twin")]
         twins = [e for e in corpus if e.episode_id.endswith("_twin")]
         pairs, unpaired = pair_episodes(primaries, twins)

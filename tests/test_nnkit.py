@@ -10,7 +10,7 @@ import yaml
 from conftest import reference_checkpoint, traced_peak_mb
 from gradcheck import forward_seq, gradient_check
 from sefc.errors import EmptyDataset, SchemaViolation, ShapeMismatch
-from sefc.forecast import _build_net
+from sefc.forecast import _NETS
 from sefc.nnkit import (
     DenseNet,
     SeqNet,
@@ -238,7 +238,7 @@ class TestTrain:
     def test_learnable_linear_target(self):
         train_set, val_set = _linear_problem()
         net = DenseNet([12, 64, 4], seed=1)
-        config = TrainConfig(lr0=3e-2, weight_decay=0.0, batch_size=256,
+        config = TrainConfig(lr0=3e-2, batch_size=256,
                              max_epochs=200, patience=200, seed=3)
         history = train(net, train_set, val_set, config)
         assert min(history.val_loss) < 1e-3
@@ -255,7 +255,7 @@ class TestTrain:
         train_set, val_set = _linear_problem(200, 80)
         net = DenseNet([12, 4], seed=0)
         history = train(net, train_set, val_set,
-                        TrainConfig(lr0=1e-3, weight_decay=0.0, patience=10,
+                        TrainConfig(lr0=1e-3, patience=10,
                                     max_epochs=15, batch_size=64, seed=0))
         assert all(b < a for a, b in zip(history.val_loss, history.val_loss[1:]))
         assert history.n_epochs == 15 and not history.stopped_early
@@ -316,7 +316,6 @@ class TestTrain:
 
     @pytest.mark.parametrize("field,value", [
         ("lr0", np.nan), ("lr0", np.inf),
-        ("weight_decay", np.nan), ("weight_decay", np.inf), ("weight_decay", -1e-5),
     ])
     def test_config_refuses_non_finite_or_negative_rates(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
@@ -482,7 +481,7 @@ class TestStepMemory:
         # values over every step), the running and block gradients, and
         # 2 MiB.  No pre-activation or block input is cached, and a block's
         # cache is freed once its backward has run.
-        net = _build_net("tcn_transformer", 6, seed=0)
+        net = _NETS["tcn_transformer"](6, seed=0)
         rng = np.random.default_rng(0)
         x, y = rng.normal(size=(500, 10, 36)), rng.normal(size=(500, 6))
         R, T, H = net._block_rows(x), 10, net.hidden
@@ -515,7 +514,7 @@ def test_step_bits_are_golden(kind):
     if kind == "dense":
         net, shape = DenseNet([18, 512, 256, 128, 6], seed=0), (2048, 18)
     else:
-        net, shape = _build_net(kind, 6, seed=0), (500, 10, 36)
+        net, shape = _NETS[kind](6, seed=0), (500, 10, 36)
     rng = np.random.default_rng(7)
     net.set_params(net.get_params() + rng.normal(0.0, 0.05, size=net.n_params))
     x, y = rng.normal(size=shape), rng.normal(size=(shape[0], 6))
@@ -545,7 +544,7 @@ GOLDEN_ONE_BLOCK = {
 
 @pytest.mark.parametrize("kind,batch", sorted(GOLDEN_ONE_BLOCK))
 def test_one_block_bits_are_golden(kind, batch):
-    net = _build_net(kind, 6, seed=0)
+    net = _NETS[kind](6, seed=0)
     rng = np.random.default_rng(7)
     net.set_params(net.get_params() + rng.normal(0.0, 0.05, size=net.n_params))
     x, y = rng.normal(size=(batch, 10, 36)), rng.normal(size=(batch, 6))
@@ -558,4 +557,4 @@ def test_one_block_bits_are_golden(kind, batch):
 
 @pytest.mark.parametrize("kind", ["tcn", "tcn_transformer"])
 def test_empty_batch_predicts_no_rows(kind):
-    assert _build_net(kind, 6, seed=0).predict(np.empty((0, 10, 36))).shape == (0, 6)
+    assert _NETS[kind](6, seed=0).predict(np.empty((0, 10, 36))).shape == (0, 6)

@@ -182,8 +182,8 @@ SCORED = (ScoredEpisode("ep_00000", "healthy", 0.1234567890123),
           ScoredEpisode("ep_3", "unstable_platform", float("inf")))
 
 ROWS_BY_MODEL = {
-    "tcn": [HorizonRow(50, 1.5, 0.25, NAN, 1e-9, 3), HorizonRow(100, 2e6, 0.0, 3.0, 4.0, 3)],
-    "kinematic_zero": [HorizonRow(50, 0.1, 0.2, 0.3, 0.4, 3)],
+    "tcn": [HorizonRow(50, 1.5, 0.25, NAN, 1e-9), HorizonRow(100, 2e6, 0.0, 3.0, 4.0)],
+    "kinematic_zero": [HorizonRow(50, 0.1, 0.2, 0.3, 0.4)],
 }
 SURVIVAL_BY_MODEL = {"tcn": 42.0, "kinematic_zero": NAN}
 

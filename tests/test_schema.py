@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import channel_for_raw, raw_table_for
-from sefc.errors import MissingChannel, MissingRawColumn, NonNumericColumn, SchemaViolation
+from sefc.errors import (DegenerateEpisode, MissingChannel, MissingRawColumn, NonNumericColumn,
+                         SchemaViolation)
 from sefc.schema import (
     BUILTIN_ADAPTER_IDS,
     FAULT_TYPES,
@@ -291,6 +292,19 @@ class TestEpisodeInvariants:
         with pytest.raises(SchemaViolation, match="rate_hz must be finite and positive"):
             Episode(**self._args(rate_hz=rate_hz))
 
+    @pytest.mark.parametrize("fault,task", [
+        ("no_such", "pick_and_place"),
+        ("missing_peg", "pick_and_place"),    # a peg_in_hole type
+        (3, "pick_and_place"),
+    ])
+    def test_fault_must_be_a_type_of_the_task(self, fault, task):
+        with pytest.raises(SchemaViolation, match=(
+                f"^fault must be null or a fault type of task '{task}', got {fault!r}$")):
+            Episode(**self._args(fault=fault, task=task))
+
+    def test_fault_of_the_task_constructs(self):
+        assert not Episode(**self._args(fault="missing_peg", task="peg_in_hole")).healthy
+
     @pytest.mark.parametrize("k", [0, 2, 4])
     def test_timestamps_must_be_finite(self, k):
         t = np.arange(5) / 10.0
@@ -326,6 +340,29 @@ class TestEpisodeColumns:
         with pytest.raises(MissingChannel) as exc:
             ep.columns(["a_0", "x_9", "y_8"])
         assert exc.value.name == "x_9"
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_model_value_names_episode_channel_and_first_row(self, ep, value):
+        channels = np.array(ep.channels)
+        channels[5, 0] = value                  # a_0, a later row
+        channels[3, 2] = value                  # c_2, the first bad row
+        bad = ep.replace(channels=channels)
+        with pytest.raises(DegenerateEpisode,
+                           match=f"^episode 'e': channel 'c_2' holds {value} at row 3$"):
+            bad.columns(["a_0", "b_1", "c_2"])
+        assert np.array_equal(bad.columns(["b_1", "d_3"]), ep.columns(["b_1", "d_3"]))
+
+    @pytest.mark.parametrize("role", [SignalRole.METADATA, SignalRole.AUXILIARY,
+                                      SignalRole.RAW_LABEL])
+    def test_carrier_channel_keeps_its_nan(self, ep, role):
+        from sefc.schema import ChannelDescriptor
+        channels = np.array(ep.channels)
+        channels[2, 1] = np.nan
+        descriptors = list(ep.descriptors)
+        descriptors[1] = ChannelDescriptor("b_1", role, "-")
+        carrier = ep.replace(channels=channels, descriptors=tuple(descriptors))
+        got = carrier.columns(["a_0", "b_1"])
+        assert np.isnan(got[2, 1]) and np.isfinite(np.delete(got, 1, axis=1)).all()
 
     def test_lookup_by_name(self, ep):
         assert ep.channel_index("c_2") == 2

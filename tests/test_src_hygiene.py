@@ -1,9 +1,11 @@
 """No name left behind: every import and every private module-level name of a
-``sefc`` module is read in that module, and every public module-level function,
-class and constant is read somewhere in ``src/sefc`` or ``bench/``.
+``sefc`` module is read in that module, every public module-level function,
+class and constant is read somewhere in ``src/sefc`` or ``bench/``, and every
+parameter default of a ``sefc`` function or method is overridden by some call
+there.
 
-A deletion that leaves an unused import, a private constant, or a function or
-constant only tests read behind fails here.  Package ``__init__`` modules
+A deletion that leaves an unused import, a private constant, a function or
+constant only tests read, or a parameter only tests set behind fails here.  Package ``__init__`` modules
 re-export names and are neither checked nor counted as readers.
 """
 
@@ -119,3 +121,67 @@ def test_every_public_def_has_a_reader():
 def test_every_public_constant_has_a_reader():
     unread = _unread_public_names(_CONSTANTS)
     assert not unread, f"read only by tests, or by nothing: {unread}"
+
+
+def _defaulted_params(func: ast.FunctionDef, is_method: bool) -> list[tuple[str, int]]:
+    """(name, positional index) of each parameter with a default; -1 for keyword-only.
+
+    A method's index skips its bound first parameter, as its calls do."""
+    args = func.args
+    positional = args.posonlyargs + args.args
+    static = any(getattr(d, "id", None) == "staticmethod" for d in func.decorator_list)
+    skip = 1 if is_method and not static else 0
+    first_default = len(positional) - len(args.defaults)
+    params = [(a.arg, i - skip) for i, a in enumerate(positional) if i >= first_default]
+    return params + [(a.arg, -1) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+
+
+def _parameter_defaults() -> list[tuple[str, tuple[str, ...], str, int]]:
+    """(where, callee names, parameter, index) of every defaulted parameter of a ``def``
+    in ``src/sefc``; an ``__init__`` is called by its class's name or by ``__init__``."""
+    found = []
+    for path in MODULES:
+        tree = _tree(path)
+        classes = [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
+        methods = {id(f): c for c in classes for f in c.body}
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            cls = methods.get(id(func))
+            names = (cls.name, "__init__") if cls and func.name == "__init__" else (func.name,)
+            where = f"{path.relative_to(SRC)}: {'.'.join(n.name for n in (cls, func) if n)}"
+            found += [(where, names, name, index)
+                      for name, index in _defaulted_params(func, cls is not None)]
+    return found
+
+
+def _calls() -> dict[str, list[ast.Call]]:
+    """Every call in ``src/sefc`` and ``bench/`` by the callee's bare name; ``cls(...)``
+    counts as a call of the class it is written in."""
+    calls: dict[str, list[ast.Call]] = {}
+    for path in MODULES + BENCH:
+        tree = _tree(path)
+        enclosing = {id(n): c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                     for n in ast.walk(c)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if name == "cls":
+                    name = enclosing.get(id(node), name)
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _passes(call: ast.Call, name: str, index: int) -> bool:
+    """Whether *call* passes the parameter *name* at positional *index*: by
+    keyword, by position or through ``*args``/``**kwargs``."""
+    return any(kw.arg in (name, None) for kw in call.keywords) or index >= 0 and (
+        len(call.args) > index or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def test_every_parameter_default_is_set_by_the_program():
+    calls = _calls()
+    unset = [f"{where}({name}=)" for where, callees, name, index in _parameter_defaults()
+             if not any(_passes(c, name, index) for callee in callees
+                        for c in calls.get(callee, ()))]
+    assert not unset, f"set only by tests, or by nothing: {unset}"

@@ -36,14 +36,14 @@ from sefc.synthgen import (
 )
 
 
-def reference_track_second_order(setpoint, wn, dt, disturbance=None, q0=None):
+def reference_track_second_order(setpoint, wn, dt, disturbance=None):
     """The tracking law on numpy scalars read from and written to float64
     arrays: the per-step formulas of `_track_second_order`, in its order."""
     n = setpoint.shape[0]
     q = np.empty(n)
     v = np.empty(n)
     a = np.empty(n)
-    q[0] = setpoint[0] if q0 is None else q0
+    q[0] = setpoint[0]
     v[0] = 0.0
     decay = math.exp(-wn * dt)
     for k in range(n - 1):
@@ -66,7 +66,7 @@ def reference_track_second_order(setpoint, wn, dt, disturbance=None, q0=None):
 
 
 def _tracking_cases():
-    """(setpoint, wn, disturbance, q0) cases the plant runs, and a few it may."""
+    """(setpoint, wn, disturbance) cases the plant runs, and one it may."""
     params = sample_params(3)
     traj = plan_trajectory(params)
     wn = math.sqrt(synthgen.JOINT_STIFFNESS[0])
@@ -77,17 +77,15 @@ def _tracking_cases():
     carried = np.zeros(traj.n_steps)
     carried[runs["lift"][0]:runs["release"][0]] = params.mass_kg
     uncompensated = carried - carried * 3.0
-    cases = {f"joint_{j}": (sp[:, j], wn, None, None) for j in range(sp.shape[1])}
+    cases = {f"joint_{j}": (sp[:, j], wn, None) for j in range(sp.shape[1])}
     for j in range(sp.shape[1]):
         if GRAVITY_ARM_M[j] > 0:
             dist = GRAVITY * GRAVITY_ARM_M[j] * uncompensated * np.cos(sp[:, j])
-            cases[f"misconfigured_payload_{j}"] = (sp[:, j], wn, dist, None)
-    cases["q0_given"] = (sp[:, 1], wn, None, 0.3)
+            cases[f"misconfigured_payload_{j}"] = (sp[:, j], wn, dist)
     cases["gripper"] = (
-        traj.gripper_pos, math.sqrt(params.kp_grip * synthgen.GRIPPER_STIFFNESS_SCALE),
-        None, None)
+        traj.gripper_pos, math.sqrt(params.kp_grip * synthgen.GRIPPER_STIFFNESS_SCALE), None)
     cases["nan_setpoint"] = (np.where(np.arange(traj.n_steps) == 40, np.nan, sp[:, 0]),
-                             wn, None, None)
+                             wn, None)
     return cases
 
 
@@ -97,10 +95,10 @@ TRACKING_CASES = _tracking_cases()
 class TestTrackingLaw:
     @pytest.mark.parametrize("case", sorted(TRACKING_CASES))
     def test_bit_identical_to_numpy_scalar_reference(self, case):
-        setpoint, wn, dist, q0 = TRACKING_CASES[case]
+        setpoint, wn, dist = TRACKING_CASES[case]
         dt = RandomizationConfig().sim_dt_s
-        got = synthgen._track_second_order(setpoint, wn, dt, disturbance=dist, q0=q0)
-        want = reference_track_second_order(setpoint, wn, dt, disturbance=dist, q0=q0)
+        got = synthgen._track_second_order(setpoint, wn, dt, disturbance=dist)
+        want = reference_track_second_order(setpoint, wn, dt, disturbance=dist)
         for g, w in zip(got, want):
             assert g.dtype == np.float64 and g.shape == w.shape
             assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
@@ -180,7 +178,7 @@ class TestConfigFields:
 class TestTrajectory:
     def test_standard_plan_shape(self):
         traj = plan_trajectory(sample_params(3))
-        assert [name for name, _, _ in traj.plan.phases] == list(PHASE_NAMES)
+        assert list(traj.phase_runs()) == list(PHASE_NAMES)
         assert traj.n_steps == 511
         runs = encode_phase_rle(traj.phase)
         assert len(runs) == 10
@@ -243,14 +241,14 @@ class TestTrajectory:
 
 
 class TestPlant:
-    def test_equilibrium_constant_setpoint(self):
+    def test_equilibrium_constant_setpoint(self, monkeypatch):
         # constant plan: feedback stays put, effort is the gravity term alone
         q = (0.1, 0.4, 0.8, -0.2, 0.3, 0.0)
         phases = tuple((name, 0.5, q) for name in PHASE_NAMES)
-        plan = PhasePlan(phases, start_q=q)
+        traj = profiles_from_plan(PhasePlan(phases, start_q=q), 60.0)
+        monkeypatch.setattr(synthgen, "plan_trajectory", lambda params: traj)
         params = sample_params(5)
-        traj = profiles_from_plan(plan, 60.0)
-        ep = simulate_plant(params, traj)
+        ep = simulate_plant(params)
         for i in range(6):
             fb = ep.channel(f"feedback_pos_{i}")
             assert np.abs(fb - q[i]).max() <= 1e-12
@@ -281,9 +279,11 @@ class TestPlant:
         # closed form: q(t) = A(1 - (1 + wn t) exp(-wn t)); no overshoot
         from sefc.synthgen import _track_second_order
 
+        # the law starts at its first setpoint, so the step comes one step in
         A, wn, dt, n = 0.1, 10.0, 1.0 / 60.0, 400
-        setpoint = np.full(n, A)
-        q, v, a = _track_second_order(setpoint, wn, dt, q0=0.0)
+        setpoint = np.full(n + 1, A)
+        setpoint[0] = 0.0
+        q = _track_second_order(setpoint, wn, dt)[0][1:]
         t = np.arange(n) * dt
         closed = A * (1.0 - (1.0 + wn * t) * np.exp(-wn * t))
         assert np.abs(q - closed).max() <= 1e-9
@@ -586,10 +586,8 @@ class TestNoise:
 
 class TestCorpus:
     def test_counts_and_healthy_fraction(self):
-        eps = generate_corpus(
-            4, {"additional_axis_payload": 3, "unstable_platform": 3}, seed0=100,
-            noise=False,
-        )
+        eps = generate_corpus(4, {"additional_axis_payload": 3, "unstable_platform": 3},
+                              seed0=100)
         primaries = [e for e in eps if not e.episode_id.endswith("_twin")]
         twins = [e for e in eps if e.episode_id.endswith("_twin")]
         assert len(primaries) == 10 and len(twins) == 6
@@ -598,15 +596,15 @@ class TestCorpus:
         assert all(t.healthy for t in twins)
 
     def test_determinism(self):
-        a = generate_corpus(2, {"collision_foam_spike": 1}, seed0=9, noise=True)
-        b = generate_corpus(2, {"collision_foam_spike": 1}, seed0=9, noise=True)
+        a = generate_corpus(2, {"collision_foam_spike": 1}, seed0=9)
+        b = generate_corpus(2, {"collision_foam_spike": 1}, seed0=9)
         assert len(a) == len(b)
         for x, y in zip(a, b):
             assert x.episode_id == y.episode_id
             assert np.array_equal(x.channels, y.channels)
 
     def test_empty_fault_mix(self):
-        eps = generate_corpus(3, {}, seed0=0, noise=False)
+        eps = generate_corpus(3, {}, seed0=0)
         assert len(eps) == 3 and all(e.healthy for e in eps)
 
     def test_non_injectable_fault_raises_before_any_episode(self, monkeypatch):
