@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -226,7 +226,7 @@ def _auroc_of(scored: Sequence[ScoredEpisode]) -> float:
     return auroc([(s.score, s.is_anomalous) for s in scored])
 
 
-def bootstrap_ci(scored: Sequence[ScoredEpisode], seed: int = 0) -> tuple[float, float]:
+def bootstrap_ci(scored: Sequence[ScoredEpisode], seed: int) -> tuple[float, float]:
     """Percentile ``_CI_LEVEL`` bootstrap CI of the AUROC over ``_N_RESAMPLES``
     resamples of the episode-level scores.
 
@@ -256,7 +256,7 @@ def bootstrap_ci(scored: Sequence[ScoredEpisode], seed: int = 0) -> tuple[float,
 class CategoryRow:
     category: str
     n: int
-    auroc: Optional[float]     # None is written as an empty cell
+    auroc: float
 
 
 @dataclass(frozen=True)
@@ -269,7 +269,7 @@ class AnomalyReport:
     n_healthy: int
 
 
-def per_category_report(scored: Sequence[ScoredEpisode], seed: int = 0) -> AnomalyReport:
+def per_category_report(scored: Sequence[ScoredEpisode], seed: int) -> AnomalyReport:
     """One AUROC per fault category present in *scored*, in sorted order,
     against the shared healthy pool."""
     healthy = [s for s in scored if not s.is_anomalous]
@@ -297,8 +297,7 @@ def per_category_report(scored: Sequence[ScoredEpisode], seed: int = 0) -> Anoma
 def write_report_csv(report: AnomalyReport, path: Union[str, Path]) -> Path:
     n_anomalous = sum(r.n for r in report.rows)
     return write_csv(path, ["category", "n", "auroc"], [
-        *([r.category, r.n, "" if r.auroc is None else f"{r.auroc:.6f}"]
-          for r in report.rows),
+        *([r.category, r.n, f"{r.auroc:.6f}"] for r in report.rows),
         ["mean", n_anomalous, f"{report.mean_auroc:.6f}"],
         ["pooled", n_anomalous, f"{report.pooled_auroc:.6f}"],
         [f"ci{int(report.ci_level * 100)}", report.n_healthy,
@@ -318,9 +317,7 @@ def write_report_summary(report: AnomalyReport, path: Union[str, Path]) -> Path:
         "n_healthy": report.n_healthy,
         "n_anomalous": sum(r.n for r in report.rows),
         "categories": {
-            r.category: {"n": r.n,
-                         "auroc": None if r.auroc is None else round(r.auroc, 6)}
-            for r in report.rows
+            r.category: {"n": r.n, "auroc": round(r.auroc, 6)} for r in report.rows
         },
     }
     path.write_text(dump_yaml(payload), encoding="utf-8")

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__, anomaly, forecast, gap, ingest, synthgen
 from .codec import dump_yaml, write_csv
-from .errors import SchemaViolation, SefcError, UnsupportedFault
+from .errors import EmptyDataset, SchemaViolation, SefcError, UnsupportedFault
 from .nnkit import TrainConfig
 from .parallel import fork_map
 from .schema import (BUILTIN_ADAPTER_IDS, TASKS, EpisodeMeta, apply_adapter, builtin_adapter,
@@ -85,16 +85,10 @@ def _command(body):
     return command
 
 
-def _train_config(args: argparse.Namespace, **overrides) -> TrainConfig:
-    kwargs = dict(
-        lr0=args.lr,
-        batch_size=args.batch_size,
-        max_epochs=args.epochs,
-        patience=min(args.patience, args.epochs),
-        seed=args.seed,
-    )
-    kwargs.update(overrides)
-    return TrainConfig(**kwargs)
+def _train_config(args: argparse.Namespace, optimizer: str) -> TrainConfig:
+    return TrainConfig(optimizer=optimizer, lr0=args.lr, batch_size=args.batch_size,
+                       max_epochs=args.epochs, patience=min(args.patience, args.epochs),
+                       seed=args.seed)
 
 
 def _finite_positive(flag: str, value: float) -> None:
@@ -159,7 +153,8 @@ def cmd_generate(args: argparse.Namespace, out: Path) -> _Done:
 
     def generate_and_write(entry) -> str:
         ep_seed, fault, episode_id = entry
-        ep = synthgen.generate_episode(ep_seed, config, fault, episode_id, noise)
+        ep = synthgen.generate_episode(ep_seed, config, fault=fault, episode_id=episode_id,
+                                       noise=noise)
         return ingest.write_canonical(ep, ep_dir)[0].name
 
     written = fork_map(generate_and_write, plan)
@@ -218,7 +213,7 @@ def cmd_ingest(args: argparse.Namespace, out: Path) -> _Done:
 @_command
 def cmd_train_anomaly(args: argparse.Namespace, out: Path) -> _Done:
     episodes = ingest.read_episode_dir(args.data)
-    model, history = anomaly.train_anomaly_model(episodes, config=_train_config(args))
+    model, history = anomaly.train_anomaly_model(episodes, config=_train_config(args, "adam"))
     ckpt = model.save(out / "anomaly_model.ckpt")
     hist_path = write_csv(
         out / "train_history.csv", ["epoch", "train_loss", "val_loss", "lr"],
@@ -261,7 +256,7 @@ def cmd_eval_forecast(args: argparse.Namespace, out: Path) -> _Done:
         raise SchemaViolation(f"--horizon {args.horizon!r}: a horizon is repeated")
     h_max = horizons[-1]
     kinds = _model_kinds(args.models)
-    config = _train_config(args, optimizer="adamw")
+    config = _train_config(args, "adamw")
 
     n_eval = max(1, len(episodes) // 5)
     train_eps, eval_eps = episodes[:-n_eval], episodes[-n_eval:]
@@ -304,8 +299,10 @@ def cmd_eval_forecast(args: argparse.Namespace, out: Path) -> _Done:
 def cmd_eval_transfer(args: argparse.Namespace, out: Path) -> _Done:
     kinds = _model_kinds(args.models)
     source = [ep for ep in ingest.read_episode_dir(args.train_data) if ep.healthy]
-    target = ingest.read_episode_dir(args.eval_data)
-    config = _train_config(args, optimizer="adamw")
+    target = [ep for ep in ingest.read_episode_dir(args.eval_data) if ep.healthy]
+    if not target:
+        raise EmptyDataset(f"{args.eval_data}: no healthy episode to evaluate on")
+    config = _train_config(args, "adamw")
     models, training = _train_each(kinds, source, args.channel_set, config)
     reports = [forecast.transfer_eval(m, target, args.channel_set) for m in models.values()]
     path = forecast.write_transfer_csv(reports, out / _REPORT_FILES["transfer"])

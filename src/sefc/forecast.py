@@ -67,7 +67,7 @@ def episode_features(ep: Episode) -> np.ndarray:
     return feats
 
 
-def make_windows(ep: Episode, target: str = "accel") -> tuple[np.ndarray, np.ndarray]:
+def make_windows(ep: Episode, target: str) -> tuple[np.ndarray, np.ndarray]:
     """All (10, 36) -> next-step-target training pairs of one episode.
 
     Accel targets are the features' feedback_acc block, so a joint without a
@@ -97,10 +97,10 @@ class Forecaster:
     """A trained predictor (or the zero baseline) operating in raw units."""
 
     kind: str
+    target: str
     net: Optional[Model] = None
     x_std: Optional[Standardizer] = None    # per-feature, over the 36 features
     y_std: Optional[Standardizer] = None
-    target: str = "accel"
     out_dim: int = N_JOINTS
 
     def predict_batch(self, windows: np.ndarray) -> np.ndarray:
@@ -191,7 +191,7 @@ def train_forecaster(
     val_set = (_net_input(net, x_std.transform(x_val)), y_std.transform(y_val))
     del x_val
     history = train(net, train_set, val_set, config)
-    return Forecaster(kind, net, x_std, y_std, target, out_dim), history
+    return Forecaster(kind, target, net, x_std, y_std, out_dim), history
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +276,7 @@ class HorizonRow:
 
 
 def horizon_metrics(
-    results: Sequence[RolloutResult], horizons: Sequence[int] = (50, 100, 200)
+    results: Sequence[RolloutResult], horizons: Sequence[int]
 ) -> list[HorizonRow]:
     """Position MSE/MAE at each horizon, mean +/- std over rollouts.
 
@@ -349,7 +349,7 @@ class TransferReport:
 def transfer_eval(
     model: Forecaster,
     target_episodes: Sequence[Episode],
-    target: Optional[str] = None,
+    target: str,
 ) -> TransferReport:
     """Zero-shot one-step-ahead evaluation on an unseen embodiment.
 
@@ -358,7 +358,6 @@ def transfer_eval(
     """
     if not target_episodes:
         raise EmptyDataset("no target episodes")
-    target = target or model.target
     mcs, raws = [], []
     for ep in target_episodes:
         x, y = make_windows(ep, target)

@@ -88,8 +88,7 @@ _LINE = re.compile(rb"(?:\r?\n)*([^\n]*)\n?")
 
 
 def parse_raw_csv(
-    path: Union[str, Path], dialect: CsvDialect = CsvDialect(),
-    text_columns: Collection[str] = (),
+    path: Union[str, Path], dialect: CsvDialect, text_columns: Collection[str] = (),
 ) -> dict[str, np.ndarray]:
     """Parse a raw per-episode CSV into named columns.
 
@@ -149,7 +148,7 @@ class _Decline(Exception):
     """A block the one-pass parse cannot read exactly; its file goes to ``csv.reader``."""
 
 
-def _blocks(raw: bytes, start: int = 0) -> Iterator[tuple[int, int]]:
+def _blocks(raw: bytes, start: int) -> Iterator[tuple[int, int]]:
     """The bounds of *raw* from *start* in runs of whole lines, each about
     ``_BLOCK_BYTES`` long."""
     while start < len(raw):
@@ -284,7 +283,7 @@ def _numeric_lines(body: list[str], dialect: CsvDialect) -> list[str]:
 
 
 def _parse_with_csv_reader(path: Path, dialect: CsvDialect,
-                           text_columns: Collection[str] = ()) -> dict[str, np.ndarray]:
+                           text_columns: Collection[str]) -> dict[str, np.ndarray]:
     """The table of any file, cell by cell through ``csv.reader``."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh, delimiter=dialect.delimiter)
@@ -319,7 +318,7 @@ def _parse_with_csv_reader(path: Path, dialect: CsvDialect,
     return table
 
 
-def _parse_column(cells: Sequence[Optional[str]], decimal: str, text: bool = False) -> np.ndarray:
+def _parse_column(cells: Sequence[Optional[str]], decimal: str, text: bool) -> np.ndarray:
     """*cells* as float64, NaN at None; as objects, each through ``_point_decimal``,
     when *text* or when a cell is not a number."""
     if not text:
@@ -374,7 +373,7 @@ def resample(ep: Episode, target_hz: float) -> Episode:
     return ep.replace(rate_hz=target_hz, t=t_new, channels=channels, phase=phase)
 
 
-def fill_gaps(ep: Episode, max_missing_fraction: float = 0.001) -> Episode:
+def fill_gaps(ep: Episode, max_missing_fraction: float) -> Episode:
     """Fill sensor dropouts (NaN cells) by linear interpolation.
 
     Interior runs are interpolated between the nearest valid neighbors;
@@ -653,8 +652,8 @@ class EpisodePair:
 
 @dataclass(frozen=True)
 class UnpairedReport:
-    real_only: tuple[str, ...] = ()
-    sim_only: tuple[str, ...] = ()
+    real_only: tuple[str, ...]
+    sim_only: tuple[str, ...]
 
 
 _PAIR_SUFFIXES = ("_twin", "_sim", "_real")

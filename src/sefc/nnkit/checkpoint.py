@@ -41,7 +41,7 @@ MODEL_KINDS = {
 }
 
 
-def save_model(path: Union[str, Path], model: Model, extra: dict | None = None) -> Path:
+def save_model(path: Union[str, Path], model: Model, extra: dict) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     header = {"format": _FORMAT, "model": model.spec(), "n_params": model.n_params}

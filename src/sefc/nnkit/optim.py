@@ -14,7 +14,7 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 class AdamState:
     m: np.ndarray
     v: np.ndarray
-    t: int = 0
+    t: int
 
 
 def init_adam(n_params: int) -> AdamState:
@@ -26,8 +26,8 @@ def adam_step(
     params: np.ndarray,
     grads: np.ndarray,
     lr: float,
-    weight_decay: float = 0.0,
-    decoupled: bool = False,
+    weight_decay: float,
+    decoupled: bool,
 ) -> np.ndarray:
     """One Adam update; returns the new parameter vector.
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,12 +20,12 @@ _WEIGHT_DECAY = 1e-5
 
 @dataclass(frozen=True)
 class TrainConfig:
-    optimizer: str = "adam"          # adam | adamw
-    lr0: float = 5e-4
-    batch_size: int = 4096
-    max_epochs: int = 500
-    patience: int = 30
-    seed: int = 0
+    optimizer: str          # adam | adamw
+    lr0: float
+    batch_size: int
+    max_epochs: int
+    patience: int
+    seed: int
 
     def __post_init__(self):
         if not 0 < self.lr0 < np.inf:
@@ -44,11 +44,11 @@ class TrainConfig:
 
 @dataclass
 class TrainHistory:
-    train_loss: list[float] = field(default_factory=list)
-    val_loss: list[float] = field(default_factory=list)
-    lr: list[float] = field(default_factory=list)
-    best_epoch: int = -1
-    stopped_early: bool = False
+    train_loss: list[float]
+    val_loss: list[float]
+    lr: list[float]
+    best_epoch: int
+    stopped_early: bool
 
     @property
     def n_epochs(self) -> int:
@@ -77,7 +77,7 @@ def train(
     rng = np.random.default_rng(config.seed)
     state = init_adam(model.n_params)
     params = model.get_params()
-    history = TrainHistory()
+    history = TrainHistory([], [], [], -1, False)
     best_val = np.inf
     best_params = params.copy()
     bad_epochs = 0

@@ -111,8 +111,8 @@ class SignalSpec:
     canonical_name: str
     role: Optional[SignalRole]
     unit: str
-    axis: Optional[int] = None
-    notes: str = ""
+    axis: Optional[int]
+    notes: str
 
 
 @dataclass(frozen=True)
@@ -135,9 +135,9 @@ class AdapterSpec:
     source_id: str
     native_rate_hz: float
     signals: tuple[SignalSpec, ...]
-    absent_channels: tuple[str, ...] = ()
-    notes: str = ""
-    phase_column: Optional[str] = None
+    absent_channels: tuple[str, ...]
+    notes: str
+    phase_column: Optional[str]
 
     def __post_init__(self):
         problems: list[str] = []

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Optional, Union
 
@@ -170,15 +170,12 @@ class EpisodeParams:
     kp_grip: float
     cube_dims_m: tuple[float, float, float]
     spawn_offset_m: tuple[float, float]
-    fault: Optional[str] = None
-    config: RandomizationConfig = field(default_factory=RandomizationConfig)
+    fault: Optional[str]
+    config: RandomizationConfig
 
 
 def sample_params(
-    seed: int,
-    config: RandomizationConfig = RandomizationConfig(),
-    fault: Optional[str] = None,
-    episode_id: Optional[str] = None,
+    seed: int, config: RandomizationConfig, fault: Optional[str], episode_id: str
 ) -> EpisodeParams:
     """Draw one episode's randomization values; deterministic in the seed.
 
@@ -200,7 +197,7 @@ def sample_params(
 
     return EpisodeParams(
         seed=seed,
-        episode_id=episode_id or f"ep_{seed}",
+        episode_id=episode_id,
         mass_kg=mass,
         friction=friction,
         kp_grip=kp_grip,
@@ -361,7 +358,7 @@ def _check_feasible(name: str, duration: float, displacement: float) -> None:
         )
 
 
-def profiles_from_plan(plan: PhasePlan, rate_hz: float = 60.0) -> TrajectoryPlan:
+def profiles_from_plan(plan: PhasePlan, rate_hz: float) -> TrajectoryPlan:
     """Sample per-joint setpoint profiles from a phase plan.
 
     Positions are the closed-form trapezoids sampled on the grid;
@@ -706,11 +703,12 @@ def add_sensor_noise(ep: Episode, params: EpisodeParams) -> Episode:
 def generate_episode(
     seed: int,
     config: RandomizationConfig = RandomizationConfig(),
-    fault: Optional[str] = None,
-    episode_id: Optional[str] = None,
+    *,
+    fault: Optional[str],
+    episode_id: str,
     noise: bool = True,
 ) -> Episode:
-    params = sample_params(seed, config, fault, episode_id=episode_id)
+    params = sample_params(seed, config, fault, episode_id)
     ep = simulate_plant(params)
     if noise:
         ep = add_sensor_noise(ep, params)

@@ -94,12 +94,12 @@ def channel_for_raw(spec: AdapterSpec, raw_name: str) -> ChannelDescriptor:
 
 @pytest.fixture(scope="session")
 def noiseless_episode() -> Episode:
-    return synthgen.generate_episode(1234, episode_id="clean", noise=False)
+    return synthgen.generate_episode(1234, episode_id="clean", noise=False, fault=None)
 
 
 @pytest.fixture(scope="session")
 def noisy_episode() -> Episode:
-    return synthgen.generate_episode(1234, episode_id="noisy", noise=True)
+    return synthgen.generate_episode(1234, episode_id="noisy", noise=True, fault=None)
 
 
 @pytest.fixture(scope="session")
@@ -110,7 +110,7 @@ def twin_pairs() -> list[tuple[Episode, Episode]]:
         seed = 9000 + k
         faulty = synthgen.generate_episode(seed, fault="additional_axis_payload",
                                            episode_id=f"tw{k}")
-        twin = synthgen.generate_episode(seed, episode_id=f"tw{k}_twin")
+        twin = synthgen.generate_episode(seed, episode_id=f"tw{k}_twin", fault=None)
         pairs.append((faulty, twin))
     return pairs
 
@@ -122,10 +122,10 @@ def small_anomaly_model():
     from sefc.nnkit import TrainConfig
 
     episodes = [
-        synthgen.generate_episode(7000 + k, episode_id=f"tr{k:03d}")
+        synthgen.generate_episode(7000 + k, episode_id=f"tr{k:03d}", fault=None)
         for k in range(20)
     ]
-    config = TrainConfig(lr0=1e-3, batch_size=2048,
+    config = TrainConfig(optimizer="adam", lr0=1e-3, batch_size=2048,
                          max_epochs=10, patience=10, seed=0)
     model, _ = anomaly.train_anomaly_model(episodes, config=config)
     return model

@@ -184,7 +184,7 @@ class _TrueAccelOracle:
 
 def test_criterion_06_euler_and_survival():
     ep = _recurrence_episode()
-    res0 = euler_rollout(Forecaster(kind="kinematic_zero"), ep, 10, 200)
+    res0 = euler_rollout(Forecaster(kind="kinematic_zero", target="accel"), ep, 10, 200)
     q0 = np.column_stack([ep.channel(f"feedback_pos_{i}") for i in range(6)])[10]
     v0 = np.column_stack([ep.channel(f"feedback_vel_{i}") for i in range(6)])[10]
     ks = np.arange(1, 201)[:, None]
@@ -241,7 +241,7 @@ def test_criterion_08_gap_pipeline_end_to_end():
     real_eps, sim_eps = [], []
     for k in range(1, 21):
         base = synthgen.generate_episode(4000 + k, episode_id=f"pair{k:02d}",
-                                         noise=False)
+                                         noise=False, fault=None)
         ch = np.array(base.channels)
         for i in range(6):
             ch[:, base.channel_index(f"feedback_pos_{i}")] += np.deg2rad(float(k))
@@ -264,7 +264,7 @@ def test_criterion_08_gap_pipeline_end_to_end():
 
 
 def test_criterion_09_ingestion_exactness(tmp_path):
-    noisy = synthgen.generate_episode(77, episode_id="rt", noise=True)
+    noisy = synthgen.generate_episode(77, episode_id="rt", noise=True, fault=None)
     csv_path, _ = ingest.write_canonical(noisy, tmp_path)
     back = ingest.read_canonical(csv_path)
     rt_err = np.abs(back.channels - noisy.channels).max()
@@ -295,7 +295,7 @@ def test_criterion_09_ingestion_exactness(tmp_path):
     over = make_episode({"a": col, "b": np.ones(1000), "c": np.ones(1000)}, descs,
                         episode_id="x")
     with pytest.raises(ExcessiveMissing):
-        ingest.fill_gaps(over)
+        ingest.fill_gaps(over, max_missing_fraction=0.001)
     report(9, f"round trip err {rt_err:.1e}; 60->100 Hz linear err {lin_err:.1e}; "
               "gap fill + 0.1% threshold enforced")
 

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import dataclasses
 import filecmp
 import io
@@ -253,9 +254,9 @@ class TestGenerateOnEveryCore:
         """Make ``synthgen.generate_episode`` call ``before(episode_id)`` first."""
         real = synthgen.generate_episode
 
-        def patched(seed, config, fault=None, episode_id=None, noise=True):
+        def patched(seed, config, *, fault, episode_id, noise):
             before(episode_id)
-            return real(seed, config, fault, episode_id, noise)
+            return real(seed, config, fault=fault, episode_id=episode_id, noise=noise)
 
         monkeypatch.setattr(synthgen, "generate_episode", patched)
 
@@ -699,7 +700,7 @@ class TestScoreCheckpointErrors:
     def _score(tmp_path, capsys, header_edit=None, head_prefix=b""):
         from sefc.nnkit import DenseNet, save_model
 
-        path = save_model(tmp_path / "m.ckpt", DenseNet([2, 3, 1], seed=0))
+        path = save_model(tmp_path / "m.ckpt", DenseNet([2, 3, 1], seed=0), extra={})
         head, _, payload = path.read_bytes().partition(b"\n---\n")
         header = yaml.safe_load(head)
         if header_edit:
@@ -801,7 +802,7 @@ class TestEvalForecast:
                                 best_epoch=0, stopped_early=True),
         }
         monkeypatch.setattr(forecast, "train_forecaster", lambda eps, kind, target, config: (
-            forecast.Forecaster("kinematic_zero"), histories.get(kind)))
+            forecast.Forecaster("kinematic_zero", target="accel"), histories.get(kind)))
         out = tmp_path / "fc"
         assert main(["eval-forecast", "--data", str(small_corpus), "--out", str(out),
                      "--models", "kinematic_zero,linear,tcn", "--horizon", "50"]) == 0
@@ -861,6 +862,32 @@ class TestEvalTransfer:
         lines = (out / "transfer_report.csv").read_text().strip().splitlines()
         assert lines[0] == "model,target,mc_mae,ci_halfwidth,raw_mae,n_episodes"
         assert len(lines) == 3
+
+    def test_measures_healthy_target_episodes_only(self, small_corpus, tmp_path):
+        out = tmp_path / "tr"
+        assert main(["eval-transfer", "--train-data", str(small_corpus),
+                     "--eval-data", str(small_corpus), "--out", str(out),
+                     "--models", "kinematic_zero", "--channel-set", "effort"]) == 0
+        with open(out / "transfer_report.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows and all(r["n_episodes"] == "8" for r in rows)   # 8 healthy, 2 faulty
+
+    def test_target_without_healthy_episode_exits_1_before_training(
+            self, small_corpus, tmp_path, capsys, monkeypatch):
+        from sefc import forecast
+
+        faulty = tmp_path / "faulty"
+        faulty.mkdir()
+        for p in small_corpus.iterdir():
+            if p.name.split(".")[0] in ("ep_00006", "ep_00007"):
+                shutil.copy(p, faulty / p.name)
+        monkeypatch.setattr(forecast, "train_forecaster", _no_training)
+        out = tmp_path / "tr"
+        rc = main(["eval-transfer", "--train-data", str(small_corpus),
+                   "--eval-data", str(faulty), "--out", str(out), "--models", "linear"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {faulty}: no healthy episode to evaluate on\n"
+        assert not out.exists()
 
     def test_unknown_model_kind_exits_2_before_training(self, small_corpus, tmp_path,
                                                         capsys, monkeypatch):
@@ -969,7 +996,7 @@ class TestGapPairFailures:
 
         groups = set(JOINT_CHANNELS + TCP_POS_CHANNELS + TCP_ROT_CHANNELS)
         for key in keys:
-            real = synthgen.generate_episode(3, episode_id=key, noise=False)
+            real = synthgen.generate_episode(3, episode_id=key, noise=False, fault=None)
             sim = real
             if key == "no_phases":
                 sim = real.replace(phase=np.full(real.n_steps, "unknown"))
@@ -1256,7 +1283,7 @@ class TestNonFiniteModelValue:
         from sefc import ingest
 
         for k, episode_id in enumerate(episode_ids):
-            ep = synthgen.generate_episode(30 + k, episode_id=episode_id, noise=False)
+            ep = synthgen.generate_episode(30 + k, episode_id=episode_id, noise=False, fault=None)
             if episode_id == "ep_00001":
                 channels = np.array(ep.channels)
                 channels[40, ep.channel_index("effort_motor_torque_2")] = np.nan

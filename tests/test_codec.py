@@ -220,7 +220,7 @@ class TestCheckpointBytes:
         model.set_params(bits.view(np.float64))
         assert np.array_equal(_bits(model.get_params()), bits)
         with tempfile.TemporaryDirectory() as tmp:
-            path = save_model(Path(tmp) / "m.ckpt", model)
+            path = save_model(Path(tmp) / "m.ckpt", model, extra={})
             assert path.read_bytes() == reference_checkpoint_v2(model)
             loaded, _ = load_model(path)
             from_text = _load_text(tmp, model)
@@ -230,7 +230,7 @@ class TestCheckpointBytes:
     def test_many_blocks(self, tmp_path):
         model = DenseNet([18, 64, 6], seed=0)
         model.set_params(_random_bits(np.random.default_rng(1), model.n_params))
-        path = save_model(tmp_path / "m.ckpt", model)
+        path = save_model(tmp_path / "m.ckpt", model, extra={})
         assert path.read_bytes() == reference_checkpoint_v2(model)
         loaded, _ = load_model(path)
         assert np.array_equal(_bits(loaded.get_params()), _bits(model.get_params()))
@@ -258,13 +258,14 @@ def test_sequence_checkpoint_digests(tmp_path, kind):
     text = tmp_path / "v1.ckpt"
     text.write_bytes(reference_checkpoint(net).encode("utf-8"))
     assert hashlib.sha256(text.read_bytes()).hexdigest() == GOLDEN_CHECKPOINTS[kind]
-    path = save_model(tmp_path / "m.ckpt", net)
+    path = save_model(tmp_path / "m.ckpt", net, extra={})
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_CHECKPOINTS_V2[kind]
     for written in (text, path):
         loaded, _ = load_model(written)
         assert type(loaded) is type(net)
         assert np.array_equal(_bits(loaded.get_params()), _bits(net.get_params()))
-        assert path.read_bytes() == save_model(tmp_path / "again.ckpt", loaded).read_bytes()
+        again = save_model(tmp_path / "again.ckpt", loaded, extra={})
+        assert path.read_bytes() == again.read_bytes()
 
 
 # --- YAML sidecars ---------------------------------------------------------------

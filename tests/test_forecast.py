@@ -138,7 +138,7 @@ class TestFeatures:
     def test_accel_targets_without_one_recorded_acc_channel(self, joint):
         # episode_features derives a missing feedback_acc joint by joint; the
         # accel targets are those feature columns
-        ep = synthgen.generate_episode(3, noise=False)
+        ep = synthgen.generate_episode(3, noise=False, fault=None, episode_id="ep_3")
         k = ep.channel_index(f"feedback_acc_{joint}")
         ep = ep.replace(channels=np.delete(ep.channels, k, axis=1),
                         descriptors=ep.descriptors[:k] + ep.descriptors[k + 1:])
@@ -154,7 +154,7 @@ class TestFeatures:
         (range(6), "342c885b52ff509ba51e204fcb6afb906709c079bf7fdf4d3fc9ec006f18bef9"),
     ])
     def test_derived_feature_bits_are_golden(self, dropped, digest):
-        ep = synthgen.generate_episode(3, noise=False)
+        ep = synthgen.generate_episode(3, noise=False, fault=None, episode_id="ep_3")
         drop = {f"feedback_acc_{j}" for j in dropped}
         keep = [k for k, d in enumerate(ep.descriptors) if d.canonical_name not in drop]
         ep = ep.replace(channels=ep.channels[:, keep],
@@ -175,7 +175,7 @@ class TestFeatures:
 
 class TestPredict:
     def test_kinematic_zero(self):
-        model = Forecaster(kind="kinematic_zero")
+        model = Forecaster(kind="kinematic_zero", target="accel")
         window = np.ones((10, 36))
         assert model.predict_batch(window[None]).tolist() == [[0.0] * 6]
 
@@ -188,12 +188,12 @@ class TestPredict:
         model = Forecaster(
             kind="linear", net=net,
             x_std=Standardizer(np.zeros(36), np.ones(36)),
-            y_std=Standardizer(np.zeros(6), np.ones(6)),
+            y_std=Standardizer(np.zeros(6), np.ones(6)), target="accel",
         )
         assert model.predict_batch(np.ones((1, 10, 36))).tolist() == [[0.0] * 6]
 
     def test_window_shape_checked(self):
-        model = Forecaster(kind="kinematic_zero")
+        model = Forecaster(kind="kinematic_zero", target="accel")
         with pytest.raises(ShapeMismatch):
             model.predict_batch(np.ones((1, 9, 36)))
 
@@ -240,12 +240,12 @@ class TestRollout:
     @pytest.mark.parametrize("threshold", [np.nan, np.inf, 0.0])
     def test_threshold_must_be_finite_and_positive(self, threshold):
         with pytest.raises(ValueError, match="threshold_rad must be finite and positive"):
-            euler_rollout(Forecaster(kind="kinematic_zero"), recurrence_episode(), 10, 50,
-                          threshold)
+            euler_rollout(Forecaster(kind="kinematic_zero", target="accel"), recurrence_episode(),
+                          10, 50, threshold)
 
     def test_kinematic_zero_closed_form(self):
         ep = recurrence_episode()
-        res = euler_rollout(Forecaster(kind="kinematic_zero"), ep, 10, 200)
+        res = euler_rollout(Forecaster(kind="kinematic_zero", target="accel"), ep, 10, 200)
         q0 = np.column_stack([ep.channel(f"feedback_pos_{i}") for i in range(6)])[10]
         v0 = np.column_stack([ep.channel(f"feedback_vel_{i}") for i in range(6)])[10]
         ks = np.arange(1, 201)[:, None]
@@ -262,29 +262,29 @@ class TestRollout:
     def test_horizon_overrun(self):
         ep = recurrence_episode(n_steps=100)
         with pytest.raises(HorizonOverrun):
-            euler_rollout(Forecaster(kind="kinematic_zero"), ep, 10, 200)
+            euler_rollout(Forecaster(kind="kinematic_zero", target="accel"), ep, 10, 200)
         with pytest.raises(HorizonOverrun):
-            euler_rollout(Forecaster(kind="kinematic_zero"), ep, 5, 50)
+            euler_rollout(Forecaster(kind="kinematic_zero", target="accel"), ep, 5, 50)
 
     def test_setpoints_replayed_not_recirculated(self):
         # the echoed setpoint features stay recorded (zeros), so the loop
         # integrates zero accelerations, as the zero baseline does
         ep = recurrence_episode()
         res = euler_rollout(EchoSetpoint(), ep, 10, 50)
-        zero = euler_rollout(Forecaster(kind="kinematic_zero"), ep, 10, 50)
+        zero = euler_rollout(Forecaster(kind="kinematic_zero", target="accel"), ep, 10, 50)
         assert res.pred_pos.tobytes() == zero.pred_pos.tobytes()
 
     @pytest.mark.parametrize("kind", ["kinematic_zero", "echo", "tcn"])
     def test_bits_equal_the_reference_loop(self, kind):
         if kind == "kinematic_zero":
-            model = Forecaster(kind="kinematic_zero")
+            model = Forecaster(kind="kinematic_zero", target="accel")
         elif kind == "echo":
             model = EchoSetpoint()
         else:
             train_eps = [recurrence_episode(seed=s, episode_id=f"tr{s}") for s in range(4)]
             model, _ = train_forecaster(
-                train_eps, "tcn", config=TrainConfig(optimizer="adamw", lr0=1e-3,
-                                                     batch_size=256, max_epochs=1, patience=1))
+                train_eps, "tcn", config=TrainConfig(optimizer="adamw", lr0=1e-3, batch_size=256,
+                                                     max_epochs=1, patience=1, seed=0))
         ep = recurrence_episode(seed=7)
         res = euler_rollout(model, ep, 10, 120, 0.002)
         pred, truth, first, survival = reference_rollout(model, ep, 10, 120, 0.002)
@@ -313,7 +313,7 @@ class TestHorizonMetrics:
 
     def test_prefix_property(self):
         ep = recurrence_episode()
-        res = euler_rollout(Forecaster(kind="kinematic_zero"), ep, 10, 200)
+        res = euler_rollout(Forecaster(kind="kinematic_zero", target="accel"), ep, 10, 200)
         full = horizon_metrics([res], (50, 100, 200))
         only50 = horizon_metrics([res], (50,))
         assert full[0] == only50[0]
@@ -384,7 +384,7 @@ class TestTransfer:
 
     def test_constant_effort_offset_transfers_exactly(self):
         # target embodiment = source + per-joint constant effort offsets
-        source = [synthgen.generate_episode(200 + k, episode_id=f"s{k}")
+        source = [synthgen.generate_episode(200 + k, episode_id=f"s{k}", fault=None)
                   for k in range(8)]
         rng = np.random.default_rng(5)
         offsets = rng.uniform(1.0, 3.0, 6)
@@ -425,7 +425,8 @@ class TestTransfer:
         # sha256 of a trained linear forecaster's checkpoint, recorded while
         # `Forecaster.save` spelled out its standardizer extras itself
         # (numpy 2.4 with 2-thread OpenBLAS, x86-64)
-        eps = [synthgen.generate_episode(5100 + k, episode_id=f"fc{k}") for k in range(3)]
+        eps = [synthgen.generate_episode(5100 + k, fault=None, episode_id=f"fc{k}")
+               for k in range(3)]
         model, _ = train_forecaster(
             eps, "linear",
             config=TrainConfig(optimizer="adamw", lr0=1e-3, batch_size=256,
@@ -466,7 +467,8 @@ class TestTransfer:
     def test_ci_halfwidth_formula(self):
         ep1 = recurrence_episode(seed=1, n_steps=60, episode_id="a")
         ep2 = recurrence_episode(seed=2, n_steps=60, episode_id="b")
-        report = transfer_eval(Forecaster(kind="kinematic_zero"), [ep1, ep2], "accel")
+        zero = Forecaster(kind="kinematic_zero", target="accel")
+        report = transfer_eval(zero, [ep1, ep2], "accel")
         per = np.asarray(report.per_episode)
         expected = 1.96 * per.std(ddof=1) / np.sqrt(2)
         assert report.ci_halfwidth == pytest.approx(expected)

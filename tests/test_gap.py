@@ -183,7 +183,7 @@ class TestPhaseAlign:
 
     def test_recurring_label_pairs_runs_like_distinct_labels(self):
         # the twin's first run stretched 60 -> 90 steps, its last squeezed 79 -> 49
-        control = synthgen.generate_episode(3, noise=False)
+        control = synthgen.generate_episode(3, noise=False, fault=None, episode_id="ep_3")
         runs = phase_runs(control.phase)
         assert (runs[0][2], runs[-1][0], runs[-1][2] - runs[-1][1]) == (60, "return", 79)
         lengths = [stop - start for _, start, stop in runs]
@@ -337,7 +337,7 @@ class TestPairMetrics:
 
     def test_gap_command_exits_1_on_a_pair_without_any_metric(self, tmp_path, capsys):
         # the real and sim episodes share only channels no metric reads
-        ep = synthgen.generate_episode(3, noise=False)
+        ep = synthgen.generate_episode(3, noise=False, fault=None, episode_id="ep_3")
         groups = set(JOINT_CHANNELS + TCP_POS_CHANNELS + TCP_ROT_CHANNELS)
         keep = [i for i, d in enumerate(ep.descriptors)
                 if d.canonical_name not in groups and d.role != SignalRole.EFFORT]
@@ -437,7 +437,7 @@ class TestSimSideUnits:
     """Each side converts by its own units; effort W1 needs one unit on both sides."""
 
     def test_sim_joints_in_deg_match_real_in_rad(self):
-        real = synthgen.generate_episode(3, noise=False)
+        real = synthgen.generate_episode(3, noise=False, fault=None, episode_id="ep_3")
         sim = _restated(real, JOINT_CHANNELS, "deg", 180.0 / np.pi)
         m = pair_metrics(phase_align(EpisodePair(real, sim, "k")))
         assert m.joint_rmse_deg == pytest.approx(0.0, abs=1e-9)
@@ -456,7 +456,7 @@ class TestSimSideUnits:
         (TCP_ROT_CHANNELS, "tcp_rotvec_rmse_mrad"),
     ])
     def test_sim_unit_outside_table_raises_naming_side(self, names, metric):
-        real = synthgen.generate_episode(3, noise=False)
+        real = synthgen.generate_episode(3, noise=False, fault=None, episode_id="ep_3")
         sim = _restated(real, names, "furlong", 1.0)
         with pytest.raises(SchemaViolation) as err:
             pair_metrics(phase_align(EpisodePair(real, sim, "k")))
@@ -464,7 +464,7 @@ class TestSimSideUnits:
         assert metric in str(err.value)
 
     def test_effort_units_must_match(self):
-        real = synthgen.generate_episode(3, noise=False)
+        real = synthgen.generate_episode(3, noise=False, fault=None, episode_id="ep_3")
         sim = _restated(real, EFFORT_CHANNELS, "A", 1.0 / 0.1)
         with pytest.raises(SchemaViolation) as err:
             pair_metrics(phase_align(EpisodePair(real, sim, "k3")))
@@ -473,12 +473,12 @@ class TestSimSideUnits:
             assert part in message
 
     def test_effort_units_compare_lower_cased(self):
-        real = synthgen.generate_episode(3, noise=False)
+        real = synthgen.generate_episode(3, noise=False, fault=None, episode_id="ep_3")
         sim = _restated(real, EFFORT_CHANNELS, "NM", 1.0)
         assert pair_metrics(phase_align(EpisodePair(real, sim, "k"))).w1_effort_mean == 0.0
 
     def test_gap_command_fails_the_pair_on_effort_unit_mismatch(self, tmp_path, capsys):
-        real = synthgen.generate_episode(3, noise=False)
+        real = synthgen.generate_episode(3, noise=False, fault=None, episode_id="ep_3")
         ingest.write_canonical(real, tmp_path / "real")
         ingest.write_canonical(_restated(real, EFFORT_CHANNELS, "A", 1.0 / 0.1), tmp_path / "sim")
         assert main(["gap", "--real-dir", str(tmp_path / "real"), "--sim-dir",

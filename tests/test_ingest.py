@@ -233,7 +233,7 @@ class TestParseRawCsv:
     def test_basic_parse(self, tmp_path):
         p = tmp_path / "f.csv"
         p.write_text("x,y,z\n" + "\n".join(f"{i},{i*2},{i*3}" for i in range(5)))
-        table = parse_raw_csv(p)
+        table = parse_raw_csv(p, CsvDialect())
         assert set(table) == {"x", "y", "z"}
         assert all(len(v) == 5 for v in table.values())
         assert table["y"].tolist() == [0, 2, 4, 6, 8]
@@ -241,27 +241,27 @@ class TestParseRawCsv:
     def test_na_token_becomes_missing(self, tmp_path):
         p = tmp_path / "f.csv"
         p.write_text("x,y\n1,2\n3,NaN\n5,6\n")
-        table = parse_raw_csv(p)
+        table = parse_raw_csv(p, CsvDialect())
         assert np.isnan(table["y"][1])
 
     def test_ragged_row_line_number(self, tmp_path):
         p = tmp_path / "f.csv"
         p.write_text("x,y\n1,2\n3\n5,6\n")
         with pytest.raises(RaggedRow) as exc:
-            parse_raw_csv(p)
+            parse_raw_csv(p, CsvDialect())
         assert exc.value.line == 3
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "f.csv"
         p.write_text("")
         with pytest.raises(EmptyFile):
-            parse_raw_csv(p)
+            parse_raw_csv(p, CsvDialect())
 
     def test_single_data_row_rejected(self, tmp_path):
         p = tmp_path / "f.csv"
         p.write_text("x\n1\n")
         with pytest.raises(EmptyFile):
-            parse_raw_csv(p)
+            parse_raw_csv(p, CsvDialect())
 
     def test_decimal_comma_dialect(self, tmp_path):
         p = tmp_path / "f.csv"
@@ -279,9 +279,9 @@ class TestParseRawCsv:
     @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
     def test_decimal_comma_mixed_columns_through_adapter(self, tmp_path, newline):
         spec = AdapterSpec("x", 10.0, (
-            SignalSpec("eff", "effort_motor_torque_0", SignalRole.EFFORT, "Nm", 0),
-            SignalSpec("ctx", "ctx_load", SignalRole.CONTEXT, "-", None),
-        ))
+            SignalSpec("eff", "effort_motor_torque_0", SignalRole.EFFORT, "Nm", 0, notes=""),
+            SignalSpec("ctx", "ctx_load", SignalRole.CONTEXT, "-", None, notes=""),
+        ), absent_channels=(), notes="", phase_column=None)
         meta = EpisodeMeta("e", "arm", "pick_and_place")
         p = tmp_path / "f.csv"
         p.write_bytes(newline.join(["eff;ctx", "0,5;0,25", "1,5;idle", "2,5;0,75", ""]).encode())
@@ -294,7 +294,7 @@ class TestParseRawCsv:
     def test_string_column_kept_as_objects(self, tmp_path):
         p = tmp_path / "f.csv"
         p.write_text("x,tag\n1,alpha\n2,beta\n")
-        table = parse_raw_csv(p)
+        table = parse_raw_csv(p, CsvDialect())
         assert table["tag"].dtype == object
         assert table["tag"].tolist() == ["alpha", "beta"]
 
@@ -304,7 +304,7 @@ class TestParseRawCsv:
         p = tmp_path / "f.csv"
         p.write_bytes(newline.join(["x,y", "", "1,2", "", "3,4", "5", ""]).encode())
         with pytest.raises(RaggedRow) as exc:
-            parse_raw_csv(p)
+            parse_raw_csv(p, CsvDialect())
         assert exc.value.line == 6
 
     @pytest.mark.parametrize("text", ["x,x\n1,2\n3,4\n", "x, x \r\n1,2\r\n3,4\r\n"])
@@ -312,7 +312,7 @@ class TestParseRawCsv:
         p = tmp_path / "f.csv"
         p.write_bytes(text.encode())
         with pytest.raises(SchemaViolation) as exc:
-            parse_raw_csv(p)
+            parse_raw_csv(p, CsvDialect())
         assert str(p) in str(exc.value) and "'x'" in str(exc.value)
 
     @pytest.mark.parametrize("cell", ["9" * 200_000, '"' + "9" * 200_000 + '"'],
@@ -322,14 +322,14 @@ class TestParseRawCsv:
         p.write_text(f"time,x\n0,{cell}\n1,2\n2,3\n")
         with pytest.raises(SchemaViolation, match=rf"^{re.escape(str(p))}: line 2: "
                            r"field larger than field limit \(131072\)"):
-            parse_raw_csv(p)
+            parse_raw_csv(p, CsvDialect())
 
     def test_line_over_field_limit_with_short_cells_parses(self, tmp_path):
         n = csv.field_size_limit() // 2 + 1
         p = tmp_path / "f.csv"
         p.write_text(",".join(f"c{j}" for j in range(n)) + "\n"
                      + ("1," * n)[:-1] + "\n" + ("2," * n)[:-1] + "\n")
-        assert_same_table(parse_raw_csv(p), reference_table(p))
+        assert_same_table(parse_raw_csv(p, CsvDialect()), reference_table(p))
 
     @pytest.mark.parametrize("semicolon,dialect", [(False, COMMA), (True, SEMICOLON)])
     def test_benchmark_files_skip_csv_reader(self, tmp_path, monkeypatch, semicolon, dialect):
@@ -433,7 +433,7 @@ class TestCrlfLineEnds:
         p = tmp_path / "rec.csv"
         _bench_inputs(monkeypatch).write_raw_voraus(p, seed=3, semicolon=semicolon)
         _rewrite_line_ends(p, newline)
-        want = ingest._parse_with_csv_reader(p, dialect)
+        want = ingest._parse_with_csv_reader(p, dialect, text_columns=())
         monkeypatch.setattr(csv, "reader", _no_csv_reader)
         assert_same_table(parse_raw_csv(p, dialect), want)
 
@@ -446,9 +446,9 @@ class TestCrlfLineEnds:
         p.write_text("\nx,y\n1,2\n\n3,4\n\n5\n6,7\n")
         _rewrite_line_ends(p, newline)
         with pytest.raises(RaggedRow) as want:
-            ingest._parse_with_csv_reader(p, COMMA)
+            ingest._parse_with_csv_reader(p, COMMA, text_columns=())
         with pytest.raises(RaggedRow) as got:
-            parse_raw_csv(p)
+            parse_raw_csv(p, CsvDialect())
         assert got.value.line == want.value.line == 7
         assert str(got.value) == str(want.value)
 
@@ -491,7 +491,7 @@ class TestParseBlocks:
         p = tmp_path / "f.csv"
         p.write_text("x,y\n1,2\n3,4\n\n\n5,6\n\n7\n8,9\n")
         with pytest.raises(RaggedRow) as exc:
-            parse_raw_csv(p)
+            parse_raw_csv(p, CsvDialect())
         assert exc.value.line == 8 and str(exc.value) == "line 8: expected 2 fields, got 1"
 
     @pytest.mark.parametrize("dialect", [COMMA, SEMICOLON], ids=["comma", "semicolon"])
@@ -516,7 +516,7 @@ class TestParseBlocks:
         p.write_text("a,b,tag\n1,2,x\n3,4,y\n5,6,z\n7,idle,w\n9,10,v\n")
         want = reference_table(p)
         calls = _csv_reader_spy(monkeypatch)
-        got = parse_raw_csv(p)
+        got = parse_raw_csv(p, CsvDialect())
         assert_same_table(got, want)
         assert len(calls) == 1 and got["b"].dtype == object
 
@@ -527,7 +527,7 @@ class TestParseBlocks:
         p.write_text("\n\n\nt,x,tag\n0,1,a\n\n1,,b\n2,3,c\n")
         want = reference_table(p)
         monkeypatch.setattr(csv, "reader", _no_csv_reader)
-        assert_same_table(parse_raw_csv(p), want)
+        assert_same_table(parse_raw_csv(p, CsvDialect()), want)
 
     @pytest.mark.parametrize("block_bytes", [1, 4, 6, 100])
     @pytest.mark.parametrize("last", ["5,6", "5,", "5,NA"])
@@ -537,7 +537,7 @@ class TestParseBlocks:
         p.write_text("a,b\n1,2\n3,4\n" + last)
         want = reference_table(p)
         monkeypatch.setattr(csv, "reader", _no_csv_reader)
-        assert_same_table(parse_raw_csv(p), want)
+        assert_same_table(parse_raw_csv(p, CsvDialect()), want)
 
     def test_line_over_field_limit_in_later_block(self, tmp_path, monkeypatch):
         monkeypatch.setattr(ingest, "_BLOCK_BYTES", 4)
@@ -546,7 +546,7 @@ class TestParseBlocks:
         calls = _csv_reader_spy(monkeypatch)
         with pytest.raises(SchemaViolation, match=rf"^{re.escape(str(p))}: line 5: "
                            r"field larger than field limit \(131072\)"):
-            parse_raw_csv(p)
+            parse_raw_csv(p, CsvDialect())
         assert len(calls) == 1
 
     def test_long_line_of_short_cells_in_later_block(self, tmp_path, monkeypatch):
@@ -555,7 +555,7 @@ class TestParseBlocks:
         p = tmp_path / "f.csv"
         p.write_text(",".join(f"c{j}" for j in range(n)) + "\n" + ("1," * n)[:-1] + "\n"
                      + ("2," * n)[:-1] + "\n")
-        assert_same_table(parse_raw_csv(p), reference_table(p))
+        assert_same_table(parse_raw_csv(p, CsvDialect()), reference_table(p))
 
     @pytest.mark.parametrize("block_bytes", [4, 1 << 18])
     @pytest.mark.parametrize("text", [
@@ -573,16 +573,16 @@ class TestParseBlocks:
         p = tmp_path / "f.csv"
         p.write_text(text)
         with pytest.raises(SefcError) as want:
-            ingest._parse_with_csv_reader(p, COMMA)
+            ingest._parse_with_csv_reader(p, COMMA, text_columns=())
         calls = _csv_reader_spy(monkeypatch)
         with pytest.raises(type(want.value)) as got:
-            parse_raw_csv(p)
+            parse_raw_csv(p, CsvDialect())
         assert str(got.value) == str(want.value) and len(calls) == 1
 
     def test_benchmark_file_spans_several_blocks(self, tmp_path, monkeypatch):
         p = tmp_path / "rec.csv"
         _bench_inputs(monkeypatch).write_raw_voraus(p, seed=3, semicolon=False)
-        assert len(list(ingest._blocks(p.read_bytes()))) > 1
+        assert len(list(ingest._blocks(p.read_bytes(), start=0))) > 1
 
     @pytest.mark.parametrize("newline", ["lf", "crlf", "mixed"])
     @pytest.mark.parametrize("semicolon,dialect", [(False, COMMA), (True, SEMICOLON)])
@@ -659,7 +659,7 @@ class TestParseOnEveryCore:
             lines[at:at] = [b""] * 3
         p.write_bytes(b"\n".join(lines))
         _rewrite_line_ends(p, newline)
-        want = ingest._parse_with_csv_reader(p, dialect)
+        want = ingest._parse_with_csv_reader(p, dialect, text_columns=())
         monkeypatch.setattr(csv, "reader", _no_csv_reader)
         blocks = []
         for k in (1, 2, 3):
@@ -685,7 +685,7 @@ class TestParseOnEveryCore:
         monkeypatch.setattr(os, "fork", fork)
         p = tmp_path / "f.csv"
         p.write_text("a,b\n1,2\n3,4\n")
-        assert parse_raw_csv(p)["b"].tolist() == [2.0, 4.0]
+        assert parse_raw_csv(p, CsvDialect())["b"].tolist() == [2.0, 4.0]
 
     @pytest.mark.parametrize("text,error,message", [
         ("x,y\n1,2\n3,4\n\n5,6\n7\n8,9\n", RaggedRow, "line 6: expected 2 fields, got 1"),
@@ -702,7 +702,7 @@ class TestParseOnEveryCore:
         for k in (1, 2, 3):
             cpus(monkeypatch, k)
             with pytest.raises(error) as exc:
-                parse_raw_csv(p)
+                parse_raw_csv(p, CsvDialect())
             assert str(exc.value).endswith(message)
         assert len(calls) == 3
 
@@ -715,7 +715,7 @@ class TestParseOnEveryCore:
         calls = _csv_reader_spy(monkeypatch)
         for k in (1, 2, 3):
             cpus(monkeypatch, k)
-            assert_same_table(parse_raw_csv(p), want)
+            assert_same_table(parse_raw_csv(p, CsvDialect()), want)
         assert len(calls) == 3
 
     def test_child_without_result_is_one_failure_line(self, tmp_path, monkeypatch, capsys):
@@ -752,7 +752,7 @@ class TestParseOnEveryCore:
         self._patch_blocks(monkeypatch, stall_in_child_interrupt_here)
         t0 = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
-            parse_raw_csv(p)
+            parse_raw_csv(p, CsvDialect())
         assert time.monotonic() - t0 < 30
 
 
@@ -781,7 +781,7 @@ class TestTextColumns:
         monkeypatch.setattr(ingest, "_BLOCK_BYTES", block_bytes)
         p = tmp_path / "f.csv"
         p.write_text("a,b\n1,x\n2,3\n\n,4\n")
-        text = parse_raw_csv(p)
+        text = parse_raw_csv(p, CsvDialect())
         p.write_text("a,b\n1,1\n2,3\n\n,4\n")
         named = parse_raw_csv(p, COMMA, ["b"])
         assert named["b"].tolist() == ["1", "3", "4"] and text["b"].tolist() == ["x", "3", "4"]
@@ -856,7 +856,7 @@ class TestFillGaps:
 
     def test_no_missing_unchanged(self):
         ep = make_episode({"a": np.arange(4.0), "b": np.ones(4), "c": np.ones(4)}, D)
-        out = fill_gaps(ep)
+        out = fill_gaps(ep, max_missing_fraction=0.001)
         assert np.array_equal(out.channels, ep.channels)
 
     def test_excessive_missing(self):
@@ -864,7 +864,7 @@ class TestFillGaps:
         col[10:15] = np.nan  # 5 percent
         ep = make_episode({"a": col, "b": np.ones(100), "c": np.ones(100)}, D)
         with pytest.raises(ExcessiveMissing) as exc:
-            fill_gaps(ep)
+            fill_gaps(ep, max_missing_fraction=0.001)
         assert exc.value.channel == "a"
         assert exc.value.fraction == pytest.approx(0.05)
 
@@ -886,7 +886,7 @@ class TestFillGaps:
         descs["lbl"] = (SignalRole.RAW_LABEL, "-", None)
         ep = make_episode({"a": np.ones(4), "b": np.ones(4), "c": np.ones(4),
                            "lbl": np.full(4, np.nan)}, descs)
-        out = fill_gaps(ep)
+        out = fill_gaps(ep, max_missing_fraction=0.001)
         assert np.all(np.isnan(out.channel("lbl")))
 
     @pytest.mark.parametrize("fraction", [np.nan, np.inf, -0.1, 1.5])
@@ -1164,7 +1164,8 @@ class TestSidecarChannelBlock:
         assert got[7] == ep.descriptors and got[9] == ep.phase.tolist()
 
     def test_ingested_sidecar(self, tmp_path, monkeypatch):
-        table = parse_raw_csv(Path(__file__).parent / "fixtures" / "voraus_sample.csv")
+        table = parse_raw_csv(Path(__file__).parent / "fixtures" / "voraus_sample.csv",
+                              CsvDialect())
         ep = apply_adapter(table, builtin_adapter("voraus_ad"),
                            EpisodeMeta("voraus", "ur5", "pick_and_place"))
         csv_path, _ = write_canonical(ep, tmp_path)
@@ -1172,7 +1173,8 @@ class TestSidecarChannelBlock:
         assert got[7] == ep.descriptors
 
     def test_block_parsed_once_per_layout(self, tmp_path):
-        eps = [synthgen.generate_episode(seed, episode_id=f"e{seed}") for seed in (1, 2, 3)]
+        eps = [synthgen.generate_episode(seed, fault=None, episode_id=f"e{seed}")
+               for seed in (1, 2, 3)]
         for ep in eps:
             write_canonical(ep, tmp_path)
         read_canonical(tmp_path / "e1.csv")

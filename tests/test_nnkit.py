@@ -147,7 +147,7 @@ class TestOptim:
     def test_zero_gradient_fixed_point(self):
         params = RNG.normal(size=10)
         state = init_adam(10)
-        out = adam_step(state, params, np.zeros(10), lr=0.1)
+        out = adam_step(state, params, np.zeros(10), lr=0.1, weight_decay=0.0, decoupled=False)
         assert np.array_equal(out, params)
 
     def test_cosine_endpoints(self):
@@ -162,7 +162,7 @@ class TestOptim:
         # constant gradient 1.0: m_hat = 1, v_hat = 1 -> delta = lr/(1 + eps)
         params = np.array([1.0])
         state = init_adam(1)
-        out = adam_step(state, params, np.array([1.0]), lr=0.1)
+        out = adam_step(state, params, np.array([1.0]), lr=0.1, weight_decay=0.0, decoupled=False)
         expected = 1.0 - 0.1 * (1.0 / (math.sqrt(1.0) + 1e-8))
         assert abs(out[0] - expected) <= 1e-15
 
@@ -176,7 +176,7 @@ class TestOptim:
     def test_adam_l2_in_gradient(self):
         params = np.array([2.0])
         state = init_adam(1)
-        out = adam_step(state, params, np.zeros(1), lr=0.1, weight_decay=0.01)
+        out = adam_step(state, params, np.zeros(1), lr=0.1, weight_decay=0.01, decoupled=False)
         # g = 0.02 -> m_hat = 0.02, v_hat = 0.02^2 -> step ~ lr
         expected = 2.0 - 0.1 * (0.02 / (0.02 + 1e-8))
         assert abs(out[0] - expected) <= 1e-12
@@ -234,11 +234,15 @@ def _linear_problem(n=1000, m=300):
     return (x, x @ a), (xv, xv @ a)
 
 
+#: A valid config, for the validation tests to break one value of.
+_VALID = dict(optimizer="adam", lr0=1e-3, batch_size=64, max_epochs=4, patience=2, seed=0)
+
+
 class TestTrain:
     def test_learnable_linear_target(self):
         train_set, val_set = _linear_problem()
         net = DenseNet([12, 64, 4], seed=1)
-        config = TrainConfig(lr0=3e-2, batch_size=256,
+        config = TrainConfig(optimizer="adam", lr0=3e-2, batch_size=256,
                              max_epochs=200, patience=200, seed=3)
         history = train(net, train_set, val_set, config)
         assert min(history.val_loss) < 1e-3
@@ -247,7 +251,7 @@ class TestTrain:
         train_set, val_set = _linear_problem(100, 50)
         net = DenseNet([12, 4], seed=0)
         history = train(net, train_set, val_set,
-                        TrainConfig(lr0=1e-3, patience=0, max_epochs=50,
+                        TrainConfig(optimizer="adam", lr0=1e-3, patience=0, max_epochs=50,
                                     batch_size=32, seed=0))
         assert history.n_epochs == 1
 
@@ -255,7 +259,7 @@ class TestTrain:
         train_set, val_set = _linear_problem(200, 80)
         net = DenseNet([12, 4], seed=0)
         history = train(net, train_set, val_set,
-                        TrainConfig(lr0=1e-3, patience=10,
+                        TrainConfig(optimizer="adam", lr0=1e-3, patience=10,
                                     max_epochs=15, batch_size=64, seed=0))
         assert all(b < a for a, b in zip(history.val_loss, history.val_loss[1:]))
         assert history.n_epochs == 15 and not history.stopped_early
@@ -266,7 +270,7 @@ class TestTrain:
         for _ in range(2):
             net = DenseNet([12, 16, 4], seed=2)
             hists.append(train(net, train_set, val_set,
-                               TrainConfig(lr0=1e-3, patience=5, max_epochs=8,
+                               TrainConfig(optimizer="adam", lr0=1e-3, patience=5, max_epochs=8,
                                            batch_size=64, seed=11)))
         assert hists[0].train_loss == hists[1].train_loss
         assert hists[0].val_loss == hists[1].val_loss
@@ -275,14 +279,15 @@ class TestTrain:
         train_set, val_set = _linear_problem(200, 80)
         net = DenseNet([12, 4], seed=0)
         history = train(net, train_set, val_set,
-                        TrainConfig(lr0=5e-2, patience=30, max_epochs=30,
+                        TrainConfig(optimizer="adam", lr0=5e-2, patience=30, max_epochs=30,
                                     batch_size=64, seed=1))
         best = min(history.val_loss)
         assert net.loss(*val_set) == pytest.approx(best, rel=1e-12)
 
     def test_logs_one_info_line_per_epoch(self, caplog):
         train_set, val_set = _linear_problem(200, 80)
-        config = TrainConfig(lr0=1e-3, patience=4, max_epochs=4, batch_size=64, seed=0)
+        config = TrainConfig(optimizer="adam", lr0=1e-3, patience=4, max_epochs=4, batch_size=64,
+                             seed=0)
         with caplog.at_level(logging.INFO, logger="sefc.nnkit.training"):
             history = train(DenseNet([12, 4], seed=0), train_set, val_set, config)
         lines = [r.getMessage() for r in caplog.records if r.name == "sefc.nnkit.training"]
@@ -299,27 +304,28 @@ class TestTrain:
         train_set, val_set = _linear_problem(100, 50)
         with caplog.at_level(logging.WARNING, logger="sefc"):
             train(DenseNet([12, 4], seed=0), train_set, val_set,
-                  TrainConfig(lr0=1e-3, patience=2, max_epochs=3, batch_size=64, seed=0))
+                  TrainConfig(optimizer="adam", lr0=1e-3, patience=2, max_epochs=3, batch_size=64,
+                              seed=0))
         assert not [r for r in caplog.records if r.name.startswith("sefc")]
 
     def test_empty_dataset(self):
         net = DenseNet([12, 4], seed=0)
         with pytest.raises(EmptyDataset):
             train(net, (np.empty((0, 12)), np.empty((0, 4))),
-                  (np.empty((0, 12)), np.empty((0, 4))), TrainConfig())
+                  (np.empty((0, 12)), np.empty((0, 4))), TrainConfig(**_VALID))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            TrainConfig(lr0=0.0)
+            TrainConfig(**{**_VALID, "lr0": 0.0})
         with pytest.raises(ValueError):
-            TrainConfig(patience=50, max_epochs=10)
+            TrainConfig(**{**_VALID, "patience": 50, "max_epochs": 10})
 
     @pytest.mark.parametrize("field,value", [
         ("lr0", np.nan), ("lr0", np.inf),
     ])
     def test_config_refuses_non_finite_or_negative_rates(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
-            TrainConfig(**{field: value})
+            TrainConfig(**{**_VALID, field: value})
 
     @pytest.mark.parametrize("field,value", [
         ("batch_size", np.nan), ("max_epochs", np.inf), ("patience", np.nan), ("patience", 2.5),
@@ -327,16 +333,16 @@ class TestTrain:
     ])
     def test_config_counts_must_be_integers(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
-            TrainConfig(**{field: value})
+            TrainConfig(**{**_VALID, field: value})
 
     def test_config_refuses_a_negative_seed(self):
         with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
-            TrainConfig(seed=-1)
+            TrainConfig(**{**_VALID, "seed": -1})
 
     @pytest.mark.parametrize("field", ["max_epochs", "batch_size"])
     def test_config_needs_at_least_one(self, field):
         with pytest.raises(ValueError, match=f"^{field} must be >= 1, got 0$"):
-            TrainConfig(**{field: 0, "patience": 0})
+            TrainConfig(**{**_VALID, field: 0, "patience": 0})
 
 
 class TestCheckpoint:
@@ -361,7 +367,7 @@ class TestCheckpoint:
         model = DenseNet([2, 3, 1], seed=0)
         text = tmp_path / "v1.ckpt"
         text.write_bytes(reference_checkpoint(model).encode("utf-8"))
-        return save_model(tmp_path / "m.ckpt", model), text
+        return save_model(tmp_path / "m.ckpt", model, extra={}), text
 
     @staticmethod
     def _rewrite(path, header_edit=None, payload_edit=None):

@@ -36,8 +36,7 @@ def _ref_write_report_csv(report, path):
         writer = csv.writer(fh)
         writer.writerow(["category", "n", "auroc"])
         for row in report.rows:
-            writer.writerow([row.category, row.n,
-                             "" if row.auroc is None else f"{row.auroc:.6f}"])
+            writer.writerow([row.category, row.n, f"{row.auroc:.6f}"])
         writer.writerow(["mean", sum(r.n for r in report.rows),
                          f"{report.mean_auroc:.6f}"])
         writer.writerow(["pooled", sum(r.n for r in report.rows),
@@ -58,9 +57,7 @@ def _ref_write_report_summary(report, path):
         "n_healthy": report.n_healthy,
         "n_anomalous": sum(r.n for r in report.rows),
         "categories": {
-            r.category: {"n": r.n,
-                         "auroc": None if r.auroc is None else round(r.auroc, 6)}
-            for r in report.rows
+            r.category: {"n": r.n, "auroc": round(r.auroc, 6)} for r in report.rows
         },
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -170,8 +167,7 @@ def _same_bytes(a: Path, b: Path) -> None:
 
 REPORT = AnomalyReport(
     rows=(CategoryRow("additional_axis_payload", 4, 0.8125),
-          CategoryRow('cat, "quoted"', 2, NAN),
-          CategoryRow("unstable_platform", 0, None)),
+          CategoryRow('cat, "quoted"', 2, NAN)),
     mean_auroc=0.8125, pooled_auroc=0.79999999, ci=(0.5, 1.0),
     ci_level=0.95, n_healthy=7,
 )
@@ -235,7 +231,7 @@ def test_reports_quote_cells_and_end_rows_with_crlf(tmp_path):
 
 def test_train_history_bytes(tmp_path, monkeypatch, capsys):
     history = TrainHistory(train_loss=[1.0, NAN, 1e-300], val_loss=[2.5, float("inf"), 0.1],
-                           lr=[5e-4, 2.5e-4, 0.0], best_epoch=2)
+                           lr=[5e-4, 2.5e-4, 0.0], best_epoch=2, stopped_early=False)
 
     class Model:
         def save(self, path):

@@ -27,11 +27,15 @@ from sefc.schema import (
     _coerce_cell,
 )
 from sefc.ingest import encode_phase_rle
-from sefc.synthgen import plan_trajectory, sample_params
+from sefc.synthgen import RandomizationConfig, plan_trajectory, sample_params
 
 
 def sig(raw, canonical, role=SignalRole.SETPOINT, unit="rad", axis=None):
-    return SignalSpec(raw, canonical, role, unit, axis)
+    return SignalSpec(raw, canonical, role, unit, axis, notes="")
+
+
+def spec(*signals, rate=10.0, absent_channels=(), phase_column=None):
+    return AdapterSpec("x", rate, signals, absent_channels, notes="", phase_column=phase_column)
 
 
 META = EpisodeMeta(episode_id="e1", embodiment="arm", task="pick_and_place")
@@ -73,56 +77,44 @@ class TestValidateAdapter:
 
     def test_duplicate_canonical_name(self):
         with pytest.raises(SchemaViolation, match=r"\[duplicate-canonical\]"):
-            AdapterSpec("x", 10.0, (
-                sig("a", "setpoint_pos_0", axis=0),
-                sig("b", "setpoint_pos_0", axis=0),
-            ))
+            spec(sig("a", "setpoint_pos_0", axis=0), sig("b", "setpoint_pos_0", axis=0))
 
     def test_duplicate_raw_name(self):
         with pytest.raises(SchemaViolation, match=r"\[duplicate-raw\]"):
-            AdapterSpec("x", 10.0, (
-                sig("a", "setpoint_pos_0", axis=0),
-                sig("a", "setpoint_pos_1", axis=1),
-            ))
+            spec(sig("a", "setpoint_pos_0", axis=0), sig("a", "setpoint_pos_1", axis=1))
 
     def test_malformed_axis_suffix(self):
         with pytest.raises(SchemaViolation, match=r"\[malformed-axis-suffix\]"):
-            AdapterSpec("x", 10.0, (
-                sig("a", "feedback_pos_x", role=SignalRole.FEEDBACK, axis=0),
-            ))
+            spec(sig("a", "feedback_pos_x", role=SignalRole.FEEDBACK, axis=0))
 
     def test_negative_axis(self):
         with pytest.raises(SchemaViolation, match=r"\[bad-axis\]"):
-            AdapterSpec("x", 10.0, (sig("a", "setpoint_pos_0", axis=-1),))
+            spec(sig("a", "setpoint_pos_0", axis=-1))
 
     def test_bad_canonical_name(self):
         with pytest.raises(SchemaViolation, match=r"\[bad-canonical-name\]"):
-            AdapterSpec("x", 10.0, (sig("a", "Setpoint Pos"),))
+            spec(sig("a", "Setpoint Pos"))
 
     def test_missing_role_and_unit(self):
         with pytest.raises(SchemaViolation, match=r"\[missing-role\].*\n\[missing-unit\]"):
-            AdapterSpec("x", 10.0, (SignalSpec("a", "ctx_thing", None, ""),))
+            spec(sig("a", "ctx_thing", role=None, unit=""))
 
     def test_absent_channel_overlap(self):
         with pytest.raises(SchemaViolation, match=r"\[absent-overlap\]"):
-            AdapterSpec("x", 10.0, (sig("a", "setpoint_pos_0", axis=0),),
-                        absent_channels=("setpoint_pos_0",))
+            spec(sig("a", "setpoint_pos_0", axis=0), absent_channels=("setpoint_pos_0",))
 
     def test_mapped_phase_column(self):
         with pytest.raises(SchemaViolation, match=r"\[phase-mapped\] phase column 'a'"):
-            AdapterSpec("x", 10.0, (sig("a", "setpoint_pos_0", axis=0),), phase_column="a")
+            spec(sig("a", "setpoint_pos_0", axis=0), phase_column="a")
 
     @pytest.mark.parametrize("rate", [np.nan, np.inf, 0.0])
     def test_native_rate_must_be_finite_and_positive(self, rate):
         with pytest.raises(SchemaViolation, match=r"\[bad-rate\]"):
-            AdapterSpec("x", rate, (sig("a", "setpoint_pos_0", axis=0),))
+            spec(sig("a", "setpoint_pos_0", axis=0), rate=rate)
 
     def test_every_problem_is_one_line(self):
         with pytest.raises(SchemaViolation) as info:
-            AdapterSpec("x", -5.0, (
-                sig("a", "Bad Name!", axis=3),
-                sig("a", "Bad Name!", axis=3),
-            ))
+            spec(sig("a", "Bad Name!", axis=3), sig("a", "Bad Name!", axis=3), rate=-5.0)
         assert str(info.value).splitlines() == [
             "adapter 'x' invalid:",
             "[bad-canonical-name] 'Bad Name!' is not lowercase snake case",
@@ -418,7 +410,7 @@ def _reference_trajectory_runs(labels):
     return runs
 
 
-_TRAJ = plan_trajectory(sample_params(3))
+_TRAJ = plan_trajectory(sample_params(3, RandomizationConfig(), None, "ep_3"))
 
 _LABELS = st.lists(
     st.one_of(st.sampled_from(["a", "b", "grasp"]), st.integers(0, 2), st.text(max_size=2)),

@@ -65,9 +65,14 @@ def reference_track_second_order(setpoint, wn, dt, disturbance=None):
     return q, v, a
 
 
+def _draw(seed, fault=None):
+    """``sample_params`` under the default randomization, as ``generate_corpus`` draws."""
+    return sample_params(seed, RandomizationConfig(), fault, f"ep_{seed}")
+
+
 def _tracking_cases():
     """(setpoint, wn, disturbance) cases the plant runs, and one it may."""
-    params = sample_params(3)
+    params = _draw(3)
     traj = plan_trajectory(params)
     wn = math.sqrt(synthgen.JOINT_STIFFNESS[0])
     sp = traj.setpoint_pos
@@ -120,7 +125,7 @@ class TestSampleParams:
     def test_draws_within_ranges(self):
         cfg = RandomizationConfig()
         for seed in range(25):
-            p = sample_params(seed, cfg)
+            p = sample_params(seed, cfg, None, f"ep_{seed}")
             assert cfg.mass_kg_range[0] <= p.mass_kg <= cfg.mass_kg_range[1]
             assert cfg.friction_range[0] <= p.friction <= cfg.friction_range[1]
             assert cfg.kp_grip_range[0] <= p.kp_grip <= cfg.kp_grip_range[1]
@@ -128,19 +133,19 @@ class TestSampleParams:
             assert abs(p.spawn_offset_m[1]) <= cfg.spawn_box_m[1] / 2
 
     def test_same_seed_identical(self):
-        a = sample_params(42, fault="collision_foam_spike")
-        b = sample_params(42, fault="collision_foam_spike")
+        a = _draw(42, "collision_foam_spike")
+        b = _draw(42, "collision_foam_spike")
         assert a == b
 
     def test_friction_monte_carlo(self):
         # 10k uniform draws: bounds respected, mean near the midpoint
-        draws = np.array([sample_params(s).friction for s in range(10_000)])
+        draws = np.array([_draw(s).friction for s in range(10_000)])
         assert draws.min() >= 0.30 and draws.max() <= 0.50
         assert abs(draws.mean() - 0.40) < 0.01
 
     def test_twin_base_draws_unaffected_by_fault(self):
-        faulty = sample_params(7, fault="additional_axis_payload")
-        twin = sample_params(7)
+        faulty = _draw(7, "additional_axis_payload")
+        twin = _draw(7)
         assert dataclasses.replace(faulty, fault=None) == twin
         assert faulty.mass_kg == twin.mass_kg
 
@@ -158,7 +163,7 @@ class TestSampleParams:
 
     def test_unsupported_fault(self):
         with pytest.raises(UnsupportedFault):
-            generate_episode(0, fault="damaged_screw_thread")
+            generate_episode(0, fault="damaged_screw_thread", episode_id="ep_0")
 
 
 class TestConfigFields:
@@ -168,7 +173,7 @@ class TestConfigFields:
         scaled = (tuple(v * 1.25 for v in default) if isinstance(default, tuple)
                   else default * 1.25)
         cfg = dataclasses.replace(RandomizationConfig(), **{name: scaled})
-        ep = generate_episode(1234, cfg, episode_id="noisy")
+        ep = generate_episode(1234, cfg, episode_id="noisy", fault=None)
         same = (ep.t.shape == noisy_episode.t.shape
                 and np.array_equal(ep.t, noisy_episode.t)
                 and np.array_equal(ep.channels, noisy_episode.channels))
@@ -177,14 +182,14 @@ class TestConfigFields:
 
 class TestTrajectory:
     def test_standard_plan_shape(self):
-        traj = plan_trajectory(sample_params(3))
+        traj = plan_trajectory(_draw(3))
         assert list(traj.phase_runs()) == list(PHASE_NAMES)
         assert traj.n_steps == 511
         runs = encode_phase_rle(traj.phase)
         assert len(runs) == 10
 
     def test_zero_displacement_phase_rests(self):
-        traj = plan_trajectory(sample_params(3))
+        traj = plan_trajectory(_draw(3))
         lo, hi = traj.phase_runs()["grasp"]
         # interior of the dwell phase: the last step's forward difference
         # already looks into the next (moving) phase
@@ -206,7 +211,7 @@ class TestTrajectory:
         assert abs(traj.setpoint_pos[-1, 0] - math.pi / 2) <= 1e-9
 
     def test_discrete_consistency_everywhere(self):
-        traj = plan_trajectory(sample_params(11))
+        traj = plan_trajectory(_draw(11))
         dpos = (traj.setpoint_pos[1:] - traj.setpoint_pos[:-1]) * traj.rate_hz
         assert np.abs(dpos - traj.setpoint_vel[:-1]).max() <= 1e-9
         dvel = (traj.setpoint_vel[1:] - traj.setpoint_vel[:-1]) * traj.rate_hz
@@ -247,7 +252,7 @@ class TestPlant:
         phases = tuple((name, 0.5, q) for name in PHASE_NAMES)
         traj = profiles_from_plan(PhasePlan(phases, start_q=q), 60.0)
         monkeypatch.setattr(synthgen, "plan_trajectory", lambda params: traj)
-        params = sample_params(5)
+        params = _draw(5)
         ep = simulate_plant(params)
         for i in range(6):
             fb = ep.channel(f"feedback_pos_{i}")
@@ -260,12 +265,12 @@ class TestPlant:
             assert np.abs(effort[~carry]).max() <= 1e-9
 
     def test_zero_mass_effort_is_tracking_only(self):
-        params = sample_params(5)
+        params = _draw(5)
         params = EpisodeParams(
             seed=params.seed, episode_id="m0", mass_kg=0.0,
             friction=params.friction, kp_grip=params.kp_grip,
             cube_dims_m=params.cube_dims_m, spawn_offset_m=params.spawn_offset_m,
-            config=params.config,
+            config=params.config, fault=None,
         )
         ep = simulate_plant(params)
         for i in range(6):
@@ -294,7 +299,8 @@ class TestPlant:
         # a config's mass range reaches the tracking law's per-step guard
         cfg = RandomizationConfig(mass_kg_range=(1e5, 1e5))
         with pytest.raises(NumericalInstability, match="at step 181"):
-            generate_episode(8, cfg, fault="payload_weight_misconfiguration", noise=False)
+            generate_episode(8, cfg, fault="payload_weight_misconfiguration", episode_id="ep_8",
+                             noise=False)
 
     def test_phase_partition_ten_contiguous_runs(self, noiseless_episode):
         runs = encode_phase_rle(noiseless_episode.phase)
@@ -327,7 +333,7 @@ class TestFaults:
     def test_additional_axis_payload_closed_form(self):
         seed = 77
         magnitudes = _drawn("additional_axis_payload", seed)
-        healthy = generate_episode(seed, noise=False, episode_id="h")
+        healthy = generate_episode(seed, noise=False, episode_id="h", fault=None)
         faulty = generate_episode(seed, fault="additional_axis_payload",
                                   noise=False, episode_id="f")
         j = magnitudes["joint"]
@@ -348,7 +354,7 @@ class TestFaults:
             )
 
     def test_out_of_subset_fault(self):
-        params = sample_params(1234)
+        params = _draw(1234)
         params = EpisodeParams(
             **{**params.__dict__, "fault": "damaged_screw_thread"}
         )
@@ -357,7 +363,7 @@ class TestFaults:
 
     def test_unstable_platform_adds_exact_sinusoid(self):
         seed = 31
-        healthy = generate_episode(seed, noise=False, episode_id="h")
+        healthy = generate_episode(seed, noise=False, episode_id="h", fault=None)
         faulty = generate_episode(seed, fault="unstable_platform", noise=False, episode_id="f")
         wobble = 0.005 * np.sin(2 * np.pi * 3.0 * healthy.t)
         for i in range(6):
@@ -368,9 +374,9 @@ class TestFaults:
 
     def test_gripper_release_drops_payload(self):
         seed = 55
-        params = sample_params(seed, fault="gripper_release_mid_motion")
+        params = _draw(seed, "gripper_release_mid_motion")
         onset = _drawn("gripper_release_mid_motion", seed)["onset_step"]
-        healthy = generate_episode(seed, noise=False, episode_id="h")
+        healthy = generate_episode(seed, noise=False, episode_id="h", fault=None)
         faulty = generate_episode(seed, fault=params.fault, noise=False, episode_id="f")
         attached = faulty.channel("ctx_gripper_attached")
         assert np.all(attached[onset:] == 0.0)
@@ -398,7 +404,7 @@ class TestFaults:
 
 def _drawn(fault, seed):
     """The magnitudes `simulate_plant` draws for *fault* in the episode of *seed*."""
-    return synthgen._fault_magnitudes(fault, plan_trajectory(sample_params(seed)), seed)
+    return synthgen._fault_magnitudes(fault, plan_trajectory(_draw(seed)), seed)
 
 
 def _drawn_keys(integer: bool):
@@ -452,7 +458,7 @@ class TestFaultMagnitudes:
         # the additive faults act after the tracking law, whose state guard never sees them
         set_magnitudes(params)
         with pytest.raises(NumericalInstability, match=rf"ep_19 \({fault}\)"):
-            generate_episode(19, fault=fault, noise=False)
+            generate_episode(19, fault=fault, noise=False, episode_id="ep_19")
 
     @pytest.mark.parametrize("fault,params", [
         ("collision_foam_spike", {"peak_nm": 1.7e308}),
@@ -462,11 +468,11 @@ class TestFaultMagnitudes:
         # finite but absurd efforts: only a declared effort bound catches them
         set_magnitudes(params)
         with pytest.raises(NumericalInstability, match=rf"\({fault}\): effort"):
-            generate_episode(19, fault=fault, noise=False)
+            generate_episode(19, fault=fault, noise=False, episode_id="ep_19")
 
     def test_effort_up_to_its_bound_is_kept(self, set_magnitudes):
         set_magnitudes({"peak_nm": 900.0})
-        ep = generate_episode(19, fault="collision_foam_spike", noise=False)
+        ep = generate_episode(19, fault="collision_foam_spike", noise=False, episode_id="ep_19")
         effort = ep.columns([f"effort_motor_torque_{j}" for j in range(6)])
         assert 800.0 < np.abs(effort).max() <= synthgen._EFFORT_BOUND_NM
 
@@ -474,7 +480,7 @@ class TestFaultMagnitudes:
         # a subnormal peak adds nothing to efforts of order 1: the twin, labelled faulty
         set_magnitudes({"peak_nm": 1e-320})
         with pytest.raises(SchemaViolation, match="collision_foam_spike"):
-            generate_episode(19, fault="collision_foam_spike", noise=False)
+            generate_episode(19, fault="collision_foam_spike", noise=False, episode_id="ep_19")
 
 
 # sha256 over the channel names, the phase labels, t and the channels (as
@@ -543,7 +549,7 @@ class TestNoise:
             )
             descs[n] = (role, "x", None)
         ep = make_episode({n: np.zeros(T) for n in names}, descs, rate_hz=100.0)
-        params = sample_params(99)
+        params = _draw(99)
         noisy = synthgen.add_sensor_noise(ep, params)
         cfg = params.config
         checks = {
@@ -562,7 +568,7 @@ class TestNoise:
             sigma_pos_rad=0.0, sigma_vel_radps=0.0,
             sigma_effort=0.0, sigma_obj_xy_m=0.0, sigma_obj_z_m=0.0,
         )
-        params = sample_params(1234, cfg)
+        params = sample_params(1234, cfg, None, "ep_1234")
         out = synthgen.add_sensor_noise(noiseless_episode, params)
         assert np.array_equal(out.channels, noiseless_episode.channels)
 
@@ -572,7 +578,7 @@ class TestNoise:
         partial = ep.replace(channels=ep.columns([d.canonical_name for d in keep]),
                              descriptors=tuple(keep))
         with pytest.raises(MissingChannel, match="feedback_obj_pos_2"):
-            synthgen.add_sensor_noise(partial, sample_params(1234))
+            synthgen.add_sensor_noise(partial, _draw(1234))
 
     def test_setpoints_stay_noiseless(self, noiseless_episode, noisy_episode):
         for i in range(6):
