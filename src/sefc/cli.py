@@ -115,6 +115,19 @@ def _model_kinds(models: str) -> list[str]:
     return kinds
 
 
+def _counts(read: list, used: list) -> dict:
+    """The manifest's ``episodes`` entry: *used* are the episodes of *read*
+    that a command measured, and it skipped the others as faulty."""
+    return {"read": len(read), "used": len(used), "skipped_faulty": len(read) - len(used)}
+
+
+def _healthy(data: str) -> tuple[list, dict]:
+    """The healthy episodes of directory *data*, and their ``_counts``."""
+    episodes = ingest.read_episode_dir(data)
+    healthy = [ep for ep in episodes if ep.healthy]
+    return healthy, _counts(episodes, healthy)
+
+
 def _train_each(kinds: list[str], episodes, target: str, config: TrainConfig):
     """Each kind's model, and ``{kind: {best_epoch, stopped_early}}`` for the manifest."""
     models, training = {}, {}
@@ -195,9 +208,9 @@ def cmd_ingest(args: argparse.Namespace, out: Path) -> _Done:
     written, failures = [], []
     for path in files:
         try:
-            table = ingest.parse_raw_csv(path, dialect, text_columns)
             meta = EpisodeMeta(path.stem, args.embodiment or adapter.source_id, args.task)
-            ep = apply_adapter(table, adapter, meta, allow_missing)
+            ep = apply_adapter(ingest.parse_raw_csv(path, dialect, text_columns), adapter, meta,
+                               allow_missing)
             ep = ingest.fill_gaps(ep, args.max_missing_fraction)
             if abs(ep.rate_hz - args.rate_hz) > 1e-12:
                 ep = ingest.resample(ep, args.rate_hz)
@@ -222,7 +235,8 @@ def cmd_train_anomaly(args: argparse.Namespace, out: Path) -> _Done:
     )
     return _Done([str(args.data)], [ckpt.name, hist_path.name],
                  f"trained {history.n_epochs} epochs, best epoch {history.best_epoch} -> {ckpt}",
-                 {"best_epoch": history.best_epoch, "stopped_early": history.stopped_early})
+                 {"episodes": _counts(episodes, episodes), "best_epoch": history.best_epoch,
+                  "stopped_early": history.stopped_early})
 
 
 @_command
@@ -238,13 +252,14 @@ def cmd_score(args: argparse.Namespace, out: Path) -> _Done:
         outputs.append(
             anomaly.write_report_summary(report, out / "anomaly_summary.yaml").name
         )
-    return _Done([str(args.data)], outputs, f"scored {len(scored)} episodes -> {scores_path}")
+    return _Done([str(args.data)], outputs, f"scored {len(scored)} episodes -> {scores_path}",
+                 {"episodes": _counts(episodes, episodes)})
 
 
 @_command
 def cmd_eval_forecast(args: argparse.Namespace, out: Path) -> _Done:
     _finite_positive("--threshold", args.threshold)
-    episodes = [ep for ep in ingest.read_episode_dir(args.data) if ep.healthy]
+    episodes, counts = _healthy(args.data)
     if len(episodes) < 3:
         raise SchemaViolation("eval-forecast needs at least 3 healthy episodes")
     parts = args.horizon.split(",")
@@ -292,14 +307,14 @@ def cmd_eval_forecast(args: argparse.Namespace, out: Path) -> _Done:
     )
     return _Done([str(args.data)], [report_path.name, curve_path.name],
                  f"evaluated {kinds} at H={horizons} -> {report_path}",
-                 {"training": training})
+                 {"episodes": counts, "training": training})
 
 
 @_command
 def cmd_eval_transfer(args: argparse.Namespace, out: Path) -> _Done:
     kinds = _model_kinds(args.models)
-    source = [ep for ep in ingest.read_episode_dir(args.train_data) if ep.healthy]
-    target = [ep for ep in ingest.read_episode_dir(args.eval_data) if ep.healthy]
+    source, source_counts = _healthy(args.train_data)
+    target, target_counts = _healthy(args.eval_data)
     if not target:
         raise EmptyDataset(f"{args.eval_data}: no healthy episode to evaluate on")
     config = _train_config(args, "adamw")
@@ -307,7 +322,9 @@ def cmd_eval_transfer(args: argparse.Namespace, out: Path) -> _Done:
     reports = [forecast.transfer_eval(m, target, args.channel_set) for m in models.values()]
     path = forecast.write_transfer_csv(reports, out / _REPORT_FILES["transfer"])
     return _Done([str(args.train_data), str(args.eval_data)], [path.name],
-                 f"transfer report -> {path}", {"training": training})
+                 f"transfer report -> {path}",
+                 {"episodes": {"train": source_counts, "eval": target_counts},
+                  "training": training})
 
 
 @_command
@@ -364,11 +381,11 @@ def cmd_report(args: argparse.Namespace, out: Path) -> _Done:
 # ---------------------------------------------------------------------------
 
 def _add_train_flags(p: argparse.ArgumentParser, epochs: int, lr: float,
-                     batch_size: int, patience: int) -> None:
+                     batch_size: int) -> None:
     p.add_argument("--epochs", type=int, default=epochs)
     p.add_argument("--lr", type=float, default=lr)
     p.add_argument("--batch-size", type=int, default=batch_size)
-    p.add_argument("--patience", type=int, default=patience)
+    p.add_argument("--patience", type=int, default=30)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -406,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=_seed, default=0)
-    _add_train_flags(p, epochs=60, lr=5e-4, batch_size=4096, patience=30)
+    _add_train_flags(p, epochs=60, lr=5e-4, batch_size=4096)
     p.set_defaults(func=cmd_train_anomaly)
 
     p = sub.add_parser("score", help="score episodes with a trained model")
@@ -424,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", type=int, default=10)
     p.add_argument("--threshold", type=float, default=0.01)
     p.add_argument("--seed", type=_seed, default=0)
-    _add_train_flags(p, epochs=30, lr=1e-4, batch_size=1024, patience=30)
+    _add_train_flags(p, epochs=30, lr=1e-4, batch_size=1024)
     p.set_defaults(func=cmd_eval_forecast)
 
     p = sub.add_parser("eval-transfer", help="zero-shot cross-embodiment evaluation")
@@ -434,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--models", default="kinematic_zero,tcn_transformer")
     p.add_argument("--channel-set", choices=("effort", "accel"), default="effort")
     p.add_argument("--seed", type=_seed, default=0)
-    _add_train_flags(p, epochs=30, lr=1e-4, batch_size=1024, patience=30)
+    _add_train_flags(p, epochs=30, lr=1e-4, batch_size=1024)
     p.set_defaults(func=cmd_eval_transfer)
 
     p = sub.add_parser("gap", help="phase-aware gap metrics over episode pairs")

@@ -26,7 +26,7 @@ from __future__ import annotations
 import csv
 import io
 from pathlib import Path
-from typing import Iterable, Sequence, TextIO, Union
+from typing import Iterable, Mapping, Sequence, TextIO, Union
 
 import numpy as np
 import yaml
@@ -94,6 +94,13 @@ def load_yaml(text: str, where: Union[str, Path]):
         return yaml.load(text, Loader=_LOADER)
     except yaml.YAMLError as exc:
         raise SchemaViolation(f"{where}: malformed YAML: {exc}") from exc
+
+
+def check_keys(doc: Mapping, known: Sequence[str]) -> None:
+    """Raise SchemaViolation naming the first key of *doc* not in *known*, and *known*."""
+    unknown = [key for key in doc if key not in known]
+    if unknown:
+        raise SchemaViolation(f"unknown key {unknown[0]!r}; known keys: {', '.join(known)}")
 
 
 def dump_yaml(doc) -> str:

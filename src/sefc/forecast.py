@@ -101,7 +101,6 @@ class Forecaster:
     net: Optional[Model] = None
     x_std: Optional[Standardizer] = None    # per-feature, over the 36 features
     y_std: Optional[Standardizer] = None
-    out_dim: int = N_JOINTS
 
     def predict_batch(self, windows: np.ndarray) -> np.ndarray:
         windows = np.asarray(windows, dtype=np.float64)
@@ -110,7 +109,7 @@ class Forecaster:
                 f"expected (N, {WINDOW_STEPS}, {N_FEATURES}), got {windows.shape}"
             )
         if self.kind == "kinematic_zero":
-            return np.zeros((windows.shape[0], self.out_dim))
+            return np.zeros((windows.shape[0], N_JOINTS))
         pred = self.net.predict(_net_input(self.net, self.x_std.transform(windows)))
         return self.y_std.inverse(pred)
 
@@ -136,7 +135,6 @@ class Forecaster:
             x_std=Standardizer.from_extra(extra, "x", N_FEATURES, path),
             y_std=Standardizer.from_extra(extra, "y", net.out_dim, path),
             target=str(extra.get("target", "accel")),
-            out_dim=net.out_dim,
         )
 
 
@@ -182,8 +180,7 @@ def train_forecaster(
 
     x_std = Standardizer.fit(x_train.reshape(-1, N_FEATURES))
     y_std = Standardizer.fit(y_train)
-    out_dim = y_train.shape[1]
-    net = _NETS[kind](out_dim, config.seed)
+    net = _NETS[kind](y_train.shape[1], config.seed)
 
     # each raw window set is dropped once standardized, before training starts
     train_set = (_net_input(net, x_std.transform(x_train)), y_std.transform(y_train))
@@ -191,7 +188,7 @@ def train_forecaster(
     val_set = (_net_input(net, x_std.transform(x_val)), y_std.transform(y_val))
     del x_val
     history = train(net, train_set, val_set, config)
-    return Forecaster(kind, target, net, x_std, y_std, out_dim), history
+    return Forecaster(kind, target, net, x_std, y_std), history
 
 
 # ---------------------------------------------------------------------------

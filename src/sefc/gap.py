@@ -59,10 +59,6 @@ class AlignedPair:
     phases_used: tuple[str, ...]
     phases_skipped: tuple[str, ...]
 
-    @property
-    def channel_names(self) -> tuple[str, ...]:
-        return tuple(d.canonical_name for d in self.descriptors)
-
 
 def phase_align(pair: EpisodePair) -> AlignedPair:
     """Align the pair's common channels phase run by phase run on normalized time.

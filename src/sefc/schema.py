@@ -27,7 +27,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .codec import load_yaml
+from .codec import check_keys, load_yaml
 from .errors import (DegenerateEpisode, MissingChannel, MissingRawColumn, NonNumericColumn,
                      SchemaViolation)
 
@@ -112,7 +112,6 @@ class SignalSpec:
     role: Optional[SignalRole]
     unit: str
     axis: Optional[int]
-    notes: str
 
 
 @dataclass(frozen=True)
@@ -136,7 +135,6 @@ class AdapterSpec:
     native_rate_hz: float
     signals: tuple[SignalSpec, ...]
     absent_channels: tuple[str, ...]
-    notes: str
     phase_column: Optional[str]
 
     def __post_init__(self):
@@ -354,7 +352,7 @@ def _coerce_cell(value) -> float:
 
 def _column_as_floats(name: str, col: np.ndarray, role: SignalRole) -> np.ndarray:
     if col.dtype.kind == "f":
-        return col.astype(np.float64)
+        return col.astype(np.float64, copy=False)
     out = np.empty(len(col), dtype=np.float64)
     if role in NUMERIC_ROLES:
         for i, v in enumerate(col):
@@ -457,10 +455,13 @@ def expand_signal_rows(record: Mapping) -> list[dict]:
 
     A record may carry ``expand: {var: lo..hi | [values], ...}``; all
     variables are zipped in parallel and substituted into ``raw``,
-    ``canonical``, ``axis``, and ``notes`` via ``str.format``.  Records
-    without ``expand`` pass through unchanged.
+    ``canonical`` and ``axis`` via ``str.format``.  Records
+    without ``expand`` pass through unchanged.  A key other than ``raw``,
+    ``canonical``, ``role``, ``unit``, ``axis``, ``notes`` and ``expand``
+    raises SchemaViolation.
     """
     spec = dict(record)
+    check_keys(spec, ("raw", "canonical", "role", "unit", "axis", "notes", "expand"))
     expand = spec.pop("expand", None)
     if expand is None:
         return [spec]
@@ -475,7 +476,7 @@ def expand_signal_rows(record: Mapping) -> list[dict]:
     for values in zip(*columns):
         binding = dict(zip(names, values))
         row = dict(spec)
-        for key in ("raw", "canonical", "notes"):
+        for key in ("raw", "canonical"):
             if key in row and isinstance(row[key], str):
                 row[key] = row[key].format(**binding)
         if "axis" in row and isinstance(row["axis"], str):
@@ -499,7 +500,6 @@ def _signal_from_row(row: Mapping) -> SignalSpec:
         role=role,
         unit=str(row.get("unit", "")),
         axis=int(axis) if axis is not None else None,
-        notes=str(row.get("notes", "")),
     )
 
 
@@ -516,7 +516,11 @@ def _reading(key: str):
 
 def adapter_from_dict(doc: Mapping) -> AdapterSpec:
     """The spec a parsed adapter document describes; a missing or malformed
-    value raises SchemaViolation naming its key (a signal row by its index)."""
+    value raises SchemaViolation naming its key (a signal row by its index),
+    and so does a key the spec does not read.  ``notes`` is documentation and
+    is dropped."""
+    check_keys(doc, ("source_id", "native_rate_hz", "signals", "absent_channels",
+                     "phase_column", "notes"))
     if "signals" not in doc:
         raise SchemaViolation("adapter config has no 'signals' section")
     signals = []
@@ -540,7 +544,6 @@ def adapter_from_dict(doc: Mapping) -> AdapterSpec:
         native_rate_hz=native_rate_hz,
         signals=tuple(signals),
         absent_channels=absent_channels,
-        notes=str(doc.get("notes", "")),
         phase_column=phase_column,
     )
 

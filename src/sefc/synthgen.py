@@ -35,7 +35,7 @@ from typing import Callable, Mapping, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .codec import load_yaml
+from .codec import check_keys, load_yaml
 from .errors import (
     InfeasibleProfile,
     MissingChannel,
@@ -756,10 +756,16 @@ def generate_corpus(n_healthy: int, fault_mix: Mapping[str, int], seed0: int) ->
 # ---------------------------------------------------------------------------
 
 def load_generation_config(path: Optional[Union[str, Path]]) -> dict:
-    """Load a generation config (ranges, counts, fault mix, seed) from YAML; None reads ``{}``."""
+    """Load a generation config (ranges, counts, fault mix, seed) from YAML; None reads ``{}``.
+
+    Any other top-level key raises SchemaViolation naming it."""
     doc = (load_yaml(Path(path).read_text(encoding="utf-8"), path) if path else None) or {}
     if not isinstance(doc, dict):
         raise SchemaViolation(f"{path}: not a mapping")
+    try:
+        check_keys(doc, ("randomization", "n_healthy", "fault_mix", "seed"))
+    except SchemaViolation as exc:
+        raise SchemaViolation(f"{path}: {exc}") from None
     randomization = doc.get("randomization") or {}
     if not isinstance(randomization, dict):
         raise SchemaViolation(f"{path}: randomization must be a mapping of field to value")

@@ -139,6 +139,21 @@ class TestGenerate:
         assert rc == 2
         assert f"unknown randomization field {field!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc,key", [
+        ({"n_heathy": 3}, "n_heathy"),
+        ({"seeed": 5}, "seeed"),
+    ])
+    def test_unknown_config_key_exits_2_naming_it(self, tmp_path, capsys, doc, key):
+        config = tmp_path / "gen.yaml"
+        config.write_text(yaml.safe_dump(doc))
+        out = tmp_path / "o"
+        rc = main(["generate", "--out", str(out), "--config", str(config)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {config}: unknown key {key!r}; "
+            "known keys: randomization, n_healthy, fault_mix, seed\n")
+        assert not out.exists()
+
     def test_unknown_fault_exits_2(self, tmp_path):
         rc = main(["generate", "--out", str(tmp_path / "o"), "--seed", "0",
                    "--n-healthy", "1", "--fault-mix", "damaged_screw_thread=1"])
@@ -486,6 +501,37 @@ class TestIngest:
         sidecar = yaml.safe_load((out / "episodes" / "e1.meta.yaml").read_text())
         assert sidecar["phase_rle"] == [["1", 2], ["unknown", 1], ["2", 3]]
 
+    def test_dialect_na_token_fills_a_dropout(self, tmp_path):
+        lines = (FIXTURES / "voraus_sample.csv").read_text().splitlines()
+        col = lines[0].split(",").index("joint_position_1")
+        cells = lines[10].split(",")
+        cells[col] = "?"
+        lines[10] = ",".join(cells)
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        (raw / "e1.csv").write_text("\n".join(lines) + "\n")
+        flags = ["ingest", "--raw-dir", str(raw), "--adapter", "voraus_ad",
+                 "--max-missing-fraction", "0.05"]
+        assert main([*flags, "--out", str(tmp_path / "plain")]) == 1
+        manifest = yaml.safe_load((tmp_path / "plain" / "manifest.yaml").read_text())
+        assert manifest["outputs"] == [] and manifest["failures"][0].startswith("e1.csv: ")
+        out = tmp_path / "na"
+        assert main([*flags, "--out", str(out), "--dialect-na", "?"]) == 0
+        from sefc import ingest
+
+        ep = ingest.read_canonical(out / "episodes" / "e1.csv")
+        assert np.isfinite(ep.channel("feedback_pos_0")).all()
+
+    def test_embodiment_reaches_the_sidecar(self, tmp_path):
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        (raw / "e1.csv").write_text((FIXTURES / "voraus_sample.csv").read_text())
+        out = tmp_path / "out"
+        assert main(["ingest", "--raw-dir", str(raw), "--adapter", "voraus_ad",
+                     "--out", str(out), "--embodiment", "yu_cobot"]) == 0
+        sidecar = yaml.safe_load((out / "episodes" / "e1.meta.yaml").read_text())
+        assert sidecar["embodiment"] == "yu_cobot"
+
     def test_manifest_records_failures(self, tmp_path, capsys):
         raw = tmp_path / "raw"
         raw.mkdir()
@@ -600,9 +646,16 @@ class TestIngest:
          "adapter 'voraus_ad' invalid:\n[phase-mapped] phase column 'anomaly' is also mapped\n"),
         (None, ["--allow-missing", "not_a_column"],
          "--allow-missing: 'not_a_column' is not a raw column of adapter 'voraus_ad'\n"),
+        (("source_id: voraus_ad\n", "source_id: voraus_ad\nphase_colum: phase\n"), [],
+         "unknown key 'phase_colum'; known keys: source_id, native_rate_hz, signals, "
+         "absent_channels, phase_column, notes\n"),
+        (("unit: V, notes: global", "unit: V, axsi: 0"), [],
+         "signals[21]: unknown key 'axsi'; known keys: raw, canonical, role, unit, axis, "
+         "notes, expand\n"),
     ], ids=["nan_rate", "row_without_unit", "unknown_task", "empty_delimiter", "empty_decimal",
             "quote_delimiter", "newline_delimiter", "cr_decimal", "decimal_is_delimiter",
-            "mapped_phase_column", "allow_missing_not_a_column"])
+            "mapped_phase_column", "allow_missing_not_a_column", "unknown_adapter_key",
+            "unknown_signal_key"])
     def test_configuration_error_exits_2_once_before_reading(self, tmp_path, capsys, monkeypatch,
                                                               adapter_edit, flags, message):
         from sefc import ingest
@@ -691,6 +744,25 @@ class TestTrainAndScore:
         lines = (score_out / "scores.csv").read_text().strip().splitlines()
         assert lines[0] == "episode_id,label,score"
         assert len(lines) == 11  # 10 episodes + header
+
+    def test_manifests_count_the_episodes_read_and_used(self, small_corpus, healthy_corpus,
+                                                        tmp_path):
+        train_out, score_out = tmp_path / "train", tmp_path / "score"
+        assert main(["train-anomaly", "--data", str(healthy_corpus), "--out", str(train_out),
+                     "--epochs", "1", "--batch-size", "1024"]) == 0
+        assert main(["score", "--model", str(train_out / "anomaly_model.ckpt"),
+                     "--data", str(small_corpus), "--out", str(score_out)]) == 0
+        for out, counts in ((train_out, [8, 8, 0]), (score_out, [10, 10, 0])):
+            manifest = yaml.safe_load((out / "manifest.yaml").read_text())
+            assert manifest["episodes"] == dict(zip(["read", "used", "skipped_faulty"], counts))
+
+    def test_lr_is_the_first_epoch_rate(self, healthy_corpus, tmp_path):
+        out = tmp_path / "t"
+        assert main(["train-anomaly", "--data", str(healthy_corpus), "--out", str(out),
+                     "--epochs", "2", "--batch-size", "1024", "--lr", "0.002"]) == 0
+        with open(out / "train_history.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows[0]["epoch"] == "0" and rows[0]["lr"] == "0.002"
 
 
 class TestScoreCheckpointErrors:
@@ -812,6 +884,13 @@ class TestEvalForecast:
             "tcn": {"best_epoch": 0, "stopped_early": True},
         }
 
+    def test_manifest_counts_the_episodes_read_used_and_skipped(self, small_corpus, tmp_path):
+        out = tmp_path / "fc"
+        assert main(["eval-forecast", "--data", str(small_corpus), "--out", str(out),
+                     "--models", "kinematic_zero", "--horizon", "50"]) == 0
+        manifest = yaml.safe_load((out / "manifest.yaml").read_text())
+        assert manifest["episodes"] == {"read": 10, "used": 8, "skipped_faulty": 2}
+
     @pytest.mark.parametrize("flags,name", [
         (["--horizon", "0,50"], "--horizon"),
         (["--horizon", "-50"], "--horizon"),
@@ -871,6 +950,15 @@ class TestEvalTransfer:
         with open(out / "transfer_report.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert rows and all(r["n_episodes"] == "8" for r in rows)   # 8 healthy, 2 faulty
+
+    def test_manifest_counts_the_episodes_of_each_side(self, small_corpus, tmp_path):
+        out = tmp_path / "tr"
+        assert main(["eval-transfer", "--train-data", str(small_corpus),
+                     "--eval-data", str(small_corpus), "--out", str(out),
+                     "--models", "kinematic_zero", "--channel-set", "effort"]) == 0
+        counts = {"read": 10, "used": 8, "skipped_faulty": 2}
+        manifest = yaml.safe_load((out / "manifest.yaml").read_text())
+        assert manifest["episodes"] == {"train": counts, "eval": counts}
 
     def test_target_without_healthy_episode_exits_1_before_training(
             self, small_corpus, tmp_path, capsys, monkeypatch):
@@ -1343,6 +1431,13 @@ class TestNegativeSeed:
         err = capsys.readouterr().err
         assert "argument --seed: expected a non-negative integer, got '-1'" in err
         assert not out.exists()
+
+
+def test_version_prints_the_tool_version(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == "0.1.0\n"
 
 
 class TestReport:

@@ -129,7 +129,7 @@ class TestPhaseAlign:
         real = _episode({"feedback_pos_0": ramp_r}, phase_r, "r")
         sim = _episode({"feedback_pos_0": ramp_s}, phase_s, "s")
         aligned = phase_align(EpisodePair(real, sim, "k"))
-        col = aligned.channel_names.index("feedback_pos_0")
+        col = [d.canonical_name for d in aligned.descriptors].index("feedback_pos_0")
         assert np.abs(aligned.real[:, col] - aligned.sim[:, col]).max() <= 1e-12
 
     def test_one_sided_phase_skipped(self):

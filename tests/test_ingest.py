@@ -279,9 +279,9 @@ class TestParseRawCsv:
     @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
     def test_decimal_comma_mixed_columns_through_adapter(self, tmp_path, newline):
         spec = AdapterSpec("x", 10.0, (
-            SignalSpec("eff", "effort_motor_torque_0", SignalRole.EFFORT, "Nm", 0, notes=""),
-            SignalSpec("ctx", "ctx_load", SignalRole.CONTEXT, "-", None, notes=""),
-        ), absent_channels=(), notes="", phase_column=None)
+            SignalSpec("eff", "effort_motor_torque_0", SignalRole.EFFORT, "Nm", 0),
+            SignalSpec("ctx", "ctx_load", SignalRole.CONTEXT, "-", None),
+        ), absent_channels=(), phase_column=None)
         meta = EpisodeMeta("e", "arm", "pick_and_place")
         p = tmp_path / "f.csv"
         p.write_bytes(newline.join(["eff;ctx", "0,5;0,25", "1,5;idle", "2,5;0,75", ""]).encode())

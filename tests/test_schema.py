@@ -31,11 +31,11 @@ from sefc.synthgen import RandomizationConfig, plan_trajectory, sample_params
 
 
 def sig(raw, canonical, role=SignalRole.SETPOINT, unit="rad", axis=None):
-    return SignalSpec(raw, canonical, role, unit, axis, notes="")
+    return SignalSpec(raw, canonical, role, unit, axis)
 
 
 def spec(*signals, rate=10.0, absent_channels=(), phase_column=None):
-    return AdapterSpec("x", rate, signals, absent_channels, notes="", phase_column=phase_column)
+    return AdapterSpec("x", rate, signals, absent_channels, phase_column=phase_column)
 
 
 META = EpisodeMeta(episode_id="e1", embodiment="arm", task="pick_and_place")

@@ -3,7 +3,9 @@ private module-level name of a ``sefc`` module is read in that module, every
 public module-level function, class and constant is read somewhere in
 ``src/sefc`` or ``bench/``, and every default of a ``sefc`` function, method,
 dataclass field or NamedTuple field is both set by some call there and left
-to its default by some call there.
+to its default by some call there.  Every option of ``sefc`` and its
+subcommands, but argparse's own ``--help``, is spelled as a string constant
+in some test or in the bench, so some run passes it.
 
 A call sets a default when it passes that parameter by keyword or by
 position, or may through ``*args`` or ``**kwargs``.  It leaves the default
@@ -21,6 +23,7 @@ constant only tests read, a parameter only tests set or a default that every
 call overrides behind fails here.  Package ``__init__`` modules re-export
 names and are neither checked nor counted as readers.
 """
+import argparse
 import ast
 import re
 from pathlib import Path
@@ -310,6 +313,28 @@ def test_every_parameter_default_is_set_by_the_program():
 def test_every_parameter_default_is_relied_on():
     unrelied = _unrelied_defaults(*_program())
     assert not unrelied, f"passed by every call, so written twice: {unrelied}"
+
+
+def _cli_options() -> set[str]:
+    """Every option string of ``sefc``'s parser and its subcommands, but argparse's help."""
+    from sefc.cli import build_parser
+
+    options, parsers = set(), [build_parser()]
+    while parsers:
+        for action in parsers.pop()._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers += action.choices.values()
+            elif not isinstance(action, argparse._HelpAction):
+                options |= set(action.option_strings)
+    return options
+
+
+def test_every_cli_option_is_exercised():
+    passed = {node.value for path in sorted((ROOT / "tests").glob("*.py")) + BENCH
+              for node in ast.walk(_tree(path))
+              if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    unexercised = sorted(_cli_options() - passed)
+    assert not unexercised, f"passed by no test and not by the bench: {unexercised}"
 
 
 # ---------------------------------------------------------------------------
