@@ -3,13 +3,14 @@
 A dense regressor is trained on healthy episodes only to predict the six
 motor-torque channels (``ANOMALY_OUTPUT_CHANNELS``) from the 18 setpoint
 position, velocity and acceleration channels (``ANOMALY_INPUT_CHANNELS``);
-these channel sets are fixed.  The anomaly score of an episode is its mean
-absolute prediction error in standardized units.  Per-channel
-standardization is fitted on the training split only and travels with the
-model checkpoint (stored data stays in raw units).  The AUROC and its
-bootstrap rank scores with one numpy midrank helper, ``_midranks``, so the
-protocol needs numpy alone.  The report's confidence interval is always the
-95% percentile interval of 1000 stratified bootstrap resamples.
+these channel sets are fixed, and a checkpoint that names others is
+refused.  The anomaly score of an episode is its mean absolute prediction
+error in standardized units.  Per-channel standardization is fitted on the
+training split only and travels with the model checkpoint (stored data
+stays in raw units).  The AUROC and its bootstrap rank scores with one
+numpy midrank helper, ``_midranks``, so the protocol needs numpy alone.
+The report's confidence interval is always the 95% percentile interval of
+1000 stratified bootstrap resamples.
 """
 
 from __future__ import annotations
@@ -96,13 +97,11 @@ class AnomalyModel:
     net: DenseNet
     x_std: Standardizer
     y_std: Standardizer
-    input_channels: tuple[str, ...] = ANOMALY_INPUT_CHANNELS
-    output_channels: tuple[str, ...] = ANOMALY_OUTPUT_CHANNELS
 
     def save(self, path: Union[str, Path]) -> Path:
         extra = {
-            "input_channels": list(self.input_channels),
-            "output_channels": list(self.output_channels),
+            "input_channels": list(ANOMALY_INPUT_CHANNELS),
+            "output_channels": list(ANOMALY_OUTPUT_CHANNELS),
             **self.x_std.to_extra("x"),
             **self.y_std.to_extra("y"),
         }
@@ -115,14 +114,14 @@ class AnomalyModel:
                                *Standardizer.extra_keys("y")), path, "an anomaly")
         if not isinstance(net, DenseNet):
             raise SchemaViolation(f"{path}: not an anomaly checkpoint")
-        n_in, n_out = net.widths[0], net.out_dim
-        return cls(
-            net=net,
-            x_std=Standardizer.from_extra(extra, "x", n_in, path),
-            y_std=Standardizer.from_extra(extra, "y", n_out, path),
-            input_channels=tuple(extra_list(extra, "input_channels", n_in, (str,), path)),
-            output_channels=tuple(extra_list(extra, "output_channels", n_out, (str,), path)),
-        )
+        # once both lists are the protocol's, the net maps 18 values to 6
+        for key, channels, width in (("input_channels", ANOMALY_INPUT_CHANNELS, net.widths[0]),
+                                     ("output_channels", ANOMALY_OUTPUT_CHANNELS, net.out_dim)):
+            if tuple(extra_list(extra, key, width, (str,), path)) != channels:
+                raise SchemaViolation(f"{path}: {key} must be the protocol's {len(channels)} "
+                                      f"channels {channels[0]} .. {channels[-1]}")
+        return cls(net, Standardizer.from_extra(extra, "x", net.widths[0], path),
+                   Standardizer.from_extra(extra, "y", net.out_dim, path))
 
 
 def train_anomaly_model(
@@ -163,8 +162,8 @@ def train_anomaly_model(
 
 def score_episode(model: AnomalyModel, ep: Episode) -> ScoredEpisode:
     """Per-episode MAE between predicted and true efforts (standardized)."""
-    x = model.x_std.transform(ep.columns(model.input_channels))
-    y = model.y_std.transform(ep.columns(model.output_channels))
+    x = model.x_std.transform(ep.columns(ANOMALY_INPUT_CHANNELS))
+    y = model.y_std.transform(ep.columns(ANOMALY_OUTPUT_CHANNELS))
     pred = model.net.predict(x)
     score = float(np.mean(np.abs(pred - y)))
     return ScoredEpisode(ep.episode_id, ep.fault or HEALTHY_LABEL, score)
@@ -264,8 +263,7 @@ class AnomalyReport:
     rows: tuple[CategoryRow, ...]
     mean_auroc: float          # unweighted mean over the categories
     pooled_auroc: float        # all anomalies vs the shared healthy pool
-    ci: tuple[float, float]
-    ci_level: float
+    ci: tuple[float, float]    # the _CI_LEVEL bootstrap interval
     n_healthy: int
 
 
@@ -289,7 +287,6 @@ def per_category_report(scored: Sequence[ScoredEpisode], seed: int) -> AnomalyRe
         mean_auroc=float(np.mean([r.auroc for r in rows])),
         pooled_auroc=pooled,
         ci=ci,
-        ci_level=_CI_LEVEL,
         n_healthy=len(healthy),
     )
 
@@ -300,7 +297,7 @@ def write_report_csv(report: AnomalyReport, path: Union[str, Path]) -> Path:
         *([r.category, r.n, f"{r.auroc:.6f}"] for r in report.rows),
         ["mean", n_anomalous, f"{report.mean_auroc:.6f}"],
         ["pooled", n_anomalous, f"{report.pooled_auroc:.6f}"],
-        [f"ci{int(report.ci_level * 100)}", report.n_healthy,
+        [f"ci{int(_CI_LEVEL * 100)}", report.n_healthy,
          f"[{report.ci[0]:.6f}, {report.ci[1]:.6f}]"],
     ])
 
@@ -313,7 +310,7 @@ def write_report_summary(report: AnomalyReport, path: Union[str, Path]) -> Path:
         "mean_auroc": round(report.mean_auroc, 6),
         "pooled_auroc": round(report.pooled_auroc, 6),
         "ci": [round(report.ci[0], 6), round(report.ci[1], 6)],
-        "ci_level": report.ci_level,
+        "ci_level": _CI_LEVEL,
         "n_healthy": report.n_healthy,
         "n_anomalous": sum(r.n for r in report.rows),
         "categories": {

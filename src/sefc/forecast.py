@@ -30,6 +30,8 @@ from .schema import Episode
 
 WINDOW_STEPS = 10
 N_JOINTS = 6
+#: What a forecaster predicts (see the module docstring).
+_TARGETS = ("accel", "effort")
 
 #: 36-feature layout: six joints per block, feedback first.
 FEATURE_BLOCKS = (
@@ -127,14 +129,18 @@ class Forecaster:
     @classmethod
     def load(cls, path: Union[str, Path]) -> "Forecaster":
         net, extra = load_model(path)
-        require_extras(extra, ("forecaster_kind", *Standardizer.extra_keys("x"),
+        require_extras(extra, ("forecaster_kind", "target", *Standardizer.extra_keys("x"),
                                *Standardizer.extra_keys("y")), path, "a forecaster")
+        for key, known in (("forecaster_kind", tuple(_NETS)), ("target", _TARGETS)):
+            if extra[key] not in known:
+                raise SchemaViolation(f"{path}: {key} must be one of {', '.join(known)}, "
+                                      f"got {extra[key]!r}")
         return cls(
-            kind=str(extra["forecaster_kind"]),
+            kind=extra["forecaster_kind"],
             net=net,
             x_std=Standardizer.from_extra(extra, "x", N_FEATURES, path),
             y_std=Standardizer.from_extra(extra, "y", net.out_dim, path),
-            target=str(extra.get("target", "accel")),
+            target=extra["target"],
         )
 
 

@@ -1,22 +1,20 @@
 """Model checkpoints: YAML header + flat parameter array, one file.
 
-Layout (version 2, the only one written): a UTF-8 YAML document holding
-``format: 2``, the model spec, ``n_params`` and any caller extras; a single
-``---`` separator line; then exactly ``8 * n_params`` bytes, the parameters
-as raw little-endian float64 in ``Model.get_params`` order.  The payload is
-read back with the same bits, NaN payloads, ``-0.0`` and subnormals
-included.  The header goes through ``sefc.codec``, with libyaml when PyYAML
-has it and the same bytes either way; the emitter never writes a ``---``
-line inside it, so the file splits at the first ``\\n---\\n``.
-
-Version 1 (a header without ``format``, then one ``%.17g`` value per line)
-is still read, with text-mode newlines, so older run directories load.
+Layout (version 2, the only one written and read): a UTF-8 YAML document
+holding ``format: 2``, the model spec, ``n_params`` and any caller extras; a
+single ``---`` separator line; then exactly ``8 * n_params`` bytes, the
+parameters as raw little-endian float64 in ``Model.get_params`` order.  The
+payload is read back with the same bits, NaN payloads, ``-0.0`` and
+subnormals included.  The header goes through ``sefc.codec``, with libyaml
+when PyYAML has it and the same bytes either way; the emitter never writes a
+``---`` line inside it, so the file splits at the first ``\\n---\\n``.
 
 Every defect of the file raises ``SchemaViolation`` naming it: no separator,
-a header that is not UTF-8 or not YAML, an unknown ``format`` or model kind,
-a spec the model cannot be built from, a missing or non-integer ``n_params``
-(version 2), a truncated payload or trailing bytes, a parameter count that
-disagrees with the header or the spec, and a non-numeric version-1 value.
+a header that is not UTF-8 or not YAML, a header without ``format`` (a
+version-1 checkpoint, whose model must be retrained), an unknown ``format``
+or model kind, a spec the model cannot be built from, a missing or
+non-integer ``n_params``, a truncated payload or trailing bytes, and a
+parameter count that disagrees with the spec.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from ..codec import dump_yaml, load_yaml, read_float_rows
+from ..codec import dump_yaml, load_yaml
 from ..errors import SchemaViolation, ShapeMismatch
 from .models import DenseNet, Model, SeqNet, TCNNet
 
@@ -56,23 +54,19 @@ def save_model(path: Union[str, Path], model: Model, extra: dict) -> Path:
 
 def load_model(path: Union[str, Path]) -> tuple[Model, dict]:
     path = Path(path)
-    data = path.read_bytes()
-    head, sep, payload = data.partition(_SEPARATOR)
-    if not sep:
-        # A version-1 file with \r\n or \r line ends splits once they read as \n.
-        head, sep, payload = _text_newlines(data).partition(_SEPARATOR)
+    head, sep, payload = path.read_bytes().partition(_SEPARATOR)
     if not sep:
         raise SchemaViolation(f"{path}: missing header/parameter separator")
     header = load_yaml(_decode(head, path), path)
     if not isinstance(header, dict) or not isinstance(header.get("model"), dict):
         raise SchemaViolation(f"{path}: malformed checkpoint header")
-    model = _build(header["model"], path)
     if "format" not in header:
-        values = _text_params(payload, header, path)
-    elif header["format"] == _FORMAT:
-        values = _binary_params(payload, header, path)
-    else:
+        raise SchemaViolation(f"{path}: no checkpoint format: version-1 checkpoints are "
+                              "no longer read; retrain the model")
+    if header["format"] != _FORMAT:
         raise SchemaViolation(f"{path}: unknown checkpoint format {header['format']!r}")
+    model = _build(header["model"], path)
+    values = _binary_params(payload, header, path)
     if len(values) != model.n_params:
         raise SchemaViolation(
             f"{path}: the model spec has {model.n_params} params, file has {len(values)}"
@@ -131,22 +125,8 @@ def _binary_params(payload: bytes, header: dict, path: Path) -> np.ndarray:
     return np.frombuffer(payload, _PARAM_DTYPE)
 
 
-def _text_params(payload: bytes, header: dict, path: Path) -> np.ndarray:
-    values = read_float_rows(_decode(payload, path), 1, path)[:, 0]
-    if len(values) != header.get("n_params", len(values)):
-        raise SchemaViolation(
-            f"{path}: header says {header.get('n_params')} params, file has {len(values)}"
-        )
-    return values
-
-
-def _text_newlines(raw: bytes) -> bytes:
-    """``raw`` with ``\\r\\n`` and lone ``\\r`` turned into ``\\n``, as text mode reads them."""
-    return raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-
-
 def _decode(raw: bytes, path: Path) -> str:
     try:
-        return _text_newlines(raw).decode("utf-8")
+        return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise SchemaViolation(f"{path}: not UTF-8 text: {exc}") from exc

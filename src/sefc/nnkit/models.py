@@ -605,7 +605,6 @@ class TCNNet(SeqNet):
                  dilations: Sequence[int] = (1, 2), out_dim: int = 6, seed: int = 0):
         super().__init__(in_features, hidden, kernel, dilations, n_blocks=0,
                          out_dim=out_dim, seed=seed)
-        self.dilations = self.tcn_dilations
 
     def spec(self) -> dict:
         return {
@@ -613,7 +612,7 @@ class TCNNet(SeqNet):
             "in_features": self.in_features,
             "hidden": self.hidden,
             "kernel": self.kernel,
-            "dilations": list(self.dilations),
+            "dilations": list(self.tcn_dilations),
             "out_dim": self.out_dim,
         }
 

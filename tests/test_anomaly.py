@@ -283,7 +283,6 @@ class TestReport:
         scored = self._scored_multi(["fault_b", "fault_a"])
         report = per_category_report(scored, seed=0)
         assert [(r.category, r.n) for r in report.rows] == [("fault_a", 8), ("fault_b", 8)]
-        assert report.ci_level == anomaly._CI_LEVEL
 
     def test_identical_categories_identical_rows(self):
         rng = np.random.default_rng(1)
@@ -301,9 +300,9 @@ class TestReport:
 # anomaly protocol read its channels through `Episode.columns` (numpy 2.4,
 # x86-64).  A column-major copy of the inputs changes the standardizer's
 # sums in the last digits, and with them every byte below.  The checkpoint
-# was then a version-1 text file: GOLDEN_CHECKPOINT_V1 is now the digest of
-# its `reference_checkpoint` rendering (spec, extras and trained bits), and
-# the version-2 file `save_model` writes has its own digest in GOLDEN.
+# was then a version-1 text file: GOLDEN_CHECKPOINT_V1 is the digest of its
+# `reference_checkpoint` rendering (spec, extras and trained bits), which is
+# no longer read; the version-2 file `save_model` writes has its digest in GOLDEN.
 GOLDEN_CHECKPOINT_V1 = "22080999d8fc94f86a3f71a5c7b83dc2d233ad6d98f0efc24d1785b14416f0d6"
 GOLDEN = {
     "model/anomaly_model.ckpt": "d7de437bbffccef7a2a3bef867714a2c63a33c631ab75e4b8b39fd4e6243d47b",
@@ -333,8 +332,9 @@ def test_train_and_score_output_digests(tmp_path):
     net, extra = load_model(tmp_path / "model" / "anomaly_model.ckpt")
     text.write_bytes(reference_checkpoint(net, extra).encode("utf-8"))
     assert hashlib.sha256(text.read_bytes()).hexdigest() == GOLDEN_CHECKPOINT_V1
+    with pytest.raises(SchemaViolation, match=f"^{re.escape(str(text))}: no checkpoint format: "
+                                              "version-1 checkpoints are no longer read"):
+        load_model(text)
     assert main(["score", "--model", str(text), "--data", str(episodes),
-                 "--out", str(tmp_path / "score_v1")]) == 0
-    for name in ("scores.csv", "anomaly_report.csv"):
-        from_text = (tmp_path / "score_v1" / name).read_bytes()
-        assert from_text == (tmp_path / "score" / name).read_bytes()
+                 "--out", str(tmp_path / "score_v1")]) == 2
+    assert not (tmp_path / "score_v1" / "scores.csv").exists()

@@ -17,6 +17,7 @@ import yaml
 from adapter_expectations import PHASE_COLUMN_EXPECTED
 from conftest import cpus
 from sefc import synthgen
+from sefc.anomaly import ANOMALY_INPUT_CHANNELS, ANOMALY_OUTPUT_CHANNELS
 from sefc.cli import main
 from sefc.errors import NumericalInstability, SchemaViolation
 from sefc.gap import JOINT_CHANNELS, TCP_POS_CHANNELS, TCP_ROT_CHANNELS
@@ -809,46 +810,52 @@ class TestScoreCheckpointExtras:
     """Checkpoint extras that do not fit the net make `sefc score` exit 2 naming file and key."""
 
     @staticmethod
-    def _extras(n_in=18, n_out=6):
-        return {"input_channels": [f"in_{i}" for i in range(n_in)],
-                "output_channels": [f"out_{i}" for i in range(n_out)],
-                "x_mean": [0.0] * n_in, "x_stdev": [1.0] * n_in,
-                "y_mean": [0.0] * n_out, "y_stdev": [1.0] * n_out}
+    def _extras():
+        return {"input_channels": list(ANOMALY_INPUT_CHANNELS),
+                "output_channels": list(ANOMALY_OUTPUT_CHANNELS),
+                "x_mean": [0.0] * 18, "x_stdev": [1.0] * 18,
+                "y_mean": [0.0] * 6, "y_stdev": [1.0] * 6}
+
+    @staticmethod
+    def _score(tmp_path, capsys, extra, widths=(18, 4, 6)):
+        """Save a dense net with *extra*, score an empty data directory with it: (path, rc, err)."""
+        from sefc.nnkit import DenseNet, save_model
+
+        path = save_model(tmp_path / "m.ckpt", DenseNet(list(widths), seed=0), extra=extra)
+        (tmp_path / "data").mkdir()
+        rc = main(["score", "--model", str(path), "--data", str(tmp_path / "data"),
+                   "--out", str(tmp_path / "score")])
+        return path, rc, capsys.readouterr().err
 
     @pytest.mark.parametrize("key,value", [
         ("x_mean", [0.0] * 17),
         ("x_stdev", [1.0] * 19),
         ("y_mean", [0.0] * 5),
         ("y_stdev", [1.0] * 7),
-        ("input_channels", [f"in_{i}" for i in range(17)]),
-        ("output_channels", [f"out_{i}" for i in range(5)]),
+        ("input_channels", list(ANOMALY_INPUT_CHANNELS[:17])),
+        ("output_channels", list(ANOMALY_OUTPUT_CHANNELS[:5])),
         ("x_mean", ["a"] * 18),
         ("y_stdev", 1.0),
         ("input_channels", list(range(18))),
         ("output_channels", "out"),
+        # well-formed lists that are not the protocol's channels
+        ("input_channels", [f"in_{i}" for i in range(18)]),
+        ("output_channels", [f"out_{i}" for i in range(6)]),
+        ("input_channels", list(reversed(ANOMALY_INPUT_CHANNELS))),
     ])
     def test_extra_that_does_not_fit_exits_2(self, tmp_path, capsys, key, value):
-        from sefc.nnkit import DenseNet, save_model
-
         extra = self._extras()
         extra[key] = value
-        path = save_model(tmp_path / "m.ckpt", DenseNet([18, 4, 6], seed=0), extra=extra)
-        rc = main(["score", "--model", str(path), "--data", str(tmp_path / "none"),
-                   "--out", str(tmp_path / "score")])
+        path, rc, err = self._score(tmp_path, capsys, extra)
         assert rc == 2
-        err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: {key} ")
         assert "broadcast" not in err
+        assert not (tmp_path / "score" / "scores.csv").exists()
 
     def test_net_output_width_must_match_torque_channels(self, tmp_path, capsys):
-        from sefc.nnkit import DenseNet, save_model
-
-        path = save_model(tmp_path / "m.ckpt", DenseNet([18, 4, 5], seed=0),
-                          extra=self._extras())
-        rc = main(["score", "--model", str(path), "--data", str(tmp_path / "none"),
-                   "--out", str(tmp_path / "score")])
+        path, rc, err = self._score(tmp_path, capsys, self._extras(), widths=(18, 4, 5))
         assert rc == 2
-        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+        assert err.startswith(f"error: {path}: ")
 
 
 class TestEvalForecast:

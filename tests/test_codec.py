@@ -4,10 +4,8 @@ The reference writers below are the per-cell ``"{:.17g}"`` formatters and
 the pure-Python YAML dumper the array codec replaced.  Every canonical file
 written now must match them byte for byte, and every value read back must
 carry the same bits as ``float()`` on the written cell.  Checkpoints are
-written in version 2 (raw float64 payload) and must match a per-value
-reference writer and read back with the same bits; version-1 text
-checkpoints from ``conftest.reference_checkpoint`` must still read back as
-``float()`` of each line.
+written and read in version 2 only (raw float64 payload): every file must
+match a per-value reference writer and read back with the same bits.
 """
 
 import dataclasses
@@ -25,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import make_episode, reference_checkpoint
+from conftest import make_episode
 from sefc import codec, ingest
 from sefc.cli import main
 from sefc.forecast import _NETS
@@ -200,17 +198,6 @@ SPECIAL_BITS = [int(b) for b in _bits(SPECIALS)] + [
 ]
 
 
-def _load_text(tmp, model) -> np.ndarray:
-    """Parameters read back from the version-1 rendering of *model*."""
-    path = Path(tmp) / "v1.ckpt"
-    path.write_bytes(reference_checkpoint(model).encode("utf-8"))
-    return load_model(path)[0].get_params()
-
-
-def _parsed_cells(model) -> list:
-    return [float("{:.17g}".format(v)) for v in model.get_params()]
-
-
 class TestCheckpointBytes:
     @given(arrays(np.uint64, 13, elements=st.sampled_from(SPECIAL_BITS)
                   | st.integers(0, 2**64 - 1)))
@@ -223,9 +210,7 @@ class TestCheckpointBytes:
             path = save_model(Path(tmp) / "m.ckpt", model, extra={})
             assert path.read_bytes() == reference_checkpoint_v2(model)
             loaded, _ = load_model(path)
-            from_text = _load_text(tmp, model)
         assert np.array_equal(_bits(loaded.get_params()), bits)
-        assert np.array_equal(_bits(from_text), _bits(_parsed_cells(model)))
 
     def test_many_blocks(self, tmp_path):
         model = DenseNet([18, 64, 6], seed=0)
@@ -234,38 +219,29 @@ class TestCheckpointBytes:
         assert path.read_bytes() == reference_checkpoint_v2(model)
         loaded, _ = load_model(path)
         assert np.array_equal(_bits(loaded.get_params()), _bits(model.get_params()))
-        assert np.array_equal(_bits(_load_text(tmp_path, model)), _bits(_parsed_cells(model)))
 
 
-# sha256 of the version-1 text checkpoint of `_NETS[kind](6, seed=0)`,
-# recorded from `save_model` while TCNNet and SeqNet were separate classes
-# (numpy 2.4, x86-64) and now rendered by `reference_checkpoint`.  The spec,
-# the parameter order and the initial values of both sequence kinds must not
-# move.  The version-2 digests are those of `save_model` on the same nets.
-GOLDEN_CHECKPOINTS = {
-    "tcn": "e39025e664be192a4b04477bdd9b2addcba57417dbf82701ff32cc8450bee1a3",
-    "tcn_transformer": "016bd57222ac209aeed0110818b7ef0bc5c158bf29cce456982cbe8e84884f64",
-}
+# sha256 of the checkpoint `save_model` writes for `_NETS[kind](6, seed=0)`
+# (numpy 2.4, x86-64).  The spec, the parameter order and the initial values
+# of both sequence kinds must not move: digests of the same content were
+# first recorded, in the version-1 layout, while TCNNet and SeqNet were
+# separate classes.
 GOLDEN_CHECKPOINTS_V2 = {
     "tcn": "6301641041607b7a04f0182ad16ce8a8ef82409686fb6624aaec28516024686c",
     "tcn_transformer": "ef09814dba4f01e98fba8da470bfd4e2b9d33f05b1b3eb4ddd4cdc3c1f814e0c",
 }
 
 
-@pytest.mark.parametrize("kind", sorted(GOLDEN_CHECKPOINTS))
+@pytest.mark.parametrize("kind", sorted(GOLDEN_CHECKPOINTS_V2))
 def test_sequence_checkpoint_digests(tmp_path, kind):
     net = _NETS[kind](6, seed=0)
-    text = tmp_path / "v1.ckpt"
-    text.write_bytes(reference_checkpoint(net).encode("utf-8"))
-    assert hashlib.sha256(text.read_bytes()).hexdigest() == GOLDEN_CHECKPOINTS[kind]
     path = save_model(tmp_path / "m.ckpt", net, extra={})
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_CHECKPOINTS_V2[kind]
-    for written in (text, path):
-        loaded, _ = load_model(written)
-        assert type(loaded) is type(net)
-        assert np.array_equal(_bits(loaded.get_params()), _bits(net.get_params()))
-        again = save_model(tmp_path / "again.ckpt", loaded, extra={})
-        assert path.read_bytes() == again.read_bytes()
+    loaded, _ = load_model(path)
+    assert type(loaded) is type(net)
+    assert np.array_equal(_bits(loaded.get_params()), _bits(net.get_params()))
+    again = save_model(tmp_path / "again.ckpt", loaded, extra={})
+    assert path.read_bytes() == again.read_bytes()
 
 
 # --- YAML sidecars ---------------------------------------------------------------

@@ -436,7 +436,7 @@ class TestTransfer:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "3d08f705c7fca996f48503018dc87cba9e908439527503fc16de147ec8625c99")
 
-    @pytest.mark.parametrize("drop", ["forecaster_kind", "x_mean", "y_stdev"])
+    @pytest.mark.parametrize("drop", ["forecaster_kind", "x_mean", "y_stdev", "target"])
     def test_load_rejects_checkpoint_without_forecaster_extras(self, tmp_path, drop):
         extra = {"forecaster_kind": "linear", "target": "accel",
                  "x_mean": [0.0] * 36, "x_stdev": [1.0] * 36,
@@ -454,6 +454,11 @@ class TestTransfer:
         ("y_stdev", [1.0] * 7),
         ("x_mean", ["a"] * 36),
         ("y_mean", None),
+        ("forecaster_kind", "kinematic_zero"),
+        ("forecaster_kind", "lstm"),
+        ("forecaster_kind", ["linear"]),
+        ("target", "torque"),
+        ("target", None),
     ])
     def test_load_rejects_standardizer_that_does_not_fit(self, tmp_path, key, value):
         extra = {"forecaster_kind": "linear", "target": "accel",

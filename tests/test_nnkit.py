@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
-from conftest import reference_checkpoint, traced_peak_mb
+from conftest import traced_peak_mb
 from gradcheck import forward_seq, gradient_check
 from sefc.errors import EmptyDataset, SchemaViolation, ShapeMismatch
 from sefc.forecast import _NETS
@@ -362,12 +362,9 @@ class TestCheckpoint:
         assert np.array_equal(loaded.get_params(), model.get_params())
 
     @staticmethod
-    def _files(tmp_path):
-        """One model as a version-2 file from `save_model` and as version-1 text."""
-        model = DenseNet([2, 3, 1], seed=0)
-        text = tmp_path / "v1.ckpt"
-        text.write_bytes(reference_checkpoint(model).encode("utf-8"))
-        return save_model(tmp_path / "m.ckpt", model, extra={}), text
+    def _file(tmp_path):
+        """A 13-parameter model as a version-2 file from `save_model`."""
+        return save_model(tmp_path / "m.ckpt", DenseNet([2, 3, 1], seed=0), extra={})
 
     @staticmethod
     def _rewrite(path, header_edit=None, payload_edit=None):
@@ -381,26 +378,11 @@ class TestCheckpoint:
         path.write_bytes(yaml.safe_dump(header, sort_keys=False).encode() + b"---\n" + payload)
 
     def test_malformed_header_yaml(self, tmp_path):
-        for path in self._files(tmp_path):
-            params = path.read_bytes().split(b"\n---\n", 1)[1]
-            path.write_bytes(b"model: {kind: dense, sizes: [2, 3\n---\n" + params)
-            with pytest.raises(SchemaViolation, match=re.escape(str(path))):
-                load_model(path)
-
-    def test_non_numeric_parameter(self, tmp_path):
-        _, path = self._files(tmp_path)
-        lines = path.read_text().splitlines(keepends=True)
-        lines[-2] = "not-a-number\n"
-        path.write_text("".join(lines))
+        path = self._file(tmp_path)
+        params = path.read_bytes().split(b"\n---\n", 1)[1]
+        path.write_bytes(b"model: {kind: dense, sizes: [2, 3\n---\n" + params)
         with pytest.raises(SchemaViolation, match=re.escape(str(path))):
             load_model(path)
-
-    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
-    def test_version1_text_mode_newlines(self, tmp_path, newline):
-        binary, path = self._files(tmp_path)
-        path.write_bytes(path.read_bytes().replace(b"\n", newline.encode()))
-        assert np.array_equal(load_model(path)[0].get_params().view(np.uint64),
-                              load_model(binary)[0].get_params().view(np.uint64))
 
     @pytest.mark.parametrize("header_edit, payload_edit, reason", [
         (None, lambda p: p[:-3], "truncated payload: 101 bytes, 13 params need 104"),
@@ -415,11 +397,15 @@ class TestCheckpoint:
          "header needs a non-negative integer n_params, got '13'"),
         (lambda h: h.update(format=3), None, "unknown checkpoint format 3"),
         (lambda h: h.update(format="2"), None, "unknown checkpoint format '2'"),
+        # the version-1 layout: no format key, then one %.17g value per line
+        (lambda h: h.pop("format"),
+         lambda p: "".join("{:.17g}\n".format(v) for v in np.frombuffer(p, "<f8")).encode(),
+         "no checkpoint format: version-1 checkpoints are no longer read; retrain the model"),
     ], ids=["truncated", "trailing_newline", "n_params_below_payload", "n_params_above_payload",
             "n_params_and_payload_above_spec", "no_n_params", "n_params_string",
-            "format_3", "format_string"])
+            "format_3", "format_string", "version1_text"])
     def test_version2_defect_names_file(self, tmp_path, header_edit, payload_edit, reason):
-        path, _ = self._files(tmp_path)
+        path = self._file(tmp_path)
         self._rewrite(path, header_edit, payload_edit)
         with pytest.raises(SchemaViolation, match=f"^{re.escape(str(path))}: {re.escape(reason)}"):
             load_model(path)
@@ -433,7 +419,7 @@ class TestCheckpoint:
     ], ids=["missing_key", "too_few_widths", "widths_not_a_list", "seqnet_without_keys",
             "unhashable_kind"])
     def test_bad_spec_names_file(self, tmp_path, spec):
-        path, _ = self._files(tmp_path)
+        path = self._file(tmp_path)
         self._rewrite(path, lambda header: header.update(model=spec))
         with pytest.raises(SchemaViolation, match=f"^{re.escape(str(path))}: "):
             load_model(path)

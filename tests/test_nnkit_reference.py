@@ -149,14 +149,14 @@ def _ref_block_backward(p, pre, dout, c, heads, grads):
 def _ref_tcn(net, x, y):
     """(predict, loss, flat grad) of a TCNNet, full-sequence with einsum."""
     p = net._params
-    h, saved = _ref_conv_forward(p, "tcn", x, net.kernel, net.dilations)
+    h, saved = _ref_conv_forward(p, "tcn", x, net.kernel, net.tcn_dilations)
     out = h @ p["head.W"] + p["head.b"]
     resid = out[:, -1] - y
     dout = np.zeros_like(out)
     dout[:, -1] = 2.0 * resid / resid.size
     grads = {"head.W": np.einsum("bth,bto->ho", h, dout), "head.b": dout.sum(axis=(0, 1))}
     _ref_conv_backward(p, "tcn", dout @ p["head.W"].T, saved, net.kernel,
-                       net.dilations, grads)
+                       net.tcn_dilations, grads)
     return out[:, -1], float(np.mean(resid ** 2)), np.concatenate(
         [grads[name].ravel() for name in p])
 

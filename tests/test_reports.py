@@ -42,7 +42,7 @@ def _ref_write_report_csv(report, path):
         writer.writerow(["pooled", sum(r.n for r in report.rows),
                          f"{report.pooled_auroc:.6f}"])
         writer.writerow([
-            f"ci{int(report.ci_level * 100)}",
+            "ci95",
             report.n_healthy,
             f"[{report.ci[0]:.6f}, {report.ci[1]:.6f}]",
         ])
@@ -53,7 +53,7 @@ def _ref_write_report_summary(report, path):
         "mean_auroc": round(report.mean_auroc, 6),
         "pooled_auroc": round(report.pooled_auroc, 6),
         "ci": [round(report.ci[0], 6), round(report.ci[1], 6)],
-        "ci_level": report.ci_level,
+        "ci_level": 0.95,
         "n_healthy": report.n_healthy,
         "n_anomalous": sum(r.n for r in report.rows),
         "categories": {
@@ -168,8 +168,7 @@ def _same_bytes(a: Path, b: Path) -> None:
 REPORT = AnomalyReport(
     rows=(CategoryRow("additional_axis_payload", 4, 0.8125),
           CategoryRow('cat, "quoted"', 2, NAN)),
-    mean_auroc=0.8125, pooled_auroc=0.79999999, ci=(0.5, 1.0),
-    ci_level=0.95, n_healthy=7,
+    mean_auroc=0.8125, pooled_auroc=0.79999999, ci=(0.5, 1.0), n_healthy=7,
 )
 
 SCORED = (ScoredEpisode("ep_00000", "healthy", 0.1234567890123),
